@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import LEAF_LOG2, SparseGrid, VoxelState, local_flat_index
+from .grid import (SparseGrid, VoxelState, group_by, leaf_keys,
+                   local_flat_index, pack_keys)
 from .query_points import TestPointSet
 
 
@@ -101,12 +102,11 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
         wc = np.minimum(_weight(np.asarray(prop_variances, dtype=np.float64),
                                 cfg.w_max, cfg.v_clip), w)
 
-    leaf_keys = points.coords >> LEAF_LOG2
-    uniq, inverse = np.unique(leaf_keys, axis=0, return_inverse=True)
+    # keying every point first rejects out-of-range voxels before any write
+    leaves = group_by(leaf_keys(pack_keys(points.coords))).rows()
     before = grid.n_leaves
     flat = local_flat_index(points.coords)
-    for u in range(len(uniq)):
-        rows = np.flatnonzero(inverse == u)
+    for rows in leaves:
         idx = flat[rows]
         leaf = grid.get_or_create_leaf(points.coords[rows[0]])
         old_d = leaf.distance[idx].astype(np.float64)
@@ -130,6 +130,6 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
                 leaf.prop_weight[lidx] = np.minimum(pt, cfg.weight_cap)
         grid.mark_active(leaf)
     grid.version += 1
-    stats.leaves_touched = len(uniq)
+    stats.leaves_touched = len(leaves)
     stats.new_leaves = grid.n_leaves - before
     return stats

@@ -1,28 +1,92 @@
-"""Sparse hierarchical voxel grid.
+"""Sparse voxel grid: a flat map of dense 8^3 leaves.
 
-Four levels: a hash-map root over upper internal nodes spanning 4096
-voxels per axis, internal nodes of 32^3 and 16^3 children, and leaves
-of 8^3 voxels backed by dense numpy arrays. Signed voxel coordinates
-are decomposed with arithmetic shifts and masks, so lookups cost one
-hash probe plus three child dereferences regardless of map extent.
+Voxel coordinates are signed int64 triples. ``pack_keys`` packs a triple
+into one biased int64 key, 21 bits per axis, whose integer order equals
+the lexicographic order of the triples; ``group_by`` sorts such keys once
+and splits rows into runs. Every module that deduplicates voxels or
+buckets rows by leaf goes through these two, so the key layout is decided
+here alone. Leaves are dense numpy blocks of 8^3 voxels held in one dict
+keyed by the packed key of their origin, so a lookup is one hash probe
+regardless of map extent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 LEAF_LOG2 = 3
-INT1_LOG2 = 4
-INT2_LOG2 = 5
 LEAF_SIZE = 1 << LEAF_LOG2
 LEAF_VOXELS = LEAF_SIZE ** 3
-# voxels per axis spanned by the two internal levels
-INT1_SPAN_LOG2 = LEAF_LOG2 + INT1_LOG2
-ROOT_SPAN_LOG2 = INT1_SPAN_LOG2 + INT2_LOG2
-ROOT_SPAN = 1 << ROOT_SPAN_LOG2
+KEY_BITS = 21
+# voxel coordinates must lie in [-KEY_BIAS, KEY_BIAS) on every axis
+KEY_BIAS = 1 << (KEY_BITS - 1)
+_AXIS_MASK = (1 << KEY_BITS) - 1
+# KEY_BIAS is a multiple of LEAF_SIZE, so clearing the low bits of each
+# packed axis field maps a voxel key to the key of its leaf origin
+_LEAF_KEY_MASK = sum((_AXIS_MASK & ~(LEAF_SIZE - 1)) << (KEY_BITS * a)
+                     for a in range(3))
+
+
+def pack_keys(coords) -> np.ndarray:
+    """Pack (N, 3) integer voxel coordinates into (N,) int64 keys.
+
+    Raises ValueError if any coordinate lies outside [-2^20, 2^20).
+    """
+    c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+    if len(c) and (c.min() < -KEY_BIAS or c.max() >= KEY_BIAS):
+        raise ValueError(f"voxel coordinates outside [-{KEY_BIAS}, {KEY_BIAS})"
+                         " cannot be keyed")
+    b = c + KEY_BIAS
+    return (b[:, 0] << (2 * KEY_BITS)) | (b[:, 1] << KEY_BITS) | b[:, 2]
+
+
+def leaf_keys(keys) -> np.ndarray:
+    """Packed key of the leaf origin holding each packed voxel key."""
+    return np.asarray(keys, dtype=np.int64) & _LEAF_KEY_MASK
+
+
+def _leaf_key(coord) -> int:
+    """Scalar leaf key of one coordinate, without numpy overhead."""
+    key = 0
+    for v in coord:
+        v = int(v)
+        if not -KEY_BIAS <= v < KEY_BIAS:
+            raise ValueError(f"voxel coordinate {v} outside [-{KEY_BIAS}, "
+                             f"{KEY_BIAS}) cannot be keyed")
+        key = (key << KEY_BITS) | ((v + KEY_BIAS) & ~(LEAF_SIZE - 1))
+    return key
+
+
+class Groups(NamedTuple):
+    """Rows grouped by equal key, groups in ascending key order."""
+
+    keys: np.ndarray      # (U,) sorted unique keys
+    first: np.ndarray     # (U,) index of each key's first row
+    inverse: np.ndarray   # (N,) group index of every row
+    order: np.ndarray     # (N,) rows sorted by key, input order within a key
+    starts: np.ndarray    # (U + 1,) offsets of each group in `order`
+
+    def rows(self) -> list:
+        """Each group's row indices, ascending."""
+        s = self.starts.tolist()
+        return [self.order[a:b] for a, b in zip(s[:-1], s[1:])]
+
+
+def group_by(keys) -> Groups:
+    """Group rows by int64 key with one stable argsort."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    new = np.empty(len(sk), dtype=bool)
+    new[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.append(np.flatnonzero(new), len(sk))
+    inverse = np.empty(len(sk), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return Groups(sk[new], order[new], inverse, order, starts)
 
 
 def world_to_grid(points: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -89,13 +153,6 @@ class LeafNode:
         return local + np.asarray(self.origin, dtype=np.int64)
 
 
-class _Internal:
-    __slots__ = ("children",)
-
-    def __init__(self):
-        self.children: dict[int, object] = {}
-
-
 def local_flat_index(coords: np.ndarray) -> np.ndarray:
     """Vectorized within-leaf flat index for integer coordinates."""
     c = np.asarray(coords, dtype=np.int64)
@@ -104,91 +161,35 @@ def local_flat_index(coords: np.ndarray) -> np.ndarray:
 
 
 class SparseGrid:
-    """Top-level container; allocates branches on first write."""
+    """Flat map of 8^3 leaves; allocates a leaf on first write."""
 
     def __init__(self, voxel_size: float, prop_channels: int = 0):
         if voxel_size <= 0:
             raise ValueError(f"voxel_size must be positive, got {voxel_size}")
         self.voxel_size = float(voxel_size)
         self.prop_channels = int(prop_channels)
-        self._root: dict[tuple[int, int, int], _Internal] = {}
-        self._leaves: dict[tuple[int, int, int], LeafNode] = {}
+        # packed leaf-origin key -> leaf, in allocation order
+        self._leaves: dict[int, LeafNode] = {}
         self._active: dict[tuple[int, int, int], LeafNode] = {}
         # bumped on every mutation; lets callers cache derived structures
         self.version = 0
 
-    # -- coordinate helpers ------------------------------------------------
-
-    def world_to_grid(self, points: np.ndarray) -> np.ndarray:
-        return world_to_grid(points, self.voxel_size)
-
-    def grid_to_world(self, coords: np.ndarray) -> np.ndarray:
-        return grid_to_world(coords, self.voxel_size)
-
-    @staticmethod
-    def root_key_of(coord) -> tuple[int, int, int]:
-        return (int(coord[0]) >> ROOT_SPAN_LOG2,
-                int(coord[1]) >> ROOT_SPAN_LOG2,
-                int(coord[2]) >> ROOT_SPAN_LOG2)
-
     # -- node access --------------------------------------------------------
 
-    def access_path(self, coord):
-        """(upper internal, lower internal, leaf) chain for a coordinate.
-
-        Returns None if any branch is unallocated. The chain length is
-        the access depth below the root hash map.
-        """
-        i, j, k = int(coord[0]), int(coord[1]), int(coord[2])
-        upper = self._root.get((i >> ROOT_SPAN_LOG2, j >> ROOT_SPAN_LOG2,
-                                k >> ROOT_SPAN_LOG2))
-        if upper is None:
-            return None
-        m2 = (1 << INT2_LOG2) - 1
-        idx2 = ((((i >> INT1_SPAN_LOG2) & m2) << (2 * INT2_LOG2))
-                | (((j >> INT1_SPAN_LOG2) & m2) << INT2_LOG2)
-                | ((k >> INT1_SPAN_LOG2) & m2))
-        lower = upper.children.get(idx2)
-        if lower is None:
-            return None
-        m1 = (1 << INT1_LOG2) - 1
-        idx1 = ((((i >> LEAF_LOG2) & m1) << (2 * INT1_LOG2))
-                | (((j >> LEAF_LOG2) & m1) << INT1_LOG2)
-                | ((k >> LEAF_LOG2) & m1))
-        leaf = lower.children.get(idx1)
-        if leaf is None:
-            return None
-        return (upper, lower, leaf)
-
     def find_leaf(self, coord) -> Optional[LeafNode]:
-        path = self.access_path(coord)
-        return None if path is None else path[2]
+        """Leaf containing the coordinate, or None if unallocated.
+
+        Raises ValueError for a coordinate outside the key range.
+        """
+        return self._leaves.get(_leaf_key(coord))
 
     def get_or_create_leaf(self, coord) -> LeafNode:
-        """Leaf containing the coordinate, allocating branch nodes as needed."""
-        i, j, k = int(coord[0]), int(coord[1]), int(coord[2])
-        rk = (i >> ROOT_SPAN_LOG2, j >> ROOT_SPAN_LOG2, k >> ROOT_SPAN_LOG2)
-        upper = self._root.get(rk)
-        if upper is None:
-            upper = self._root[rk] = _Internal()
-        m2 = (1 << INT2_LOG2) - 1
-        idx2 = ((((i >> INT1_SPAN_LOG2) & m2) << (2 * INT2_LOG2))
-                | (((j >> INT1_SPAN_LOG2) & m2) << INT2_LOG2)
-                | ((k >> INT1_SPAN_LOG2) & m2))
-        lower = upper.children.get(idx2)
-        if lower is None:
-            lower = upper.children[idx2] = _Internal()
-        m1 = (1 << INT1_LOG2) - 1
-        idx1 = ((((i >> LEAF_LOG2) & m1) << (2 * INT1_LOG2))
-                | (((j >> LEAF_LOG2) & m1) << INT1_LOG2)
-                | ((k >> LEAF_LOG2) & m1))
-        leaf = lower.children.get(idx1)
+        """Leaf containing the coordinate, allocating it if needed."""
+        key = _leaf_key(coord)
+        leaf = self._leaves.get(key)
         if leaf is None:
-            origin = ((i >> LEAF_LOG2) << LEAF_LOG2,
-                      (j >> LEAF_LOG2) << LEAF_LOG2,
-                      (k >> LEAF_LOG2) << LEAF_LOG2)
-            leaf = lower.children[idx1] = LeafNode(origin, self.prop_channels)
-            self._leaves[origin] = leaf
+            origin = tuple((int(v) >> LEAF_LOG2) << LEAF_LOG2 for v in coord)
+            leaf = self._leaves[key] = LeafNode(origin, self.prop_channels)
             self.version += 1
         return leaf
 
@@ -263,14 +264,12 @@ class SparseGrid:
         obs = np.zeros(n, dtype=bool)
         if n == 0:
             return found, dist, weight, obs
-        origins = leaf_origin_of(coords)
-        uniq, inverse = np.unique(origins, axis=0, return_inverse=True)
+        groups = group_by(leaf_keys(pack_keys(coords)))
         flat = local_flat_index(coords)
-        for u, org in enumerate(uniq):
-            leaf = self.find_leaf(org)
+        for key, rows in zip(groups.keys.tolist(), groups.rows()):
+            leaf = self._leaves.get(key)
             if leaf is None:
                 continue
-            rows = np.flatnonzero(inverse == u)
             idx = flat[rows]
             mask = leaf.value_mask[idx]
             rows = rows[mask]
@@ -297,13 +296,15 @@ class SparseGrid:
         dist = np.zeros(shape, dtype=np.float64)
         obs = np.zeros(shape, dtype=bool)
         prop = np.zeros(shape + (self.prop_channels,), dtype=np.float64)
-        lo_leaf = origin >> LEAF_LOG2
-        hi_leaf = (origin + np.asarray(shape) - 1) >> LEAF_LOG2
+        # no leaf exists outside the key range, so the scan stops at its edge
+        lo_leaf = np.maximum(origin >> LEAF_LOG2, -KEY_BIAS >> LEAF_LOG2)
+        hi_leaf = np.minimum((origin + np.asarray(shape) - 1) >> LEAF_LOG2,
+                             (KEY_BIAS >> LEAF_LOG2) - 1)
         for li in range(int(lo_leaf[0]), int(hi_leaf[0]) + 1):
             for lj in range(int(lo_leaf[1]), int(hi_leaf[1]) + 1):
                 for lk in range(int(lo_leaf[2]), int(hi_leaf[2]) + 1):
                     lorg = (li << LEAF_LOG2, lj << LEAF_LOG2, lk << LEAF_LOG2)
-                    leaf = self._leaves.get(lorg)
+                    leaf = self.find_leaf(lorg)
                     if leaf is None:
                         continue
                     # overlap of this leaf with the requested block

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import gp
-from .grid import LEAF_LOG2, SparseGrid, VoxelState, grid_to_world, world_to_grid
+from .grid import grid_to_world, group_by, leaf_keys, pack_keys, world_to_grid
 
 
 class EmptyFrame(ValueError):
@@ -65,22 +65,27 @@ def voxelize(frame: Frame, voxel_size: float):
 
     Returns (coords, centers, props): integer voxel coordinates in
     lexicographic order, their world-space centers, and per-voxel mean
-    properties (None if the frame has none). Raises EmptyFrame on an
-    empty cloud.
+    properties (None if the frame has none). Points with a non-finite
+    world position are dropped with their properties. Raises EmptyFrame
+    when no point remains, and ValueError for a voxel outside the key
+    range (see grid.pack_keys).
     """
-    if len(frame.points) == 0:
-        raise EmptyFrame("frame has no points")
-    world = frame.points_world()
-    coords = world_to_grid(world, voxel_size)
-    uniq, inverse = np.unique(coords, axis=0, return_inverse=True)
+    with np.errstate(invalid="ignore"):
+        world = frame.points_world()
+    finite = np.isfinite(world).all(axis=1)
+    if not finite.any():
+        raise EmptyFrame("frame has no finite points")
+    coords = world_to_grid(world[finite], voxel_size)
+    groups = group_by(pack_keys(coords))
+    uniq = coords[groups.first]
     centers = grid_to_world(uniq, voxel_size)
     props = None
     if frame.properties is not None and frame.properties.shape[1] > 0:
-        p = frame.properties
+        p = frame.properties[finite]
         sums = np.zeros((len(uniq), p.shape[1]))
         counts = np.zeros(len(uniq))
-        np.add.at(sums, inverse, p)
-        np.add.at(counts, inverse, 1.0)
+        np.add.at(sums, groups.inverse, p)
+        np.add.at(counts, groups.inverse, 1.0)
         props = sums / counts[:, None]
     return uniq, centers, props
 
@@ -88,15 +93,9 @@ def voxelize(frame: Frame, voxel_size: float):
 class LocalField:
     """Per-leaf GP models over one frame's voxelized cloud."""
 
-    def __init__(self, models: list[gp.GpLeafModel],
-                 model_origins: list[tuple[int, int, int]],
-                 leaf_to_model: dict[tuple[int, int, int], int],
-                 local_grid: SparseGrid, params: gp.KernelParams,
+    def __init__(self, models: list[gp.GpLeafModel], params: gp.KernelParams,
                  prop_clip=None):
         self.models = models
-        self.model_origins = model_origins
-        self.leaf_to_model = leaf_to_model
-        self.local_grid = local_grid
         self.params = params
         self.prop_clip = prop_clip
         self.centroids = np.array([m.centroid for m in models]).reshape(-1, 3)
@@ -145,8 +144,8 @@ class LocalField:
         has_prop = self.has_properties
         c = np.zeros((n, self.models[0].alpha_prop.shape[1])) if has_prop else None
         w = np.zeros(n) if has_prop else None
-        for mi in np.unique(owner):
-            rows = np.flatnonzero(owner == mi)
+        groups = group_by(owner)
+        for mi, rows in zip(groups.keys, groups.rows()):
             model = self.models[mi]
             o, u = gp.infer_occupancy(model, pts[rows])
             d[rows] = gp.revert_distance(o, self.params)
@@ -176,13 +175,11 @@ def build_voxelized(coords: np.ndarray, centers: np.ndarray,
                     params: gp.KernelParams, min_leaf_points: int = 4,
                     prop_clip=None) -> LocalField:
     """Train per-leaf models from an already voxelized cloud."""
-    leaf_keys = coords >> LEAF_LOG2
-    uniq_leaves, inverse = np.unique(leaf_keys, axis=0, return_inverse=True)
-    groups = [np.flatnonzero(inverse == i) for i in range(len(uniq_leaves))]
-    origins = [tuple(int(v) << LEAF_LOG2 for v in u) for u in uniq_leaves]
+    leaves = group_by(leaf_keys(pack_keys(coords)))
+    groups = leaves.rows()
 
     big = [i for i, g in enumerate(groups) if len(g) >= min_leaf_points]
-    merged_into = list(range(len(groups)))
+    merged_into = np.arange(len(groups))
     if big and len(big) < len(groups):
         big_centroids = np.array([centers[groups[i]].mean(axis=0) for i in big])
         tree = cKDTree(big_centroids)
@@ -192,25 +189,9 @@ def build_voxelized(coords: np.ndarray, centers: np.ndarray,
             _, nearest = tree.query(centers[g].mean(axis=0))
             merged_into[i] = big[int(nearest)]
 
-    # hosts in lexicographic leaf-origin order for deterministic routing
-    hosts = sorted(set(merged_into), key=lambda i: origins[i])
-    models = []
-    model_origins = []
-    leaf_to_model = {}
-    for slot, host in enumerate(hosts):
-        rows = np.concatenate([groups[i] for i in range(len(groups))
-                               if merged_into[i] == host])
-        rows.sort()
-        model = gp.train(centers[rows], params,
-                         None if props is None else props[rows])
-        models.append(model)
-        model_origins.append(origins[host])
-        for i in range(len(groups)):
-            if merged_into[i] == host:
-                leaf_to_model[origins[i]] = slot
-
-    local_grid = SparseGrid(voxel_size)
-    for coord in coords:
-        local_grid.set(coord, VoxelState(observed=True))
-    return LocalField(models, model_origins, leaf_to_model, local_grid,
-                      params, prop_clip)
+    # groups, and so hosts, are in lexicographic leaf-origin order, which
+    # makes model routing deterministic
+    models = [gp.train(centers[rows], params,
+                       None if props is None else props[rows])
+              for rows in group_by(merged_into[leaves.inverse]).rows()]
+    return LocalField(models, params, prop_clip)

@@ -16,18 +16,20 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .grid import LEAF_LOG2, LEAF_SIZE, SparseGrid
+from .grid import (LEAF_SIZE, SparseGrid, group_by, leaf_keys, leaf_origin_of,
+                   pack_keys, world_to_grid)
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 
 _EDGE_TABLE = np.asarray(EDGE_TABLE, dtype=np.int64)
+# edge indices of up to five triangles per case, -1 for unused slots
+_TRI_TABLE = np.asarray(TRI_TABLE, dtype=np.int64)[:, :15].reshape(-1, 5, 3)
 # lower corner offset and axis of each of the 12 cell edges
-_EDGE_LOWER = []
-_EDGE_AXIS = []
-for _a, _b in EDGE_CORNERS:
-    oa = np.asarray(CORNER_OFFSETS[_a])
-    ob = np.asarray(CORNER_OFFSETS[_b])
-    _EDGE_LOWER.append(np.minimum(oa, ob))
-    _EDGE_AXIS.append(int(np.flatnonzero(oa != ob)[0]))
+_CORNERS = np.asarray(CORNER_OFFSETS, dtype=np.int64)
+_EDGE_LOWER = np.array([np.minimum(_CORNERS[a], _CORNERS[b])
+                        for a, b in EDGE_CORNERS])
+_EDGE_AXIS = np.array([int(np.flatnonzero(_CORNERS[a] != _CORNERS[b])[0])
+                       for a, b in EDGE_CORNERS])
+_BLOCK = LEAF_SIZE + 1
 
 AREA_EPS = 1e-18
 
@@ -72,7 +74,7 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     """Run marching cubes over the cells owned by one leaf."""
     origin = tuple(int(v) for v in origin)
     h = grid.voxel_size
-    dist, obs, prop = grid.gather_block(origin, (LEAF_SIZE + 1,) * 3)
+    dist, obs, prop = grid.gather_block(origin, (_BLOCK,) * 3)
     out = LeafMesh(origin)
     if not obs.any():
         return out
@@ -87,44 +89,38 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     if len(cells) == 0:
         return out
 
+    cases = case[cells[:, 0], cells[:, 1], cells[:, 2]]
+    # crossed edges, cell by cell and in edge order within a cell; an edge
+    # shared by several cells is one vertex, placed at its first appearance
+    cell_ix, e = np.nonzero((_EDGE_TABLE[cases][:, None] >> np.arange(12)) & 1)
+    lo = cells[cell_ix] + _EDGE_LOWER[e]
+    axis = _EDGE_AXIS[e]
+    edges = group_by(((lo[:, 0] * _BLOCK + lo[:, 1]) * _BLOCK + lo[:, 2]) * 3
+                     + axis)
+    first = np.sort(edges.first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(edges.first)] = np.arange(len(first))
+    vertex_of = np.full((len(cells), 12), -1)
+    vertex_of[cell_ix, e] = rank[edges.inverse]
+
+    lo, axis = lo[first], axis[first]
+    n = np.arange(len(first))
+    hi = lo.copy()
+    hi[n, axis] += 1
+    lo_ix, hi_ix = tuple(lo.T), tuple(hi.T)
+    d0 = dist[lo_ix]
+    t = d0 / (d0 - dist[hi_ix])
     org = np.asarray(origin, dtype=np.int64)
-    nprop = prop.shape[-1]
-    for cx, cy, cz in cells:
-        mask = EDGE_TABLE[case[cx, cy, cz]]
-        cell = (int(cx), int(cy), int(cz))
-        keys = [None] * 12
-        for e in range(12):
-            if not (mask >> e) & 1:
-                continue
-            lo = _EDGE_LOWER[e]
-            axis = _EDGE_AXIS[e]
-            lx, ly, lz = cell[0] + lo[0], cell[1] + lo[1], cell[2] + lo[2]
-            key = (int(org[0] + lx), int(org[1] + ly), int(org[2] + lz), axis)
-            keys[e] = key
-            if key in out.verts:
-                continue
-            hxyz = [lx, ly, lz]
-            hxyz[axis] += 1
-            d0 = dist[lx, ly, lz]
-            d1 = dist[hxyz[0], hxyz[1], hxyz[2]]
-            t = d0 / (d0 - d1)
-            pos = (org + np.array([lx, ly, lz], dtype=np.float64) + 0.5) * h
-            pos[axis] += t * h
-            if nprop:
-                p0 = prop[lx, ly, lz]
-                p1 = prop[hxyz[0], hxyz[1], hxyz[2]]
-                pv = p0 + t * (p1 - p0)
-            else:
-                pv = np.zeros(0)
-            out.verts[key] = (pos, pv)
-        row = TRI_TABLE[case[cx, cy, cz]]
-        for i in range(0, 16, 3):
-            if row[i] < 0:
-                break
-            k1, k2, k3 = keys[row[i]], keys[row[i + 1]], keys[row[i + 2]]
-            if k1 == k2 or k2 == k3 or k1 == k3:
-                continue
-            out.tris.append((k1, k2, k3))
+    pos = (org + lo.astype(np.float64) + 0.5) * h
+    pos[n, axis] += t * h
+    p0 = prop[lo_ix]
+    pv = p0 + t[:, None] * (prop[hi_ix] - p0)
+    keys = list(map(tuple, np.column_stack([org + lo, axis]).tolist()))
+    out.verts = dict(zip(keys, zip(pos, pv)))
+
+    tri_cell, slot = np.nonzero(_TRI_TABLE[cases][:, :, 0] >= 0)
+    tris = vertex_of[tri_cell[:, None], _TRI_TABLE[cases[tri_cell], slot]]
+    out.tris = [(keys[a], keys[b], keys[c]) for a, b, c in tris.tolist()]
     return out
 
 
@@ -159,7 +155,7 @@ def combine(leaf_meshes: Iterable[LeafMesh], voxel_size: float,
         t = t[area2 > 2.0 * AREA_EPS]
     p = (np.asarray(props).reshape(len(v), -1) if prop_channels
          else np.zeros((len(v), 0)))
-    vleaf = (np.floor(v / voxel_size).astype(np.int64) >> LEAF_LOG2) << LEAF_LOG2
+    vleaf = leaf_origin_of(world_to_grid(v, voxel_size))
     return TriangleMesh(vertices=v, triangles=t, properties=p,
                         vertex_leaf=vleaf)
 
@@ -173,32 +169,44 @@ def marching_cubes(grid: SparseGrid, origins: Optional[Iterable] = None) -> Tria
                    grid.prop_channels)
 
 
+def crossings_by_leaf(positions: np.ndarray, props: np.ndarray,
+                      voxel_size: float) -> dict:
+    """Reduce surface vertices to one mean point per voxel, filed by leaf.
+
+    Vertices are binned by their containing voxel and averaged, position
+    and property alike; each voxel mean goes to the leaf holding the
+    voxel. props is (N, P), P possibly 0.
+
+    Returns {leaf origin: (positions, properties)} with leaves, and each
+    leaf's voxels, in lexicographic order.
+    """
+    coords = world_to_grid(positions, voxel_size)
+    voxels = group_by(pack_keys(coords))
+    k = len(voxels.keys)
+    pos = np.zeros((k, 3))
+    cnt = np.zeros(k)
+    np.add.at(pos, voxels.inverse, positions)
+    np.add.at(cnt, voxels.inverse, 1.0)
+    pos /= cnt[:, None]
+    pr = np.zeros((k, props.shape[1]))
+    if props.shape[1]:
+        np.add.at(pr, voxels.inverse, props)
+        pr /= cnt[:, None]
+    leaves = group_by(leaf_keys(voxels.keys))
+    origins = leaf_origin_of(coords[voxels.first[leaves.first]]).tolist()
+    return {tuple(o): (pos[rows], pr[rows])
+            for o, rows in zip(origins, leaves.rows())}
+
+
 def zero_crossings(mesh: TriangleMesh, voxel_size: float, cap: int = 512):
     """Group mesh vertices into per-leaf surface point lists.
 
-    Vertices are binned by the leaf of their containing voxel, then
-    reduced to one mean position (and mean property) per voxel so a
-    leaf contributes at most `cap` training points.
+    Vertices are reduced to one mean position (and mean property) per
+    voxel by crossings_by_leaf, and each leaf keeps at most `cap` of
+    them.
 
     Returns {leaf origin: (positions, properties)}.
     """
-    out = {}
-    if mesh.n_vertices == 0:
-        return out
-    uniq_leaf, inv_leaf = np.unique(mesh.vertex_leaf, axis=0, return_inverse=True)
-    voxels = np.floor(mesh.vertices / voxel_size).astype(np.int64)
-    for li, org in enumerate(uniq_leaf):
-        rows = np.flatnonzero(inv_leaf == li)
-        vox, inv = np.unique(voxels[rows], axis=0, return_inverse=True)
-        k = len(vox)
-        pos = np.zeros((k, 3))
-        cnt = np.zeros(k)
-        np.add.at(pos, inv, mesh.vertices[rows])
-        np.add.at(cnt, inv, 1.0)
-        pos /= cnt[:, None]
-        pr = np.zeros((k, mesh.properties.shape[1]))
-        if mesh.properties.shape[1]:
-            np.add.at(pr, inv, mesh.properties[rows])
-            pr /= cnt[:, None]
-        out[tuple(int(v) for v in org)] = (pos[:cap], pr[:cap])
-    return out
+    return {o: (pos[:cap], pr[:cap]) for o, (pos, pr) in
+            crossings_by_leaf(mesh.vertices, mesh.properties,
+                              voxel_size).items()}

@@ -24,10 +24,10 @@ from scipy.spatial import cKDTree
 from . import gp, local_field, query_points
 from .fusion import FusionConfig, fuse_frame
 from .global_field import GlobalField
-from .grid import (LEAF_LOG2, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
-                   grid_to_world, world_to_grid)
+from .grid import (KEY_BIAS, LEAF_LOG2, LEAF_VOXELS, SparseGrid,
+                   leaf_origin_of, world_to_grid)
 from .local_field import EmptyFrame, Frame, voxelize
-from .meshing import LeafMesh, TriangleMesh, combine, mesh_leaf
+from .meshing import TriangleMesh, combine, crossings_by_leaf, mesh_leaf
 from . import ply
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
@@ -180,7 +180,6 @@ class Pipeline:
                                  prop_clip=c.prop_clip)
         self.frame_index = 0
         self.stats: list[FrameStats] = []
-        self.last_local: Optional[local_field.LocalField] = None
         # per cell-leaf mesh cache and per owner-leaf crossing bins
         self._leaf_meshes: dict = {}
         self._bins: dict = {}
@@ -202,7 +201,6 @@ class Pipeline:
         lf = local_field.build_voxelized(coords, centers, props, c.voxel_size,
                                          self.params, c.min_leaf_points,
                                          c.prop_clip)
-        self.last_local = lf
         stats.stage_ms["local_gp"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
@@ -252,7 +250,9 @@ class Pipeline:
             for dx, dy, dz in _NEIGHBOR_OFFSETS:
                 n = (ox - (dx << LEAF_LOG2), oy - (dy << LEAF_LOG2),
                      oz - (dz << LEAF_LOG2))
-                if n not in targets and self.grid._leaves.get(n) is not None:
+                # a leaf on the low edge of the key range has no neighbour there
+                if (n not in targets and min(n) >= -KEY_BIAS
+                        and self.grid.find_leaf(n) is not None):
                     targets[n] = None
         return sorted(targets)
 
@@ -272,10 +272,10 @@ class Pipeline:
                     b[key] = (pos, prop, cnt - 1)
                 changed_owners.add(owner)
             contrib = []
-            for key, (pos, prop) in lm.verts.items():
-                owner = tuple(int(x) for x in
-                              (np.floor(pos / h).astype(np.int64)
-                               >> LEAF_LOG2) << LEAF_LOG2)
+            owners = leaf_origin_of(world_to_grid(
+                [pos for pos, _ in lm.verts.values()], h).reshape(-1, 3))
+            for (key, (pos, prop)), owner in zip(lm.verts.items(),
+                                                 map(tuple, owners.tolist())):
                 b = self._bins.setdefault(owner, {})
                 if key in b:
                     # every contributor leaf of a changed edge is remeshed in
@@ -292,32 +292,20 @@ class Pipeline:
             else:
                 self._leaf_meshes.pop(origin, None)
 
-        updates = {}
-        nprop = self.config.prop_channels
-        for owner in sorted(changed_owners):
+        owners = sorted(changed_owners)
+        pos, prop = [], []
+        for owner in owners:
             b = self._bins.get(owner)
             if not b:
                 self._bins.pop(owner, None)
-                updates[owner] = None
                 continue
-            keys = sorted(b)
-            pos = np.array([b[k][0] for k in keys])
-            vox, inv = np.unique(np.floor(pos / h).astype(np.int64), axis=0,
-                                 return_inverse=True)
-            k = len(vox)
-            psum = np.zeros((k, 3))
-            cnt = np.zeros(k)
-            np.add.at(psum, inv, pos)
-            np.add.at(cnt, inv, 1.0)
-            pts = (psum / cnt[:, None])[:LEAF_VOXELS]
-            pr = None
-            if nprop:
-                prop = np.array([b[k_][1] for k_ in keys]).reshape(len(keys), nprop)
-                prsum = np.zeros((k, nprop))
-                np.add.at(prsum, inv, prop)
-                pr = (prsum / cnt[:, None])[:LEAF_VOXELS]
-            updates[owner] = (pts, pr)
-        return updates
+            for key in sorted(b):
+                pos.append(b[key][0])
+                prop.append(b[key][1])
+        crossings = crossings_by_leaf(
+            np.array(pos).reshape(-1, 3),
+            np.array(prop).reshape(len(pos), self.config.prop_channels), h)
+        return {owner: crossings.get(owner) for owner in owners}
 
     # -- outputs ---------------------------------------------------------------
 
@@ -346,9 +334,8 @@ class Pipeline:
             f.write(struct.pack("<II", 1, len(cfg)))
             f.write(cfg)
             f.write(struct.pack("<QQ", self.grid.n_leaves, self.frame_index))
-            for origin in sorted(l.origin for l in self.grid.leaves()):
-                leaf = self.grid._leaves[origin]
-                f.write(struct.pack("<qqq", *origin))
+            for leaf in sorted(self.grid.leaves(), key=lambda l: l.origin):
+                f.write(struct.pack("<qqq", *leaf.origin))
                 f.write(np.packbits(leaf.value_mask).tobytes())
                 f.write(np.packbits(leaf.observed).tobytes())
                 f.write(leaf.distance.astype("<f4").tobytes())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .grid import SparseGrid, grid_to_world, world_to_grid
+from .grid import SparseGrid, grid_to_world, group_by, pack_keys, world_to_grid
 
 SOURCE_RAY = 0
 SOURCE_BAND = 1
@@ -65,8 +65,7 @@ def dedup_first(coords, positions, signs, sources) -> TestPointSet:
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if len(coords) == 0:
         return TestPointSet.empty()
-    _, first = np.unique(coords, axis=0, return_index=True)
-    first.sort()
+    first = np.sort(group_by(pack_keys(coords)).first)
     return TestPointSet(coords[first], np.asarray(positions)[first],
                         np.asarray(signs)[first], np.asarray(sources)[first])
 

@@ -213,8 +213,8 @@ def test_fuse_frame_ten_frame_wall_sequence():
         frame = Frame(points=pts - origin, rotation=np.eye(3),
                       translation=origin)
         lf = build(frame, h, params)
-        coords = lf.local_grid.world_to_grid(
-            np.vstack([m.train_points for m in lf.models]))
+        coords = world_to_grid(
+            np.vstack([m.train_points for m in lf.models]), h)
         coords = np.unique(coords, axis=0)
         tps = generate(origin, coords, grid_to_world(coords, h), grid,
                        band_width=3)

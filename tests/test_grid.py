@@ -2,19 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpfield.grid import (
+    KEY_BIAS,
     LEAF_SIZE,
     LEAF_VOXELS,
-    ROOT_SPAN,
     LeafNode,
     SparseGrid,
     VoxelState,
+    group_by,
     grid_to_world,
+    leaf_keys,
     leaf_origin_of,
     local_flat_index,
+    pack_keys,
     world_to_grid,
 )
+
+in_range = st.integers(-KEY_BIAS, KEY_BIAS - 1)
+coord = st.tuples(in_range, in_range, in_range)
 
 
 def make_state(rng, prop_channels=0):
@@ -140,23 +148,79 @@ def test_random_set_get_matches_flat_dict_oracle():
         assert got is not None and states_close(got, s)
 
 
-def test_distant_coords_use_distinct_root_keys():
-    a = SparseGrid.root_key_of((0, 0, 0))
-    b = SparseGrid.root_key_of((ROOT_SPAN, 0, 0))
-    assert a != b
-    assert SparseGrid.root_key_of((ROOT_SPAN - 1, 0, 0)) == a
+def test_find_leaf_returns_owner_of_every_coord_up_to_key_range_edges():
+    grid = SparseGrid(voxel_size=0.1)
+    lo, hi = -KEY_BIAS, KEY_BIAS - LEAF_SIZE
+    for origin in [(100 & ~7, -3000, 72), (lo, lo, lo), (hi, hi, hi),
+                   (lo, hi, 0)]:
+        leaf = grid.get_or_create_leaf(origin)
+        assert leaf.origin == origin
+        for off in [(0, 0, 0), (7, 7, 7), (3, 0, 5), (0, 6, 1)]:
+            c = tuple(o + d for o, d in zip(origin, off))
+            assert grid.find_leaf(c) is leaf
+            assert grid.find_leaf(np.array(c)) is leaf
+    assert grid.n_leaves == 4
 
 
-def test_access_path_depth_is_three_levels():
+def test_find_leaf_none_when_unallocated_and_rejects_out_of_range():
     grid = SparseGrid(voxel_size=0.1)
     grid.set((100, -3000, 77), VoxelState(1.0, 1.0))
-    path = grid.access_path((100, -3000, 77))
-    assert path is not None
-    upper, lower, leaf = path
-    assert isinstance(leaf, LeafNode)
-    assert leaf.origin == tuple(leaf_origin_of(np.array([100, -3000, 77])))
-    assert grid.access_path((100, -3000, 78)) is not None
-    assert grid.access_path((0, 0, 0)) is None
+    assert grid.find_leaf((0, 0, 0)) is None
+    assert grid.find_leaf((100, -3000, 80)) is None
+    assert grid.find_leaf((-KEY_BIAS, KEY_BIAS - 1, 0)) is None
+    for bad in [(KEY_BIAS, 0, 0), (0, -KEY_BIAS - 1, 0), (0, 0, 1 << 40)]:
+        with pytest.raises(ValueError):
+            grid.find_leaf(bad)
+        with pytest.raises(ValueError):
+            grid.get_or_create_leaf(bad)
+        with pytest.raises(ValueError):
+            grid.lookup(np.array([[0, 0, 0], bad]))
+        with pytest.raises(ValueError):
+            pack_keys(np.array([bad]))
+    assert grid.n_leaves == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(coord, min_size=2, max_size=40))
+def test_packed_key_order_equals_tuple_order(coords):
+    keys = pack_keys(np.array(coords, dtype=np.int64))
+    for a, b, ka, kb in zip(coords, coords[1:], keys, keys[1:]):
+        assert (a < b) == (ka < kb)
+        assert (a == b) == (ka == kb)
+    origins = leaf_origin_of(np.array(coords, dtype=np.int64))
+    np.testing.assert_array_equal(leaf_keys(keys), pack_keys(origins))
+    # scalar writes and batched reads must agree on the leaf key
+    grid = SparseGrid(voxel_size=0.1)
+    for i, c in enumerate(coords):
+        grid.set(c, VoxelState(float(i), 1.0))
+    found, dist, _, _ = grid.lookup(np.array(coords))
+    assert found.all()
+    last = {c: float(i) for i, c in enumerate(coords)}
+    assert dist.tolist() == [last[c] for c in coords]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50, 50), max_size=60))
+def test_group_by_matches_dict_of_lists_oracle(values):
+    groups = group_by(np.array(values, dtype=np.int64))
+    oracle = {}
+    for i, v in enumerate(values):
+        oracle.setdefault(v, []).append(i)
+    assert groups.keys.tolist() == sorted(oracle)
+    assert groups.first.tolist() == [oracle[k][0] for k in sorted(oracle)]
+    assert [r.tolist() for r in groups.rows()] == [oracle[k]
+                                                    for k in sorted(oracle)]
+    assert [groups.keys[g] for g in groups.inverse] == values
+
+
+def test_gather_block_stops_at_key_range_edge():
+    grid = SparseGrid(voxel_size=0.1)
+    top = KEY_BIAS - 1
+    grid.set((top, top, top), VoxelState(0.5, 1.0, observed=True))
+    origin = (top - 7,) * 3
+    dist, obs, _ = grid.gather_block(origin, (9, 9, 9))
+    assert dist[7, 7, 7] == pytest.approx(0.5)
+    assert obs.sum() == 1
 
 
 def test_one_leaf_allocated_for_full_8_cube():

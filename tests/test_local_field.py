@@ -12,7 +12,7 @@ from gpfield.local_field import (
     build_voxelized,
     voxelize,
 )
-from gpfield.grid import SparseGrid, world_to_grid
+from gpfield.grid import grid_to_world, world_to_grid
 
 IDENTITY = np.eye(3)
 ZERO = np.zeros(3)
@@ -91,9 +91,11 @@ def test_voxelize_empty_frame_raises():
 def test_build_single_leaf_single_model():
     rng = np.random.default_rng(24)
     pts = rng.uniform(0.05, 0.35, size=(50, 3))  # inside leaf (0,0,0), h=0.05
-    field = build(world_frame(pts), 0.05, KernelParams(length_scale=0.15))
+    frame = world_frame(pts)
+    field = build(frame, 0.05, KernelParams(length_scale=0.15))
     assert len(field.models) == 1
-    assert field.model_origins == [(0, 0, 0)]
+    _, centers, _ = voxelize(frame, 0.05)
+    np.testing.assert_array_equal(field.models[0].train_points, centers)
 
 
 def test_build_partitions_voxels_across_leaves():
@@ -136,8 +138,10 @@ def test_build_merges_small_leaves_into_nearest_big_one():
                             min_leaf_points=4)
     assert len(field.models) == 1
     assert field.models[0].n_train == 5
-    assert field.leaf_to_model[(0, 0, 0)] == 0
-    assert field.leaf_to_model[(8, 0, 0)] == 0
+    # the lone voxel of leaf (8, 0, 0) trains with, and routes to, the
+    # model of leaf (0, 0, 0)
+    np.testing.assert_array_equal(field.models[0].train_points, centers)
+    assert field.nearest_model(centers).tolist() == [0] * 5
 
 
 def test_build_keeps_small_leaves_when_none_are_big():
@@ -202,12 +206,14 @@ def test_query_is_pure():
     pts = rng.uniform(-0.2, 0.2, size=(60, 3))
     field = build(world_frame(pts), 0.05, KernelParams(length_scale=0.15))
     queries = rng.uniform(-0.4, 0.4, size=(10, 3))
-    version = field.local_grid.version
+    before = [(m.train_points.copy(), m.alpha_occ.copy()) for m in field.models]
     first = field.query_batch(queries)
     second = field.query_batch(queries)
     np.testing.assert_array_equal(first[0], second[0])
     np.testing.assert_array_equal(first[1], second[1])
-    assert field.local_grid.version == version
+    for m, (pts_before, alpha_before) in zip(field.models, before):
+        np.testing.assert_array_equal(m.train_points, pts_before)
+        np.testing.assert_array_equal(m.alpha_occ, alpha_before)
 
 
 def test_query_with_properties_and_clip():
@@ -238,16 +244,15 @@ def test_query_constant_color_recovered_near_surface():
 
 
 def test_empty_local_field_query_raises():
-    field = LocalField([], [], {}, SparseGrid(0.05), KernelParams())
+    field = LocalField([], KernelParams())
     with pytest.raises(EmptyFrame):
         field.query(np.zeros(3))
 
 
-def test_local_grid_marks_voxelized_cells():
+def test_models_train_on_exactly_the_voxelized_cells():
     pts = np.array([[0.02, 0.02, 0.02], [0.33, 0.02, 0.02]])
     field = build(world_frame(pts), 0.05, KernelParams(length_scale=0.15),
                   min_leaf_points=1)
-    s = field.local_grid.get((0, 0, 0))
-    assert s is not None and s.observed
-    assert field.local_grid.get((6, 0, 0)) is not None
-    assert field.local_grid.get((3, 3, 3)) is None
+    assert len(field.models) == 1
+    want = grid_to_world(np.array([[0, 0, 0], [6, 0, 0]]), 0.05)
+    np.testing.assert_array_equal(field.models[0].train_points, want)

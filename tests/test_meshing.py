@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from gpfield.grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
+from gpfield.grid import (LEAF_SIZE, SparseGrid, VoxelState, grid_to_world,
+                          world_to_grid)
+from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from gpfield.meshing import (
+    LeafMesh,
     TriangleMesh,
     marching_cubes,
     mesh_leaf,
@@ -41,6 +44,67 @@ def sphere_grid(h=H, r=1.0, band=3, props=None):
     fill_sdf_band(grid, lambda p: sphere_sdf(p, r), band * h, -n, n + 1,
                   props=props)
     return grid
+
+
+def reference_mesh_leaf(grid, origin):
+    """Cell-by-cell marching cubes, the loop form mesh_leaf must match."""
+    origin = tuple(int(v) for v in origin)
+    h = grid.voxel_size
+    dist, obs, prop = grid.gather_block(origin, (LEAF_SIZE + 1,) * 3)
+    out = LeafMesh(origin)
+    org = np.asarray(origin, dtype=np.int64)
+    for cx in range(LEAF_SIZE):
+        for cy in range(LEAF_SIZE):
+            for cz in range(LEAF_SIZE):
+                corners = [(cx + ox, cy + oy, cz + oz)
+                           for ox, oy, oz in CORNER_OFFSETS]
+                if not all(obs[c] for c in corners):
+                    continue
+                case = sum(1 << i for i, c in enumerate(corners) if dist[c] < 0)
+                keys = [None] * 12
+                for e, (a, b) in enumerate(EDGE_CORNERS):
+                    if not (EDGE_TABLE[case] >> e) & 1:
+                        continue
+                    lo = min(corners[a], corners[b])
+                    hi = max(corners[a], corners[b])
+                    axis = [i for i in range(3) if lo[i] != hi[i]][0]
+                    key = tuple(int(o + l) for o, l in zip(org, lo)) + (axis,)
+                    keys[e] = key
+                    if key in out.verts:
+                        continue
+                    t = dist[lo] / (dist[lo] - dist[hi])
+                    pos = (org + np.array(lo, dtype=np.float64) + 0.5) * h
+                    pos[axis] += t * h
+                    out.verts[key] = (pos, prop[lo] + t * (prop[hi] - prop[lo]))
+                row = TRI_TABLE[case]
+                for i in range(0, 15, 3):
+                    if row[i] < 0:
+                        break
+                    out.tris.append((keys[row[i]], keys[row[i + 1]],
+                                     keys[row[i + 2]]))
+    return out
+
+
+def test_mesh_leaf_matches_cell_loop_reference():
+    rng = np.random.default_rng(40)
+    noisy = SparseGrid(voxel_size=H, prop_channels=2)
+    for c in rng.integers(-12, 12, size=(3000, 3)):
+        noisy.set(tuple(int(v) for v in c),
+                  VoxelState(float(rng.normal(0.0, H)), 1.0,
+                             rng.uniform(size=2), 1.0, bool(rng.uniform() < 0.9)))
+    grids = [sphere_grid(props=lambda p: np.array([p[0]])), noisy]
+    n_leaves = 0
+    for grid in grids:
+        for leaf in grid.leaves():
+            got = mesh_leaf(grid, leaf.origin)
+            want = reference_mesh_leaf(grid, leaf.origin)
+            assert list(got.verts) == list(want.verts)
+            for key, (pos, pv) in want.verts.items():
+                np.testing.assert_array_equal(got.verts[key][0], pos)
+                np.testing.assert_array_equal(got.verts[key][1], pv)
+            assert got.tris == want.tris
+            n_leaves += bool(want.tris)
+    assert n_leaves > 50
 
 
 def test_empty_grid_gives_empty_mesh():

@@ -1,6 +1,7 @@
 """End-to-end frame integration, evaluation helpers, and file formats."""
 
 import io
+import signal
 import warnings
 
 import numpy as np
@@ -16,7 +17,8 @@ from gpfield.pipeline import (
     lattice_points,
     write_stats_csv,
 )
-from gpfield.local_field import EmptyFrame
+from gpfield.grid import KEY_BIAS, VoxelState
+from gpfield.local_field import EmptyFrame, Frame
 from gpfield.ply import IoFailure
 from gpfield.scene import (
     Primitive,
@@ -337,3 +339,50 @@ def test_pipeline_work_tracks_surface_not_map(tmp_path):
     assert pipe.grid.n_leaves == leaves_before
     assert pipe.field.n_nodes == nodes_before
     assert pipe.stats[-1].n_new_leaves == 0
+
+
+def test_non_finite_points_are_dropped_not_looped_on(tmp_path):
+    clean = wall_frames(1, props=True)[0]
+    pts = np.insert(clean.points, [5, 40], [[np.nan, 0.1, 0.2],
+                                            [1.0, np.inf, 0.0]], axis=0)
+    props = np.insert(clean.properties, [5, 40], [[0.5] * 3, [0.7] * 3],
+                      axis=0)
+    dirty = Frame(points=pts, rotation=clean.rotation,
+                  translation=clean.translation, properties=props)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("integrate_frame did not finish")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(60)
+    try:
+        snaps = []
+        for i, frame in enumerate((clean, dirty)):
+            pipe = Pipeline(PipelineConfig(prop_kind="rgb"))
+            pipe.integrate_frame(frame)
+            pipe.save_snapshot(tmp_path / f"{i}.snap")
+            snaps.append((tmp_path / f"{i}.snap").read_bytes())
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert snaps[0] == snaps[1]
+
+    bad = ~np.isfinite(pts).all(axis=1)
+    assert bad.sum() == 2
+    only_bad = Frame(points=pts[bad], rotation=clean.rotation,
+                     translation=clean.translation)
+    with pytest.raises(EmptyFrame):
+        Pipeline().integrate_frame(only_bad)
+
+
+def test_snapshot_loads_leaf_on_low_edge_of_key_range(tmp_path):
+    pipe = Pipeline()
+    lo = -KEY_BIAS
+    for x in range(4):
+        pipe.grid.set((lo + x, lo, lo),
+                      VoxelState(0.02 * (x - 1.5), 1.0, observed=True))
+    path = tmp_path / "edge.snap"
+    pipe.save_snapshot(path)
+    back = Pipeline.load_snapshot(path)
+    assert back.grid.n_leaves == 1
+    assert back.grid.find_leaf((lo, lo, lo)) is not None
