@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import gp
-from .grid import SparseGrid, grid_to_world
+from .grid import SparseGrid, grid_to_world, group_by
 
 
 class EmptyField(RuntimeError):
@@ -210,25 +210,23 @@ class GlobalField:
         rows = np.arange(m)[:, None]
         sel = idx[rows, order][:, :k]
 
-        for u in np.unique(sel):
-            self._ensure_trained(self._tree_nodes[u])
+        # each row's k nodes are distinct, so a node's flat indices in sel
+        # give its rows, ascending, and the slot within each row
+        groups = group_by(sel.ravel())
+        nodes = [self._tree_nodes[u] for u in groups.keys.tolist()]
+        for node in nodes:
+            self._ensure_trained(node)
 
         dq = np.full((m, k), np.inf)
         vq = np.zeros((m, k))
         gq = np.zeros((m, k, 3))
-        has_props = all(self._tree_nodes[u].props is not None
-                        for u in np.unique(sel))
-        pdim = 0
-        if has_props:
-            pdim = self._tree_nodes[int(sel[0, 0])].props.shape[1]
+        has_props = all(node.props is not None for node in nodes)
+        pdim = nodes[0].props.shape[1] if has_props else 0
         cq = np.zeros((m, k, pdim)) if has_props else None
         wq = np.zeros((m, k)) if has_props else None
 
-        for u in np.unique(sel):
-            node = self._tree_nodes[u]
-            pmask = sel == u
-            prows = np.flatnonzero(pmask.any(axis=1))
-            slots = np.argmax(pmask[prows], axis=1)
+        for node, flat in zip(nodes, groups.rows()):
+            prows, slots = np.divmod(flat, k)
             xs = pts[prows]
             o, uhat = gp.infer_occupancy(node.model, xs)
             o = np.atleast_1d(o)

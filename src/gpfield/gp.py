@@ -65,19 +65,6 @@ def reference_distance_variance(params: KernelParams) -> float:
     return max(float(v), np.finfo(np.float64).tiny)
 
 
-def se_kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    """Squared-exponential covariance between two point sets.
-
-    Accepts (n, 3) arrays or single points; returns the (n, m) Gram
-    block (scalar for two single points).
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    d2 = cdist(a, b, "sqeuclidean")
-    k = params.sigma2 * np.exp(-0.5 * d2 / params.length_scale ** 2)
-    return k if k.size > 1 else float(k[0, 0])
-
-
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     d2 = cdist(a, b, "sqeuclidean")
     return params.sigma2 * np.exp(-0.5 * d2 / params.length_scale ** 2)
@@ -237,20 +224,6 @@ def infer_distance_gradient(model: GpLeafModel, x: np.ndarray):
     out = np.zeros_like(g)
     ok = norm > model.params.grad_eps
     out[ok] = -g[ok] / norm[ok, None]
-    return out[0] if scalar else out
-
-
-def distance_gradient_raw(model: GpLeafModel, x: np.ndarray):
-    """Unnormalized distance gradient (chain rule applied, no unit scaling)."""
-    q, scalar = _as_queries(x)
-    o, _ = infer_occupancy(model, q)
-    o = np.atleast_1d(o)
-    g = occupancy_gradient(model, q)
-    ratio = np.clip(o / model.params.sigma2, RATIO_EPS, 1.0 - 1e-15)
-    d = model.params.length_scale * np.sqrt(-2.0 * np.log(ratio))
-    # dr/do of the reverting function, strictly negative
-    slope = -model.params.length_scale ** 2 / (ratio * model.params.sigma2 * d)
-    out = slope[:, None] * g
     return out[0] if scalar else out
 
 

@@ -5,19 +5,23 @@ the leaf containing its lexicographically smallest corner, so each
 leaf meshes its own 8^3 block of cells and reads a one-voxel halo from
 its neighbors. Cells with any never-observed corner are skipped, which
 leaves open boundaries at the observation frontier instead of inventing
-geometry. Vertices are keyed by their grid edge so meshes of adjacent
-leaves share vertices exactly.
+geometry. A vertex is identified by its grid edge (ix, iy, iz, axis):
+any cell sharing the edge computes the same position bit for bit, so
+meshes of adjacent leaves merge exactly through ``group_edges``, and the
+per-leaf meshes are the only mesh state a caller needs to keep. The
+zero crossings of any leaf are recomputed from them with
+``crossings_by_leaf``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .grid import (LEAF_SIZE, SparseGrid, group_by, leaf_keys, leaf_origin_of,
-                   pack_keys, world_to_grid)
+from .grid import (LEAF_SIZE, Groups, SparseGrid, group_by, leaf_keys,
+                   leaf_origin_of, pack_keys, world_to_grid)
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 
 _EDGE_TABLE = np.asarray(EDGE_TABLE, dtype=np.int64)
@@ -36,16 +40,33 @@ AREA_EPS = 1e-18
 
 @dataclass
 class LeafMesh:
-    """Triangles produced by one leaf's cells.
+    """Triangles produced by one leaf's cells, vertices in first-use order.
 
-    verts maps a global edge key (ix, iy, iz, axis) to (position,
-    property) so identical vertices emitted by neighboring leaves can
-    be merged exactly.
+    Row i of edges is the grid edge (ix, iy, iz, axis) vertex i lies on,
+    so identical vertices emitted by neighboring leaves merge exactly.
     """
 
     origin: tuple[int, int, int]
-    verts: dict = field(default_factory=dict)
-    tris: list = field(default_factory=list)
+    edges: np.ndarray               # (V, 4) int64
+    positions: np.ndarray           # (V, 3) float64
+    props: np.ndarray               # (V, P) float64
+    triangles: np.ndarray           # (T, 3) int64 local vertex indices
+
+    @staticmethod
+    def empty(origin, prop_channels: int = 0) -> "LeafMesh":
+        return LeafMesh(origin, np.zeros((0, 4), dtype=np.int64),
+                        np.zeros((0, 3)), np.zeros((0, prop_channels)),
+                        np.zeros((0, 3), dtype=np.int64))
+
+    @property
+    def verts(self) -> np.ndarray:
+        """Vertex positions, the same array as positions."""
+        return self.positions
+
+    @property
+    def tris(self) -> list:
+        """Triangle rows as a list, empty when the leaf has no surface."""
+        return self.triangles.tolist()
 
 
 @dataclass
@@ -75,9 +96,8 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     origin = tuple(int(v) for v in origin)
     h = grid.voxel_size
     dist, obs, prop = grid.gather_block(origin, (_BLOCK,) * 3)
-    out = LeafMesh(origin)
     if not obs.any():
-        return out
+        return LeafMesh.empty(origin, grid.prop_channels)
 
     case = np.zeros((LEAF_SIZE,) * 3, dtype=np.int64)
     valid = np.ones((LEAF_SIZE,) * 3, dtype=bool)
@@ -87,7 +107,7 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
         valid &= obs[ox:ox + LEAF_SIZE, oy:oy + LEAF_SIZE, oz:oz + LEAF_SIZE]
     cells = np.argwhere(valid & (_EDGE_TABLE[case] != 0))
     if len(cells) == 0:
-        return out
+        return LeafMesh.empty(origin, grid.prop_channels)
 
     cases = case[cells[:, 0], cells[:, 1], cells[:, 2]]
     # crossed edges, cell by cell and in edge order within a cell; an edge
@@ -95,13 +115,10 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     cell_ix, e = np.nonzero((_EDGE_TABLE[cases][:, None] >> np.arange(12)) & 1)
     lo = cells[cell_ix] + _EDGE_LOWER[e]
     axis = _EDGE_AXIS[e]
-    edges = group_by(((lo[:, 0] * _BLOCK + lo[:, 1]) * _BLOCK + lo[:, 2]) * 3
-                     + axis)
-    first = np.sort(edges.first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(edges.first)] = np.arange(len(first))
+    first, vertex = first_appearance(group_by(
+        ((lo[:, 0] * _BLOCK + lo[:, 1]) * _BLOCK + lo[:, 2]) * 3 + axis))
     vertex_of = np.full((len(cells), 12), -1)
-    vertex_of[cell_ix, e] = rank[edges.inverse]
+    vertex_of[cell_ix, e] = vertex
 
     lo, axis = lo[first], axis[first]
     n = np.arange(len(first))
@@ -115,13 +132,34 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     pos[n, axis] += t * h
     p0 = prop[lo_ix]
     pv = p0 + t[:, None] * (prop[hi_ix] - p0)
-    keys = list(map(tuple, np.column_stack([org + lo, axis]).tolist()))
-    out.verts = dict(zip(keys, zip(pos, pv)))
 
     tri_cell, slot = np.nonzero(_TRI_TABLE[cases][:, :, 0] >= 0)
     tris = vertex_of[tri_cell[:, None], _TRI_TABLE[cases[tri_cell], slot]]
-    out.tris = [(keys[a], keys[b], keys[c]) for a, b, c in tris.tolist()]
-    return out
+    return LeafMesh(origin, np.column_stack([org + lo, axis]), pos, pv, tris)
+
+
+def group_edges(edges: np.ndarray) -> Groups:
+    """Group (N, 4) vertex edge rows (ix, iy, iz, axis) by edge.
+
+    Groups come in tuple order of the rows. The voxel part is ranked
+    first, so the edge key never outgrows int64 wherever voxel keys fit.
+    """
+    voxels = group_by(pack_keys(edges[:, :3]))
+    return group_by(voxels.inverse * 3 + edges[:, 3])
+
+
+def stack_vertices(meshes: list):
+    """(edges, positions, props) of every vertex of the meshes, in order."""
+    return tuple(np.concatenate([getattr(lm, name) for lm in meshes])
+                 for name in ("edges", "positions", "props"))
+
+
+def first_appearance(groups: Groups):
+    """(rows, rank): each group's first row in input order, and every
+    row's index into those rows."""
+    rank = np.empty(len(groups.first), dtype=np.int64)
+    rank[np.argsort(groups.first)] = np.arange(len(groups.first))
+    return np.sort(groups.first), rank[groups.inverse]
 
 
 def combine(leaf_meshes: Iterable[LeafMesh], voxel_size: float,
@@ -132,29 +170,19 @@ def combine(leaf_meshes: Iterable[LeafMesh], voxel_size: float,
     Zero-area triangles are dropped. Caller controls leaf order;
     passing leaves sorted by origin gives a canonical mesh.
     """
-    index: dict = {}
-    positions = []
-    props = []
-    tris = []
-    for lm in leaf_meshes:
-        for key, (pos, pv) in lm.verts.items():
-            if key not in index:
-                index[key] = len(positions)
-                positions.append(pos)
-                props.append(pv)
-        for k1, k2, k3 in lm.tris:
-            tris.append((index[k1], index[k2], index[k3]))
-    if not positions:
+    meshes = [lm for lm in leaf_meshes if len(lm.positions)]
+    if not meshes:
         return TriangleMesh.empty(prop_channels)
-    v = np.asarray(positions)
-    t = np.asarray(tris, dtype=np.int64).reshape(-1, 3)
-    if len(t):
-        e1 = v[t[:, 1]] - v[t[:, 0]]
-        e2 = v[t[:, 2]] - v[t[:, 0]]
-        area2 = np.linalg.norm(np.cross(e1, e2), axis=1)
-        t = t[area2 > 2.0 * AREA_EPS]
-    p = (np.asarray(props).reshape(len(v), -1) if prop_channels
-         else np.zeros((len(v), 0)))
+    edges, v, p = stack_vertices(meshes)
+    offsets = np.cumsum([0] + [len(lm.positions) for lm in meshes[:-1]])
+    first, index = first_appearance(group_edges(edges))
+    v = v[first]
+    t = index[np.concatenate([lm.triangles + o
+                              for lm, o in zip(meshes, offsets)])]
+    area2 = np.linalg.norm(np.cross(v[t[:, 1]] - v[t[:, 0]],
+                                    v[t[:, 2]] - v[t[:, 0]]), axis=1)
+    t = t[area2 > 2.0 * AREA_EPS]
+    p = p[first] if prop_channels else np.zeros((len(v), 0))
     vleaf = leaf_origin_of(world_to_grid(v, voxel_size))
     return TriangleMesh(vertices=v, triangles=t, properties=p,
                         vertex_leaf=vleaf)

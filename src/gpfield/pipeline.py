@@ -24,10 +24,11 @@ from scipy.spatial import cKDTree
 from . import gp, local_field, query_points
 from .fusion import FusionConfig, fuse_frame
 from .global_field import GlobalField
-from .grid import (KEY_BIAS, LEAF_LOG2, LEAF_VOXELS, SparseGrid,
-                   leaf_origin_of, world_to_grid)
+from .grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid, group_by,
+                   leaf_keys, leaf_origin_of, pack_keys, world_to_grid)
 from .local_field import EmptyFrame, Frame, voxelize
-from .meshing import TriangleMesh, combine, crossings_by_leaf, mesh_leaf
+from .meshing import (TriangleMesh, combine, crossings_by_leaf, group_edges,
+                      mesh_leaf, stack_vertices)
 from . import ply
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
@@ -160,9 +161,34 @@ class FrameStats:
     total_ms: float = 0.0
 
 
-_NEIGHBOR_OFFSETS = [(dx, dy, dz)
-                     for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)
-                     if (dx, dy, dz) != (0, 0, 0)]
+# a leaf and its 7 lower neighbours: the leaves whose cells read its voxels
+_LOWER_NEIGHBOURS = -LEAF_SIZE * np.array(
+    [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+
+
+def _with_lower_neighbours(origins) -> list:
+    """The given leaf origins and their lower neighbours inside the key
+    range, as unique tuples in ascending order."""
+    o = (np.asarray(origins, dtype=np.int64).reshape(-1, 1, 3)
+         + _LOWER_NEIGHBOURS).reshape(-1, 3)
+    o = o[(o >= -KEY_BIAS).all(axis=1)]
+    return list(map(tuple, o[group_by(pack_keys(o)).first].tolist()))
+
+
+# leaf arrays a snapshot stores as float32, after the bit-packed masks
+_LEAF_ARRAYS = ("distance", "dist_weight", "prop_weight", "prop")
+
+
+def _leaf_record(prop_channels: int) -> np.dtype:
+    """Snapshot layout of one leaf: origin, bit-packed value and observed
+    masks, then the float32 arrays."""
+    return np.dtype([("origin", "<i8", 3),
+                     ("value_mask", "u1", LEAF_VOXELS // 8),
+                     ("observed", "u1", LEAF_VOXELS // 8),
+                     ("distance", "<f4", LEAF_VOXELS),
+                     ("dist_weight", "<f4", LEAF_VOXELS),
+                     ("prop_weight", "<f4", LEAF_VOXELS),
+                     ("prop", "<f4", (LEAF_VOXELS, prop_channels))])
 
 
 class Pipeline:
@@ -180,10 +206,9 @@ class Pipeline:
                                  prop_clip=c.prop_clip)
         self.frame_index = 0
         self.stats: list[FrameStats] = []
-        # per cell-leaf mesh cache and per owner-leaf crossing bins
+        # leaf origin -> LeafMesh of its cells, for leaves with a surface;
+        # the only mesh and crossing state, kept current by _remesh_active
         self._leaf_meshes: dict = {}
-        self._bins: dict = {}
-        self._contrib: dict = {}
 
     # -- integration ---------------------------------------------------------
 
@@ -243,69 +268,43 @@ class Pipeline:
         return stats
 
     def _remesh_targets(self) -> list:
-        targets = {}
-        for leaf in self.grid.active_leaves():
-            targets[leaf.origin] = None
-            ox, oy, oz = leaf.origin
-            for dx, dy, dz in _NEIGHBOR_OFFSETS:
-                n = (ox - (dx << LEAF_LOG2), oy - (dy << LEAF_LOG2),
-                     oz - (dz << LEAF_LOG2))
-                # a leaf on the low edge of the key range has no neighbour there
-                if (n not in targets and min(n) >= -KEY_BIAS
-                        and self.grid.find_leaf(n) is not None):
-                    targets[n] = None
-        return sorted(targets)
+        active = [leaf.origin for leaf in self.grid.active_leaves()]
+        return [o for o in _with_lower_neighbours(active)
+                if self.grid.find_leaf(o) is not None]
 
     def _remesh_active(self) -> dict:
-        """Re-mesh touched leaves, maintain crossing bins, and return the
-        training replacements for the global field."""
-        h = self.config.voxel_size
-        changed_owners = set()
-        for origin in self._remesh_targets():
-            lm = mesh_leaf(self.grid, origin)
-            for owner, key in self._contrib.pop(origin, ()):
-                b = self._bins[owner]
-                pos, prop, cnt = b[key]
-                if cnt <= 1:
-                    del b[key]
-                else:
-                    b[key] = (pos, prop, cnt - 1)
-                changed_owners.add(owner)
-            contrib = []
-            owners = leaf_origin_of(world_to_grid(
-                [pos for pos, _ in lm.verts.values()], h).reshape(-1, 3))
-            for (key, (pos, prop)), owner in zip(lm.verts.items(),
-                                                 map(tuple, owners.tolist())):
-                b = self._bins.setdefault(owner, {})
-                if key in b:
-                    # every contributor leaf of a changed edge is remeshed in
-                    # the same pass, so the latest position is the current one
-                    b[key] = (pos, prop, b[key][2] + 1)
-                else:
-                    b[key] = (pos, prop, 1)
-                changed_owners.add(owner)
-                contrib.append((owner, key))
-            if contrib:
-                self._contrib[origin] = contrib
-            if lm.tris:
-                self._leaf_meshes[origin] = lm
-            else:
-                self._leaf_meshes.pop(origin, None)
+        """Re-mesh touched leaves and return the training replacements for
+        the global field.
 
-        owners = sorted(changed_owners)
-        pos, prop = [], []
-        for owner in owners:
-            b = self._bins.get(owner)
-            if not b:
-                self._bins.pop(owner, None)
-                continue
-            for key in sorted(b):
-                pos.append(b[key][0])
-                prop.append(b[key][1])
-        crossings = crossings_by_leaf(
-            np.array(pos).reshape(-1, 3),
-            np.array(prop).reshape(len(pos), self.config.prop_channels), h)
-        return {owner: crossings.get(owner) for owner in owners}
+        Every leaf owning a vertex of an old or a new leaf mesh gets its
+        zero crossings recomputed from the cached meshes that can put a
+        vertex in it: its own and its lower neighbours'.
+        """
+        h = self.config.voxel_size
+        touched = []
+        for origin in self._remesh_targets():
+            old = self._leaf_meshes.pop(origin, None)
+            lm = mesh_leaf(self.grid, origin)
+            if len(lm.triangles):
+                self._leaf_meshes[origin] = lm
+            touched += [m.positions for m in (old, lm) if m is not None]
+        if not touched:
+            return {}
+        coords = leaf_origin_of(world_to_grid(np.concatenate(touched), h))
+        owners = group_by(pack_keys(coords))
+        changed = list(map(tuple, coords[owners.first].tolist()))
+        sources = [self._leaf_meshes[o] for o in _with_lower_neighbours(changed)
+                   if o in self._leaf_meshes]
+        crossings = {}
+        if sources:
+            edges, pos, props = stack_vertices(sources)
+            own = np.isin(leaf_keys(pack_keys(world_to_grid(pos, h))),
+                          owners.keys)
+            # one vertex per edge, in edge order, as crossings_by_leaf
+            # sums each voxel's vertices in input order
+            first = np.flatnonzero(own)[group_edges(edges[own]).first]
+            crossings = crossings_by_leaf(pos[first], props[first], h)
+        return {o: crossings.get(o) for o in changed}
 
     # -- outputs ---------------------------------------------------------------
 
@@ -328,21 +327,19 @@ class Pipeline:
     def save_snapshot(self, path) -> None:
         """Serialize config and grid; derived state rebuilds on load."""
         cfg = json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")
-        nprop = self.config.prop_channels
+        rec = np.zeros((), dtype=_leaf_record(self.config.prop_channels))
         with open(path, "wb") as f:
             f.write(self._MAGIC)
             f.write(struct.pack("<II", 1, len(cfg)))
             f.write(cfg)
             f.write(struct.pack("<QQ", self.grid.n_leaves, self.frame_index))
             for leaf in sorted(self.grid.leaves(), key=lambda l: l.origin):
-                f.write(struct.pack("<qqq", *leaf.origin))
-                f.write(np.packbits(leaf.value_mask).tobytes())
-                f.write(np.packbits(leaf.observed).tobytes())
-                f.write(leaf.distance.astype("<f4").tobytes())
-                f.write(leaf.dist_weight.astype("<f4").tobytes())
-                f.write(leaf.prop_weight.astype("<f4").tobytes())
-                if nprop:
-                    f.write(leaf.prop.astype("<f4").tobytes())
+                rec["origin"] = leaf.origin
+                for name in ("value_mask", "observed"):
+                    rec[name] = np.packbits(getattr(leaf, name))
+                for name in _LEAF_ARRAYS:
+                    rec[name] = getattr(leaf, name)
+                f.write(rec.tobytes())
 
     @classmethod
     def load_snapshot(cls, path) -> "Pipeline":
@@ -351,42 +348,38 @@ class Pipeline:
         if not data.startswith(cls._MAGIC):
             raise ply.IoFailure(f"{path}: not a snapshot file")
         off = len(cls._MAGIC)
-        version, cfg_len = struct.unpack_from("<II", data, off)
-        off += 8
+
+        def take(n: int, part: str) -> int:
+            """Offset of the next n bytes; raises if the file ends first."""
+            nonlocal off
+            if off + n > len(data):
+                raise ply.IoFailure(f"{path}: snapshot cut inside its {part}")
+            off += n
+            return off - n
+
+        version, cfg_len = struct.unpack_from("<II", data, take(8, "header"))
         if version != 1:
             raise ply.IoFailure(f"{path}: unsupported snapshot version {version}")
+        cfg = take(cfg_len, "config")
         config = PipelineConfig.from_mapping(
-            json.loads(data[off:off + cfg_len].decode("utf-8")))
-        off += cfg_len
-        n_leaves, frame_index = struct.unpack_from("<QQ", data, off)
-        off += 16
+            json.loads(data[cfg:off].decode("utf-8")))
+        n_leaves, frame_index = struct.unpack_from("<QQ", data,
+                                                   take(16, "header"))
         pipe = cls(config)
-        nprop = config.prop_channels
-        nb = LEAF_VOXELS // 8
-        for _ in range(n_leaves):
-            origin = struct.unpack_from("<qqq", data, off)
-            off += 24
-            leaf = pipe.grid.get_or_create_leaf(origin)
-            leaf.value_mask[:] = np.unpackbits(
-                np.frombuffer(data, dtype=np.uint8, count=nb, offset=off)
-            ).astype(bool)
-            off += nb
-            leaf.observed[:] = np.unpackbits(
-                np.frombuffer(data, dtype=np.uint8, count=nb, offset=off)
-            ).astype(bool)
-            off += nb
-            for name in ("distance", "dist_weight", "prop_weight"):
-                arr = np.frombuffer(data, dtype="<f4", count=LEAF_VOXELS,
-                                    offset=off)
-                getattr(leaf, name)[:] = arr
-                off += 4 * LEAF_VOXELS
-            if nprop:
-                arr = np.frombuffer(data, dtype="<f4",
-                                    count=LEAF_VOXELS * nprop, offset=off)
-                leaf.prop[:] = arr.reshape(LEAF_VOXELS, nprop)
-                off += 4 * LEAF_VOXELS * nprop
+        rec = _leaf_record(config.prop_channels)
+        if len(data) - off != n_leaves * rec.itemsize:
+            raise ply.IoFailure(
+                f"{path}: snapshot holds {len(data) - off} bytes of leaf "
+                f"records where {n_leaves} leaves take "
+                f"{n_leaves * rec.itemsize}")
+        for r in np.frombuffer(data, dtype=rec, count=n_leaves, offset=off):
+            leaf = pipe.grid.get_or_create_leaf(tuple(r["origin"].tolist()))
+            for name in ("value_mask", "observed"):
+                getattr(leaf, name)[:] = np.unpackbits(r[name]).astype(bool)
+            for name in _LEAF_ARRAYS:
+                getattr(leaf, name)[:] = r[name]
         pipe.frame_index = frame_index
-        # rebuild meshes, crossing bins and the global field from the grid
+        # rebuild the leaf meshes and the global field from the grid
         for leaf in pipe.grid.leaves():
             if leaf.observed.any():
                 pipe.grid.mark_active(leaf)

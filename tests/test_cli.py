@@ -166,6 +166,18 @@ def test_query_verb_input_errors(workdir, capsys):
     assert err.count("error:") == 2
 
 
+def test_query_verb_truncated_snapshot_is_one_error_line(workdir, tmp_path,
+                                                        capsys):
+    cut = tmp_path / "cut.snap"
+    cut.write_bytes((workdir / "map.snap").read_bytes()[:12])
+    assert main(["query", str(cut), "1.5,0,0"]) != 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {cut}: ")
+
+
 def test_eval_verb_reports_metrics(workdir, capsys):
     code = main(["eval", str(workdir / "map.snap"),
                  "--scene", str(workdir / "sphere.scene"),

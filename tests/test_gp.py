@@ -6,7 +6,7 @@ import pytest
 from gpfield.gp import (
     GpLeafModel,
     KernelParams,
-    distance_gradient_raw,
+    _kernel_matrix,
     infer_distance_gradient,
     infer_occupancy,
     infer_property,
@@ -14,7 +14,6 @@ from gpfield.gp import (
     propagate_variance,
     reference_distance_variance,
     revert_distance,
-    se_kernel,
     train,
 )
 
@@ -57,18 +56,19 @@ def test_kernel_params_defaults():
 
 def test_se_kernel_analytic_values():
     p = KernelParams(sigma2=2.5, length_scale=0.15)
-    x = np.array([0.3, -0.1, 0.7])
-    assert se_kernel(x, x, p) == pytest.approx(2.5)
+    x = np.array([[0.3, -0.1, 0.7]])
+    assert _kernel_matrix(x, x, p)[0, 0] == pytest.approx(2.5)
     y = x + np.array([0.15, 0.0, 0.0])
-    assert se_kernel(x, y, p) == pytest.approx(2.5 * np.exp(-0.5))
-    assert se_kernel(x, y, p) == pytest.approx(se_kernel(y, x, p))
+    assert _kernel_matrix(x, y, p)[0, 0] == pytest.approx(2.5 * np.exp(-0.5))
+    assert _kernel_matrix(x, y, p)[0, 0] == pytest.approx(
+        _kernel_matrix(y, x, p)[0, 0])
 
 
 def test_kernel_matrix_symmetric_and_psd_with_jitter():
     rng = np.random.default_rng(11)
     p = KernelParams(sigma2=1.0, length_scale=0.2, noise2=1e-4)
     pts = rng.uniform(-0.5, 0.5, size=(20, 3))
-    k = se_kernel(pts, pts, p)
+    k = _kernel_matrix(pts, pts, p)
     np.testing.assert_allclose(k, k.T, atol=1e-12)
     assert np.all(k <= p.sigma2 + 1e-12)
     eig = np.linalg.eigvalsh(k + p.noise2 * np.eye(20))
@@ -94,7 +94,7 @@ def test_train_residual_and_factorization():
     p = KernelParams(length_scale=0.2, noise2=1e-4)
     pts = rng.uniform(-0.6, 0.6, size=(50, 3))
     model = train(pts, p)
-    k = se_kernel(pts, pts, p) + p.noise2 * np.eye(50)
+    k = _kernel_matrix(pts, pts, p) + p.noise2 * np.eye(50)
     residual = k @ model.alpha_occ - np.ones(50)
     assert np.abs(residual).max() < 1e-6
     assert np.abs(model.chol @ model.chol.T - k).max() < 1e-6 * p.sigma2
@@ -278,12 +278,13 @@ def test_gradient_matches_finite_differences():
     assert checked >= 85
 
 
-def test_raw_gradient_matches_finite_differences():
+def test_unit_gradient_matches_normalised_finite_differences():
     rng = np.random.default_rng(18)
     p = KernelParams(sigma2=1.0, length_scale=0.2, noise2=1e-4)
     pts = rng.uniform(-0.3, 0.3, size=(25, 3))
     model = train(pts, p)
     h = 1e-4
+    checked = 0
     for _ in range(30):
         q = rng.uniform(-0.2, 0.2, size=3) + np.array([0.0, 0.0, 0.45])
         fd = np.zeros(3)
@@ -293,10 +294,13 @@ def test_raw_gradient_matches_finite_differences():
             d_hi = revert_distance(infer_occupancy(model, q + step)[0], p)
             d_lo = revert_distance(infer_occupancy(model, q - step)[0], p)
             fd[axis] = (d_hi - d_lo) / (2 * h)
-        raw = distance_gradient_raw(model, q)
         if np.linalg.norm(fd) < 1e-3:
             continue
-        np.testing.assert_allclose(raw, fd, rtol=1e-3, atol=1e-6)
+        np.testing.assert_allclose(infer_distance_gradient(model, q),
+                                   fd / np.linalg.norm(fd), rtol=1e-3,
+                                   atol=1e-6)
+        checked += 1
+    assert checked >= 20
 
 
 def test_gradient_perpendicular_to_training_plane():
@@ -352,8 +356,8 @@ def test_property_midpoint_symmetric_and_matches_closed_form():
     c, _ = infer_property(model, np.array([0.0, 0.0, 0.0]))
     # equal channels by symmetry; value is the direct regression solution
     assert c[0] == pytest.approx(c[1], rel=1e-12)
-    k = se_kernel(np.zeros((1, 3)), pts, p)[0]
-    gram = se_kernel(pts, pts, p) + p.prop_noise2 * np.eye(2)
+    k = _kernel_matrix(np.zeros((1, 3)), pts, p)[0]
+    gram = _kernel_matrix(pts, pts, p) + p.prop_noise2 * np.eye(2)
     want = k @ np.linalg.solve(gram, props)
     np.testing.assert_allclose(c, want, atol=1e-9)
 

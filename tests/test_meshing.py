@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from gpfield.grid import (LEAF_SIZE, SparseGrid, VoxelState, grid_to_world,
-                          world_to_grid)
+from gpfield.grid import (KEY_BIAS, LEAF_SIZE, SparseGrid, VoxelState,
+                          grid_to_world, world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from gpfield.meshing import (
-    LeafMesh,
     TriangleMesh,
+    group_edges,
     marching_cubes,
     mesh_leaf,
     zero_crossings,
@@ -47,11 +47,17 @@ def sphere_grid(h=H, r=1.0, band=3, props=None):
 
 
 def reference_mesh_leaf(grid, origin):
-    """Cell-by-cell marching cubes, the loop form mesh_leaf must match."""
+    """Cell-by-cell marching cubes, the loop form mesh_leaf must match.
+
+    Returns (edges, positions, props, triangles) as mesh_leaf's LeafMesh
+    holds them: vertices in order of first use, triangles as local
+    vertex indices.
+    """
     origin = tuple(int(v) for v in origin)
     h = grid.voxel_size
     dist, obs, prop = grid.gather_block(origin, (LEAF_SIZE + 1,) * 3)
-    out = LeafMesh(origin)
+    verts = {}
+    tris = []
     org = np.asarray(origin, dtype=np.int64)
     for cx in range(LEAF_SIZE):
         for cy in range(LEAF_SIZE):
@@ -70,19 +76,25 @@ def reference_mesh_leaf(grid, origin):
                     axis = [i for i in range(3) if lo[i] != hi[i]][0]
                     key = tuple(int(o + l) for o, l in zip(org, lo)) + (axis,)
                     keys[e] = key
-                    if key in out.verts:
+                    if key in verts:
                         continue
                     t = dist[lo] / (dist[lo] - dist[hi])
                     pos = (org + np.array(lo, dtype=np.float64) + 0.5) * h
                     pos[axis] += t * h
-                    out.verts[key] = (pos, prop[lo] + t * (prop[hi] - prop[lo]))
+                    verts[key] = (pos, prop[lo] + t * (prop[hi] - prop[lo]))
                 row = TRI_TABLE[case]
                 for i in range(0, 15, 3):
                     if row[i] < 0:
                         break
-                    out.tris.append((keys[row[i]], keys[row[i + 1]],
-                                     keys[row[i + 2]]))
-    return out
+                    tris.append((keys[row[i]], keys[row[i + 1]],
+                                 keys[row[i + 2]]))
+    index = {key: i for i, key in enumerate(verts)}
+    return (np.array(list(verts), dtype=np.int64).reshape(-1, 4),
+            np.array([pos for pos, _ in verts.values()]).reshape(-1, 3),
+            np.array([pv for _, pv in verts.values()]).reshape(
+                len(verts), grid.prop_channels),
+            np.array([[index[k] for k in tri] for tri in tris],
+                     dtype=np.int64).reshape(-1, 3))
 
 
 def test_mesh_leaf_matches_cell_loop_reference():
@@ -98,13 +110,26 @@ def test_mesh_leaf_matches_cell_loop_reference():
         for leaf in grid.leaves():
             got = mesh_leaf(grid, leaf.origin)
             want = reference_mesh_leaf(grid, leaf.origin)
-            assert list(got.verts) == list(want.verts)
-            for key, (pos, pv) in want.verts.items():
-                np.testing.assert_array_equal(got.verts[key][0], pos)
-                np.testing.assert_array_equal(got.verts[key][1], pv)
-            assert got.tris == want.tris
-            n_leaves += bool(want.tris)
+            for name, arr in zip(("edges", "positions", "props", "triangles"),
+                                 want):
+                assert getattr(got, name).shape == arr.shape
+                assert getattr(got, name).dtype == arr.dtype
+                np.testing.assert_array_equal(getattr(got, name), arr)
+            n_leaves += len(want[3]) > 0
     assert n_leaves > 50
+
+
+def test_group_edges_follows_tuple_order_over_the_whole_key_range():
+    rng = np.random.default_rng(41)
+    coords = rng.integers(-KEY_BIAS, KEY_BIAS, size=(400, 3))
+    coords[:3] = KEY_BIAS - 1
+    coords[3:6] = -KEY_BIAS
+    edges = np.column_stack([np.repeat(coords, 3, axis=0),
+                             rng.integers(0, 3, size=1200)])
+    groups = group_edges(edges)
+    want = sorted(set(map(tuple, edges.tolist())))
+    assert list(map(tuple, edges[groups.first].tolist())) == want
+    np.testing.assert_array_equal(edges[groups.first][groups.inverse], edges)
 
 
 def test_empty_grid_gives_empty_mesh():

@@ -1,7 +1,9 @@
 """End-to-end frame integration, evaluation helpers, and file formats."""
 
 import io
+import re
 import signal
+import struct
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from gpfield.pipeline import (
 )
 from gpfield.grid import KEY_BIAS, VoxelState
 from gpfield.local_field import EmptyFrame, Frame
+from gpfield.meshing import crossings_by_leaf
 from gpfield.ply import IoFailure
 from gpfield.scene import (
     Primitive,
@@ -386,3 +389,72 @@ def test_snapshot_loads_leaf_on_low_edge_of_key_range(tmp_path):
     back = Pipeline.load_snapshot(path)
     assert back.grid.n_leaves == 1
     assert back.grid.find_leaf((lo, lo, lo)) is not None
+
+
+@pytest.mark.parametrize("cut", ["header", "config", "leaf count",
+                                 "leaf records", "trailing bytes"])
+def test_snapshot_size_is_checked(tmp_path, cut):
+    pipe = Pipeline()
+    pipe.grid.set((0, 0, 0), VoxelState(0.01, 1.0, observed=True))
+    path = tmp_path / "one.snap"
+    pipe.save_snapshot(path)
+    data = path.read_bytes()
+    cfg_end = 16 + struct.unpack_from("<II", data, 8)[1]
+    cuts = {"header": data[:12], "config": data[:cfg_end - 5],
+            "leaf count": data[:cfg_end + 8], "leaf records": data[:-100],
+            "trailing bytes": data + b"\0"}
+    path.write_bytes(cuts[cut])
+    with pytest.raises(IoFailure, match=re.escape(str(path))):
+        Pipeline.load_snapshot(path)
+
+
+def assert_nodes_are_mesh_crossings(pipe):
+    """The global field trains on exactly the zero crossings of the mesh."""
+    mesh = pipe.export_mesh()
+    want = crossings_by_leaf(mesh.vertices, mesh.properties,
+                             pipe.config.voxel_size)
+    assert set(pipe.field.nodes) == set(want)
+    for origin, (pos, props) in want.items():
+        node = pipe.field.nodes[origin]
+        np.testing.assert_allclose(node.points, pos, rtol=0, atol=1e-12)
+        if props.shape[1]:
+            np.testing.assert_allclose(node.props, props, rtol=0, atol=1e-12)
+
+
+def test_field_nodes_follow_the_mesh_as_an_object_comes_and_goes():
+    wall = Primitive("box", center=[-0.05, 0.0, 0.0],
+                     half_extents=[0.05, 0.8, 0.8], prop=[0.2, 0.5, 0.9])
+    ball = Primitive("sphere", center=[0.7, 0.0, 0.0], radius=0.15,
+                     prop=[0.9, 0.1, 0.1], active=(0.0, 2.0))
+    scene = SyntheticScene([wall, ball], prop_channels=3)
+    sensor = SensorModel(width=32, height=24, focal=25.0, max_range=6.0)
+    pipe = Pipeline(PipelineConfig(prop_kind="rgb"))
+    seen = set()
+    for i in range(10):
+        eye = [1.5, 0.1 * (i % 3 - 1), 0.05 * (i % 2)]
+        pipe.integrate_frame(render_frame(scene, sensor,
+                                          look_at(eye, [0.0, 0.0, 0.0]),
+                                          t=float(i)))
+        assert_nodes_are_mesh_crossings(pipe)
+        seen |= set(pipe.field.nodes)
+    # carving the ball away removed nodes, not only added them
+    assert seen - set(pipe.field.nodes)
+    assert pipe.field.n_nodes > 0
+
+
+def test_surface_in_top_leaf_of_key_range_meshes_and_trains(tmp_path):
+    pipe = Pipeline()
+    hi = KEY_BIAS - 1
+    for x in range(4):
+        for y in range(2):
+            for z in range(2):
+                pipe.grid.set((hi - x, hi - y, hi - z),
+                              VoxelState(0.02 * (x - 1.5), 1.0,
+                                         observed=True))
+    path = tmp_path / "top.snap"
+    pipe.save_snapshot(path)
+    back = Pipeline.load_snapshot(path)
+    assert back.grid.n_leaves == 1
+    assert back.export_mesh().n_triangles > 0
+    assert back.field.n_nodes == 1
+    assert_nodes_are_mesh_crossings(back)
