@@ -193,6 +193,11 @@ class SparseGrid:
             self.version += 1
         return leaf
 
+    def leaves_at(self, keys) -> list:
+        """Leaf under each packed leaf-origin key, None where unallocated."""
+        get = self._leaves.get
+        return [get(k) for k in keys]
+
     # -- single voxel API ----------------------------------------------------
 
     def set(self, coord, state: VoxelState) -> None:

@@ -11,29 +11,57 @@ meshes of adjacent leaves merge exactly through ``group_edges``, and the
 per-leaf meshes are the only mesh state a caller needs to keep. The
 zero crossings of any leaf are recomputed from them with
 ``crossings_by_leaf``.
+
+A frame's touched leaves are meshed in one batched pass,
+``mesh_leaves``: the 9^3 voxel blocks of a chunk of leaves are gathered
+into one array, and the case lookup, the crossed edges, the vertices and
+the triangles run over the cells of all of them at once (Lorensen &
+Cline's tables are pure lookups, so they batch across leaves). Each leaf
+gets the same mesh, bit for bit, as meshing it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .grid import (LEAF_SIZE, Groups, SparseGrid, group_by, leaf_keys,
-                   leaf_origin_of, pack_keys, world_to_grid)
+from .grid import (KEY_BIAS, LEAF_LOG2, LEAF_SIZE, LEAF_VOXELS, Groups,
+                   SparseGrid, group_by, leaf_keys, leaf_origin_of,
+                   local_flat_index, pack_keys, world_to_grid)
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 
 _EDGE_TABLE = np.asarray(EDGE_TABLE, dtype=np.int64)
+# per case: whether the cell is crossed, and which of its 12 edges are
+_CROSSED = _EDGE_TABLE != 0
+_CASE_EDGES = ((_EDGE_TABLE[:, None] >> np.arange(12)) & 1).astype(bool)
 # edge indices of up to five triangles per case, -1 for unused slots
 _TRI_TABLE = np.asarray(TRI_TABLE, dtype=np.int64)[:, :15].reshape(-1, 5, 3)
-# lower corner offset and axis of each of the 12 cell edges
+_CASE_TRIS = _TRI_TABLE[:, :, 0] >= 0
+# a leaf's cells read the 9^3 block of voxels from its origin up; flat
+# block indices step by _STRIDE along the axes
+_BLOCK = LEAF_SIZE + 1
+_STRIDE = np.array([_BLOCK * _BLOCK, _BLOCK, 1])
+_BLOCK_COORDS = np.stack(np.meshgrid(*[np.arange(_BLOCK)] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)
+# flat block index of the low corner of each of a leaf's 8^3 cells
+_CELL_AT = np.argwhere(np.ones((LEAF_SIZE,) * 3, dtype=bool)) @ _STRIDE
+# each of the 12 cell edges: step from the cell corner to the edge's low
+# end, and its axis
 _CORNERS = np.asarray(CORNER_OFFSETS, dtype=np.int64)
-_EDGE_LOWER = np.array([np.minimum(_CORNERS[a], _CORNERS[b])
-                        for a, b in EDGE_CORNERS])
+_EDGE_STEP = np.array([np.minimum(_CORNERS[a], _CORNERS[b])
+                       for a, b in EDGE_CORNERS]) @ _STRIDE
 _EDGE_AXIS = np.array([int(np.flatnonzero(_CORNERS[a] != _CORNERS[b])[0])
                        for a, b in EDGE_CORNERS])
-_BLOCK = LEAF_SIZE + 1
+# offsets from a leaf origin to itself and its 7 upper neighbours, and for
+# each block voxel, which of those 8 leaves holds it at what flat index
+UPPER_NEIGHBOURS = LEAF_SIZE * np.array(
+    [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+_BLOCK_NEIGHBOUR = (_BLOCK_COORDS >> LEAF_LOG2) @ np.array([4, 2, 1])
+_BLOCK_FLAT = local_flat_index(_BLOCK_COORDS)
+# leaves meshed per vectorized pass; bounds mesh_leaves' scratch memory
+_CHUNK = 32
 
 AREA_EPS = 1e-18
 
@@ -93,49 +121,153 @@ class TriangleMesh:
 
 def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     """Run marching cubes over the cells owned by one leaf."""
-    origin = tuple(int(v) for v in origin)
+    return mesh_leaves(grid, [origin])[0]
+
+
+def mesh_leaves(grid: SparseGrid, origins) -> list:
+    """Run marching cubes over the cells owned by each of the leaves.
+
+    origins are leaf origins (multiples of LEAF_SIZE). The leaves are
+    meshed _CHUNK at a time, each chunk in one vectorized pass, so
+    scratch memory does not grow with their number. Returns one LeafMesh
+    per origin, in order; each array of it owns its memory.
+    """
+    origins = [tuple(int(v) for v in o) for o in origins]
+    out = []
+    for i in range(0, len(origins), _CHUNK):
+        out += _mesh_chunk(grid, origins[i:i + _CHUNK])
+    return out
+
+
+class Blocks(NamedTuple):
+    """The 9^3 voxel blocks read by the cells of a batch of leaves."""
+
+    distance: np.ndarray    # (T, 9, 9, 9) float64, 0 where unset
+    observed: np.ndarray    # (T, 9, 9, 9) bool, set and observed
+    slots: np.ndarray       # (T, 8) index into leaves of each upper
+                            # neighbour, len(leaves) where unallocated
+    leaves: list            # the allocated leaves the blocks read
+
+
+def gather_blocks(grid: SparseGrid, origins) -> Blocks:
+    """Gather the blocks of many leaves with one fancy index.
+
+    A leaf's block is its own 8^3 voxels plus one layer of its 7 upper
+    neighbours, the same values as ``grid.gather_block(origin, (9,)*3)``
+    gives; neighbours past the top of the key range are unallocated.
+    Properties are not gathered: read them where needed through slots.
+    """
+    org = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
+    if (org & (LEAF_SIZE - 1)).any():
+        raise ValueError("leaf origins must be multiples of LEAF_SIZE")
+    nb = org[:, None, :] + UPPER_NEIGHBOURS
+    keyed = ((nb >= -KEY_BIAS) & (nb < KEY_BIAS)).all(axis=2)
+    groups = group_by(pack_keys(nb[keyed]))
+    found = grid.leaves_at(groups.keys.tolist())
+    present = np.array([leaf is not None for leaf in found], dtype=bool)
+    leaves = [leaf for leaf in found if leaf is not None]
+    slot_of = np.where(present, np.cumsum(present) - 1, len(leaves))
+    slots = np.full(keyed.shape, len(leaves), dtype=np.int64)
+    slots[keyed] = slot_of[groups.inverse]
+
+    # the row past the allocated leaves stands for every missing one
+    dist = np.zeros((len(leaves) + 1, LEAF_VOXELS), dtype=np.float32)
+    obs = np.zeros((len(leaves) + 1, LEAF_VOXELS), dtype=bool)
+    if leaves:
+        mask = np.stack([leaf.value_mask for leaf in leaves])
+        np.copyto(dist[:-1], np.stack([leaf.distance for leaf in leaves]),
+                  where=mask)
+        np.logical_and(np.stack([leaf.observed for leaf in leaves]), mask,
+                       out=obs[:-1])
+    at = slots[:, _BLOCK_NEIGHBOUR] * LEAF_VOXELS + _BLOCK_FLAT
+    shape = (len(org),) + (_BLOCK,) * 3
+    return Blocks(dist.ravel()[at].astype(np.float64).reshape(shape),
+                  obs.ravel()[at].reshape(shape), slots, leaves)
+
+
+def _block_props(blocks: Blocks, at: np.ndarray) -> np.ndarray:
+    """Properties, as float64, at flat indices into blocks' (T, 9, 9, 9)
+    arrays; every voxel asked for must lie in an allocated leaf."""
+    target, local = np.divmod(at, _BLOCK ** 3)
+    used, rank = np.unique(blocks.slots[target, _BLOCK_NEIGHBOUR[local]],
+                           return_inverse=True)
+    prop = np.stack([blocks.leaves[s].prop for s in used.tolist()])
+    return prop[rank, _BLOCK_FLAT[local]].astype(np.float64)
+
+
+def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
+    """mesh_leaves over one chunk: the cells of all its leaves at once."""
     h = grid.voxel_size
-    dist, obs, prop = grid.gather_block(origin, (_BLOCK,) * 3)
-    if not obs.any():
-        return LeafMesh.empty(origin, grid.prop_channels)
-
-    case = np.zeros((LEAF_SIZE,) * 3, dtype=np.int64)
-    valid = np.ones((LEAF_SIZE,) * 3, dtype=bool)
+    channels = grid.prop_channels
+    blocks = gather_blocks(grid, origins)
+    neg = (blocks.distance < 0).view(np.uint8)
+    case = np.zeros((len(origins),) + (LEAF_SIZE,) * 3, dtype=np.uint8)
+    valid = np.ones(case.shape, dtype=bool)
     for ci, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
-        block = dist[ox:ox + LEAF_SIZE, oy:oy + LEAF_SIZE, oz:oz + LEAF_SIZE]
-        case |= (block < 0).astype(np.int64) << ci
-        valid &= obs[ox:ox + LEAF_SIZE, oy:oy + LEAF_SIZE, oz:oz + LEAF_SIZE]
-    cells = np.argwhere(valid & (_EDGE_TABLE[case] != 0))
-    if len(cells) == 0:
-        return LeafMesh.empty(origin, grid.prop_channels)
+        sl = (slice(None), slice(ox, ox + LEAF_SIZE),
+              slice(oy, oy + LEAF_SIZE), slice(oz, oz + LEAF_SIZE))
+        case |= neg[sl] << ci
+        valid &= blocks.observed[sl]
+    # crossed cells, leaf by leaf and in (x, y, z) order within a leaf
+    c = np.flatnonzero(valid & _CROSSED[case])
+    if len(c) == 0:
+        return [LeafMesh.empty(o, channels) for o in origins]
+    cases = case.ravel()[c]
+    cell_target, c = np.divmod(c, LEAF_VOXELS)
+    cell_at = cell_target * _BLOCK ** 3 + _CELL_AT[c]
 
-    cases = case[cells[:, 0], cells[:, 1], cells[:, 2]]
-    # crossed edges, cell by cell and in edge order within a cell; an edge
-    # shared by several cells is one vertex, placed at its first appearance
-    cell_ix, e = np.nonzero((_EDGE_TABLE[cases][:, None] >> np.arange(12)) & 1)
-    lo = cells[cell_ix] + _EDGE_LOWER[e]
-    axis = _EDGE_AXIS[e]
-    first, vertex = first_appearance(group_by(
-        ((lo[:, 0] * _BLOCK + lo[:, 1]) * _BLOCK + lo[:, 2]) * 3 + axis))
-    vertex_of = np.full((len(cells), 12), -1)
-    vertex_of[cell_ix, e] = vertex
+    # crossed edges, cell by cell and in edge order within a cell, keyed
+    # by their low end in the chunk's blocks (so no two leaves share a
+    # key) and their axis; an edge shared by several cells of a leaf is
+    # one vertex, placed at its first use. first_use maps a key to the
+    # first row using it, then to that vertex's index
+    cell_ix, e = np.nonzero(_CASE_EDGES[cases])
+    key = (cell_at[cell_ix] + _EDGE_STEP[e]) * 3 + _EDGE_AXIS[e]
+    rows = np.arange(len(key), dtype=np.int32)
+    first_use = np.full(len(origins) * _BLOCK ** 3 * 3, len(key),
+                        dtype=np.int32)
+    np.minimum.at(first_use, key, rows)
+    first = np.flatnonzero(first_use[key] == rows)
+    first_use[key[first]] = np.arange(len(first))
+    vertex_of = np.full((len(cases), 12), -1)
+    vertex_of[cell_ix, e] = first_use[key]
 
-    lo, axis = lo[first], axis[first]
+    lo, axis = np.divmod(key[first], 3)
+    hi = lo + _STRIDE[axis]
+    dist = blocks.distance.ravel()
+    d0 = dist[lo]
+    t = d0 / (d0 - dist[hi])
+    target, local = np.divmod(lo, _BLOCK ** 3)
+    voxel = np.asarray(origins, dtype=np.int64)[target] + _BLOCK_COORDS[local]
     n = np.arange(len(first))
-    hi = lo.copy()
-    hi[n, axis] += 1
-    lo_ix, hi_ix = tuple(lo.T), tuple(hi.T)
-    d0 = dist[lo_ix]
-    t = d0 / (d0 - dist[hi_ix])
-    org = np.asarray(origin, dtype=np.int64)
-    pos = (org + lo.astype(np.float64) + 0.5) * h
+    pos = (voxel + 0.5) * h
     pos[n, axis] += t * h
-    p0 = prop[lo_ix]
-    pv = p0 + t[:, None] * (prop[hi_ix] - p0)
+    if channels:
+        p = _block_props(blocks, np.concatenate([lo, hi]))
+        p0 = p[:len(n)]
+        pv = p0 + t[:, None] * (p[len(n):] - p0)
+    else:
+        pv = np.zeros((len(n), 0))
 
-    tri_cell, slot = np.nonzero(_TRI_TABLE[cases][:, :, 0] >= 0)
+    tri_cell, slot = np.nonzero(_CASE_TRIS[cases])
+    tri_target = cell_target[tri_cell]
     tris = vertex_of[tri_cell[:, None], _TRI_TABLE[cases[tri_cell], slot]]
-    return LeafMesh(origin, np.column_stack([org + lo, axis]), pos, pv, tris)
+    # split per leaf, vertex indices local to it; copies, so no cached
+    # mesh holds on to the chunk's arrays
+    bounds = np.arange(len(origins) + 1)
+    vs = np.searchsorted(target, bounds).tolist()
+    ts = np.searchsorted(tri_target, bounds).tolist()
+    tris -= np.asarray(vs)[tri_target][:, None]
+    edges = np.column_stack([voxel, axis])
+    out = []
+    for i, origin in enumerate(origins):
+        a, b = vs[i], vs[i + 1]
+        if a == b:
+            out.append(LeafMesh.empty(origin, channels))
+            continue
+        out.append(LeafMesh(origin, edges[a:b].copy(), pos[a:b].copy(),
+                            pv[a:b].copy(), tris[ts[i]:ts[i + 1]].copy()))
+    return out
 
 
 def group_edges(edges: np.ndarray) -> Groups:
@@ -193,7 +325,7 @@ def marching_cubes(grid: SparseGrid, origins: Optional[Iterable] = None) -> Tria
     if origins is None:
         origins = [leaf.origin for leaf in grid.leaves() if leaf.observed.any()]
     origins = sorted(tuple(int(v) for v in o) for o in origins)
-    return combine((mesh_leaf(grid, o) for o in origins), grid.voxel_size,
+    return combine(mesh_leaves(grid, origins), grid.voxel_size,
                    grid.prop_channels)
 
 

@@ -24,11 +24,15 @@ from scipy.spatial import cKDTree
 from . import gp, local_field, query_points
 from .fusion import FusionConfig, fuse_frame
 from .global_field import GlobalField
-from .grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid, group_by,
+from .grid import (KEY_BIAS, LEAF_VOXELS, SparseGrid, group_by,
                    leaf_keys, leaf_origin_of, pack_keys, world_to_grid)
 from .local_field import EmptyFrame, Frame, voxelize
-from .meshing import (TriangleMesh, combine, crossings_by_leaf, group_edges,
-                      mesh_leaf, stack_vertices)
+from .meshing import (UPPER_NEIGHBOURS, TriangleMesh, combine,
+                      crossings_by_leaf, group_edges, mesh_leaves,
+                      stack_vertices)
+# the one-leaf entry point stays reachable here: perfbench/tracing.py wraps
+# it by this module path, although the pipeline meshes through mesh_leaves
+from .meshing import mesh_leaf  # noqa: F401
 from . import ply
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
@@ -157,13 +161,15 @@ class FrameStats:
     n_voxels_fused: int = 0
     n_leaves_active: int = 0
     n_new_leaves: int = 0
+    n_leaves_meshed: int = 0        # remesh targets
+    n_mesh_vertices: int = 0        # vertices of their new leaf meshes
+    n_nodes_replaced: int = 0       # entries handed to GlobalField.update
     stage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
 
 
 # a leaf and its 7 lower neighbours: the leaves whose cells read its voxels
-_LOWER_NEIGHBOURS = -LEAF_SIZE * np.array(
-    [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
+_LOWER_NEIGHBOURS = -UPPER_NEIGHBOURS
 
 
 def _with_lower_neighbours(origins) -> list:
@@ -254,7 +260,8 @@ class Pipeline:
         stats.stage_ms["fusion"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        changed = self._remesh_active()
+        changed = self._remesh_active(stats)
+        stats.n_nodes_replaced = len(changed)
         stats.stage_ms["meshing"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
@@ -272,19 +279,25 @@ class Pipeline:
         return [o for o in _with_lower_neighbours(active)
                 if self.grid.find_leaf(o) is not None]
 
-    def _remesh_active(self) -> dict:
+    def _remesh_active(self, stats: Optional[FrameStats] = None) -> dict:
         """Re-mesh touched leaves and return the training replacements for
         the global field.
 
-        Every leaf owning a vertex of an old or a new leaf mesh gets its
-        zero crossings recomputed from the cached meshes that can put a
-        vertex in it: its own and its lower neighbours'.
+        All targets are meshed in one mesh_leaves call. Every leaf owning
+        a vertex of an old or a new leaf mesh gets its zero crossings
+        recomputed from the cached meshes that can put a vertex in it:
+        its own and its lower neighbours'. stats, when given, receives
+        the meshing counters.
         """
         h = self.config.voxel_size
+        targets = self._remesh_targets()
+        meshes = mesh_leaves(self.grid, targets)
+        if stats is not None:
+            stats.n_leaves_meshed = len(targets)
+            stats.n_mesh_vertices = sum(len(lm.positions) for lm in meshes)
         touched = []
-        for origin in self._remesh_targets():
+        for origin, lm in zip(targets, meshes):
             old = self._leaf_meshes.pop(origin, None)
-            lm = mesh_leaf(self.grid, origin)
             if len(lm.triangles):
                 self._leaf_meshes[origin] = lm
             touched += [m.positions for m in (old, lm) if m is not None]

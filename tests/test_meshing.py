@@ -1,16 +1,24 @@
 """Surface extraction and PLY round trips."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gpfield.grid import (KEY_BIAS, LEAF_SIZE, SparseGrid, VoxelState,
-                          grid_to_world, world_to_grid)
+from gpfield import meshing
+from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
+                          VoxelState, grid_to_world, world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from gpfield.meshing import (
     TriangleMesh,
+    gather_blocks,
     group_edges,
     marching_cubes,
     mesh_leaf,
+    mesh_leaves,
     zero_crossings,
 )
 from gpfield.ply import IoFailure, read_ply, write_mesh, write_points
@@ -108,15 +116,128 @@ def test_mesh_leaf_matches_cell_loop_reference():
     n_leaves = 0
     for grid in grids:
         for leaf in grid.leaves():
-            got = mesh_leaf(grid, leaf.origin)
             want = reference_mesh_leaf(grid, leaf.origin)
-            for name, arr in zip(("edges", "positions", "props", "triangles"),
-                                 want):
-                assert getattr(got, name).shape == arr.shape
-                assert getattr(got, name).dtype == arr.dtype
-                np.testing.assert_array_equal(getattr(got, name), arr)
+            assert_leaf_mesh_equals(mesh_leaf(grid, leaf.origin), want)
             n_leaves += len(want[3]) > 0
     assert n_leaves > 50
+
+
+def assert_leaf_mesh_equals(got, want):
+    """A LeafMesh equals reference_mesh_leaf's arrays in shape, dtype and
+    value."""
+    for name, arr in zip(("edges", "positions", "props", "triangles"), want):
+        assert getattr(got, name).shape == arr.shape
+        assert getattr(got, name).dtype == arr.dtype
+        np.testing.assert_array_equal(getattr(got, name), arr)
+
+
+# low corner, per axis, of the 2^3 leaves a random grid allocates from: at
+# the origin, at the top of the key range (upper neighbours past its end)
+# and at the bottom
+_CLUSTER_CORNERS = (0, KEY_BIAS - 2 * LEAF_SIZE, -KEY_BIAS)
+_LOCAL = np.argwhere(np.ones((LEAF_SIZE,) * 3, dtype=bool))
+
+
+def random_leaf_grid(seed, channels, corner, density):
+    """Leaves around corner, each allocated with probability 0.7, holding
+    random distances, masks and properties; values outside the value
+    mask are garbage that a reader must ignore."""
+    rng = np.random.default_rng(seed)
+    grid = SparseGrid(voxel_size=H, prop_channels=channels)
+    for off in meshing.UPPER_NEIGHBOURS:
+        if rng.uniform() > 0.7:
+            continue
+        leaf = grid.get_or_create_leaf(tuple(int(v) for v in corner + off))
+        leaf.distance[:] = rng.normal(0.0, H, LEAF_VOXELS)
+        leaf.value_mask[:] = rng.uniform(size=LEAF_VOXELS) < density
+        leaf.observed[:] = rng.uniform(size=LEAF_VOXELS) < 0.9
+        leaf.prop[:] = rng.uniform(size=(LEAF_VOXELS, channels))
+    return grid
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       channels=st.sampled_from([0, 3]),
+       corner=st.tuples(*[st.sampled_from(_CLUSTER_CORNERS)] * 3),
+       density=st.floats(0.5, 1.0),
+       picks=st.lists(st.integers(0, 63), min_size=1, max_size=150),
+       chunk=st.sampled_from([meshing._CHUNK, 7]))
+def test_mesh_leaves_matches_reference_and_gather_block(seed, channels, corner,
+                                                        density, picks, chunk):
+    corner = np.asarray(corner, dtype=np.int64)
+    grid = random_leaf_grid(seed, channels, corner, density)
+    # targets from a 4^3 ring of leaf origins around the allocated 2^3:
+    # allocated and unallocated leaves, those inside the key range only
+    ring = [tuple(int(v) for v in corner + LEAF_SIZE * (np.array(
+        np.unravel_index(i, (4, 4, 4))) - 1)) for i in range(64)]
+    ring = [o for o in ring if all(-KEY_BIAS <= v < KEY_BIAS for v in o)]
+    targets = [ring[i % len(ring)] for i in picks]
+    with mock.patch.object(meshing, "_CHUNK", chunk):
+        got = mesh_leaves(grid, targets)
+    blocks = gather_blocks(grid, targets)
+    assert len(got) == len(targets)
+    want = {}
+    for i, origin in enumerate(targets):
+        dist, obs, _ = grid.gather_block(origin, (LEAF_SIZE + 1,) * 3)
+        assert blocks.distance[i].dtype == dist.dtype
+        np.testing.assert_array_equal(blocks.distance[i], dist)
+        np.testing.assert_array_equal(blocks.observed[i], obs)
+        if origin not in want:
+            want[origin] = reference_mesh_leaf(grid, origin)
+        assert got[i].origin == origin
+        assert_leaf_mesh_equals(got[i], want[origin])
+
+
+def test_mesh_leaves_rejects_origins_off_the_leaf_lattice():
+    with pytest.raises(ValueError):
+        mesh_leaves(sphere_grid(), [(0, 0, 4)])
+
+
+def plane_leaf_grid(side):
+    """side x side leaves in one layer, fully observed, each cut by a
+    wavy surface."""
+    grid = SparseGrid(voxel_size=H)
+    for i in range(side):
+        for j in range(side):
+            leaf = grid.get_or_create_leaf((LEAF_SIZE * i, LEAF_SIZE * j, 0))
+            c = _LOCAL + np.asarray(leaf.origin)
+            leaf.distance[:] = (c[:, 2] - 3.5 - 1.5 * np.sin(0.3 * c[:, 0])
+                                * np.cos(0.2 * c[:, 1])) * H
+            leaf.value_mask[:] = True
+            leaf.observed[:] = True
+    return grid
+
+
+def transient_bytes(grid, origins):
+    """Peak traced memory of one mesh_leaves call above what its result
+    still holds, and the result."""
+    tracemalloc.start()
+    try:
+        meshes = mesh_leaves(grid, origins)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - held, meshes
+
+
+def test_mesh_leaves_scratch_does_not_grow_with_targets():
+    grid = plane_leaf_grid(32)
+    origins = sorted(leaf.origin for leaf in grid.leaves())
+    assert len(origins) >= 1000
+    mesh_leaves(grid, origins[:meshing._CHUNK])      # warm up
+    one_chunk, _ = transient_bytes(grid, origins[:meshing._CHUNK])
+    all_leaves, meshes = transient_bytes(grid, origins)
+    assert sum(len(lm.triangles) > 0 for lm in meshes) >= 1000
+    assert all_leaves <= 1.5 * one_chunk
+
+
+def test_leaf_mesh_arrays_own_their_memory():
+    grid = plane_leaf_grid(10)
+    meshes = mesh_leaves(grid, sorted(leaf.origin for leaf in grid.leaves()))
+    assert sum(len(lm.triangles) > 0 for lm in meshes) > meshing._CHUNK
+    for lm in meshes:
+        for name in ("edges", "positions", "props", "triangles"):
+            assert getattr(lm, name).base is None
 
 
 def test_group_edges_follows_tuple_order_over_the_whole_key_range():

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gpfield import meshing, pipeline
 from gpfield.pipeline import (
     FrameStats,
     Pipeline,
@@ -329,6 +330,83 @@ def test_write_stats_csv_layout(tmp_path):
     path = tmp_path / "stats.csv"
     write_stats_csv(stats, path)
     assert path.read_text() == buf.getvalue()
+
+
+def assert_cached_meshes_own_their_memory(pipe):
+    """No cached leaf mesh is a view that keeps a larger buffer alive."""
+    for lm in pipe._leaf_meshes.values():
+        for name in ("edges", "positions", "props", "triangles"):
+            assert getattr(lm, name).base is None
+
+
+def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
+    calls = []
+    batched = pipeline.mesh_leaves
+
+    def spy_mesh_leaves(grid, origins):
+        out = batched(grid, origins)
+        calls.append(("meshed", len(origins),
+                      sum(len(lm.positions) for lm in out)))
+        return out
+
+    monkeypatch.setattr(pipeline, "mesh_leaves", spy_mesh_leaves)
+    pipe = Pipeline(PipelineConfig())
+    update = pipe.field.update
+    monkeypatch.setattr(pipe.field, "update", lambda changed: (
+        calls.append(("replaced", len(changed))), update(changed)))
+    for frame in wall_frames(4):
+        pipe.integrate_frame(frame)
+
+    # one mesh_leaves call and one update per frame, counted in FrameStats
+    assert [c[0] for c in calls] == ["meshed", "replaced"] * 4
+    for i, st in enumerate(pipe.stats):
+        _, n_meshed, n_vertices = calls[2 * i]
+        assert (st.n_leaves_meshed, st.n_mesh_vertices) == (n_meshed,
+                                                            n_vertices)
+        assert st.n_nodes_replaced == calls[2 * i + 1][1]
+        assert st.n_leaves_meshed > 0 and st.n_mesh_vertices > 0
+        assert st.n_nodes_replaced > 0
+    assert_cached_meshes_own_their_memory(pipe)
+
+    # the stats CSV keeps its columns and rows: the counters are not in it
+    buf = io.StringIO()
+    write_stats_csv(pipe.stats, buf)
+    want = "frame,stage,ms,points,voxels,leaves\n" + "".join(
+        f"{s.frame},{stage},{ms:.3f},{s.n_points},{s.n_voxels_fused},"
+        f"{s.n_leaves_active}\n"
+        for s in pipe.stats
+        for stage, ms in [*s.stage_ms.items(), ("total", s.total_ms)])
+    assert buf.getvalue() == want
+
+
+def test_snapshot_round_trip_across_meshing_chunks(tmp_path):
+    scene = SyntheticScene([
+        Primitive("sphere", radius=1.0, prop=[0.9, 0.4, 0.1]),
+        Primitive("plane", normal=[0, 0, 1], offset=-1.0,
+                  prop=[0.2, 0.5, 0.8])], prop_channels=3)
+    sensor = SensorModel(width=64, height=48, focal=40.0, max_range=6.0)
+    pipe = Pipeline(PipelineConfig(prop_kind="rgb"))
+    for a in (0.0, 0.4):
+        eye = [2.2 * np.cos(a), 2.2 * np.sin(a), 0.8]
+        pipe.integrate_frame(render_frame(scene, sensor,
+                                          look_at(eye, [0.0, 0.0, -0.3])))
+    # loading meshes every leaf in one call: more than one chunk of them,
+    # with surface in more than one chunk
+    assert len(pipe._leaf_meshes) > meshing._CHUNK
+    path = tmp_path / "map.snap"
+    pipe.save_snapshot(path)
+    back = Pipeline.load_snapshot(path)
+
+    a, b = pipe.export_mesh(), back.export_mesh()
+    for name in ("vertices", "triangles", "properties", "vertex_leaf"):
+        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+    assert set(back.field.nodes) == set(pipe.field.nodes)
+    for origin, node in pipe.field.nodes.items():
+        np.testing.assert_array_equal(back.field.nodes[origin].points,
+                                      node.points)
+        np.testing.assert_array_equal(back.field.nodes[origin].props,
+                                      node.props)
+    assert_cached_meshes_own_their_memory(back)
 
 
 def test_pipeline_work_tracks_surface_not_map(tmp_path):
