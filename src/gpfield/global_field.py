@@ -53,17 +53,29 @@ class FieldQueryResult:
     free_space: bool
 
 
+@dataclass
+class QueryStats:
+    """What one query batch did: nodes it routed to, nodes it trained,
+    and whether it rebuilt the sign index over how many observed voxels."""
+
+    n_nodes_routed: int = 0
+    n_nodes_trained: int = 0
+    sign_rebuilt: int = 0           # 1 if this batch rebuilt the sign index
+    n_observed_indexed: int = 0     # observed voxels that rebuild indexed
+
+
 class BatchQueryResult:
     """Struct-of-arrays result for vectorized queries."""
 
     def __init__(self, distances, variances, gradients, properties,
-                 prop_variances, free_space):
+                 prop_variances, free_space, stats: QueryStats):
         self.distances = distances
         self.variances = variances
         self.gradients = gradients
         self.properties = properties
         self.prop_variances = prop_variances
         self.free_space = free_space
+        self.stats = stats
 
     def __len__(self):
         return len(self.distances)
@@ -139,22 +151,22 @@ class GlobalField:
             self._tree = cKDTree(pts) if len(pts) else None
             self._tree_stale = False
 
-    def _ensure_trained(self, node: GPNode):
-        if node.model is None:
-            node.model = gp.train(node.points, self.params, node.props)
-            node.train_count += 1
+    def _ensure_trained(self, node: GPNode) -> bool:
+        """Train the node if it lacks a model; True if it trained."""
+        if node.model is not None:
+            return False
+        node.model = gp.train(node.points, self.params, node.props)
+        node.train_count += 1
+        return True
 
     def train_pending(self) -> int:
         """Train every node still lacking a model; returns the count."""
         n = 0
         for key in sorted(self.nodes):
-            node = self.nodes[key]
-            if node.model is None:
-                self._ensure_trained(node)
-                n += 1
+            n += self._ensure_trained(self.nodes[key])
         return n
 
-    def _signs(self, points: np.ndarray):
+    def _signs(self, points: np.ndarray, stats: QueryStats):
         """(sign, known) from the nearest observed fused voxel."""
         n = len(points)
         if self.grid is None:
@@ -163,6 +175,8 @@ class GlobalField:
                     and self._sign_cache[0] == self.grid.version)
         if not cache_ok:
             coords, dists = self.grid.observed_voxels()
+            stats.sign_rebuilt = 1
+            stats.n_observed_indexed = len(coords)
             if len(coords) == 0:
                 self._sign_cache = (self.grid.version, None, None)
             else:
@@ -191,13 +205,23 @@ class GlobalField:
         exp(-lambda * distance); unit gradients average unweighted and
         renormalize. Variance and properties come from the node with the
         smallest inferred distance.
+
+        Each routed node runs one gp.moments call over its rows; the
+        elementwise rest (clips, reverting, variance propagation,
+        gradient normalization) runs once over the whole batch.
+        Raises ValueError if q < 1.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         m = len(pts)
+        q = self.query_nodes if q is None else int(q)
+        if q < 1:
+            raise ValueError(f"q must be at least 1, got {q}")
         if not self.nodes:
             raise EmptyField("global field has no nodes")
+        if m == 0:
+            return self._empty_result()
         self._ensure_tree()
-        q = self.query_nodes if q is None else int(q)
+        stats = QueryStats()
         n_nodes = len(self._tree_nodes)
         k = min(q, n_nodes)
         kq = min(q + 1, n_nodes)
@@ -207,61 +231,79 @@ class GlobalField:
         # deterministic tie-break: equal centroid distances prefer the
         # node earlier in lexicographic origin order
         order = np.lexsort((idx, dist), axis=-1)
-        rows = np.arange(m)[:, None]
-        sel = idx[rows, order][:, :k]
+        rows = np.arange(m)
+        sel = idx[rows[:, None], order][:, :k]
 
-        # each row's k nodes are distinct, so a node's flat indices in sel
-        # give its rows, ascending, and the slot within each row
+        # each row's k nodes are distinct, so sorting the flat (row, slot)
+        # indices of sel by node gives every node one run of its rows,
+        # ascending; the GP outputs are kept in that node order
         groups = group_by(sel.ravel())
         nodes = [self._tree_nodes[u] for u in groups.keys.tolist()]
+        stats.n_nodes_routed = len(nodes)
         for node in nodes:
-            self._ensure_trained(node)
+            stats.n_nodes_trained += self._ensure_trained(node)
 
-        dq = np.full((m, k), np.inf)
-        vq = np.zeros((m, k))
-        gq = np.zeros((m, k, 3))
+        n = m * k
+        xs = pts[groups.order // k]
+        o = np.empty(n)
+        u = np.empty(n)
+        g = np.empty((n, 3))
         has_props = all(node.props is not None for node in nodes)
         pdim = nodes[0].props.shape[1] if has_props else 0
-        cq = np.zeros((m, k, pdim)) if has_props else None
-        wq = np.zeros((m, k)) if has_props else None
-
-        for node, flat in zip(nodes, groups.rows()):
-            prows, slots = np.divmod(flat, k)
-            xs = pts[prows]
-            o, uhat = gp.infer_occupancy(node.model, xs)
-            o = np.atleast_1d(o)
-            uhat = np.atleast_1d(uhat)
-            dq[prows, slots] = gp.revert_distance(o, self.params)
-            vq[prows, slots] = gp.propagate_variance(uhat, o, self.params)
-            gq[prows, slots] = gp.infer_distance_gradient(node.model, xs)
+        c = np.empty((n, pdim)) if has_props else None
+        w = np.empty(n) if has_props else None
+        bounds = groups.starts.tolist()
+        for node, a, b in zip(nodes, bounds[:-1], bounds[1:]):
+            mo = gp.moments(node.model, xs[a:b], gradient=True,
+                            properties=has_props)
+            o[a:b] = mo.occupancy
+            u[a:b] = mo.occ_variance
+            g[a:b] = mo.gradient
             if has_props:
-                c, w = gp.infer_property(node.model, xs, self.prop_clip)
-                cq[prows, slots] = np.atleast_2d(c)
-                wq[prows, slots] = w
+                c[a:b] = mo.properties
+                w[a:b] = mo.prop_variance
+        # position in node order of each (row, slot)
+        at = np.empty(n, dtype=np.int64)
+        at[groups.order] = np.arange(n)
+        at = at.reshape(m, k)
 
+        p = self.params
+        dq = gp.revert_distance(o[at], p)
         lam = self.smooth_lambda
         dmin = dq.min(axis=1)
         weights = np.exp(-lam * (dq - dmin[:, None]))
-        weights[~np.isfinite(dq)] = 0.0
-        blended = (weights * np.where(np.isfinite(dq), dq, 0.0)).sum(axis=1) \
-            / weights.sum(axis=1)
+        blended = (weights * dq).sum(axis=1) / weights.sum(axis=1)
 
-        win = np.argmin(dq, axis=1)
-        variance = vq[rows[:, 0], win]
+        win = at[rows, np.argmin(dq, axis=1)]
+        variance = gp.propagate_variance(gp.clip_variance(u[win], p), o[win], p)
 
-        gmean = gq.mean(axis=1)
+        gmean = gp.unit_distance_gradient(g[at], p).mean(axis=1)
         gnorm = np.linalg.norm(gmean, axis=1)
         grad = np.zeros_like(gmean)
-        okg = gnorm > self.params.grad_eps
+        okg = gnorm > p.grad_eps
         grad[okg] = gmean[okg] / gnorm[okg, None]
 
-        sign, known = self._signs(pts)
+        sign, known = self._signs(pts, stats)
         distance = blended * np.where(known, sign, 1.0)
         grad = grad * np.where(known, sign, 1.0)[:, None]
 
-        props = cq[rows[:, 0], win] if has_props else None
-        pvar = wq[rows[:, 0], win] if has_props else None
+        props = pvar = None
+        if has_props:
+            props = gp.clip_properties(c[win], self.prop_clip)
+            pvar = gp.clip_variance(w[win], p)
         return BatchQueryResult(distances=distance, variances=variance,
                                 gradients=grad, properties=props,
-                                prop_variances=pvar,
-                                free_space=~known)
+                                prop_variances=pvar, free_space=~known,
+                                stats=stats)
+
+    def _empty_result(self) -> BatchQueryResult:
+        """Zero-length result; properties exist if every node has them."""
+        props = [node.props for node in self.nodes.values()]
+        has_props = all(p is not None for p in props)
+        pdim = props[0].shape[1] if has_props else 0
+        return BatchQueryResult(
+            distances=np.zeros(0), variances=np.zeros(0),
+            gradients=np.zeros((0, 3)),
+            properties=np.zeros((0, pdim)) if has_props else None,
+            prop_variances=np.zeros(0) if has_props else None,
+            free_space=np.zeros(0, dtype=bool), stats=QueryStats())

@@ -11,10 +11,11 @@ regressed surface properties with their own latent variance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 
 RATIO_EPS = 1e-12
@@ -68,6 +69,26 @@ def reference_distance_variance(params: KernelParams) -> float:
 def _kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     d2 = cdist(a, b, "sqeuclidean")
     return params.sigma2 * np.exp(-0.5 * d2 / params.length_scale ** 2)
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """solve_triangular(chol, b, lower=True) at a fraction of its call
+    overhead.
+
+    Makes the LAPACK trtrs call solve_triangular makes for float64
+    operands (a C-ordered factor is passed transposed, as an upper
+    factor solved with trans=1), so the result has the same bits, and
+    raises ValueError for a non-finite right-hand side as it does.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if chol.flags.f_contiguous:
+        x, info = dtrtrs(chol, b, lower=1)
+    else:
+        x, info = dtrtrs(chol.T, b, lower=0, trans=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+    return x
 
 
 def _cholesky_with_jitter(k: np.ndarray, noise2: float, sigma2: float) -> np.ndarray:
@@ -148,20 +169,87 @@ def _as_queries(x: np.ndarray):
     return x.reshape(-1, 3), scalar
 
 
+class Moments(NamedTuple):
+    """Raw posterior moments at n query points, before any clipping.
+
+    Fields that were not asked for are None.
+    """
+
+    occupancy: np.ndarray                  # (n,) latent occupancy mean
+    occ_variance: Optional[np.ndarray]     # (n,) latent occupancy variance
+    gradient: Optional[np.ndarray]         # (n, 3) gradient of the mean
+    properties: Optional[np.ndarray]       # (n, P) property mean
+    prop_variance: Optional[np.ndarray]    # (n,) property latent variance
+
+
+def moments(model: GpLeafModel, q: np.ndarray, variance: bool = True,
+            gradient: bool = False, properties: bool = False) -> Moments:
+    """Posterior moments at (n, 3) queries from one kernel matrix.
+
+    This is the only inference path: everything here needs the model's
+    training set. What follows it (latent-variance clip, reverting,
+    variance propagation, gradient normalization, property clip) is
+    elementwise, so callers may apply it per model or once over the
+    stacked outputs of many models and get the same bits.
+    """
+    if properties and model.alpha_prop is None:
+        raise ValueError("model has no property regressor")
+    params = model.params
+    kq = _kernel_matrix(q, model.train_points, params)
+    o = kq @ model.alpha_occ
+    u = g = c = w = None
+    if variance:
+        v = _solve_lower(model.chol, kq.T)
+        u = params.sigma2 - np.einsum("ij,ij->j", v, v)
+    if gradient:
+        wk = kq * model.alpha_occ[None, :]
+        diff = model.train_points[None, :, :] - q[:, None, :]
+        g = np.einsum("ij,ijk->ik", wk, diff) / params.length_scale ** 2
+    if properties:
+        c = kq @ model.alpha_prop
+        v = _solve_lower(model.chol_prop, kq.T)
+        w = params.sigma2 - np.einsum("ij,ij->j", v, v)
+    return Moments(o, u, g, c, w)
+
+
+def clip_variance(u, params: KernelParams):
+    """Clamp a latent variance into [0, sigma2]."""
+    return np.clip(u, 0.0, params.sigma2)
+
+
+def clip_properties(c, clip_range):
+    """Clamp property means per channel; clip_range is (low, high) or None."""
+    if clip_range is None:
+        return c
+    return np.clip(c, clip_range[0], clip_range[1])
+
+
+def unit_distance_gradient(g, params: KernelParams):
+    """Unit distance gradients from occupancy gradients along the last axis.
+
+    The chain rule through the reverting function scales the occupancy
+    gradient by a strictly negative factor, so the unit direction is
+    the negated, normalized occupancy gradient. Where the raw gradient
+    magnitude falls below params.grad_eps the result is a zero vector.
+    """
+    norm = np.linalg.norm(g, axis=-1)
+    out = np.zeros_like(g)
+    ok = norm > params.grad_eps
+    out[ok] = -g[ok] / norm[ok, None]
+    return out
+
+
 def infer_occupancy(model: GpLeafModel, x: np.ndarray):
     """Posterior latent occupancy mean and variance at query points.
 
     Returns (o_hat, u_hat); scalars for a single (3,) query.
     """
     q, scalar = _as_queries(x)
-    kq = _kernel_matrix(q, model.train_points, model.params)
-    o = kq @ model.alpha_occ
-    v = solve_triangular(model.chol, kq.T, lower=True)
-    u = model.params.sigma2 - np.einsum("ij,ij->j", v, v)
-    u = np.clip(u, 0.0, model.params.sigma2)
+    mo = moments(model, q)
+    u = clip_variance(mo.occ_variance, model.params)
     if scalar:
-        return float(o[0]), float(u[0])
-    return o, u
+        return float(mo.occupancy[0]), float(u[0])
+    return mo.occupancy, u
 
 
 def revert_distance(o_hat, params: KernelParams):
@@ -202,29 +290,16 @@ def propagate_variance(u_hat, o_hat, params: KernelParams):
 def occupancy_gradient(model: GpLeafModel, x: np.ndarray):
     """Analytic gradient of the posterior occupancy mean."""
     q, scalar = _as_queries(x)
-    kq = _kernel_matrix(q, model.train_points, model.params)
-    w = kq * model.alpha_occ[None, :]
-    diff = model.train_points[None, :, :] - q[:, None, :]
-    g = np.einsum("ij,ijk->ik", w, diff) / model.params.length_scale ** 2
+    g = moments(model, q, variance=False, gradient=True).gradient
     return g[0] if scalar else g
 
 
 def infer_distance_gradient(model: GpLeafModel, x: np.ndarray):
-    """Unit gradient of the inferred distance at query points.
-
-    The chain rule through the reverting function scales the occupancy
-    gradient by a strictly negative factor, so the unit direction is
-    the negated, normalized occupancy gradient. Queries where the raw
-    gradient magnitude falls below params.grad_eps return a zero
-    vector.
-    """
+    """Unit gradient of the inferred distance at query points (see
+    unit_distance_gradient)."""
     q, scalar = _as_queries(x)
-    g = occupancy_gradient(model, q)
-    norm = np.linalg.norm(g, axis=1)
-    out = np.zeros_like(g)
-    ok = norm > model.params.grad_eps
-    out[ok] = -g[ok] / norm[ok, None]
-    return out[0] if scalar else out
+    g = unit_distance_gradient(occupancy_gradient(model, q), model.params)
+    return g[0] if scalar else g
 
 
 def infer_property(model: GpLeafModel, x: np.ndarray, clip_range=None):
@@ -238,16 +313,10 @@ def infer_property(model: GpLeafModel, x: np.ndarray, clip_range=None):
         a single (3,) query. Raises ValueError if the model was trained
         without properties.
     """
-    if model.alpha_prop is None:
-        raise ValueError("model has no property regressor")
     q, scalar = _as_queries(x)
-    kq = _kernel_matrix(q, model.train_points, model.params)
-    c = kq @ model.alpha_prop
-    v = solve_triangular(model.chol_prop, kq.T, lower=True)
-    w = model.params.sigma2 - np.einsum("ij,ij->j", v, v)
-    w = np.clip(w, 0.0, model.params.sigma2)
-    if clip_range is not None:
-        c = np.clip(c, clip_range[0], clip_range[1])
+    mo = moments(model, q, variance=False, properties=True)
+    c = clip_properties(mo.properties, clip_range)
+    w = clip_variance(mo.prop_variance, model.params)
     if scalar:
         return c[0], float(w[0])
     return c, w

@@ -331,18 +331,20 @@ class SparseGrid:
         return dist, obs, prop
 
     def observed_voxels(self):
-        """Coordinates, distances and weights of all observed voxels."""
-        coords = []
-        dists = []
-        for leaf in self._leaves.values():
-            flat = np.flatnonzero(leaf.value_mask & leaf.observed)
-            if len(flat) == 0:
-                continue
-            local = np.stack([flat >> (2 * LEAF_LOG2),
-                              (flat >> LEAF_LOG2) & (LEAF_SIZE - 1),
-                              flat & (LEAF_SIZE - 1)], axis=1)
-            coords.append(local + np.asarray(leaf.origin, dtype=np.int64))
-            dists.append(leaf.distance[flat].astype(np.float64))
-        if not coords:
+        """Coordinates and distances of all observed voxels.
+
+        Leaves come in insertion order and voxels within a leaf in flat
+        index order; returns ((N, 3) int64, (N,) float64).
+        """
+        leaves = list(self._leaves.values())
+        if not leaves:
             return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-        return np.concatenate(coords), np.concatenate(dists)
+        mask = (np.stack([leaf.value_mask for leaf in leaves])
+                & np.stack([leaf.observed for leaf in leaves]))
+        li, flat = np.nonzero(mask)
+        origins = np.array([leaf.origin for leaf in leaves], dtype=np.int64)
+        local = np.stack([flat >> (2 * LEAF_LOG2),
+                          (flat >> LEAF_LOG2) & (LEAF_SIZE - 1),
+                          flat & (LEAF_SIZE - 1)], axis=1)
+        dists = np.stack([leaf.distance for leaf in leaves])[li, flat]
+        return local + origins[li], dists.astype(np.float64)

@@ -133,27 +133,32 @@ class LocalField:
                 None if w is None else float(w[0]))
 
     def query_batch(self, points: np.ndarray):
-        """Vectorized query; groups points by routing model."""
+        """Vectorized query: one gp.moments call per routing model, then
+        reverting, variance propagation and clips once over all points."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         n = len(pts)
         if not self.models:
             raise EmptyFrame("local field has no models")
         owner = self.nearest_model(pts)
-        d = np.zeros(n)
-        v = np.zeros(n)
+        o = np.empty(n)
+        u = np.empty(n)
         has_prop = self.has_properties
-        c = np.zeros((n, self.models[0].alpha_prop.shape[1])) if has_prop else None
-        w = np.zeros(n) if has_prop else None
+        c = np.empty((n, self.models[0].alpha_prop.shape[1])) if has_prop else None
+        w = np.empty(n) if has_prop else None
         groups = group_by(owner)
         for mi, rows in zip(groups.keys, groups.rows()):
-            model = self.models[mi]
-            o, u = gp.infer_occupancy(model, pts[rows])
-            d[rows] = gp.revert_distance(o, self.params)
-            v[rows] = gp.propagate_variance(u, o, self.params)
+            mo = gp.moments(self.models[mi], pts[rows], properties=has_prop)
+            o[rows] = mo.occupancy
+            u[rows] = mo.occ_variance
             if has_prop:
-                cm, wm = gp.infer_property(model, pts[rows], self.prop_clip)
-                c[rows] = cm
-                w[rows] = wm
+                c[rows] = mo.properties
+                w[rows] = mo.prop_variance
+        p = self.params
+        d = gp.revert_distance(o, p)
+        v = gp.propagate_variance(gp.clip_variance(u, p), o, p)
+        if has_prop:
+            c = gp.clip_properties(c, self.prop_clip)
+            w = gp.clip_variance(w, p)
         return d, v, c, w
 
 

@@ -1,0 +1,359 @@
+"""The global and local query paths against the per-node loops they replaced.
+
+``GlobalField.query_batch`` and ``LocalField.query_batch`` evaluate one
+kernel matrix per routed model and finish the elementwise part (clips,
+reverting, variance propagation, gradient normalization) once per batch.
+The reference functions below are the loops they replaced, including
+their own copies of the per-model GP inference calls that built the
+kernel matrix once per quantity; every output must equal theirs bit for
+bit. Also here: the empty batch, bad ``q`` and the per-batch query stats.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+
+from gpfield import gp
+from gpfield.global_field import GlobalField, QueryStats
+from gpfield.grid import SparseGrid, VoxelState, group_by
+from gpfield.local_field import LocalField
+
+# -- reference: the per-node inference calls and loops as they were ----------
+
+
+def ref_infer_occupancy(model, q):
+    kq = gp._kernel_matrix(q, model.train_points, model.params)
+    o = kq @ model.alpha_occ
+    v = solve_triangular(model.chol, kq.T, lower=True)
+    u = model.params.sigma2 - np.einsum("ij,ij->j", v, v)
+    return o, np.clip(u, 0.0, model.params.sigma2)
+
+
+def ref_infer_distance_gradient(model, q):
+    kq = gp._kernel_matrix(q, model.train_points, model.params)
+    w = kq * model.alpha_occ[None, :]
+    diff = model.train_points[None, :, :] - q[:, None, :]
+    g = np.einsum("ij,ijk->ik", w, diff) / model.params.length_scale ** 2
+    norm = np.linalg.norm(g, axis=1)
+    out = np.zeros_like(g)
+    ok = norm > model.params.grad_eps
+    out[ok] = -g[ok] / norm[ok, None]
+    return out
+
+
+def ref_infer_property(model, q, clip_range):
+    kq = gp._kernel_matrix(q, model.train_points, model.params)
+    c = kq @ model.alpha_prop
+    v = solve_triangular(model.chol_prop, kq.T, lower=True)
+    w = model.params.sigma2 - np.einsum("ij,ij->j", v, v)
+    w = np.clip(w, 0.0, model.params.sigma2)
+    if clip_range is not None:
+        c = np.clip(c, clip_range[0], clip_range[1])
+    return c, w
+
+
+def reference_query_batch(field, points, q=None):
+    """GlobalField.query_batch as a loop of per-node inference calls."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m = len(pts)
+    field._ensure_tree()
+    q = field.query_nodes if q is None else int(q)
+    n_nodes = len(field._tree_nodes)
+    k = min(q, n_nodes)
+    kq = min(q + 1, n_nodes)
+    dist, idx = field._tree.query(pts, k=kq)
+    dist = dist.reshape(m, kq)
+    idx = idx.reshape(m, kq)
+    order = np.lexsort((idx, dist), axis=-1)
+    rows = np.arange(m)[:, None]
+    sel = idx[rows, order][:, :k]
+    groups = group_by(sel.ravel())
+    nodes = [field._tree_nodes[u] for u in groups.keys.tolist()]
+    for node in nodes:
+        field._ensure_trained(node)
+
+    dq = np.full((m, k), np.inf)
+    vq = np.zeros((m, k))
+    gq = np.zeros((m, k, 3))
+    has_props = all(node.props is not None for node in nodes)
+    pdim = nodes[0].props.shape[1] if has_props else 0
+    cq = np.zeros((m, k, pdim)) if has_props else None
+    wq = np.zeros((m, k)) if has_props else None
+    for node, flat in zip(nodes, groups.rows()):
+        prows, slots = np.divmod(flat, k)
+        xs = pts[prows]
+        o, uhat = ref_infer_occupancy(node.model, xs)
+        dq[prows, slots] = gp.revert_distance(o, field.params)
+        vq[prows, slots] = gp.propagate_variance(uhat, o, field.params)
+        gq[prows, slots] = ref_infer_distance_gradient(node.model, xs)
+        if has_props:
+            c, w = ref_infer_property(node.model, xs, field.prop_clip)
+            cq[prows, slots] = c
+            wq[prows, slots] = w
+
+    lam = field.smooth_lambda
+    dmin = dq.min(axis=1)
+    weights = np.exp(-lam * (dq - dmin[:, None]))
+    weights[~np.isfinite(dq)] = 0.0
+    blended = (weights * np.where(np.isfinite(dq), dq, 0.0)).sum(axis=1) \
+        / weights.sum(axis=1)
+    win = np.argmin(dq, axis=1)
+    variance = vq[rows[:, 0], win]
+    gmean = gq.mean(axis=1)
+    gnorm = np.linalg.norm(gmean, axis=1)
+    grad = np.zeros_like(gmean)
+    okg = gnorm > field.params.grad_eps
+    grad[okg] = gmean[okg] / gnorm[okg, None]
+    sign, known = field._signs(pts, QueryStats())
+    distance = blended * np.where(known, sign, 1.0)
+    grad = grad * np.where(known, sign, 1.0)[:, None]
+    props = cq[rows[:, 0], win] if has_props else None
+    pvar = wq[rows[:, 0], win] if has_props else None
+    return distance, variance, grad, props, pvar, ~known
+
+
+def reference_local_query_batch(field, points):
+    """LocalField.query_batch as a loop of per-model inference calls."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    n = len(pts)
+    owner = field.nearest_model(pts)
+    d = np.zeros(n)
+    v = np.zeros(n)
+    has_prop = field.has_properties
+    c = np.zeros((n, field.models[0].alpha_prop.shape[1])) if has_prop else None
+    w = np.zeros(n) if has_prop else None
+    groups = group_by(owner)
+    for mi, rows in zip(groups.keys, groups.rows()):
+        model = field.models[mi]
+        o, u = ref_infer_occupancy(model, pts[rows])
+        d[rows] = gp.revert_distance(o, field.params)
+        v[rows] = gp.propagate_variance(u, o, field.params)
+        if has_prop:
+            c[rows], w[rows] = ref_infer_property(model, pts[rows],
+                                                  field.prop_clip)
+    return d, v, c, w
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def result_arrays(res):
+    return (res.distances, res.variances, res.gradients, res.properties,
+            res.prop_variances, res.free_space)
+
+
+# -- random fields ------------------------------------------------------------
+
+# a noise-free property regressor drives the latent property variance at
+# training points below 0, so its clip runs; sigma2 = 0.5 puts near-surface
+# queries on the reverting map's singularity (occupancy ratio >= 1), so the
+# v_floor branch runs; grad_eps = 0.5 zeroes the gradients of some nodes at
+# moderately far queries but not of others
+PARAM_SETS = [
+    gp.KernelParams(length_scale=0.15, prop_noise2=0.0),
+    gp.KernelParams(sigma2=0.5, length_scale=0.1, v_floor=1e-10),
+    gp.KernelParams(length_scale=0.12, noise2=1e-3, prop_noise2=1e-3,
+                    grad_eps=0.5),
+]
+
+
+def random_clusters(rng, n_nodes, pdim, dup):
+    """{origin: (points, props)} with clusters on a loose lattice; with
+    dup, the last node repeats the first one's points so their centroids
+    tie exactly."""
+    out = {}
+    for i in range(n_nodes):
+        center = rng.uniform(-0.6, 0.6, size=3)
+        n = int(rng.integers(1, 13))
+        pts = center + rng.normal(scale=0.08, size=(n, 3))
+        props = None if pdim == 0 else rng.uniform(-0.2, 1.2, size=(n, pdim))
+        out[(8 * i, 0, 0)] = (pts, props)
+    if dup:
+        out[(8 * n_nodes, 0, 0)] = out[(0, 0, 0)]
+    return out
+
+
+def random_queries(rng, clusters, n):
+    """Near-surface, on-surface (training points), far and tie rows."""
+    train = np.concatenate([p for p, _ in clusters.values()])
+    centroids = np.array([p.mean(axis=0) for p, _ in clusters.values()])
+    kinds = rng.integers(0, 5, size=n)
+    out = rng.uniform(-0.8, 0.8, size=(n, 3))
+    near = train[rng.integers(0, len(train), n)] + rng.normal(scale=0.03,
+                                                              size=(n, 3))
+    out[kinds == 1] = near[kinds == 1]
+    out[kinds == 2] = train[rng.integers(0, len(train), n)][kinds == 2]
+    out[kinds == 3] = rng.uniform(-6.0, 6.0, size=(n, 3))[kinds == 3]
+    out[kinds == 4] = centroids[rng.integers(0, len(centroids), n)][kinds == 4]
+    return out
+
+
+def sign_grid(rng, clusters, h=0.05):
+    grid = SparseGrid(voxel_size=h)
+    train = np.concatenate([p for p, _ in clusters.values()])
+    for x in train[: 20]:
+        c = tuple(int(v) for v in np.floor(x / h))
+        grid.set(c, VoxelState(distance=float(rng.normal(scale=0.03)),
+                               dist_weight=1.0, observed=bool(rng.random() < 0.8)))
+    return grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_nodes=st.integers(1, 6),
+       pdim=st.sampled_from([0, 0, 1, 3]), q=st.integers(1, 4),
+       n_rows=st.sampled_from([1, 1, 7, 80]), dup=st.booleans(),
+       pset=st.integers(0, len(PARAM_SETS) - 1), with_grid=st.booleans(),
+       clip=st.booleans())
+def test_query_batch_matches_per_node_loop(seed, n_nodes, pdim, q, n_rows,
+                                           dup, pset, with_grid, clip):
+    rng = np.random.default_rng(seed)
+    params = PARAM_SETS[pset]
+    clusters = random_clusters(rng, n_nodes, pdim, dup)
+    grid = sign_grid(rng, clusters) if with_grid else None
+    field = GlobalField(params, grid=grid,
+                        prop_clip=(0.0, 1.0) if clip else None)
+    field.update(clusters)
+    pts = random_queries(rng, clusters, n_rows)
+
+    got = field.query_batch(pts, q=q)
+    want = reference_query_batch(field, pts, q=q)
+    assert_bitwise(result_arrays(got), want)
+
+
+def test_oracle_inputs_reach_every_branch():
+    """The random fields above do hit the branches they are meant to."""
+    rng = np.random.default_rng(5)
+    clusters = random_clusters(rng, 4, 3, dup=True)
+    pts = random_queries(rng, clusters, 400)
+    singular = GlobalField(PARAM_SETS[1])
+    singular.update(clusters)
+    assert (singular.query_batch(pts).variances
+            == PARAM_SETS[1].v_floor).any()
+    exact = GlobalField(PARAM_SETS[0])
+    exact.update(clusters)
+    assert (exact.query_batch(pts).prop_variances == 0.0).any()
+    flat = GlobalField(PARAM_SETS[2])
+    flat.update(clusters)
+    res = flat.query_batch(pts)
+    zero = (res.gradients == 0).all(axis=1)
+    assert zero.any() and not zero.all()
+    assert np.isclose(res.distances, PARAM_SETS[2].d_max).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_models=st.integers(1, 5),
+       pdim=st.sampled_from([0, 2]), n_rows=st.sampled_from([1, 9, 60]),
+       pset=st.integers(0, len(PARAM_SETS) - 1), clip=st.booleans())
+def test_local_query_batch_matches_per_model_loop(seed, n_models, pdim, n_rows,
+                                                  pset, clip):
+    rng = np.random.default_rng(seed)
+    params = PARAM_SETS[pset]
+    clusters = random_clusters(rng, n_models, pdim, dup=False)
+    models = [gp.train(p, params, c) for p, c in clusters.values()]
+    field = LocalField(models, params, prop_clip=(0.0, 1.0) if clip else None)
+    pts = random_queries(rng, clusters, n_rows)
+    assert_bitwise(field.query_batch(pts),
+                   reference_local_query_batch(field, pts))
+
+
+# -- empty batch and bad q ----------------------------------------------------
+
+
+def two_node_field(props: bool, grid=None):
+    rng = np.random.default_rng(0)
+    field = GlobalField(PARAM_SETS[0], grid=grid)
+    field.update({
+        (0, 0, 0): (rng.normal(scale=0.1, size=(10, 3)),
+                    rng.random((10, 3)) if props else None),
+        (16, 0, 0): (rng.normal(scale=0.1, size=(10, 3)) + [0.8, 0, 0],
+                     rng.random((10, 3)) if props else None)})
+    return field
+
+
+@pytest.mark.parametrize("props", [False, True])
+def test_empty_batch_returns_zero_length_result(props):
+    field = two_node_field(props)
+    res = field.query_batch(np.zeros((0, 3)))
+    assert len(res) == 0
+    assert res.distances.shape == (0,) and res.variances.shape == (0,)
+    assert res.gradients.shape == (0, 3)
+    assert res.free_space.shape == (0,) and res.free_space.dtype == bool
+    if props:
+        assert res.properties.shape == (0, 3)
+        assert res.prop_variances.shape == (0,)
+    else:
+        assert res.properties is None and res.prop_variances is None
+    assert res.stats == QueryStats()
+    assert all(node.model is None for node in field.nodes.values())
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_query_nodes_below_one_is_rejected(q):
+    field = two_node_field(False)
+    with pytest.raises(ValueError, match=r"\bq\b"):
+        field.query_batch(np.zeros((2, 3)), q=q)
+    with pytest.raises(ValueError, match=r"\bq\b"):
+        GlobalField(PARAM_SETS[0], query_nodes=q).query_batch(np.zeros((1, 3)))
+
+
+# -- query stats ----------------------------------------------------------------
+
+
+def test_query_stats_match_spies(monkeypatch, capsys):
+    trained = []
+    indexed = []
+    real_train = gp.train
+    real_observed = SparseGrid.observed_voxels
+
+    def spy_train(*args, **kwargs):
+        trained.append(args[0])
+        return real_train(*args, **kwargs)
+
+    def spy_observed(self):
+        out = real_observed(self)
+        indexed.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(gp, "train", spy_train)
+    monkeypatch.setattr(SparseGrid, "observed_voxels", spy_observed)
+
+    grid = SparseGrid(voxel_size=0.05)
+    for i in range(6):
+        grid.set((i, 0, 0), VoxelState(0.01, 1.0, observed=i % 2 == 0))
+    rng = np.random.default_rng(3)
+    field = GlobalField(PARAM_SETS[0], grid=grid, query_nodes=1)
+    field.update({(8 * i, 0, 0): (rng.normal(scale=0.05, size=(8, 3))
+                                  + [0.5 * i, 0, 0], None)
+                  for i in range(4)})
+    near_first_two = np.array([[0.0, 0.0, 0.1], [0.5, 0.0, 0.1]])
+
+    def query_and_count(pts):
+        trained.clear()
+        indexed.clear()
+        stats = field.query_batch(pts).stats
+        assert stats.n_nodes_trained == len(trained)
+        assert stats.sign_rebuilt == len(indexed)
+        assert stats.n_observed_indexed == sum(indexed)
+        return stats
+
+    first = query_and_count(near_first_two)
+    assert first == QueryStats(n_nodes_routed=2, n_nodes_trained=2,
+                               sign_rebuilt=1, n_observed_indexed=3)
+    again = query_and_count(near_first_two)
+    assert again == QueryStats(n_nodes_routed=2)
+
+    grid.set((0, 1, 0), VoxelState(0.01, 1.0, observed=True))
+    everywhere = np.array([[0.5 * i, 0.0, 0.1] for i in range(4)])
+    third = query_and_count(everywhere)
+    assert third == QueryStats(n_nodes_routed=4, n_nodes_trained=2,
+                               sign_rebuilt=1, n_observed_indexed=4)
+    assert capsys.readouterr() == ("", "")

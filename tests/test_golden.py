@@ -1,18 +1,22 @@
 """Golden-output check: a fixed run must reproduce recorded bytes exactly.
 
 Eight frames of the acceptance-3 sphere orbit (with an rgb property so
-the property paths run too) are integrated, one 500-point batch is
-queried, and the mesh, the snapshot file and the query distances are
-hashed together. The digest was recorded before the voxel-key layer was
-rewritten; refactors that claim to compute the same outputs must keep
-it. It depends on the floating-point results of this numpy/scipy build,
-so on another platform first check that the unrefactored code gives the
-same digest before reading a mismatch as a behaviour change.
+the property paths run too) are integrated and one 500-point batch is
+queried. ``GOLDEN_SHA256`` hashes the mesh, the snapshot file and the
+query distances; it was recorded before the voxel-key layer was
+rewritten. ``QUERY_GOLDEN_SHA256`` hashes the rest of the same batch's
+outputs (variances, gradients, properties, property variances and
+free-space flags); it was recorded before the global query path was
+restructured. Refactors that claim to compute the same outputs must keep
+both. They depend on the floating-point results of this numpy/scipy
+build, so on another platform first check that the unrefactored code
+gives the same digests before reading a mismatch as a behaviour change.
 """
 
 import hashlib
 
 import numpy as np
+import pytest
 
 from gpfield.pipeline import Pipeline, PipelineConfig
 from gpfield.scene import (Primitive, SensorModel, SyntheticScene,
@@ -20,9 +24,13 @@ from gpfield.scene import (Primitive, SensorModel, SyntheticScene,
 
 GOLDEN_SHA256 = (
     "5964837c3bdeba1a88dbba2f17762c86080337c92a22a0889ebf24da2ac6aa23")
+QUERY_GOLDEN_SHA256 = (
+    "7efd2f8b02838e4132afb66fe166c5a85c22d7c7ea8cb81d9c1946d2047e38a4")
 
 
-def golden_digest(tmp_path) -> str:
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """(mesh, snapshot bytes, query result) of the fixed run."""
     scene = SyntheticScene([Primitive("sphere", radius=1.0,
                                       prop=[0.9, 0.4, 0.1])],
                            prop_channels=3)
@@ -37,18 +45,34 @@ def golden_digest(tmp_path) -> str:
     for pose in poses:
         pipe.integrate_frame(render_frame(scene, sensor, pose))
     mesh = pipe.export_mesh()
-    snap = tmp_path / "golden.snap"
+    snap = tmp_path_factory.mktemp("golden") / "golden.snap"
     pipe.save_snapshot(snap)
     queries = np.random.default_rng(81).uniform(-1.5, 1.5, size=(500, 3))
     res = pipe.field.query_batch(queries)
+    return mesh, snap.read_bytes(), res
 
+
+def _hash(arrays) -> str:
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
-    h.update(np.ascontiguousarray(mesh.triangles, dtype="<i8").tobytes())
-    h.update(snap.read_bytes())
-    h.update(np.ascontiguousarray(res.distances, dtype="<f8").tobytes())
+    for a, dtype in arrays:
+        h.update(np.ascontiguousarray(a, dtype=dtype).tobytes())
     return h.hexdigest()
 
 
-def test_golden_outputs_are_unchanged(tmp_path):
-    assert golden_digest(tmp_path) == GOLDEN_SHA256
+def test_golden_outputs_are_unchanged(golden_run):
+    mesh, snap, res = golden_run
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(mesh.vertices, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(mesh.triangles, dtype="<i8").tobytes())
+    h.update(snap)
+    h.update(np.ascontiguousarray(res.distances, dtype="<f8").tobytes())
+    assert h.hexdigest() == GOLDEN_SHA256
+
+
+def test_golden_query_outputs_are_unchanged(golden_run):
+    _, _, res = golden_run
+    assert res.properties is not None
+    digest = _hash([(res.variances, "<f8"), (res.gradients, "<f8"),
+                    (res.properties, "<f8"), (res.prop_variances, "<f8"),
+                    (res.free_space, "?")])
+    assert digest == QUERY_GOLDEN_SHA256

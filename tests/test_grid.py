@@ -369,6 +369,58 @@ def test_observed_voxels_lists_only_observed():
     assert got[(40, -3, 2)] == pytest.approx(-0.02, abs=1e-6)
 
 
+def reference_observed_voxels(grid):
+    """The per-leaf loop observed_voxels replaced, kept as its oracle."""
+    coords, dists = [], []
+    for leaf in grid.leaves():
+        flat = np.flatnonzero(leaf.value_mask & leaf.observed)
+        if len(flat) == 0:
+            continue
+        local = np.stack([flat >> 6, (flat >> 3) & 7, flat & 7], axis=1)
+        coords.append(local + np.asarray(leaf.origin, dtype=np.int64))
+        dists.append(leaf.distance[flat].astype(np.float64))
+    if not coords:
+        return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
+    return np.concatenate(coords), np.concatenate(dists)
+
+
+def assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(-3, 3), st.integers(0, 3)),
+                max_size=12),
+       st.integers(0, 2 ** 32 - 1))
+def test_observed_voxels_matches_per_leaf_reference(leaves, seed):
+    """Same order, values and dtypes as the per-leaf loop, for an empty
+    grid, leaves with nothing observed, unset voxels flagged observed,
+    and leaves at both ends of the key range."""
+    rng = np.random.default_rng(seed)
+    grid = SparseGrid(voxel_size=0.1)
+    assert_same_arrays(grid.observed_voxels(), reference_observed_voxels(grid))
+    edge = KEY_BIAS - LEAF_SIZE
+    for i, j, k, fill in leaves:
+        origin = (i * LEAF_SIZE, j * LEAF_SIZE, k * LEAF_SIZE)
+        if fill == 3:
+            origin = (edge, -KEY_BIAS, edge) if i % 2 else (-KEY_BIAS,) * 3
+        leaf = grid.get_or_create_leaf(origin)
+        if fill == 0:
+            continue     # allocated, nothing set
+        leaf.value_mask |= rng.random(LEAF_VOXELS) < 0.3
+        leaf.distance[:] = rng.normal(size=LEAF_VOXELS).astype(np.float32)
+        # fill 1 sets values without observing them; observed alone must
+        # not count
+        if fill >= 2:
+            leaf.observed |= rng.random(LEAF_VOXELS) < 0.5
+    got = grid.observed_voxels()
+    assert_same_arrays(got, reference_observed_voxels(grid))
+    assert got[0].dtype == np.int64 and got[1].dtype == np.float64
+
+
 def test_version_advances_on_mutation():
     grid = SparseGrid(voxel_size=0.1)
     v0 = grid.version
