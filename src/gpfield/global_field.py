@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import gp
-from .grid import SparseGrid, grid_to_world, group_by
+from .grid import KEY_BIAS, SparseGrid, grid_to_world, group_by
 
 
 class EmptyField(RuntimeError):
@@ -209,13 +209,15 @@ class GlobalField:
         Each routed node runs one gp.moments call over its rows; the
         elementwise rest (clips, reverting, variance propagation,
         gradient normalization) runs once over the whole batch.
-        Raises ValueError if q < 1.
+        Raises ValueError if q < 1, or naming the first row that is not
+        finite or, on a field with a grid, lies outside the voxel key range.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         m = len(pts)
         q = self.query_nodes if q is None else int(q)
         if q < 1:
             raise ValueError(f"q must be at least 1, got {q}")
+        self._check_rows(pts)
         if not self.nodes:
             raise EmptyField("global field has no nodes")
         if m == 0:
@@ -228,6 +230,10 @@ class GlobalField:
         dist, idx = self._tree.query(pts, k=kq)
         dist = dist.reshape(m, kq)
         idx = idx.reshape(m, kq)
+        if (idx[:, -1] == n_nodes).any():
+            # centroid distances overflowed: only a grid-less field gets here
+            self._reject(int(np.argmax(idx[:, -1] == n_nodes)), pts,
+                         "is too far from every node to route")
         # deterministic tie-break: equal centroid distances prefer the
         # node earlier in lexicographic origin order
         order = np.lexsort((idx, dist), axis=-1)
@@ -295,6 +301,27 @@ class GlobalField:
                                 gradients=grad, properties=props,
                                 prop_variances=pvar, free_space=~known,
                                 stats=stats)
+
+    def _check_rows(self, pts: np.ndarray) -> None:
+        finite = np.isfinite(pts).all(axis=1)
+        inside = finite
+        if self.grid is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = np.floor(pts / self.grid.voxel_size)
+            inside = finite & ((v >= -KEY_BIAS) & (v < KEY_BIAS)).all(axis=1)
+        if inside.all():
+            return
+        i = int(np.argmin(inside))
+        if not finite[i]:
+            self._reject(i, pts, "is not finite")
+        reach = KEY_BIAS * self.grid.voxel_size
+        self._reject(i, pts, "lies outside the voxel key range "
+                     f"[-{reach:g}, {reach:g}) m")
+
+    @staticmethod
+    def _reject(i: int, pts: np.ndarray, why: str):
+        row = ", ".join(f"{x:.9g}" for x in pts[i])
+        raise ValueError(f"query row {i} ({row}) {why}")
 
     def _empty_result(self) -> BatchQueryResult:
         """Zero-length result; properties exist if every node has them."""

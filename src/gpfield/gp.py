@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist
 
@@ -91,6 +90,17 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(chol chol^T)^-1 b as two triangular solves, with the bits of
+    solve_triangular(chol.T, solve_triangular(chol, b, lower=True),
+    lower=False) for a C-ordered factor, whose transpose is F-ordered and
+    goes to trtrs as an upper factor without a copy."""
+    x, info = dtrtrs(chol.T, _solve_lower(chol, b), lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+    return x
+
+
 def _cholesky_with_jitter(k: np.ndarray, noise2: float, sigma2: float) -> np.ndarray:
     n = k.shape[0]
     eye = np.eye(n)
@@ -145,9 +155,7 @@ def train(points: np.ndarray, params: KernelParams,
         raise ValueError("cannot train on an empty point set")
     k = _kernel_matrix(x, x, params)
     chol = _cholesky_with_jitter(k, params.noise2, params.sigma2)
-    ones = np.ones(len(x))
-    alpha = solve_triangular(chol.T, solve_triangular(chol, ones, lower=True),
-                             lower=False)
+    alpha = _cho_solve(chol, np.ones(len(x)))
     model = GpLeafModel(train_points=x, params=params, chol=chol,
                         alpha_occ=alpha, centroid=x.mean(axis=0))
     if properties is not None:
@@ -158,8 +166,7 @@ def train(points: np.ndarray, params: KernelParams,
             cp = _cholesky_with_jitter(k, params.prop_noise2, params.sigma2)
         model.properties = p
         model.chol_prop = cp
-        model.alpha_prop = solve_triangular(
-            cp.T, solve_triangular(cp, p, lower=True), lower=False)
+        model.alpha_prop = _cho_solve(cp, p)
     return model
 
 

@@ -6,8 +6,9 @@ the lexicographic order of the triples; ``group_by`` sorts such keys once
 and splits rows into runs. Every module that deduplicates voxels or
 buckets rows by leaf goes through these two, so the key layout is decided
 here alone. Leaves are dense numpy blocks of 8^3 voxels held in one dict
-keyed by the packed key of their origin, so a lookup is one hash probe
-regardless of map extent.
+keyed by the packed key of their origin, so finding a leaf is one hash
+probe regardless of map extent; a bulk lookup instead binary-searches a
+cached sorted array of those keys.
 """
 
 from __future__ import annotations
@@ -170,6 +171,9 @@ class SparseGrid:
         self.prop_channels = int(prop_channels)
         # packed leaf-origin key -> leaf, in allocation order
         self._leaves: dict[int, LeafNode] = {}
+        # allocated leaf keys in ascending order and their leaves, built by
+        # lookup and dropped whenever a leaf is allocated
+        self._sorted: Optional[tuple[np.ndarray, list]] = None
         self._active: dict[tuple[int, int, int], LeafNode] = {}
         # bumped on every mutation; lets callers cache derived structures
         self.version = 0
@@ -190,6 +194,7 @@ class SparseGrid:
         if leaf is None:
             origin = tuple((int(v) >> LEAF_LOG2) << LEAF_LOG2 for v in coord)
             leaf = self._leaves[key] = LeafNode(origin, self.prop_channels)
+            self._sorted = None
             self.version += 1
         return leaf
 
@@ -267,22 +272,38 @@ class SparseGrid:
         dist = np.zeros(n, dtype=np.float64)
         weight = np.zeros(n, dtype=np.float64)
         obs = np.zeros(n, dtype=bool)
-        if n == 0:
+        # keyed first, so out-of-range rows raise on an empty grid too
+        keys = leaf_keys(pack_keys(coords))
+        if n == 0 or not self._leaves:
             return found, dist, weight, obs
-        groups = group_by(leaf_keys(pack_keys(coords)))
-        flat = local_flat_index(coords)
-        for key, rows in zip(groups.keys.tolist(), groups.rows()):
-            leaf = self._leaves.get(key)
-            if leaf is None:
-                continue
-            idx = flat[rows]
-            mask = leaf.value_mask[idx]
-            rows = rows[mask]
-            idx = idx[mask]
-            found[rows] = True
-            dist[rows] = leaf.distance[idx]
-            weight[rows] = leaf.dist_weight[idx]
-            obs[rows] = leaf.observed[idx]
+        if self._sorted is None:
+            order = sorted(self._leaves)
+            self._sorted = (np.array(order, dtype=np.int64),
+                            [self._leaves[k] for k in order])
+        sorted_keys, sorted_leaves = self._sorted
+        slot = np.searchsorted(sorted_keys, keys)
+        slot[slot == len(sorted_keys)] = 0
+        rows = np.flatnonzero(sorted_keys[slot] == keys)
+        if len(rows) == 0:
+            return found, dist, weight, obs
+        # stack only the leaves some row hits, in key order, and index the
+        # stacks by (hit slot, flat index)
+        slot = slot[rows]
+        hit = np.zeros(len(sorted_keys), dtype=bool)
+        hit[slot] = True
+        leaves = [sorted_leaves[i] for i in np.flatnonzero(hit).tolist()]
+        at = (np.cumsum(hit) - 1)[slot] * LEAF_VOXELS
+        at += local_flat_index(coords.take(rows, axis=0))
+
+        def gather(name):
+            return np.concatenate([getattr(leaf, name) for leaf in leaves]).take(at)
+
+        mask = gather("value_mask")
+        rows, at = rows[mask], at[mask]
+        found[rows] = True
+        dist[rows] = gather("distance")
+        weight[rows] = gather("dist_weight")
+        obs[rows] = gather("observed")
         return found, dist, weight, obs
 
     def gather_block(self, origin, shape):

@@ -164,6 +164,10 @@ class FrameStats:
     n_leaves_meshed: int = 0        # remesh targets
     n_mesh_vertices: int = 0        # vertices of their new leaf meshes
     n_nodes_replaced: int = 0       # entries handed to GlobalField.update
+    # test points kept after merging, by source
+    n_tp_ray: int = 0               # carving a stale surface before the band
+    n_tp_band: int = 0              # endpoint band
+    n_tp_normal: int = 0            # stepped along estimated normals
     stage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
 
@@ -244,6 +248,8 @@ class Pipeline:
                                               c.voxel_size, c.normal_reach)
         tps = query_points.merge(tp_ray, tp_norm)
         stats.n_test_points = len(tps)
+        (stats.n_tp_ray, stats.n_tp_band, stats.n_tp_normal) = np.bincount(
+            tps.sources, minlength=len(query_points.SOURCE_NAMES)).tolist()
         stats.stage_ms["test_points"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()

@@ -94,20 +94,22 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
     """Lockstep DDA over many rays from one origin.
 
     Returns flattened (coords, t_enter, ray_index) arrays covering each
-    ray from the origin voxel until entry t exceeds its range + extra.
+    ray from the origin voxel until entry t exceeds its range + extra,
+    step by step and, within a step, in ascending ray order. A ray is
+    dropped from the working arrays at the step it finishes, so each
+    step costs what the rays still running cost.
     """
     o = np.asarray(origin, dtype=np.float64).reshape(3)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
-    n = len(ends)
     h = voxel_size
     delta = ends - o
     rng = np.linalg.norm(delta, axis=1)
-    ok = rng > 1e-12
-    dirn = np.zeros_like(delta)
-    dirn[ok] = delta[ok] / rng[ok, None]
-    stop = rng + extra
+    live = np.flatnonzero(rng > 1e-12)
+    dirn = delta[live] / rng[live, None]
+    stop = rng[live] + extra
 
-    cur = np.tile(np.floor(o / h).astype(np.int64), (n, 1))
+    m = len(live)
+    cur = np.tile(np.floor(o / h).astype(np.int64), (m, 1))
     step = np.where(dirn > 0, 1, -1).astype(np.int64)
     with np.errstate(divide="ignore"):
         t_delta = np.where(dirn != 0, h / np.abs(dirn), np.inf)
@@ -115,24 +117,30 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
         t_max = np.where(dirn > 0, (lo + h - o) / dirn,
                          np.where(dirn < 0, (lo - o) / dirn, np.inf))
 
-    alive = ok.copy()
-    t_enter = np.zeros(n)
-    coords_parts = [cur.copy()[alive]]
-    t_parts = [t_enter[alive]]
-    ray_parts = [np.flatnonzero(alive)]
-    while alive.any():
-        axis = np.argmin(t_max, axis=1)
-        rows = np.arange(n)
-        t_next = t_max[rows, axis]
-        cur[rows, axis] += step[rows, axis]
-        t_max[rows, axis] += t_delta[rows, axis]
-        t_enter = t_next
-        alive &= t_enter <= stop
-        if not alive.any():
-            break
-        coords_parts.append(cur[alive].copy())
-        t_parts.append(t_enter[alive])
-        ray_parts.append(np.flatnonzero(alive))
+    row_start = np.arange(0, 3 * m, 3)
+    coords_parts = [cur.copy()]
+    t_parts = [np.zeros(m)]
+    ray_parts = [live]
+    while m:
+        # advance every running ray across its nearest boundary (ties go
+        # to the lowest axis), through flat row*3 + axis indices
+        flat = t_max.argmin(axis=1)
+        flat += row_start[:m]
+        t_enter = t_max.take(flat)
+        cur.put(flat, cur.take(flat) + step.take(flat))
+        t_max.put(flat, t_enter + t_delta.take(flat))
+        going = t_enter <= stop
+        if not going.all():
+            keep = np.flatnonzero(going)
+            cur, t_max, t_delta, step = (a.take(keep, axis=0) for a in
+                                         (cur, t_max, t_delta, step))
+            stop, live, t_enter = (a.take(keep) for a in (stop, live, t_enter))
+            m = len(live)
+            if not m:
+                break
+        coords_parts.append(cur.copy())
+        t_parts.append(t_enter)
+        ray_parts.append(live)
     return (np.concatenate(coords_parts),
             np.concatenate(t_parts),
             np.concatenate(ray_parts))
@@ -163,23 +171,41 @@ def generate(origin, coords: np.ndarray, centers: np.ndarray,
     dirs = centers - origin
     rng = np.linalg.norm(dirs, axis=1)
     dirn = dirs / np.maximum(rng, 1e-300)[:, None]
-    vox_centers = grid_to_world(vox, h)
-    t_center = np.einsum("ij,ij->i", vox_centers - origin, dirn[ray])
+    r = rng[ray]
 
-    in_band = np.abs(t_center - rng[ray]) <= band
-    before = t_center < rng[ray] - band
+    # The ray enters a voxel at t_enter on the voxel's boundary, and no
+    # point of the voxel is farther than h*sqrt(3)/2 from its centre, so
+    # the centre's projection t_center lies within 0.87h of t_enter (DDA
+    # rounding adds far less than the rest of the 2h margin). Only voxels
+    # entered within band + 2h of the range need t_center; every other
+    # voxel lies wholly before the band (sign +1, a carving candidate)
+    # or wholly after it (never emitted).
+    gap = t_enter - r
+    near = np.flatnonzero(np.abs(gap) <= band + 2.0 * h)
+    r_near = r[near]
+    t_center = np.einsum("ij,ij->i",
+                         grid_to_world(vox.take(near, axis=0), h) - origin,
+                         dirn.take(ray.take(near), axis=0))
+    in_band = np.zeros(len(vox), dtype=bool)
+    in_band[near] = np.abs(t_center - r_near) <= band
+    before = gap < 0.0
+    before[near] = t_center < r_near - band
+    behind = np.zeros(len(vox), dtype=bool)
+    behind[near] = ~(t_center < r_near)
+
     emit = in_band.copy()
-    if before.any():
+    cand = np.flatnonzero(before)
+    if len(cand):
         # carve only where the fused map still believes in a surface
-        cand = np.flatnonzero(before)
-        found, dist, _, observed = grid.lookup(vox[cand])
+        found, dist, _, observed = grid.lookup(vox.take(cand, axis=0))
         stale = found & observed & (np.abs(dist) <= band)
         emit[cand[stale]] = True
 
     keep = np.flatnonzero(emit)
-    signs = np.where(t_center[keep] < rng[ray[keep]], 1, -1)
+    signs = np.where(behind[keep], -1, 1)
     sources = np.where(in_band[keep], SOURCE_BAND, SOURCE_RAY).astype(np.uint8)
-    return dedup_first(vox[keep], vox_centers[keep], signs, sources)
+    out = vox.take(keep, axis=0)
+    return dedup_first(out, grid_to_world(out, h), signs, sources)
 
 
 def estimate_normals(centers: np.ndarray, origin, k: int = 10):

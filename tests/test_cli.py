@@ -166,6 +166,16 @@ def test_query_verb_input_errors(workdir, capsys):
     assert err.count("error:") == 2
 
 
+@pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "1e300,0,0"])
+def test_query_verb_bad_point_is_one_error_line(workdir, capsys, point):
+    assert main(["query", str(workdir / "map.snap"), "1.5,0,0", point]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: query row 1 (")
+
+
 def test_query_verb_truncated_snapshot_is_one_error_line(workdir, tmp_path,
                                                         capsys):
     cut = tmp_path / "cut.snap"

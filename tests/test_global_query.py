@@ -17,7 +17,7 @@ from scipy.linalg import solve_triangular
 
 from gpfield import gp
 from gpfield.global_field import GlobalField, QueryStats
-from gpfield.grid import SparseGrid, VoxelState, group_by
+from gpfield.grid import KEY_BIAS, SparseGrid, VoxelState, group_by
 from gpfield.local_field import LocalField
 
 # -- reference: the per-node inference calls and loops as they were ----------
@@ -303,6 +303,33 @@ def test_query_nodes_below_one_is_rejected(q):
         field.query_batch(np.zeros((2, 3)), q=q)
     with pytest.raises(ValueError, match=r"\bq\b"):
         GlobalField(PARAM_SETS[0], query_nodes=q).query_batch(np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
+                                 (0.0, 0.0, -np.inf), (1e300, 0.0, 0.0),
+                                 (0.0, -1e300, 0.0)])
+@pytest.mark.parametrize("with_grid", [False, True])
+def test_bad_query_rows_raise_one_value_error_naming_the_row(bad, with_grid):
+    grid = SparseGrid(voxel_size=0.05) if with_grid else None
+    field = two_node_field(False, grid)
+    pts = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0], bad, bad])
+    with pytest.raises(ValueError, match=r"^query row 2 \("):
+        field.query_batch(pts)
+    assert field.query_batch(pts[:2]).distances.shape == (2,)
+
+
+def test_query_rows_at_the_voxel_key_range_edges():
+    """Rows whose voxel lies in [-2^20, 2^20) work; one voxel past either
+    edge is rejected with the range in the message."""
+    h = 0.05
+    field = two_node_field(False, SparseGrid(voxel_size=h))
+    lo = -KEY_BIAS * h + 0.25 * h
+    hi = (KEY_BIAS - 1) * h + 0.25 * h
+    res = field.query_batch(np.array([[lo, 0.0, 0.0], [0.0, hi, 0.0]]))
+    assert np.isfinite(res.distances).all()
+    for past in ([lo - h, 0.0, 0.0], [0.0, 0.0, hi + h]):
+        with pytest.raises(ValueError, match=r"query row 1 .* voxel key range"):
+            field.query_batch(np.array([[0.0, 0.0, 0.0], past]))
 
 
 # -- query stats ----------------------------------------------------------------

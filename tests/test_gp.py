@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from gpfield.gp import (
     GpLeafModel,
     KernelParams,
+    _cholesky_with_jitter,
     _kernel_matrix,
     infer_distance_gradient,
     infer_occupancy,
@@ -111,6 +115,84 @@ def test_train_duplicate_points_survives_via_jitter():
     model = train(pts, p)
     o, _ = infer_occupancy(model, np.array([0.2, 0.2, 0.2]))
     assert revert_distance(o, p) < 1e-3
+
+
+def reference_train(points, params, properties=None):
+    """gp.train as it was, with scipy's solve_triangular for the solves."""
+    x = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    k = _kernel_matrix(x, x, params)
+    chol = _cholesky_with_jitter(k, params.noise2, params.sigma2)
+    alpha = solve_triangular(
+        chol.T, solve_triangular(chol, np.ones(len(x)), lower=True),
+        lower=False)
+    cp = ap = None
+    if properties is not None:
+        p = np.asarray(properties, dtype=np.float64).reshape(len(x), -1)
+        if params.prop_noise2 == params.noise2:
+            cp = chol
+        else:
+            cp = _cholesky_with_jitter(k, params.prop_noise2, params.sigma2)
+        ap = solve_triangular(cp.T, solve_triangular(cp, p, lower=True),
+                              lower=False)
+    return chol, alpha, cp, ap
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(["zero", "shared", "own"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_train_matches_solve_triangular_bit_for_bit(j, n_dup, channels,
+                                                    prop_noise, seed):
+    """Factors and weights equal the solve_triangular path's bits, for
+    one-point models, duplicated points that need jitter (noise2 = 0),
+    a property factor shared with the occupancy one and one of its own."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-0.3, 0.3, size=(j, 3))
+    if n_dup:
+        pts = np.concatenate([pts, pts[rng.integers(0, j, size=n_dup)]])
+    noise2 = 0.0 if prop_noise == "zero" else 1e-4
+    params = KernelParams(length_scale=0.15, noise2=noise2,
+                          prop_noise2=1e-2 if prop_noise == "own" else noise2)
+    props = rng.random((len(pts), channels)) if channels else None
+    model = train(pts, params, props)
+    chol, alpha, cp, ap = reference_train(pts, params, props)
+    assert_same_bits(model.chol, chol)
+    assert_same_bits(model.alpha_occ, alpha)
+    if props is None:
+        assert model.chol_prop is None and model.alpha_prop is None
+        return
+    assert_same_bits(model.chol_prop, cp)
+    assert_same_bits(model.alpha_prop, ap)
+    assert (model.chol_prop is model.chol) == (prop_noise != "own")
+
+
+def test_train_oracle_cases_reach_jitter_escalation():
+    """Duplicated points with zero noise fail the plain factorization, so
+    the bit-for-bit test above runs the jitter path."""
+    params = KernelParams(length_scale=0.15, noise2=0.0, prop_noise2=0.0)
+    pts = np.array([[0.1, 0.0, 0.0], [0.1, 0.0, 0.0]])
+    k = _kernel_matrix(pts, pts, params)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(k)
+    model = train(pts, params, np.ones((2, 1)))
+    chol, alpha, cp, ap = reference_train(pts, params, np.ones((2, 1)))
+    assert_same_bits(model.chol, chol)
+    assert_same_bits(model.alpha_occ, alpha)
+    assert_same_bits(model.alpha_prop, ap)
+
+
+def test_train_rejects_non_finite_properties_like_solve_triangular():
+    pts = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]])
+    props = np.array([[0.5], [np.nan]])
+    with pytest.raises(ValueError):
+        reference_train(pts, KernelParams(), props)
+    with pytest.raises(ValueError):
+        train(pts, KernelParams(), props)
 
 
 def test_infer_occupancy_at_lone_training_point():

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gpfield import meshing, pipeline
+from gpfield import meshing, pipeline, query_points
 from gpfield.pipeline import (
     FrameStats,
     Pipeline,
@@ -377,6 +377,37 @@ def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
         for s in pipe.stats
         for stage, ms in [*s.stage_ms.items(), ("total", s.total_ms)])
     assert buf.getvalue() == want
+
+
+def test_frame_stats_count_test_points_by_source(monkeypatch):
+    merged = []
+    real_merge = query_points.merge
+
+    def spy_merge(*sets):
+        out = real_merge(*sets)
+        merged.append(out.sources.copy())
+        return out
+
+    monkeypatch.setattr(query_points, "merge", spy_merge)
+    pipe = Pipeline(PipelineConfig())
+    frames = wall_frames(4)
+    # the last frame sees through where the wall stood, so it carves
+    frames.append(render_frame(SyntheticScene([Primitive(
+        "box", center=[3.025, 0.0, 0.0], half_extents=[0.05, 1.0, 1.0])]),
+        SensorModel(width=32, height=24, focal=30.0, max_range=6.0),
+        look_at([0.0, 0.0, 0.0], [2.0, 0.0, 0.0])))
+    for frame in frames:
+        pipe.integrate_frame(frame)
+
+    assert len(merged) == len(pipe.stats) == 5
+    for sources, st in zip(merged, pipe.stats):
+        want = [int((sources == s).sum()) for s in (query_points.SOURCE_RAY,
+                                                    query_points.SOURCE_BAND,
+                                                    query_points.SOURCE_NORMAL)]
+        assert [st.n_tp_ray, st.n_tp_band, st.n_tp_normal] == want
+        assert sum(want) == st.n_test_points
+        assert st.n_tp_band > 0 and st.n_tp_normal > 0
+    assert pipe.stats[0].n_tp_ray == 0 and pipe.stats[-1].n_tp_ray > 0
 
 
 def test_snapshot_round_trip_across_meshing_chunks(tmp_path):

@@ -1,0 +1,340 @@
+"""Test-point generation and grid lookup against the code they replaced.
+
+``query_points._traverse`` drops rays from its working arrays as they
+finish, ``query_points.generate`` computes voxel-centre projections only
+near each ray's endpoint, and ``SparseGrid.lookup`` finds leaves with a
+binary search over cached sorted leaf keys. The reference functions
+below are the lockstep DDA, the classify-every-voxel generator and the
+per-leaf lookup loop as they were; every output array must equal theirs
+in dtype, shape and bits.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gpfield import query_points
+from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
+                          VoxelState, grid_to_world, group_by, leaf_keys,
+                          local_flat_index, pack_keys)
+from gpfield.query_points import SOURCE_BAND, SOURCE_RAY, dedup_first
+
+# -- reference: the lockstep DDA, generator and lookup as they were ----------
+
+
+def reference_traverse(origin, ends, voxel_size, extra):
+    o = np.asarray(origin, dtype=np.float64).reshape(3)
+    ends = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
+    n = len(ends)
+    h = voxel_size
+    delta = ends - o
+    rng = np.linalg.norm(delta, axis=1)
+    ok = rng > 1e-12
+    dirn = np.zeros_like(delta)
+    dirn[ok] = delta[ok] / rng[ok, None]
+    stop = rng + extra
+
+    cur = np.tile(np.floor(o / h).astype(np.int64), (n, 1))
+    step = np.where(dirn > 0, 1, -1).astype(np.int64)
+    with np.errstate(divide="ignore"):
+        t_delta = np.where(dirn != 0, h / np.abs(dirn), np.inf)
+        lo = np.floor(o / h) * h
+        t_max = np.where(dirn > 0, (lo + h - o) / dirn,
+                         np.where(dirn < 0, (lo - o) / dirn, np.inf))
+
+    alive = ok.copy()
+    t_enter = np.zeros(n)
+    coords_parts = [cur.copy()[alive]]
+    t_parts = [t_enter[alive]]
+    ray_parts = [np.flatnonzero(alive)]
+    while alive.any():
+        axis = np.argmin(t_max, axis=1)
+        rows = np.arange(n)
+        t_next = t_max[rows, axis]
+        cur[rows, axis] += step[rows, axis]
+        t_max[rows, axis] += t_delta[rows, axis]
+        t_enter = t_next
+        alive &= t_enter <= stop
+        if not alive.any():
+            break
+        coords_parts.append(cur[alive].copy())
+        t_parts.append(t_enter[alive])
+        ray_parts.append(np.flatnonzero(alive))
+    return (np.concatenate(coords_parts),
+            np.concatenate(t_parts),
+            np.concatenate(ray_parts))
+
+
+def reference_lookup(grid, coords):
+    coords = np.asarray(coords, dtype=np.int64)
+    n = len(coords)
+    found = np.zeros(n, dtype=bool)
+    dist = np.zeros(n, dtype=np.float64)
+    weight = np.zeros(n, dtype=np.float64)
+    obs = np.zeros(n, dtype=bool)
+    if n == 0:
+        return found, dist, weight, obs
+    groups = group_by(leaf_keys(pack_keys(coords)))
+    flat = local_flat_index(coords)
+    for leaf, rows in zip(grid.leaves_at(groups.keys.tolist()), groups.rows()):
+        if leaf is None:
+            continue
+        idx = flat[rows]
+        mask = leaf.value_mask[idx]
+        rows = rows[mask]
+        idx = idx[mask]
+        found[rows] = True
+        dist[rows] = leaf.distance[idx]
+        weight[rows] = leaf.dist_weight[idx]
+        obs[rows] = leaf.observed[idx]
+    return found, dist, weight, obs
+
+
+def reference_generate(origin, coords, centers, grid, band_width=3):
+    origin = np.asarray(origin, dtype=np.float64).reshape(3)
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    if len(centers) == 0:
+        return query_points.TestPointSet.empty()
+    h = grid.voxel_size
+    band = band_width * h
+    vox, t_enter, ray = reference_traverse(origin, centers, h,
+                                           extra=(band_width + 2) * h)
+
+    dirs = centers - origin
+    rng = np.linalg.norm(dirs, axis=1)
+    dirn = dirs / np.maximum(rng, 1e-300)[:, None]
+    vox_centers = grid_to_world(vox, h)
+    t_center = np.einsum("ij,ij->i", vox_centers - origin, dirn[ray])
+
+    in_band = np.abs(t_center - rng[ray]) <= band
+    before = t_center < rng[ray] - band
+    emit = in_band.copy()
+    if before.any():
+        cand = np.flatnonzero(before)
+        found, dist, _, observed = reference_lookup(grid, vox[cand])
+        stale = found & observed & (np.abs(dist) <= band)
+        emit[cand[stale]] = True
+
+    keep = np.flatnonzero(emit)
+    signs = np.where(t_center[keep] < rng[ray[keep]], 1, -1)
+    sources = np.where(in_band[keep], SOURCE_BAND, SOURCE_RAY).astype(np.uint8)
+    return dedup_first(vox[keep], vox_centers[keep], signs, sources)
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        np.testing.assert_array_equal(g, w)
+
+
+def point_set_arrays(tps):
+    return tps.coords, tps.positions, tps.signs, tps.sources
+
+
+# -- inputs -------------------------------------------------------------------
+
+VOXEL_SIZES = [0.05, 0.1, 0.25, 1.0]
+
+
+@st.composite
+def origins(draw, h):
+    """Voxel-unit origins: on voxel boundaries, at centres or anywhere,
+    negative coordinates included."""
+    cells = draw(st.tuples(*[st.integers(-12, 12)] * 3))
+    kind = draw(st.sampled_from(["boundary", "centre", "any"]))
+    if kind == "boundary":
+        frac = np.zeros(3)
+    elif kind == "centre":
+        frac = np.full(3, 0.5)
+    else:
+        frac = np.array(draw(st.tuples(*[st.floats(0.0, 1.0,
+                                                   exclude_max=True)] * 3)))
+    return (np.asarray(cells, dtype=np.float64) + frac) * h
+
+
+@st.composite
+def ray_ends(draw, origin, h):
+    """Ray endpoints around the origin: arbitrary, axis-aligned, on voxel
+    boundaries, zero-length, and duplicates of an earlier endpoint."""
+    n = draw(st.integers(1, 24))
+    ends = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["any", "axis", "boundary", "zero", "dup"]))
+        off = np.array(draw(st.tuples(*[st.floats(-30.0, 30.0)] * 3))) * h
+        if kind == "axis":
+            keep = draw(st.integers(0, 2))
+            off = np.where(np.arange(3) == keep, off, 0.0)
+        elif kind == "boundary":
+            off = np.round(off / h) * h
+        elif kind == "zero":
+            off = np.zeros(3)
+        if kind == "dup" and ends:
+            ends.append(ends[draw(st.integers(0, len(ends) - 1))])
+        else:
+            ends.append(origin + off)
+    return np.array(ends)
+
+
+def fill_grid(grid, rng, leaf_range, n_leaves):
+    """Allocated leaves beside unallocated ones, holding stale (observed,
+    |d| within a few voxels), unobserved and far voxels and unset ones."""
+    h = grid.voxel_size
+    for _ in range(n_leaves):
+        lc = rng.integers(-leaf_range, leaf_range + 1, size=3) * LEAF_SIZE
+        leaf = grid.get_or_create_leaf(tuple(int(v) for v in lc))
+        leaf.value_mask |= rng.random(LEAF_VOXELS) < 0.6
+        leaf.observed |= rng.random(LEAF_VOXELS) < 0.6
+        leaf.distance[:] = (rng.uniform(-6.0, 6.0, LEAF_VOXELS) * h
+                            ).astype(np.float32)
+        leaf.dist_weight[:] = rng.random(LEAF_VOXELS).astype(np.float32)
+
+
+# -- traversal -----------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(VOXEL_SIZES), st.integers(0, 6))
+def test_traverse_matches_lockstep_reference(data, h, extra_voxels):
+    origin = data.draw(origins(h))
+    ends = data.draw(ray_ends(origin, h))
+    got = query_points._traverse(origin, ends, h, extra=extra_voxels * h)
+    assert_same_arrays(got, reference_traverse(origin, ends, h,
+                                               extra_voxels * h))
+
+
+def test_traverse_without_rays_or_with_only_zero_length_rays():
+    origin = np.array([0.05, -0.05, 0.0])
+    for ends in (np.zeros((0, 3)), np.array([origin, origin])):
+        got = query_points._traverse(origin, ends, 0.1, extra=0.3)
+        assert_same_arrays(got, reference_traverse(origin, ends, 0.1, 0.3))
+        assert len(got[0]) == 0
+
+
+# -- generation ----------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(VOXEL_SIZES), st.integers(0, 4),
+       st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_generate_matches_classify_every_voxel_reference(data, h, band_width,
+                                                         n_leaves, seed):
+    """Rays through a grid that is empty or holds stale, unobserved and
+    far voxels in allocated leaves next to unallocated ones."""
+    grid = SparseGrid(voxel_size=h)
+    fill_grid(grid, np.random.default_rng(seed), 3, n_leaves)
+    origin = data.draw(origins(h))
+    centers = data.draw(ray_ends(origin, h))
+    coords = np.floor(centers / h).astype(np.int64)
+    got = query_points.generate(origin, coords, centers, grid, band_width)
+    want = reference_generate(origin, coords, centers, grid, band_width)
+    assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
+
+
+def test_generate_reference_cases_reach_every_branch():
+    """The scenes above emit carving points, band points on both sides of
+    the endpoint and skip stale-free voxels before the band."""
+    rng = np.random.default_rng(5)
+    h = 0.1
+    grid = SparseGrid(voxel_size=h)
+    fill_grid(grid, rng, 2, 40)
+    origin = np.array([0.0, 0.0, 0.0])
+    centers = rng.uniform(-1.5, 1.5, size=(200, 3))
+    coords = np.floor(centers / h).astype(np.int64)
+    got = query_points.generate(origin, coords, centers, grid, 2)
+    want = reference_generate(origin, coords, centers, grid, 2)
+    assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
+    ray = got.sources == SOURCE_RAY
+    assert ray.sum() > 50 and (got.signs[ray] == 1).all()
+    band = got.sources == SOURCE_BAND
+    assert (got.signs[band] == 1).any() and (got.signs[band] == -1).any()
+    vox, _, _ = reference_traverse(origin, centers, h, 4 * h)
+    assert len(np.unique(vox, axis=0)) > len(got) + 1000
+
+
+def test_generate_matches_reference_on_rendered_frames(monkeypatch):
+    """Every frame of a short sphere orbit, against the map it saw."""
+    from gpfield.pipeline import Pipeline, PipelineConfig
+    from gpfield.scene import (Primitive, SensorModel, SyntheticScene,
+                               orbit_trajectory, render_frame)
+
+    seen = []
+    real = query_points.generate
+
+    def spy(origin, coords, centers, grid, band_width=3):
+        want = reference_generate(origin, coords, centers, grid, band_width)
+        got = real(origin, coords, centers, grid, band_width)
+        seen.append(len(got))
+        assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
+        return got
+
+    monkeypatch.setattr(query_points, "generate", spy)
+    scene = SyntheticScene([Primitive("sphere", radius=1.0)])
+    sensor = SensorModel(kind="pinhole", width=32, height=24, focal=30.0,
+                         max_range=8.0, noise_sigma=0.005, seed=3)
+    pipe = Pipeline(PipelineConfig(voxel_size=0.05, length_scale=0.1,
+                                   d_max=0.55))
+    for pose in orbit_trajectory([0, 0, 0], 2.5, 12)[:4]:
+        pipe.integrate_frame(render_frame(scene, sensor, pose))
+    assert len(seen) == 4 and min(seen) > 0
+
+
+# -- lookup --------------------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                          st.integers(-3, 3), st.booleans()), max_size=10),
+       st.integers(0, 300), st.integers(0, 2 ** 32 - 1))
+def test_lookup_matches_per_leaf_reference(leaves, n_queries, seed):
+    """Allocated, unallocated and edge-of-range leaves, duplicate rows."""
+    rng = np.random.default_rng(seed)
+    grid = SparseGrid(voxel_size=0.1)
+    edge = KEY_BIAS - LEAF_SIZE
+    for i, j, k, at_edge in leaves:
+        origin = (i * LEAF_SIZE, j * LEAF_SIZE, k * LEAF_SIZE)
+        if at_edge:
+            origin = (edge, -KEY_BIAS, edge) if i % 2 else (-KEY_BIAS,) * 3
+        leaf = grid.get_or_create_leaf(origin)
+        leaf.value_mask |= rng.random(LEAF_VOXELS) < 0.5
+        leaf.observed |= rng.random(LEAF_VOXELS) < 0.5
+        leaf.distance[:] = rng.normal(size=LEAF_VOXELS).astype(np.float32)
+        leaf.dist_weight[:] = rng.random(LEAF_VOXELS).astype(np.float32)
+    near = rng.integers(-4 * LEAF_SIZE, 4 * LEAF_SIZE, size=(n_queries, 3))
+    ends = np.array([[edge, -KEY_BIAS, edge], [-KEY_BIAS] * 3, [edge] * 3],
+                    dtype=np.int64)
+    queries = np.concatenate([near, ends + rng.integers(0, LEAF_SIZE, (3, 3))])
+    queries = np.concatenate([queries, queries[rng.integers(
+        0, len(queries), size=len(queries) // 3)]])
+    assert_same_arrays(grid.lookup(queries), reference_lookup(grid, queries))
+    assert_same_arrays(grid.lookup(queries[:0]),
+                       reference_lookup(grid, queries[:0]))
+
+
+def test_lookup_sees_leaves_created_after_an_earlier_call():
+    """A sorted-key cache kept across leaf allocations would miss these."""
+    grid = SparseGrid(voxel_size=0.1)
+    queries = np.array([[1, 2, 3], [-9, 0, 4], [40, -17, 8], [1, 2, 3]])
+    grid.set((1, 2, 3), VoxelState(distance=0.5, dist_weight=1.0,
+                                   observed=True))
+    assert_same_arrays(grid.lookup(queries), reference_lookup(grid, queries))
+    # allocation through set() and through get_or_create_leaf()
+    grid.set((-9, 0, 4), VoxelState(distance=-0.25, dist_weight=2.0,
+                                    observed=True))
+    leaf = grid.get_or_create_leaf((40, -17, 8))
+    n = leaf.local_index((40, -17, 8))
+    leaf.value_mask[n] = True
+    leaf.distance[n] = 0.125
+    got = grid.lookup(queries)
+    assert_same_arrays(got, reference_lookup(grid, queries))
+    assert got[0].tolist() == [True, True, True, True]
+    assert got[1].tolist() == [0.5, -0.25, 0.125, 0.5]
+
+
+def test_lookup_on_empty_grid_still_checks_the_key_range():
+    grid = SparseGrid(voxel_size=0.1)
+    assert_same_arrays(grid.lookup(np.array([[0, 0, 0]])),
+                       reference_lookup(grid, np.array([[0, 0, 0]])))
+    with pytest.raises(ValueError):
+        grid.lookup(np.array([[0, 0, 0], [KEY_BIAS, 0, 0]]))
