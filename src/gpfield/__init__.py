@@ -18,7 +18,7 @@ from .pipeline import (EmptyInput, FrameStats, Pipeline, PipelineConfig,
                        eval_chamfer,
                        eval_distance_rmse, export_slice, lattice_points,
                        write_stats_csv)
-from .query_points import TestPoint, TestPointSet
+from .query_points import TestPointSet
 from .scene import (Primitive, SensorModel, SyntheticScene, load_scene,
                     look_at, orbit_trajectory, parse_scene, render_frame,
                     sphere_trace, surface_samples)
@@ -30,8 +30,8 @@ __all__ = [
     "EmptyInput", "FieldQueryResult", "Frame", "FrameStats", "FusionConfig",
     "FusionStats",
     "GlobalField", "KernelParams", "LocalField", "Pipeline", "PipelineConfig",
-    "Primitive", "SensorModel", "SparseGrid", "SyntheticScene", "TestPoint",
-    "TestPointSet", "TriangleMesh", "VoxelState", "eval_chamfer",
+    "Primitive", "SensorModel", "SparseGrid", "SyntheticScene", "TestPointSet",
+    "TriangleMesh", "VoxelState", "eval_chamfer",
     "eval_distance_rmse", "export_slice", "fuse_frame", "fuse_point",
     "grid_to_world", "lattice_points", "load_scene", "look_at",
     "marching_cubes", "orbit_trajectory", "parse_scene", "render_frame",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import gp
-from .grid import KEY_BIAS, SparseGrid, grid_to_world, group_by
+from .grid import KEY_BIAS, SparseGrid, grid_to_world
 
 
 class EmptyField(RuntimeError):
@@ -224,54 +224,18 @@ class GlobalField:
             return self._empty_result()
         self._ensure_tree()
         stats = QueryStats()
-        n_nodes = len(self._tree_nodes)
-        k = min(q, n_nodes)
-        kq = min(q + 1, n_nodes)
-        dist, idx = self._tree.query(pts, k=kq)
-        dist = dist.reshape(m, kq)
-        idx = idx.reshape(m, kq)
-        if (idx[:, -1] == n_nodes).any():
-            # centroid distances overflowed: only a grid-less field gets here
-            self._reject(int(np.argmax(idx[:, -1] == n_nodes)), pts,
-                         "is too far from every node to route")
-        # deterministic tie-break: equal centroid distances prefer the
-        # node earlier in lexicographic origin order
-        order = np.lexsort((idx, dist), axis=-1)
-        rows = np.arange(m)
-        sel = idx[rows[:, None], order][:, :k]
-
-        # each row's k nodes are distinct, so sorting the flat (row, slot)
-        # indices of sel by node gives every node one run of its rows,
-        # ascending; the GP outputs are kept in that node order
-        groups = group_by(sel.ravel())
-        nodes = [self._tree_nodes[u] for u in groups.keys.tolist()]
-        stats.n_nodes_routed = len(nodes)
-        for node in nodes:
+        sel = gp.route(self._tree, pts, q)
+        models = {}
+        for i in np.flatnonzero(np.bincount(sel.ravel())).tolist():
+            node = self._tree_nodes[i]
             stats.n_nodes_trained += self._ensure_trained(node)
-
-        n = m * k
-        xs = pts[groups.order // k]
-        o = np.empty(n)
-        u = np.empty(n)
-        g = np.empty((n, 3))
-        has_props = all(node.props is not None for node in nodes)
-        pdim = nodes[0].props.shape[1] if has_props else 0
-        c = np.empty((n, pdim)) if has_props else None
-        w = np.empty(n) if has_props else None
-        bounds = groups.starts.tolist()
-        for node, a, b in zip(nodes, bounds[:-1], bounds[1:]):
-            mo = gp.moments(node.model, xs[a:b], gradient=True,
-                            properties=has_props)
-            o[a:b] = mo.occupancy
-            u[a:b] = mo.occ_variance
-            g[a:b] = mo.gradient
-            if has_props:
-                c[a:b] = mo.properties
-                w[a:b] = mo.prop_variance
-        # position in node order of each (row, slot)
-        at = np.empty(n, dtype=np.int64)
-        at[groups.order] = np.arange(n)
-        at = at.reshape(m, k)
+            models[i] = node.model
+        stats.n_nodes_routed = len(models)
+        has_props = all(self._tree_nodes[i].props is not None for i in models)
+        mo, at = gp.routed_moments(models, pts, sel, gradient=True,
+                                   properties=has_props)
+        o, u, g, c, w = mo
+        rows = np.arange(m)
 
         p = self.params
         dq = gp.revert_distance(o[at], p)
@@ -303,25 +267,14 @@ class GlobalField:
                                 stats=stats)
 
     def _check_rows(self, pts: np.ndarray) -> None:
-        finite = np.isfinite(pts).all(axis=1)
-        inside = finite
-        if self.grid is not None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                v = np.floor(pts / self.grid.voxel_size)
-            inside = finite & ((v >= -KEY_BIAS) & (v < KEY_BIAS)).all(axis=1)
-        if inside.all():
-            return
-        i = int(np.argmin(inside))
-        if not finite[i]:
-            self._reject(i, pts, "is not finite")
+        if self.grid is None:
+            return gp.check_rows(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.floor(pts / self.grid.voxel_size)
         reach = KEY_BIAS * self.grid.voxel_size
-        self._reject(i, pts, "lies outside the voxel key range "
-                     f"[-{reach:g}, {reach:g}) m")
-
-    @staticmethod
-    def _reject(i: int, pts: np.ndarray, why: str):
-        row = ", ".join(f"{x:.9g}" for x in pts[i])
-        raise ValueError(f"query row {i} ({row}) {why}")
+        gp.check_rows(pts, ((v >= -KEY_BIAS) & (v < KEY_BIAS)).all(axis=1),
+                      "lies outside the voxel key range "
+                      f"[-{reach:g}, {reach:g}) m")
 
     def _empty_result(self) -> BatchQueryResult:
         """Zero-length result; properties exist if every node has them."""

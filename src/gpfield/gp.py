@@ -15,7 +15,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
+
+from .grid import group_by
 
 RATIO_EPS = 1e-12
 # occupancy ratio above this counts as on-surface for variance purposes
@@ -217,6 +220,72 @@ def moments(model: GpLeafModel, q: np.ndarray, variance: bool = True,
         v = _solve_lower(model.chol_prop, kq.T)
         w = params.sigma2 - np.einsum("ij,ij->j", v, v)
     return Moments(o, u, g, c, w)
+
+
+def check_rows(pts: np.ndarray, inside: Optional[np.ndarray] = None,
+               why: str = "") -> None:
+    """Raise one ValueError naming the first query row that is not finite
+    or, where an inside mask is given, is False in it (for reason why)."""
+    finite = np.isfinite(pts).all(axis=1)
+    ok = finite if inside is None else finite & inside
+    if not ok.all():
+        i = int(np.argmin(ok))
+        _reject_row(pts, i, why if finite[i] else "is not finite")
+
+
+def _reject_row(pts: np.ndarray, i: int, why: str):
+    row = ", ".join(f"{x:.9g}" for x in pts[i])
+    raise ValueError(f"query row {i} ({row}) {why}")
+
+
+def route(tree: cKDTree, pts: np.ndarray, k: int) -> np.ndarray:
+    """(m, min(k, tree.n)) indices of each row's nearest centroids, nearest
+    first.
+
+    Exact distance ties go to the lower index: of k + 1 neighbours, the
+    rows holding a tie are sorted by (distance, index); the tree returns
+    the others in that order. Raises ValueError naming the first row too
+    far from every centroid to route (its squared distances overflow).
+    """
+    n, m = tree.n, len(pts)
+    kq = min(k + 1, n)
+    dist, idx = tree.query(pts, k=kq)
+    dist = dist.reshape(m, kq)
+    idx = idx.reshape(m, kq)
+    far = idx[:, -1] == n
+    if far.any():
+        _reject_row(pts, int(np.argmax(far)),
+                    "is too far from every model to route")
+    tied = (dist[:, 1:] == dist[:, :-1]).any(axis=1)
+    if tied.any():
+        order = np.lexsort((idx[tied], dist[tied]), axis=-1)
+        idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+    return idx[:, :k]
+
+
+def routed_moments(models, pts: np.ndarray, sel: np.ndarray,
+                   gradient: bool = False, properties: bool = False):
+    """One moments call per model routed in sel (see route) over its rows,
+    ascending; models[i] is the model of index i, and models[0] shapes the
+    outputs of an empty batch. Returns (mo, at): the stacked Moments in
+    ascending model order and the (m, k) position in mo of each (row,
+    slot) of sel. A row's k models are distinct, so sorting the flat (row,
+    slot) indices of sel by model gives every model one run of its rows."""
+    m, k = sel.shape
+    groups = group_by(sel.ravel())
+    xs = pts[groups.order // k]
+    bounds = groups.starts.tolist()
+    parts = [moments(models[i], xs[a:b], gradient=gradient,
+                     properties=properties)
+             for i, a, b in zip(groups.keys.tolist(), bounds[:-1], bounds[1:])]
+    if not parts:
+        parts = [moments(models[0], xs, gradient=gradient,
+                         properties=properties)]
+    mo = Moments(*(None if f[0] is None else np.concatenate(f)
+                   for f in zip(*parts)))
+    at = np.empty(m * k, dtype=np.int64)
+    at[groups.order] = np.arange(m * k)
+    return mo, at.reshape(m, k)
 
 
 def clip_variance(u, params: KernelParams):

@@ -106,23 +106,10 @@ class LocalField:
         return bool(self.models) and self.models[0].alpha_prop is not None
 
     def nearest_model(self, points: np.ndarray) -> np.ndarray:
-        """Index of the routing model per query point.
-
-        Exact centroid-distance ties resolve to the model whose leaf
-        origin sorts first lexicographically (models are stored in that
-        order, so the smaller index wins).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        k = min(2, len(self.models))
-        dist, idx = self._tree.query(pts, k=k)
-        if k == 1:
-            return np.atleast_1d(idx).reshape(len(pts))
-        dist = dist.reshape(len(pts), k)
-        idx = idx.reshape(len(pts), k)
-        best = idx[:, 0].copy()
-        tied = dist[:, 0] == dist[:, 1]
-        best[tied] = np.minimum(idx[tied, 0], idx[tied, 1])
-        return best
+        """Index of the routing model per query point (see gp.route: exact
+        centroid-distance ties go to the smaller index, whose leaf origin
+        sorts first)."""
+        return gp.route(self._tree, np.atleast_2d(points), 1)[:, 0]
 
     def query(self, point: np.ndarray):
         """Distance, distance variance, property mean and property
@@ -134,31 +121,26 @@ class LocalField:
 
     def query_batch(self, points: np.ndarray):
         """Vectorized query: one gp.moments call per routing model, then
-        reverting, variance propagation and clips once over all points."""
+        reverting, variance propagation and clips once over all points.
+        Raises ValueError naming the first row that is not finite or is
+        too far from every model to route."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        n = len(pts)
         if not self.models:
             raise EmptyFrame("local field has no models")
-        owner = self.nearest_model(pts)
-        o = np.empty(n)
-        u = np.empty(n)
+        gp.check_rows(pts)
         has_prop = self.has_properties
-        c = np.empty((n, self.models[0].alpha_prop.shape[1])) if has_prop else None
-        w = np.empty(n) if has_prop else None
-        groups = group_by(owner)
-        for mi, rows in zip(groups.keys, groups.rows()):
-            mo = gp.moments(self.models[mi], pts[rows], properties=has_prop)
-            o[rows] = mo.occupancy
-            u[rows] = mo.occ_variance
-            if has_prop:
-                c[rows] = mo.properties
-                w[rows] = mo.prop_variance
+        mo, at = gp.routed_moments(self.models, pts,
+                                   gp.route(self._tree, pts, 1),
+                                   properties=has_prop)
+        at = at[:, 0]
         p = self.params
+        o = mo.occupancy[at]
         d = gp.revert_distance(o, p)
-        v = gp.propagate_variance(gp.clip_variance(u, p), o, p)
+        v = gp.propagate_variance(gp.clip_variance(mo.occ_variance[at], p), o, p)
+        c = w = None
         if has_prop:
-            c = gp.clip_properties(c, self.prop_clip)
-            w = gp.clip_variance(w, p)
+            c = gp.clip_properties(mo.properties[at], self.prop_clip)
+            w = gp.clip_variance(mo.prop_variance[at], p)
         return d, v, c, w
 
 

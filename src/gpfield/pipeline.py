@@ -49,7 +49,9 @@ class PipelineConfig:
 
     length_scale defaults to three voxels; a ratio outside [2, 4]
     voxels still runs but triggers a warning since the local GPs then
-    either alias the quantization or blur the surface.
+    either alias the quantization or blur the surface. A non-finite float
+    (None stays allowed where Optional), normal_k or query_nodes below 1,
+    or a negative band_width or sign_radius raises ValueError naming it.
     """
 
     voxel_size: float = 0.05
@@ -73,6 +75,16 @@ class PipelineConfig:
     prop_kind: str = "none"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            x = getattr(self, f.name)
+            if f.type in ("float", "Optional[float]") and x is not None \
+                    and not np.isfinite(x):
+                raise ValueError(f"{f.name} must be finite, got {x}")
+        for key, low in (("normal_k", 1), ("query_nodes", 1),
+                         ("band_width", 0), ("sign_radius", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be at least {low}, "
+                                 f"got {getattr(self, key)}")
         if self.voxel_size <= 0:
             raise ValueError("voxel_size must be positive")
         if self.length_scale is None:

@@ -11,8 +11,6 @@ both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -22,14 +20,6 @@ SOURCE_RAY = 0
 SOURCE_BAND = 1
 SOURCE_NORMAL = 2
 SOURCE_NAMES = ("ray", "band", "normal")
-
-
-@dataclass
-class TestPoint:
-    coord: tuple[int, int, int]
-    position: np.ndarray
-    sign: int
-    source: str
 
 
 class TestPointSet:
@@ -43,16 +33,6 @@ class TestPointSet:
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def __getitem__(self, i: int) -> TestPoint:
-        return TestPoint(coord=tuple(int(v) for v in self.coords[i]),
-                         position=self.positions[i],
-                         sign=int(self.signs[i]),
-                         source=SOURCE_NAMES[self.sources[i]])
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     @staticmethod
     def empty() -> "TestPointSet":

@@ -101,6 +101,20 @@ def test_bad_set_values_fail(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    run = subprocess.run(
+        [sys.executable, "-m", "gpfield.cli", "run", "--scene", str(scene),
+         "--snapshot", str(tmp_path / "m.snap"), "--set", "voxel_size=nan",
+         *RUN_ARGS],
+        capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == ["error: voxel_size must be finite, "
+                                       "got nan"]
+
+
 def test_mesh_verb_exports_ply(workdir, capsys):
     out = workdir / "sphere.ply"
     code = main(["mesh", str(workdir / "map.snap"), "--out", str(out)])

@@ -6,7 +6,8 @@ reverting, variance propagation, gradient normalization) once per batch.
 The reference functions below are the loops they replaced, including
 their own copies of the per-model GP inference calls that built the
 kernel matrix once per quantity; every output must equal theirs bit for
-bit. Also here: the empty batch, bad ``q`` and the per-batch query stats.
+bit. Also here: the empty batch, bad ``q``, bad rows and the per-batch
+query stats.
 """
 
 import numpy as np
@@ -114,11 +115,26 @@ def reference_query_batch(field, points, q=None):
     return distance, variance, grad, props, pvar, ~known
 
 
+def ref_nearest_model(field, pts):
+    """The local field's routing as it was: the nearest centroid, with an
+    exact tie between the two nearest going to the smaller index."""
+    k = min(2, len(field.models))
+    dist, idx = field._tree.query(pts, k=k)
+    if k == 1:
+        return np.atleast_1d(idx).reshape(len(pts))
+    dist = dist.reshape(len(pts), k)
+    idx = idx.reshape(len(pts), k)
+    best = idx[:, 0].copy()
+    tied = dist[:, 0] == dist[:, 1]
+    best[tied] = np.minimum(idx[tied, 0], idx[tied, 1])
+    return best
+
+
 def reference_local_query_batch(field, points):
     """LocalField.query_batch as a loop of per-model inference calls."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     n = len(pts)
-    owner = field.nearest_model(pts)
+    owner = ref_nearest_model(field, pts)
     d = np.zeros(n)
     v = np.zeros(n)
     has_prop = field.has_properties
@@ -252,12 +268,13 @@ def test_oracle_inputs_reach_every_branch():
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_models=st.integers(1, 5),
        pdim=st.sampled_from([0, 2]), n_rows=st.sampled_from([1, 9, 60]),
-       pset=st.integers(0, len(PARAM_SETS) - 1), clip=st.booleans())
+       dup=st.booleans(), pset=st.integers(0, len(PARAM_SETS) - 1),
+       clip=st.booleans())
 def test_local_query_batch_matches_per_model_loop(seed, n_models, pdim, n_rows,
-                                                  pset, clip):
+                                                  dup, pset, clip):
     rng = np.random.default_rng(seed)
     params = PARAM_SETS[pset]
-    clusters = random_clusters(rng, n_models, pdim, dup=False)
+    clusters = random_clusters(rng, n_models, pdim, dup)
     models = [gp.train(p, params, c) for p, c in clusters.values()]
     field = LocalField(models, params, prop_clip=(0.0, 1.0) if clip else None)
     pts = random_queries(rng, clusters, n_rows)
@@ -296,6 +313,20 @@ def test_empty_batch_returns_zero_length_result(props):
     assert all(node.model is None for node in field.nodes.values())
 
 
+@pytest.mark.parametrize("pdim", [0, 2])
+def test_local_empty_batch_returns_zero_length_arrays(pdim):
+    rng = np.random.default_rng(1)
+    clusters = random_clusters(rng, 3, pdim, dup=False)
+    field = LocalField([gp.train(p, PARAM_SETS[0], c)
+                        for p, c in clusters.values()], PARAM_SETS[0])
+    d, v, c, w = field.query_batch(np.zeros((0, 3)))
+    assert d.shape == (0,) and v.shape == (0,)
+    if pdim:
+        assert c.shape == (0, pdim) and w.shape == (0,)
+    else:
+        assert c is None and w is None
+
+
 @pytest.mark.parametrize("q", [0, -1])
 def test_query_nodes_below_one_is_rejected(q):
     field = two_node_field(False)
@@ -316,6 +347,20 @@ def test_bad_query_rows_raise_one_value_error_naming_the_row(bad, with_grid):
     with pytest.raises(ValueError, match=r"^query row 2 \("):
         field.query_batch(pts)
     assert field.query_batch(pts[:2]).distances.shape == (2,)
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (1e300, 0.0, 0.0)])
+@pytest.mark.parametrize("n_models", [1, 2])
+def test_local_bad_query_rows_raise_one_value_error_naming_the_row(bad,
+                                                                   n_models):
+    rng = np.random.default_rng(0)
+    clusters = random_clusters(rng, n_models, 0, dup=False)
+    field = LocalField([gp.train(p, PARAM_SETS[0]) for p, _ in
+                        clusters.values()], PARAM_SETS[0])
+    pts = np.array([[0.1, 0.0, 0.0], [0.2, 0.0, 0.0], bad, bad])
+    with pytest.raises(ValueError, match=r"^query row 2 \("):
+        field.query_batch(pts)
+    assert field.query_batch(pts[:2])[0].shape == (2,)
 
 
 def test_query_rows_at_the_voxel_key_range_edges():

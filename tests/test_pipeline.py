@@ -302,6 +302,24 @@ def test_config_rejects_unknown_keys_and_bad_lines(tmp_path):
         PipelineConfig.parse_file(bad)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("voxel_size", float("nan")), ("voxel_size", float("inf")),
+    ("normal_k", 0), ("smooth_lambda", float("nan")), ("query_nodes", 0),
+    ("sign_radius", -1), ("band_width", -1), ("length_scale", float("inf")),
+    ("d_max", float("nan"))])
+def test_config_rejects_bad_values_naming_the_key(key, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            PipelineConfig(**{key: value})
+
+
+def test_config_keeps_optional_defaults_and_edge_values():
+    cfg = PipelineConfig(d_max=None, v_max=None, band_width=0,
+                         sign_radius=0, normal_k=1, query_nodes=1)
+    assert np.isfinite(cfg.d_max) and np.isfinite(cfg.v_max)
+
+
 def test_config_round_trips_through_mapping():
     cfg = PipelineConfig(voxel_size=0.08, prop_kind="intensity")
     again = PipelineConfig.from_mapping(cfg.to_dict())

@@ -228,17 +228,6 @@ def test_merge_earlier_sets_take_precedence():
     assert got[(2, 0, 0)] == -1
 
 
-def test_test_point_set_iteration_and_indexing():
-    h = 0.1
-    out = PointSet(np.array([[1, 2, 3]]), grid_to_world([[1, 2, 3]], h),
-                   np.array([-1]), np.array([2], dtype=np.uint8))
-    tp = out[0]
-    assert tp.coord == (1, 2, 3)
-    assert tp.sign == -1
-    assert tp.source == "normal"
-    assert len(list(out)) == 1
-
-
 def test_grazing_wall_gains_two_sided_coverage():
     h = 0.05
     grid = SparseGrid(voxel_size=h)
