@@ -13,7 +13,7 @@ from .global_field import (BatchQueryResult, EmptyField, FieldQueryResult,
 from .gp import FactorizationFailure, KernelParams
 from .grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
 from .local_field import EmptyFrame, Frame, LocalField, voxelize
-from .meshing import TriangleMesh, marching_cubes, zero_crossings
+from .meshing import TriangleMesh, marching_cubes
 from .pipeline import (EmptyInput, FrameStats, Pipeline, PipelineConfig,
                        eval_chamfer,
                        eval_distance_rmse, export_slice, lattice_points,
@@ -36,5 +36,5 @@ __all__ = [
     "grid_to_world", "lattice_points", "load_scene", "look_at",
     "marching_cubes", "orbit_trajectory", "parse_scene", "render_frame",
     "sphere_trace", "surface_samples", "voxelize", "world_to_grid",
-    "write_stats_csv", "zero_crossings", "__version__",
+    "write_stats_csv", "__version__",
 ]

@@ -28,7 +28,6 @@ class EmptyField(RuntimeError):
 
 @dataclass
 class GPNode:
-    origin: tuple[int, int, int]
     points: np.ndarray
     props: Optional[np.ndarray]
     centroid: np.ndarray
@@ -134,8 +133,7 @@ class GlobalField:
                     props = None
             node = self.nodes.get(origin)
             if node is None:
-                node = GPNode(origin=origin, points=pts, props=props,
-                              centroid=pts.mean(axis=0))
+                node = GPNode(points=pts, props=props, centroid=pts.mean(axis=0))
                 self.nodes[origin] = node
             else:
                 node.points = pts

@@ -131,7 +131,6 @@ class GpLeafModel:
     chol: np.ndarray                # lower Cholesky of K + noise2*I
     alpha_occ: np.ndarray           # (J,) weights for the unit occupancy target
     centroid: np.ndarray            # (3,) mean of training points
-    properties: Optional[np.ndarray] = None   # (J, P) training targets
     chol_prop: Optional[np.ndarray] = None
     alpha_prop: Optional[np.ndarray] = None   # (J, P)
 
@@ -167,7 +166,6 @@ def train(points: np.ndarray, params: KernelParams,
             cp = chol
         else:
             cp = _cholesky_with_jitter(k, params.prop_noise2, params.sigma2)
-        model.properties = p
         model.chol_prop = cp
         model.alpha_prop = _cho_solve(cp, p)
     return model

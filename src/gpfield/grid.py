@@ -7,8 +7,11 @@ and splits rows into runs. Every module that deduplicates voxels or
 buckets rows by leaf goes through these two, so the key layout is decided
 here alone. Leaves are dense numpy blocks of 8^3 voxels held in one dict
 keyed by the packed key of their origin, so finding a leaf is one hash
-probe regardless of map extent; a bulk lookup instead binary-searches a
-cached sorted array of those keys.
+probe regardless of map extent. Batch reads of many leaves go through
+``SparseGrid.stack_leaves``, which binary-searches a cached sorted array
+of those keys and stacks the named arrays of the leaves hit, plus one
+all-zero row for every unallocated leaf; ``lookup`` and marching cubes'
+block gather both index into its stacks.
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ class SparseGrid:
         # packed leaf-origin key -> leaf, in allocation order
         self._leaves: dict[int, LeafNode] = {}
         # allocated leaf keys in ascending order and their leaves, built by
-        # lookup and dropped whenever a leaf is allocated
+        # stack_leaves and dropped whenever a leaf is allocated
         self._sorted: Optional[tuple[np.ndarray, list]] = None
         self._active: dict[tuple[int, int, int], LeafNode] = {}
         # bumped on every mutation; lets callers cache derived structures
@@ -197,11 +200,6 @@ class SparseGrid:
             self._sorted = None
             self.version += 1
         return leaf
-
-    def leaves_at(self, keys) -> list:
-        """Leaf under each packed leaf-origin key, None where unallocated."""
-        get = self._leaves.get
-        return [get(k) for k in keys]
 
     # -- single voxel API ----------------------------------------------------
 
@@ -256,6 +254,40 @@ class SparseGrid:
 
     # -- bulk access ---------------------------------------------------------
 
+    def stack_leaves(self, keys, names):
+        """Stack the named arrays of the leaves under packed leaf keys.
+
+        Args:
+            keys: (N,) packed leaf-origin keys, duplicates allowed; a key
+                with no allocated leaf, such as -1, reads as unallocated.
+            names: LeafNode array names, e.g. ("distance", "observed").
+
+        Returns:
+            (row, stacks): stacks holds one array per name, the named
+            arrays of the distinct allocated leaves the keys hit, in key
+            order, then one all-zero row; row (N,) is each key's row in
+            them, the zero row where its leaf is unallocated.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        if self._sorted is None:
+            order = sorted(self._leaves)
+            # a trailing key above every leaf key keeps each search in range
+            self._sorted = (np.array(order + [np.iinfo(np.int64).max],
+                                     dtype=np.int64),
+                            [self._leaves[k] for k in order])
+        sorted_keys, sorted_leaves = self._sorted
+        n = len(sorted_leaves)
+        slot = np.searchsorted(sorted_keys, keys)
+        slot[sorted_keys[slot] != keys] = n
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[slot] = True
+        hit[n] = True
+        leaves = [sorted_leaves[i] for i in np.flatnonzero(hit[:n]).tolist()]
+        leaves.append(LeafNode((0, 0, 0), self.prop_channels))
+        stacks = [np.stack([getattr(leaf, name) for leaf in leaves])
+                  for name in names]
+        return (np.cumsum(hit) - 1)[slot], stacks
+
     def lookup(self, coords: np.ndarray):
         """Vectorized voxel lookup.
 
@@ -265,46 +297,16 @@ class SparseGrid:
         Returns:
             (found, distance, dist_weight, observed) arrays of length N.
             Voxels without a set value report found=False and zeros.
+            Raises ValueError for a coordinate outside the key range.
         """
-        coords = np.asarray(coords, dtype=np.int64)
-        n = len(coords)
-        found = np.zeros(n, dtype=bool)
-        dist = np.zeros(n, dtype=np.float64)
-        weight = np.zeros(n, dtype=np.float64)
-        obs = np.zeros(n, dtype=bool)
-        # keyed first, so out-of-range rows raise on an empty grid too
-        keys = leaf_keys(pack_keys(coords))
-        if n == 0 or not self._leaves:
-            return found, dist, weight, obs
-        if self._sorted is None:
-            order = sorted(self._leaves)
-            self._sorted = (np.array(order, dtype=np.int64),
-                            [self._leaves[k] for k in order])
-        sorted_keys, sorted_leaves = self._sorted
-        slot = np.searchsorted(sorted_keys, keys)
-        slot[slot == len(sorted_keys)] = 0
-        rows = np.flatnonzero(sorted_keys[slot] == keys)
-        if len(rows) == 0:
-            return found, dist, weight, obs
-        # stack only the leaves some row hits, in key order, and index the
-        # stacks by (hit slot, flat index)
-        slot = slot[rows]
-        hit = np.zeros(len(sorted_keys), dtype=bool)
-        hit[slot] = True
-        leaves = [sorted_leaves[i] for i in np.flatnonzero(hit).tolist()]
-        at = (np.cumsum(hit) - 1)[slot] * LEAF_VOXELS
-        at += local_flat_index(coords.take(rows, axis=0))
-
-        def gather(name):
-            return np.concatenate([getattr(leaf, name) for leaf in leaves]).take(at)
-
-        mask = gather("value_mask")
-        rows, at = rows[mask], at[mask]
-        found[rows] = True
-        dist[rows] = gather("distance")
-        weight[rows] = gather("dist_weight")
-        obs[rows] = gather("observed")
-        return found, dist, weight, obs
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        row, stacks = self.stack_leaves(
+            leaf_keys(pack_keys(coords)),
+            ("value_mask", "distance", "dist_weight", "observed"))
+        at = row * LEAF_VOXELS + local_flat_index(coords)
+        found, dist, weight, obs = (s.ravel().take(at) for s in stacks)
+        return (found, np.where(found, dist.astype(np.float64), 0.0),
+                np.where(found, weight.astype(np.float64), 0.0), found & obs)
 
     def gather_block(self, origin, shape):
         """Dense copy of an axis-aligned block of voxels.

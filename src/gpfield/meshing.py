@@ -14,10 +14,12 @@ zero crossings of any leaf are recomputed from them with
 
 A frame's touched leaves are meshed in one batched pass,
 ``mesh_leaves``: the 9^3 voxel blocks of a chunk of leaves are gathered
-into one array, and the case lookup, the crossed edges, the vertices and
-the triangles run over the cells of all of them at once (Lorensen &
-Cline's tables are pure lookups, so they batch across leaves). Each leaf
-gets the same mesh, bit for bit, as meshing it alone.
+into one array from a single ``SparseGrid.stack_leaves`` read of the
+leaves and their upper neighbours, and the case lookup, the crossed
+edges, the vertices and the triangles run over the cells of all of them
+at once (Lorensen & Cline's tables are pure lookups, so they batch
+across leaves). Vertex properties come from one more such read. Each
+leaf gets the same mesh, bit for bit, as meshing it alone.
 """
 
 from __future__ import annotations
@@ -144,9 +146,8 @@ class Blocks(NamedTuple):
 
     distance: np.ndarray    # (T, 9, 9, 9) float64, 0 where unset
     observed: np.ndarray    # (T, 9, 9, 9) bool, set and observed
-    slots: np.ndarray       # (T, 8) index into leaves of each upper
-                            # neighbour, len(leaves) where unallocated
-    leaves: list            # the allocated leaves the blocks read
+    neighbours: np.ndarray  # (T, 8) packed leaf key of each upper
+                            # neighbour, -1 past the key range
 
 
 def gather_blocks(grid: SparseGrid, origins) -> Blocks:
@@ -155,44 +156,24 @@ def gather_blocks(grid: SparseGrid, origins) -> Blocks:
     A leaf's block is its own 8^3 voxels plus one layer of its 7 upper
     neighbours, the same values as ``grid.gather_block(origin, (9,)*3)``
     gives; neighbours past the top of the key range are unallocated.
-    Properties are not gathered: read them where needed through slots.
+    Properties are not gathered: read them where needed through the
+    neighbour keys.
     """
     org = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
     if (org & (LEAF_SIZE - 1)).any():
         raise ValueError("leaf origins must be multiples of LEAF_SIZE")
     nb = org[:, None, :] + UPPER_NEIGHBOURS
     keyed = ((nb >= -KEY_BIAS) & (nb < KEY_BIAS)).all(axis=2)
-    groups = group_by(pack_keys(nb[keyed]))
-    found = grid.leaves_at(groups.keys.tolist())
-    present = np.array([leaf is not None for leaf in found], dtype=bool)
-    leaves = [leaf for leaf in found if leaf is not None]
-    slot_of = np.where(present, np.cumsum(present) - 1, len(leaves))
-    slots = np.full(keyed.shape, len(leaves), dtype=np.int64)
-    slots[keyed] = slot_of[groups.inverse]
-
-    # the row past the allocated leaves stands for every missing one
-    dist = np.zeros((len(leaves) + 1, LEAF_VOXELS), dtype=np.float32)
-    obs = np.zeros((len(leaves) + 1, LEAF_VOXELS), dtype=bool)
-    if leaves:
-        mask = np.stack([leaf.value_mask for leaf in leaves])
-        np.copyto(dist[:-1], np.stack([leaf.distance for leaf in leaves]),
-                  where=mask)
-        np.logical_and(np.stack([leaf.observed for leaf in leaves]), mask,
-                       out=obs[:-1])
-    at = slots[:, _BLOCK_NEIGHBOUR] * LEAF_VOXELS + _BLOCK_FLAT
+    keys = np.full(keyed.shape, -1, dtype=np.int64)
+    keys[keyed] = pack_keys(nb[keyed])
+    row, (mask, dist, obs) = grid.stack_leaves(
+        keys.ravel(), ("value_mask", "distance", "observed"))
+    at = (row.reshape(keys.shape)[:, _BLOCK_NEIGHBOUR] * LEAF_VOXELS
+          + _BLOCK_FLAT)
+    dist = np.where(mask, dist, np.float32(0.0)).ravel()[at]
     shape = (len(org),) + (_BLOCK,) * 3
-    return Blocks(dist.ravel()[at].astype(np.float64).reshape(shape),
-                  obs.ravel()[at].reshape(shape), slots, leaves)
-
-
-def _block_props(blocks: Blocks, at: np.ndarray) -> np.ndarray:
-    """Properties, as float64, at flat indices into blocks' (T, 9, 9, 9)
-    arrays; every voxel asked for must lie in an allocated leaf."""
-    target, local = np.divmod(at, _BLOCK ** 3)
-    used, rank = np.unique(blocks.slots[target, _BLOCK_NEIGHBOUR[local]],
-                           return_inverse=True)
-    prop = np.stack([blocks.leaves[s].prop for s in used.tolist()])
-    return prop[rank, _BLOCK_FLAT[local]].astype(np.float64)
+    return Blocks(dist.astype(np.float64).reshape(shape),
+                  (obs & mask).ravel()[at].reshape(shape), keys)
 
 
 def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
@@ -243,7 +224,12 @@ def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
     pos = (voxel + 0.5) * h
     pos[n, axis] += t * h
     if channels:
-        p = _block_props(blocks, np.concatenate([lo, hi]))
+        end_target, end_local = np.divmod(np.concatenate([lo, hi]),
+                                          _BLOCK ** 3)
+        row, (prop,) = grid.stack_leaves(
+            blocks.neighbours[end_target, _BLOCK_NEIGHBOUR[end_local]],
+            ("prop",))
+        p = prop[row, _BLOCK_FLAT[end_local]].astype(np.float64)
         p0 = p[:len(n)]
         pv = p0 + t[:, None] * (p[len(n):] - p0)
     else:
@@ -356,17 +342,3 @@ def crossings_by_leaf(positions: np.ndarray, props: np.ndarray,
     origins = leaf_origin_of(coords[voxels.first[leaves.first]]).tolist()
     return {tuple(o): (pos[rows], pr[rows])
             for o, rows in zip(origins, leaves.rows())}
-
-
-def zero_crossings(mesh: TriangleMesh, voxel_size: float, cap: int = 512):
-    """Group mesh vertices into per-leaf surface point lists.
-
-    Vertices are reduced to one mean position (and mean property) per
-    voxel by crossings_by_leaf, and each leaf keeps at most `cap` of
-    them.
-
-    Returns {leaf origin: (positions, properties)}.
-    """
-    return {o: (pos[:cap], pr[:cap]) for o, (pos, pr) in
-            crossings_by_leaf(mesh.vertices, mesh.properties,
-                              voxel_size).items()}

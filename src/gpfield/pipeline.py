@@ -136,10 +136,14 @@ class PipelineConfig:
                     kwargs[key] = raw
                 elif raw.lower() in ("none", "null"):
                     kwargs[key] = None
-                elif fields[key].type in ("int", "Optional[int]"):
-                    kwargs[key] = int(raw)
                 else:
-                    kwargs[key] = float(raw)
+                    integer = fields[key].type in ("int", "Optional[int]")
+                    try:
+                        kwargs[key] = int(raw) if integer else float(raw)
+                    except ValueError:
+                        kind = "an integer" if integer else "a number"
+                        raise ValueError(f"{key} must be {kind}, got {raw!r}") \
+                            from None
             else:
                 kwargs[key] = raw
         return cls(**kwargs)

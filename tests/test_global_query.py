@@ -198,6 +198,30 @@ def random_clusters(rng, n_nodes, pdim, dup):
     return out
 
 
+def lattice_ties(rng, n_models, pdim, n):
+    """({origin: (points, props)}, (n, 3) rows) where every row ties.
+
+    At least two models sit 0.25 apart on the x axis, in random index
+    order; each trains on two random dyadic offsets and their negatives,
+    so its centroid is its lattice point exactly while its points differ
+    from its neighbours'. Each row lies halfway between two neighbouring
+    models, on a dyadic point, so their centroid distances are equal
+    bit for bit.
+    """
+    m = max(n_models, 2)
+    x = 0.25 * rng.permutation(m)
+    out = {}
+    for i in range(m):
+        off = rng.integers(-3, 4, size=(2, 3)) / 32
+        pts = np.concatenate([off, -off]) + [x[i], 0.0, 0.0]
+        props = None if pdim == 0 else rng.uniform(-0.2, 1.2, size=(4, pdim))
+        out[(8 * i, 0, 0)] = (pts, props)
+    rows = np.zeros((n, 3))
+    rows[:, 0] = 0.25 * rng.integers(0, m - 1, n) + 0.125
+    rows[:, 1:] = rng.integers(-8, 9, size=(n, 2)) / 32
+    return out, rows
+
+
 def random_queries(rng, clusters, n):
     """Near-surface, on-surface (training points), far and tie rows."""
     train = np.concatenate([p for p, _ in clusters.values()])
@@ -269,15 +293,25 @@ def test_oracle_inputs_reach_every_branch():
 @given(seed=st.integers(0, 2 ** 32 - 1), n_models=st.integers(1, 5),
        pdim=st.sampled_from([0, 2]), n_rows=st.sampled_from([1, 9, 60]),
        dup=st.booleans(), pset=st.integers(0, len(PARAM_SETS) - 1),
-       clip=st.booleans())
+       clip=st.booleans(), ties=st.booleans())
 def test_local_query_batch_matches_per_model_loop(seed, n_models, pdim, n_rows,
-                                                  dup, pset, clip):
+                                                  dup, pset, clip, ties):
     rng = np.random.default_rng(seed)
     params = PARAM_SETS[pset]
-    clusters = random_clusters(rng, n_models, pdim, dup)
+    if ties:
+        clusters, pts = lattice_ties(rng, n_models, pdim, n_rows)
+    else:
+        clusters = random_clusters(rng, n_models, pdim, dup)
     models = [gp.train(p, params, c) for p, c in clusters.values()]
     field = LocalField(models, params, prop_clip=(0.0, 1.0) if clip else None)
-    pts = random_queries(rng, clusters, n_rows)
+    if ties:
+        # the tree itself answers the higher index first for some tied
+        # row, so only route's tie sort picks the lower one
+        dist, idx = field._tree.query(pts, k=2)
+        assert (dist[:, 0] == dist[:, 1]).all()
+        assert (idx[:, 0] > idx[:, 1]).any()
+    else:
+        pts = random_queries(rng, clusters, n_rows)
     assert_bitwise(field.query_batch(pts),
                    reference_local_query_batch(field, pts))
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gpfield.grid import (
@@ -319,6 +319,58 @@ def test_lookup_batch_matches_scalar_get():
             assert obs[i] == oracle[key].observed
         else:
             assert not found[i]
+
+
+# leaf origins stack_leaves is tested on: both ends of the key range,
+# neighbours and leaves far apart
+_STACK_ORIGINS = [(-KEY_BIAS,) * 3, (KEY_BIAS - LEAF_SIZE,) * 3,
+                  (0, 0, 0), (8, 0, 0), (0, 8, 0), (0, 0, 8), (-8, -8, -8),
+                  (-KEY_BIAS, KEY_BIAS - LEAF_SIZE, 0), (64, -128, 1024),
+                  (800, 8, -16)]
+_LEAF_ARRAYS = ("distance", "dist_weight", "prop", "prop_weight", "observed",
+                "value_mask")
+
+
+@settings(max_examples=80, deadline=None)
+@given(allocated=st.lists(st.booleans(), min_size=len(_STACK_ORIGINS),
+                          max_size=len(_STACK_ORIGINS)),
+       picks=st.lists(st.integers(-1, len(_STACK_ORIGINS) - 1), max_size=30),
+       channels=st.sampled_from([0, 2]), seed=st.integers(0, 2 ** 32 - 1))
+@example(allocated=[False] * len(_STACK_ORIGINS), picks=[-1, 0, 3, 3, -1, 9],
+         channels=2, seed=0)
+@example(allocated=[True, False] * (len(_STACK_ORIGINS) // 2),
+         picks=[2, 0, -1, 1, 0, 0, 3, 9, 8, -1], channels=0, seed=1)
+def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
+                                                seed):
+    """Empty grids, repeated, unallocated and -1 keys, against find_leaf."""
+    rng = np.random.default_rng(seed)
+    grid = SparseGrid(voxel_size=0.1, prop_channels=channels)
+    for origin, alloc in zip(_STACK_ORIGINS, allocated):
+        if alloc:
+            leaf = grid.get_or_create_leaf(origin)
+            for name in _LEAF_ARRAYS:
+                a = getattr(leaf, name)
+                a[...] = (rng.random(a.shape) < 0.5 if a.dtype == bool
+                          else rng.normal(size=a.shape))
+    origins = [None if i < 0 else _STACK_ORIGINS[i] for i in picks]
+    keys = np.array([-1 if o is None else int(pack_keys([o])[0])
+                     for o in origins], dtype=np.int64)
+    row, stacks = grid.stack_leaves(keys, _LEAF_ARRAYS)
+
+    leaves = [None if o is None else grid.find_leaf(o) for o in origins]
+    hit = sorted({int(k) for k, leaf in zip(keys, leaves) if leaf is not None})
+    zero = LeafNode((0, 0, 0), channels)
+    assert row.shape == keys.shape
+    for i, (key, leaf) in enumerate(zip(keys.tolist(), leaves)):
+        assert row[i] == (len(hit) if leaf is None else hit.index(key))
+    for name, stack in zip(_LEAF_ARRAYS, stacks):
+        want = getattr(zero, name)
+        assert stack.dtype == want.dtype
+        assert stack.shape == (len(hit) + 1,) + want.shape
+        np.testing.assert_array_equal(stack[-1], want)
+        for i, leaf in enumerate(leaves):
+            np.testing.assert_array_equal(stack[row[i]],
+                                          getattr(leaf or zero, name))
 
 
 def test_gather_block_dense_window():

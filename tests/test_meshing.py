@@ -14,12 +14,12 @@ from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from gpfield.meshing import (
     TriangleMesh,
+    crossings_by_leaf,
     gather_blocks,
     group_edges,
     marching_cubes,
     mesh_leaf,
     mesh_leaves,
-    zero_crossings,
 )
 from gpfield.ply import IoFailure, read_ply, write_mesh, write_points
 
@@ -370,14 +370,14 @@ def test_mesh_properties_interpolated_along_edges():
                                atol=1e-6)
 
 
-def test_zero_crossings_empty_mesh():
+def test_crossings_by_leaf_empty_mesh():
     mesh = TriangleMesh.empty()
-    assert zero_crossings(mesh, H) == {}
+    assert crossings_by_leaf(mesh.vertices, mesh.properties, H) == {}
 
 
-def test_zero_crossings_groups_by_leaf_and_voxel():
+def test_crossings_by_leaf_groups_by_leaf_and_voxel():
     mesh = marching_cubes(sphere_grid())
-    groups = zero_crossings(mesh, H)
+    groups = crossings_by_leaf(mesh.vertices, mesh.properties, H)
     assert groups
     total = 0
     for origin, (pos, _) in groups.items():
@@ -396,7 +396,7 @@ def test_zero_crossings_groups_by_leaf_and_voxel():
     assert total <= mesh.n_vertices
 
 
-def test_zero_crossings_average_vertices_in_same_voxel():
+def test_crossings_by_leaf_average_vertices_in_same_voxel():
     verts = np.array([
         [0.01, 0.01, 0.01],
         [0.03, 0.02, 0.04],   # same voxel as the first
@@ -407,22 +407,13 @@ def test_zero_crossings_average_vertices_in_same_voxel():
     leaf = np.zeros((3, 3), dtype=np.int64)
     mesh = TriangleMesh(vertices=verts, triangles=tris, properties=props,
                         vertex_leaf=leaf)
-    groups = zero_crossings(mesh, H)
+    groups = crossings_by_leaf(mesh.vertices, mesh.properties, H)
     pos, pr = groups[(0, 0, 0)]
     assert len(pos) == 2
     got = {tuple(np.round(p, 9)): float(v) for p, v in zip(pos, pr[:, 0])}
     key = tuple(np.round(np.array([0.02, 0.015, 0.025]), 9))
     assert got[key] == pytest.approx(2.0)
     assert got[tuple(np.round(verts[2], 9))] == pytest.approx(5.0)
-
-
-def test_zero_crossings_cap_limits_each_leaf():
-    mesh = marching_cubes(sphere_grid())
-    capped = zero_crossings(mesh, H, cap=5)
-    assert max(len(p) for p, _ in capped.values()) <= 5
-    full = zero_crossings(mesh, H, cap=512)
-    assert sum(len(p) for p, _ in full.values()) >= sum(
-        len(p) for p, _ in capped.values())
 
 
 def test_ply_mesh_round_trip(tmp_path):

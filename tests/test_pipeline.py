@@ -314,6 +314,16 @@ def test_config_rejects_bad_values_naming_the_key(key, value):
             PipelineConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key, raw, kind", [
+    ("normal_k", "2.5", "an integer"), ("voxel_size", "abc", "a number"),
+    ("d_max", "", "a number")])
+def test_config_from_mapping_names_the_key_of_an_unparsable_value(key, raw,
+                                                                  kind):
+    with pytest.raises(ValueError) as err:
+        PipelineConfig.from_mapping({key: raw})
+    assert str(err.value) == f"{key} must be {kind}, got {raw!r}"
+
+
 def test_config_keeps_optional_defaults_and_edge_values():
     cfg = PipelineConfig(d_max=None, v_max=None, band_width=0,
                          sign_radius=0, normal_k=1, query_nodes=1)

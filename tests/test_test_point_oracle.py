@@ -77,7 +77,8 @@ def reference_lookup(grid, coords):
         return found, dist, weight, obs
     groups = group_by(leaf_keys(pack_keys(coords)))
     flat = local_flat_index(coords)
-    for leaf, rows in zip(grid.leaves_at(groups.keys.tolist()), groups.rows()):
+    for rows in groups.rows():
+        leaf = grid.find_leaf(coords[rows[0]])
         if leaf is None:
             continue
         idx = flat[rows]
