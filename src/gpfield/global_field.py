@@ -7,7 +7,8 @@ with a sharp smooth minimum, averages their unit gradients, and
 attaches a sign from the fused grid when an observed voxel lies within
 the search radius. Far from all observations the field keeps
 extrapolating, which is what distinguishes it from a lookup into the
-carved grid.
+carved grid. The signs come from a ``SignIndex``, which follows the grid
+by appending the voxels observed since its last look.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import gp
-from .grid import KEY_BIAS, SparseGrid, grid_to_world
+from .grid import (KEY_BIAS, LEAF_VOXELS, SparseGrid, flat_local_coords,
+                   grid_to_world, leaf_keys, leaf_origin_of, local_flat_index,
+                   pack_keys)
 
 
 class EmptyField(RuntimeError):
@@ -55,12 +58,13 @@ class FieldQueryResult:
 @dataclass
 class QueryStats:
     """What one query batch did: nodes it routed to, nodes it trained,
-    and whether it rebuilt the sign index over how many observed voxels."""
+    whether it built the sign index's main tree and how many observed
+    voxels it added to the index."""
 
     n_nodes_routed: int = 0
     n_nodes_trained: int = 0
-    sign_rebuilt: int = 0           # 1 if this batch rebuilt the sign index
-    n_observed_indexed: int = 0     # observed voxels that rebuild indexed
+    sign_rebuilt: int = 0           # 1 if this batch built the main sign tree
+    n_observed_indexed: int = 0     # observed voxels this batch indexed
 
 
 class BatchQueryResult:
@@ -90,6 +94,133 @@ class BatchQueryResult:
             free_space=bool(self.free_space[i]))
 
 
+# the main tree absorbs the tail once the tail holds more than a quarter
+# of the main tree's voxels, so main-tree builds stay logarithmic in the
+# number of voxels indexed
+_TAIL_SHARE = 4
+_UNINDEXED = np.full(LEAF_VOXELS, -1, dtype=np.int32)
+
+
+class SignIndex:
+    """Nearest observed voxel within a radius, kept current by appends.
+
+    Fusion never clears a voxel's observed flag, so the observed set only
+    grows. Each indexed voxel owns a slot: its centre and its distance
+    sign. A main cKDTree covers the slots indexed at its last build and a
+    tail cKDTree the slots appended since; per leaf, a (512,) int32 row
+    maps flat voxel index to slot, -1 where not indexed.
+
+    ``refresh`` does nothing while ``grid.version`` stands still. After a
+    change it visits only the leaves stamped since its last look: it
+    appends their newly observed voxels, rebuilds the tail tree and
+    rewrites their indexed voxels' signs. The main tree absorbs the tail
+    once the tail outgrows a quarter of it (Bentley and Saxe's logarithmic
+    method with two levels). The first refresh, a version change without a
+    stamped leaf and a stamped leaf that lost an indexed voxel (only
+    ``SparseGrid.set`` can clear the flag) rebuild everything from
+    ``SparseGrid.observed_voxels``.
+    """
+
+    def __init__(self, grid: SparseGrid):
+        self.grid = grid
+        self.version = None         # grid.version at the last look
+        self.clock = 0              # grid.clock at the last look
+        self.n = self.n_main = 0    # slots in all, slots in the main tree
+        self.signs = np.zeros(0)    # grows by doubling; slots n.. are unused
+        self.rows: dict[tuple[int, int, int], np.ndarray] = {}
+        self.main = self.tail = None
+
+    def refresh(self, stats: QueryStats) -> None:
+        grid = self.grid
+        if self.version == grid.version:
+            return
+        touched = [leaf for leaf in grid.leaves() if leaf.stamp > self.clock]
+        first = self.version is None
+        self.version, self.clock = grid.version, grid.clock
+        if first or not touched or not self._append(touched, stats):
+            self._build(stats)
+
+    def _build(self, stats: QueryStats) -> None:
+        coords, dists = self.grid.observed_voxels()
+        n = len(coords)
+        self.signs = np.where(dists < 0, -1.0, 1.0)
+        self.n = self.n_main = n
+        self.main = (cKDTree(grid_to_world(coords, self.grid.voxel_size))
+                     if n else None)
+        self.tail = None
+        # observed_voxels lists the voxels leaf by leaf, so slots run
+        # through each leaf's row in one contiguous range
+        lk = leaf_keys(pack_keys(coords))
+        new = np.ones(n, dtype=bool)
+        np.not_equal(lk[1:], lk[:-1], out=new[1:])
+        rows = np.full((int(new.sum()), LEAF_VOXELS), -1, dtype=np.int32)
+        rows[np.cumsum(new) - 1, local_flat_index(coords)] = np.arange(n)
+        origins = map(tuple, leaf_origin_of(coords[new]).tolist())
+        self.rows = {o: row.copy() for o, row in zip(origins, rows)}
+        stats.sign_rebuilt = 1
+        stats.n_observed_indexed = n
+
+    def _append(self, touched: list, stats: QueryStats) -> bool:
+        """Index the touched leaves' new voxels; False if one lost a voxel."""
+        mask = (np.stack([leaf.value_mask for leaf in touched])
+                & np.stack([leaf.observed for leaf in touched]))
+        slot = np.stack([self.rows.get(leaf.origin, _UNINDEXED)
+                         for leaf in touched])
+        indexed = slot >= 0
+        if (indexed & ~mask).any():
+            return False
+        li, flat = np.nonzero(mask & ~indexed)
+        n, k = self.n, len(li)
+        slot[li, flat] = np.arange(n, n + k)
+        if n + k > len(self.signs):
+            self.signs = np.resize(self.signs, max(n + k, 2 * len(self.signs)))
+        dists = np.stack([leaf.distance for leaf in touched])[mask]
+        self.signs[slot[mask]] = np.where(dists < 0, -1.0, 1.0)
+        # copies, so no row pins this batch's stack
+        for i in np.unique(li).tolist():
+            self.rows[touched[i].origin] = slot[i].copy()
+        self.n = n + k
+        stats.n_observed_indexed = k
+        if not k:
+            return True
+        # the trees hold the only copy of the slot centres, in slot order
+        origins = np.array([leaf.origin for leaf in touched], dtype=np.int64)
+        centers = grid_to_world(origins[li] + flat_local_coords(flat),
+                                self.grid.voxel_size)
+        if self.tail is not None:
+            centers = np.concatenate([self.tail.data, centers])
+        if _TAIL_SHARE * (self.n - self.n_main) > self.n_main:
+            if self.main is not None:
+                centers = np.concatenate([self.main.data, centers])
+            self.main, self.tail = cKDTree(centers), None
+            self.n_main = self.n
+            stats.sign_rebuilt = 1
+        else:
+            self.tail = cKDTree(centers)
+        return True
+
+    def lookup(self, points: np.ndarray, radius: float):
+        """(sign, known) from the nearest indexed voxel within radius.
+
+        A voxel of the tail wins only when strictly nearer than the main
+        tree's nearest, so an exact tie goes to the main tree.
+        """
+        m = len(points)
+        sign = np.ones(m)
+        if self.n == 0:
+            return sign, np.zeros(m, dtype=bool)
+        dist, idx = self.main.query(points, k=1, distance_upper_bound=radius)
+        if self.tail is not None:
+            tdist, tidx = self.tail.query(points, k=1,
+                                          distance_upper_bound=radius)
+            nearer = tdist < dist
+            dist = np.where(nearer, tdist, dist)
+            idx = np.where(nearer, tidx + self.n_main, idx)
+        known = np.isfinite(dist)
+        sign[known] = self.signs[idx[known]]
+        return sign, known
+
+
 class GlobalField:
     """Container of per-leaf GP nodes plus blending at query time."""
 
@@ -106,7 +237,7 @@ class GlobalField:
         self._tree = None
         self._tree_nodes: list[GPNode] = []
         self._tree_stale = True
-        self._sign_cache = None     # (grid.version, tree, signs)
+        self._sign_index = None if grid is None else SignIndex(grid)
 
     @property
     def n_nodes(self) -> int:
@@ -166,31 +297,12 @@ class GlobalField:
 
     def _signs(self, points: np.ndarray, stats: QueryStats):
         """(sign, known) from the nearest observed fused voxel."""
-        n = len(points)
-        if self.grid is None:
+        if self._sign_index is None:
+            n = len(points)
             return np.ones(n), np.zeros(n, dtype=bool)
-        cache_ok = (self._sign_cache is not None
-                    and self._sign_cache[0] == self.grid.version)
-        if not cache_ok:
-            coords, dists = self.grid.observed_voxels()
-            stats.sign_rebuilt = 1
-            stats.n_observed_indexed = len(coords)
-            if len(coords) == 0:
-                self._sign_cache = (self.grid.version, None, None)
-            else:
-                centers = grid_to_world(coords, self.grid.voxel_size)
-                tree = cKDTree(centers)
-                self._sign_cache = (self.grid.version, tree,
-                                    np.where(dists < 0, -1.0, 1.0))
-        _, tree, signs = self._sign_cache
-        if tree is None:
-            return np.ones(n), np.zeros(n, dtype=bool)
-        radius = self.sign_radius * self.grid.voxel_size
-        dist, idx = tree.query(points, k=1, distance_upper_bound=radius)
-        known = np.isfinite(dist)
-        sign = np.ones(n)
-        sign[known] = signs[idx[known]]
-        return sign, known
+        self._sign_index.refresh(stats)
+        return self._sign_index.lookup(
+            points, self.sign_radius * self.grid.voxel_size)
 
     def query(self, point, q: Optional[int] = None) -> FieldQueryResult:
         return self.query_batch(np.asarray(point, dtype=np.float64).reshape(1, 3),

@@ -11,7 +11,9 @@ probe regardless of map extent. Batch reads of many leaves go through
 ``SparseGrid.stack_leaves``, which binary-searches a cached sorted array
 of those keys and stacks the named arrays of the leaves hit, plus one
 all-zero row for every unallocated leaf; ``lookup`` and marching cubes'
-block gather both index into its stacks.
+block gather both index into its stacks. Every write path stamps the
+leaf it writes from a grid-wide clock, so a reader that remembers the
+clock can find the leaves touched since by their stamps alone.
 """
 
 from __future__ import annotations
@@ -127,10 +129,14 @@ class VoxelState:
 
 
 class LeafNode:
-    """Dense 8^3 block of voxel state."""
+    """Dense 8^3 block of voxel state.
+
+    ``stamp`` is the grid clock at the leaf's last touch through
+    ``get_or_create_leaf``, ``set`` or ``mark_active``.
+    """
 
     __slots__ = ("origin", "distance", "dist_weight", "prop", "prop_weight",
-                 "observed", "value_mask", "active")
+                 "observed", "value_mask", "active", "stamp")
 
     def __init__(self, origin: tuple[int, int, int], prop_channels: int = 0):
         self.origin = origin
@@ -141,6 +147,7 @@ class LeafNode:
         self.observed = np.zeros(LEAF_VOXELS, dtype=bool)
         self.value_mask = np.zeros(LEAF_VOXELS, dtype=bool)
         self.active = False
+        self.stamp = 0
 
     def local_index(self, coord) -> int:
         lx = int(coord[0]) & (LEAF_SIZE - 1)
@@ -150,11 +157,8 @@ class LeafNode:
 
     def set_coords(self) -> np.ndarray:
         """Global coordinates of voxels with the value mask on."""
-        flat = np.flatnonzero(self.value_mask)
-        local = np.stack([flat >> (2 * LEAF_LOG2),
-                          (flat >> LEAF_LOG2) & (LEAF_SIZE - 1),
-                          flat & (LEAF_SIZE - 1)], axis=1)
-        return local + np.asarray(self.origin, dtype=np.int64)
+        return (flat_local_coords(np.flatnonzero(self.value_mask))
+                + np.asarray(self.origin, dtype=np.int64))
 
 
 def local_flat_index(coords: np.ndarray) -> np.ndarray:
@@ -162,6 +166,12 @@ def local_flat_index(coords: np.ndarray) -> np.ndarray:
     c = np.asarray(coords, dtype=np.int64)
     m = LEAF_SIZE - 1
     return ((c[..., 0] & m) << (2 * LEAF_LOG2)) | ((c[..., 1] & m) << LEAF_LOG2) | (c[..., 2] & m)
+
+
+def flat_local_coords(flat: np.ndarray) -> np.ndarray:
+    """(N, 3) within-leaf coordinates of flat indices; inverts local_flat_index."""
+    return np.stack([flat >> (2 * LEAF_LOG2), (flat >> LEAF_LOG2) & (LEAF_SIZE - 1),
+                     flat & (LEAF_SIZE - 1)], axis=1)
 
 
 class SparseGrid:
@@ -174,12 +184,18 @@ class SparseGrid:
         self.prop_channels = int(prop_channels)
         # packed leaf-origin key -> leaf, in allocation order
         self._leaves: dict[int, LeafNode] = {}
-        # allocated leaf keys in ascending order and their leaves, built by
-        # stack_leaves and dropped whenever a leaf is allocated
-        self._sorted: Optional[tuple[np.ndarray, list]] = None
+        # allocated leaf keys in ascending order, then a key above every
+        # leaf key, and their leaves; stack_leaves merges in the keys
+        # allocated since its last call, which wait in _unsorted
+        self._sorted = (np.array([np.iinfo(np.int64).max]),
+                        np.empty(0, dtype=object))
+        self._unsorted: list[int] = []
         self._active: dict[tuple[int, int, int], LeafNode] = {}
         # bumped on every mutation; lets callers cache derived structures
         self.version = 0
+        # advanced by every leaf stamp; a leaf stamped after a reader read
+        # the clock was written since
+        self.clock = 0
 
     # -- node access --------------------------------------------------------
 
@@ -191,15 +207,23 @@ class SparseGrid:
         return self._leaves.get(_leaf_key(coord))
 
     def get_or_create_leaf(self, coord) -> LeafNode:
-        """Leaf containing the coordinate, allocating it if needed."""
+        """Leaf containing the coordinate, allocating it if needed.
+
+        Stamps the leaf: callers get it to write into it.
+        """
         key = _leaf_key(coord)
         leaf = self._leaves.get(key)
         if leaf is None:
             origin = tuple((int(v) >> LEAF_LOG2) << LEAF_LOG2 for v in coord)
             leaf = self._leaves[key] = LeafNode(origin, self.prop_channels)
-            self._sorted = None
+            self._unsorted.append(key)
             self.version += 1
+        self._stamp(leaf)
         return leaf
+
+    def _stamp(self, leaf: LeafNode) -> None:
+        self.clock += 1
+        leaf.stamp = self.clock
 
     # -- single voxel API ----------------------------------------------------
 
@@ -243,6 +267,7 @@ class SparseGrid:
         return iter(self._active.values())
 
     def mark_active(self, leaf: LeafNode) -> None:
+        self._stamp(leaf)
         if not leaf.active:
             leaf.active = True
             self._active[leaf.origin] = leaf
@@ -269,12 +294,8 @@ class SparseGrid:
             them, the zero row where its leaf is unallocated.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if self._sorted is None:
-            order = sorted(self._leaves)
-            # a trailing key above every leaf key keeps each search in range
-            self._sorted = (np.array(order + [np.iinfo(np.int64).max],
-                                     dtype=np.int64),
-                            [self._leaves[k] for k in order])
+        if self._unsorted:
+            self._merge_unsorted()
         sorted_keys, sorted_leaves = self._sorted
         n = len(sorted_leaves)
         slot = np.searchsorted(sorted_keys, keys)
@@ -282,11 +303,22 @@ class SparseGrid:
         hit = np.zeros(n + 1, dtype=bool)
         hit[slot] = True
         hit[n] = True
-        leaves = [sorted_leaves[i] for i in np.flatnonzero(hit[:n]).tolist()]
+        leaves = sorted_leaves[np.flatnonzero(hit[:n])].tolist()
         leaves.append(LeafNode((0, 0, 0), self.prop_channels))
         stacks = [np.stack([getattr(leaf, name) for leaf in leaves])
                   for name in names]
         return (np.cumsum(hit) - 1)[slot], stacks
+
+    def _merge_unsorted(self) -> None:
+        """Merge the keys allocated since the last merge into _sorted."""
+        new = np.array(sorted(self._unsorted), dtype=np.int64)
+        new_leaves = np.empty(len(new), dtype=object)
+        new_leaves[:] = [self._leaves[k] for k in new.tolist()]
+        sorted_keys, sorted_leaves = self._sorted
+        at = np.searchsorted(sorted_keys, new)
+        self._sorted = (np.insert(sorted_keys, at, new),
+                        np.insert(sorted_leaves, at, new_leaves))
+        self._unsorted.clear()
 
     def lookup(self, coords: np.ndarray):
         """Vectorized voxel lookup.
@@ -366,8 +398,5 @@ class SparseGrid:
                 & np.stack([leaf.observed for leaf in leaves]))
         li, flat = np.nonzero(mask)
         origins = np.array([leaf.origin for leaf in leaves], dtype=np.int64)
-        local = np.stack([flat >> (2 * LEAF_LOG2),
-                          (flat >> LEAF_LOG2) & (LEAF_SIZE - 1),
-                          flat & (LEAF_SIZE - 1)], axis=1)
         dists = np.stack([leaf.distance for leaf in leaves])[li, flat]
-        return local + origins[li], dists.astype(np.float64)
+        return flat_local_coords(flat) + origins[li], dists.astype(np.float64)

@@ -91,7 +91,9 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
     m = len(live)
     cur = np.tile(np.floor(o / h).astype(np.int64), (m, 1))
     step = np.where(dirn > 0, 1, -1).astype(np.int64)
-    with np.errstate(divide="ignore"):
+    # a zero direction component divides to inf or nan in branches
+    # np.where discards; a subnormal one overflows to inf, which is right
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_delta = np.where(dirn != 0, h / np.abs(dirn), np.inf)
         lo = np.floor(o / h) * h
         t_max = np.where(dirn > 0, (lo + h - o) / dirn,

@@ -1,7 +1,9 @@
 """Command line verbs, exit codes, and output formats."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,12 @@ from gpfield.pipeline import Pipeline
 from gpfield.ply import read_ply
 
 SPHERE_SCENE = "sphere 0 0 0 1\n"
+
+# pytest puts src/ on sys.path (pyproject's pythonpath); a child
+# interpreter needs it on PYTHONPATH to import this checkout
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
 
 RUN_ARGS = ["--frames", "4", "--orbit-radius", "2.5",
             "--sensor", "pinhole", "--width", "24", "--height", "18",
@@ -108,7 +116,7 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path):
         [sys.executable, "-m", "gpfield.cli", "run", "--scene", str(scene),
          "--snapshot", str(tmp_path / "m.snap"), "--set", "voxel_size=nan",
          *RUN_ARGS],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert run.returncode == 1
     assert run.stdout == ""
     assert run.stderr.splitlines() == ["error: voxel_size must be finite, "
@@ -261,16 +269,16 @@ def test_console_script_roundtrip(tmp_path):
     run = subprocess.run(
         [sys.executable, "-m", "gpfield.cli", "run", "--scene", str(scene),
          "--snapshot", str(snap), *RUN_ARGS],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert run.returncode == 0, run.stderr
     query = subprocess.run(
         [sys.executable, "-m", "gpfield.cli", "query", str(snap), "1.5,0,0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert query.returncode == 0, query.stderr
     assert query.stdout.splitlines()[0].startswith("x,y,z,distance")
     bad = subprocess.run(
         [sys.executable, "-m", "gpfield.cli", "mesh", str(tmp_path / "no.snap"),
          "--out", str(tmp_path / "no.ply")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")

@@ -415,8 +415,12 @@ def test_query_rows_at_the_voxel_key_range_edges():
 
 
 def test_query_stats_match_spies(monkeypatch, capsys):
+    """n_nodes_trained counts gp.train calls; sign_rebuilt is 1 when the
+    batch built the sign index's main tree, and a full build is the one
+    that calls observed_voxels; n_observed_indexed is the number of
+    observed voxels the batch added to the index."""
     trained = []
-    indexed = []
+    full_builds = []
     real_train = gp.train
     real_observed = SparseGrid.observed_voxels
 
@@ -426,7 +430,7 @@ def test_query_stats_match_spies(monkeypatch, capsys):
 
     def spy_observed(self):
         out = real_observed(self)
-        indexed.append(len(out[0]))
+        full_builds.append(len(out[0]))
         return out
 
     monkeypatch.setattr(gp, "train", spy_train)
@@ -441,25 +445,41 @@ def test_query_stats_match_spies(monkeypatch, capsys):
                                   + [0.5 * i, 0, 0], None)
                   for i in range(4)})
     near_first_two = np.array([[0.0, 0.0, 0.1], [0.5, 0.0, 0.1]])
+    everywhere = np.array([[0.5 * i, 0.0, 0.1] for i in range(4)])
 
-    def query_and_count(pts):
+    def n_observed():
+        return int(sum((leaf.value_mask & leaf.observed).sum()
+                       for leaf in grid.leaves()))
+
+    def query_and_count(pts, full):
         trained.clear()
-        indexed.clear()
+        full_builds.clear()
         stats = field.query_batch(pts).stats
         assert stats.n_nodes_trained == len(trained)
-        assert stats.sign_rebuilt == len(indexed)
-        assert stats.n_observed_indexed == sum(indexed)
+        assert len(full_builds) == full
+        if full:
+            assert stats.sign_rebuilt == 1
+            assert stats.n_observed_indexed == full_builds[0] == n_observed()
         return stats
 
-    first = query_and_count(near_first_two)
+    first = query_and_count(near_first_two, full=1)
     assert first == QueryStats(n_nodes_routed=2, n_nodes_trained=2,
                                sign_rebuilt=1, n_observed_indexed=3)
-    again = query_and_count(near_first_two)
+    again = query_and_count(near_first_two, full=0)
     assert again == QueryStats(n_nodes_routed=2)
 
+    # one new voxel is more than a quarter of the three in the main tree
     grid.set((0, 1, 0), VoxelState(0.01, 1.0, observed=True))
-    everywhere = np.array([[0.5 * i, 0.0, 0.1] for i in range(4)])
-    third = query_and_count(everywhere)
+    third = query_and_count(everywhere, full=0)
     assert third == QueryStats(n_nodes_routed=4, n_nodes_trained=2,
-                               sign_rebuilt=1, n_observed_indexed=4)
+                               sign_rebuilt=1, n_observed_indexed=1)
+    # one more is not more than a quarter of four: it goes to the tail
+    grid.set((0, 2, 0), VoxelState(0.01, 1.0, observed=True))
+    fourth = query_and_count(everywhere, full=0)
+    assert fourth == QueryStats(n_nodes_routed=4, n_observed_indexed=1)
+    # un-observing an indexed voxel falls back to a full build
+    grid.set((0, 0, 0), VoxelState(0.01, 1.0, observed=False))
+    fifth = query_and_count(everywhere, full=1)
+    assert fifth == QueryStats(n_nodes_routed=4, sign_rebuilt=1,
+                               n_observed_indexed=4)
     assert capsys.readouterr() == ("", "")

@@ -373,6 +373,58 @@ def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
                                           getattr(leaf or zero, name))
 
 
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(st.lists(st.integers(0, 40), max_size=12),
+                        min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sorted_key_cache_equals_a_fresh_sort(batches, seed):
+    """Allocations interleaved with batch reads: after every read the
+    merged cache equals a fresh sort of the allocated keys, and reads
+    see every leaf allocated before them."""
+    rng = np.random.default_rng(seed)
+    grid = SparseGrid(voxel_size=0.1)
+    spread = np.array([[1, -3, 5], [-7, 2, 1], [4, 4, -9]]) * LEAF_SIZE
+    for batch in batches:
+        for i in batch:
+            origin = (i % 7 - 3, i // 7 - 3, i % 3 - 1) @ spread
+            grid.set(tuple(origin.tolist()),
+                     VoxelState(float(i), 1.0, observed=True))
+        probe = np.array([(i % 7 - 3, i // 7 - 3, i % 3 - 1) @ spread
+                          for i in rng.integers(0, 41, 10)])
+        found, dist, _, _ = grid.lookup(probe)
+        keys, leaves = grid._sorted
+        order = sorted(grid._leaves)
+        assert keys.tolist() == order + [np.iinfo(np.int64).max]
+        assert all(a is grid._leaves[k] for a, k in zip(leaves, order))
+        assert len(leaves) == len(order)
+        for c, f, d in zip(probe, found, dist):
+            want = grid.get(tuple(c.tolist()))
+            assert f == (want is not None)
+            assert d == (want.distance if want is not None else 0.0)
+
+
+def test_every_write_path_stamps_its_leaf_from_the_clock():
+    grid = SparseGrid(voxel_size=0.1)
+    a = grid.get_or_create_leaf((0, 0, 0))
+    assert a.stamp == grid.clock > 0
+    grid.set((9, 0, 0), VoxelState(0.0, 1.0))
+    b = grid.find_leaf((9, 0, 0))
+    assert b.stamp == grid.clock > a.stamp
+    clock = grid.clock
+    assert grid.find_leaf((0, 0, 0)) is a and grid.lookup([(0, 0, 0)])
+    grid.get((9, 0, 0))
+    assert grid.clock == clock              # reads stamp nothing
+    grid.mark_active(a)
+    assert a.stamp == grid.clock > b.stamp
+    grid.mark_active(a)                     # already active: stamped again
+    assert a.stamp == grid.clock == clock + 2
+    grid.get_or_create_leaf((1, 1, 1))      # an existing leaf
+    assert a.stamp == grid.clock == clock + 3
+    grid.set((9, 1, 0), VoxelState(0.5, 1.0))
+    assert b.stamp == grid.clock == clock + 4
+    assert [leaf for leaf in grid.leaves() if leaf.stamp > clock + 3] == [b]
+
+
 def test_gather_block_dense_window():
     grid = SparseGrid(voxel_size=0.1, prop_channels=2)
     grid.set((0, 0, 0), VoxelState(-0.3, 1.0, np.array([0.1, 0.9]), 1.0, True))

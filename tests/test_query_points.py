@@ -1,10 +1,13 @@
 """Ray carving, endpoint bands, normal augmentation and dedup rules."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from gpfield.grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
 from gpfield.query_points import (
+    _traverse,
     dedup_first,
     estimate_normals,
     generate,
@@ -22,6 +25,23 @@ def test_traverse_axis_aligned_ray():
     coords = traverse_ray(origin, end, h)
     want = [(k, 0, 0) for k in range(11)]
     assert [tuple(int(v) for v in c) for c in coords] == want
+
+
+def test_traverse_from_a_voxel_boundary_along_an_axis_warns_nothing():
+    # the origin's y and z lie on voxel boundaries and the first rays have
+    # no y or z component, so the unused t_max branches compute 0/0; the
+    # last ray's subnormal y component overflows h / |dirn| to inf
+    origin = np.array([0.25, 0.0, -1.0])
+    ends = np.array([[2.25, 0.0, -1.0], [0.25, 0.0, 1.0], [0.25, 0.0, -1.0],
+                     [2.25, 1e-310, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coords, t_enter, ray = _traverse(origin, ends, 0.5, 0.0)
+    assert np.isfinite(t_enter).all()
+    assert set(ray.tolist()) == {0, 1, 3}
+    for r in (0, 3):
+        np.testing.assert_array_equal(coords[ray == r][:, 1:],
+                                      np.tile([0, -2], ((ray == r).sum(), 1)))
 
 
 def test_traverse_steps_one_axis_at_a_time():

@@ -1,0 +1,238 @@
+"""The append-only sign index against the single-tree index it replaced.
+
+``SignIndex`` keeps a main and a tail cKDTree over observed voxel
+centres and, after a grid change, indexes only the voxels of leaves
+stamped since its last look. ``reference_signs`` is the per-version
+rebuild it replaced: one cKDTree over every observed voxel. On every
+query row without an exact distance tie between observed voxels, sign
+and known must equal the reference bit for bit; on a tied row, the sign
+must be the sign of one of the tied voxels.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
+
+from gpfield import gp
+from gpfield.fusion import FusionConfig, fuse_frame
+from gpfield.global_field import GlobalField, QueryStats, SignIndex
+from gpfield.grid import SparseGrid, VoxelState, grid_to_world
+from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
+
+H = 0.05
+RADIUS = 2.5 * H
+CFG = FusionConfig(v_max=1.0, w_max=1.0, weight_cap=100.0,
+                   surface_band=2 * H, v_clip=0.99)
+
+
+def reference_signs(grid, points, radius):
+    """(sign, known) from one cKDTree over every observed voxel."""
+    n = len(points)
+    coords, dists = grid.observed_voxels()
+    if len(coords) == 0:
+        return np.ones(n), np.zeros(n, dtype=bool)
+    tree = cKDTree(grid_to_world(coords, grid.voxel_size))
+    dist, idx = tree.query(points, k=1, distance_upper_bound=radius)
+    known = np.isfinite(dist)
+    sign = np.ones(n)
+    sign[known] = np.where(dists < 0, -1.0, 1.0)[idx[known]]
+    return sign, known
+
+
+def assert_matches_reference(index, points):
+    """Compare one lookup with the reference; returns the tied row count."""
+    sign, known = index.lookup(points, RADIUS)
+    want_sign, want_known = reference_signs(index.grid, points, RADIUS)
+    np.testing.assert_array_equal(known, want_known)
+    coords, dists = index.grid.observed_voxels()
+    if len(coords) < 2:
+        np.testing.assert_array_equal(sign, want_sign)
+        return 0
+    # a lattice point has at most 8 equidistant nearest voxel centres
+    k = min(9, len(coords))
+    tree = cKDTree(grid_to_world(coords, H))
+    d, idx = tree.query(points, k=k, distance_upper_bound=RADIUS)
+    tied = known & (d[:, 1] == d[:, 0])
+    np.testing.assert_array_equal(sign[~tied], want_sign[~tied])
+    voxel_signs = np.where(dists < 0, -1.0, 1.0)
+    for r in np.flatnonzero(tied):
+        at = idx[r][d[r] == d[r, 0]]
+        assert sign[r] in voxel_signs[at], r
+    return int(tied.sum())
+
+
+def observed_count(grid):
+    return int(sum((leaf.value_mask & leaf.observed).sum()
+                   for leaf in grid.leaves()))
+
+
+def fuse_box(grid, rng, lo, span, n, scale):
+    """Fuse n distinct random voxels of a box; |distance| ~ scale."""
+    coords = lo + rng.integers(0, span, size=(n, 3))
+    coords = np.unique(coords, axis=0)
+    dist = rng.normal(scale=scale, size=len(coords))
+    fuse_frame(grid, PointSet(coords, grid_to_world(coords, H),
+                              np.ones(len(coords)), np.zeros(len(coords))),
+               dist, np.full(len(coords), 0.1), CFG)
+
+
+def query_points(rng, n, lo, span):
+    """Voxel centres, faces, corners and anywhere in a box, in world units."""
+    c = lo + rng.integers(0, span, size=(n, 3)).astype(np.float64)
+    offsets = rng.choice([0.0, 0.5, 1.0], size=(n, 3))
+    anywhere = rng.random(n) < 0.25
+    offsets[anywhere] = rng.random((int(anywhere.sum()), 3))
+    return (c + offsets) * H
+
+
+OPS = st.one_of(
+    st.tuples(st.just("fuse"), st.integers(1, 120), st.sampled_from([0.02, 0.2])),
+    st.tuples(st.just("set"), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("query"), st.integers(1, 60), st.just(0)),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ops=st.lists(OPS, min_size=1, max_size=14))
+def test_lookup_matches_single_tree_reference(seed, ops):
+    rng = np.random.default_rng(seed)
+    # a box across the origin, so leaves with negative origins take part
+    lo, span = -10, 22
+    grid = SparseGrid(voxel_size=H)
+    index = SignIndex(grid)
+    seen = 0
+    may_build = True    # first batch, or an observed voxel was cleared since
+    for op, a, b in ops + [("query", 40, 0)]:
+        if op == "fuse":
+            fuse_box(grid, rng, lo, span, a, b)
+        elif op == "set":
+            # re-set an observed voxel (flipping its sign, maybe clearing
+            # its observed flag) or set one anywhere in the box
+            coords, _ = grid.observed_voxels()
+            if a and len(coords):
+                c = tuple(coords[rng.integers(len(coords))].tolist())
+            else:
+                c = tuple((lo + rng.integers(0, span, size=3)).tolist())
+            old = grid.get(c)
+            may_build |= old is not None and old.observed and not b
+            grid.set(c, VoxelState(distance=float(rng.normal(scale=H)),
+                                   dist_weight=1.0, observed=b))
+        else:
+            stats = QueryStats()
+            index.refresh(stats)
+            now = observed_count(grid)
+            if stats.n_observed_indexed != now - seen:
+                # only a full build indexes voxels indexed before
+                assert may_build
+                assert stats.sign_rebuilt == 1
+                assert stats.n_observed_indexed == now
+            assert index.n == now
+            assert_matches_reference(index, query_points(rng, a, lo, span))
+            seen = now
+            may_build = False
+
+
+def test_sequence_reaches_every_branch():
+    """One fixed sequence: first build, unchanged grid, new leaves, sign
+    flips, tail appends, compactions and the un-observe fallback, each
+    checked against the reference, lattice ties included."""
+    rng = np.random.default_rng(5)
+    grid = SparseGrid(voxel_size=H)
+    index = SignIndex(grid)
+    lo, span = -16, 32
+    ties = 0
+
+    def refresh(near=np.zeros((0, 3))):
+        stats = QueryStats()
+        before = index.n
+        index.refresh(stats)
+        nonlocal ties
+        pts = np.concatenate([query_points(rng, 400, lo, span), near])
+        ties += assert_matches_reference(index, pts)
+        return stats, before
+
+    stats, _ = refresh()                    # empty grid
+    assert stats == QueryStats(sign_rebuilt=1)
+    fuse_box(grid, rng, -8, 16, 600, 0.02)
+    stats, _ = refresh()                    # first build
+    assert stats.sign_rebuilt == 1 and stats.n_observed_indexed == index.n > 0
+    stats, _ = refresh()                    # unchanged grid: no work
+    assert stats == QueryStats()
+
+    fuse_box(grid, rng, -8, 16, 40, 0.02)   # a few voxels: tail only
+    stats, before = refresh()
+    assert not stats.sign_rebuilt and 0 < stats.n_observed_indexed
+    assert index.tail is not None and index.n_main == before
+
+    # flip the signs of indexed voxels by refusing them with heavy weight
+    coords, dists = grid.observed_voxels()
+    flip = coords[:50]
+    fuse_frame(grid, PointSet(flip, grid_to_world(flip, H), np.ones(50),
+                              np.zeros(50)),
+               -np.sign(dists[:50]) * 100.0, np.zeros(50), CFG)
+    assert (np.sign(grid.lookup(flip)[1]) != np.sign(dists[:50])).all()
+    stats, _ = refresh(grid_to_world(flip, H) + rng.uniform(-H, H, (50, 3)))
+    assert stats == QueryStats()            # signs rewritten, nothing new
+
+    fuse_box(grid, rng, 8, 16, 900, 0.02)   # new leaves past a quarter
+    stats, _ = refresh()
+    assert stats.sign_rebuilt == 1 and index.tail is None
+    assert index.n_main == index.n == observed_count(grid)
+
+    # a set that un-observes an indexed voxel falls back to a full build
+    coords, _ = grid.observed_voxels()
+    grid.set(tuple(coords[7].tolist()), VoxelState(0.01, 1.0, observed=False))
+    n = observed_count(grid)
+    stats, _ = refresh()
+    assert stats == QueryStats(sign_rebuilt=1, n_observed_indexed=n)
+
+    # a version change with no stamped leaf also builds in full
+    leaf = next(grid.leaves())
+    leaf.observed[:] = True
+    leaf.value_mask[:] = True
+    grid.version += 1
+    stats, _ = refresh()
+    assert stats == QueryStats(sign_rebuilt=1,
+                               n_observed_indexed=observed_count(grid))
+    assert ties > 0
+
+
+def test_field_signs_follow_a_growing_corridor_with_logarithmic_builds():
+    """Count test, no timing: on a corridor that grows by a slab of wall
+    voxels per frame, each query batch indexes exactly the voxels
+    observed since the previous batch, and the main tree is built a
+    number of times logarithmic in the number of frames."""
+    grid = SparseGrid(voxel_size=H)
+    field = GlobalField(gp.KernelParams(length_scale=0.1), grid=grid,
+                        sign_radius=5)
+    field.update({(0, 0, 0): (np.array([[0.0, 0.5, 0.0], [0.05, 0.5, 0.0],
+                                        [0.0, 0.5, 0.05]]), None)})
+    frames = 300
+    builds = []
+    seen = 0
+    first = None
+    for f in range(frames):
+        x = np.arange(2 * f, 2 * f + 8)
+        y = np.array([-10, -9, 9, 10])
+        z = np.arange(-4, 4)
+        coords = np.stack(np.meshgrid(x, y, z, indexing="ij"), -1).reshape(-1, 3)
+        dist = np.where(np.abs(coords[:, 1]) == 9, -0.01, 0.01)
+        fuse_frame(grid, PointSet(coords, grid_to_world(coords, H),
+                                  np.ones(len(coords)), np.zeros(len(coords))),
+                   dist, np.full(len(coords), 0.1), CFG)
+        ahead = np.array([[H * (2 * f + 4), y * H, 0.0]
+                          for y in (-9.5, 0.0, 9.5)])
+        stats = field.query_batch(ahead).stats
+        now = observed_count(grid)
+        assert stats.n_observed_indexed == now - seen
+        seen = now
+        first = first or now
+        builds.append(stats.sign_rebuilt)
+    # each build after the first grows the main tree by more than 1.25x
+    assert sum(builds) - 1 <= math.log(seen / first) / math.log(1.25)
+    assert sum(builds) < 4 * math.log(frames)
+    assert builds[0] == 1 and sum(builds) > 1

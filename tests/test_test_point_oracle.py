@@ -37,7 +37,7 @@ def reference_traverse(origin, ends, voxel_size, extra):
 
     cur = np.tile(np.floor(o / h).astype(np.int64), (n, 1))
     step = np.where(dirn > 0, 1, -1).astype(np.int64)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t_delta = np.where(dirn != 0, h / np.abs(dirn), np.inf)
         lo = np.floor(o / h) * h
         t_max = np.where(dirn > 0, (lo + h - o) / dirn,
