@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (SparseGrid, VoxelState, group_by, leaf_keys,
+from .grid import (LEAF_VOXELS, SparseGrid, VoxelState, group_by, leaf_keys,
                    local_flat_index, pack_keys)
 from .query_points import TestPointSet
 
@@ -83,12 +83,14 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
                variances: np.ndarray, cfg: FusionConfig,
                props: Optional[np.ndarray] = None,
                prop_variances: Optional[np.ndarray] = None) -> FusionStats:
-    """Vectorized per-leaf fusion of one frame's test points.
+    """Fuse one frame's test points with one gather and one scatter per
+    leaf array of the grid's pool.
 
-    distances are signed (test-point sign already applied). Leaves that
-    receive updates are marked active on the grid. Voxel coordinates in
-    `points` are assumed deduplicated, which generate()/merge()
-    guarantee.
+    distances are signed (test-point sign already applied). Missing
+    leaves are allocated in ascending key order; leaves that receive
+    updates are marked active on the grid in that order. Voxel
+    coordinates in `points` are assumed deduplicated, which
+    generate()/merge() guarantee.
     """
     n = len(points)
     stats = FusionStats(voxels_fused=n)
@@ -103,33 +105,37 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
                                 cfg.w_max, cfg.v_clip), w)
 
     # keying every point first rejects out-of-range voxels before any write
-    leaves = group_by(leaf_keys(pack_keys(points.coords))).rows()
+    leaves = group_by(leaf_keys(pack_keys(points.coords)))
     before = grid.n_leaves
-    flat = local_flat_index(points.coords)
-    for rows in leaves:
-        idx = flat[rows]
-        leaf = grid.get_or_create_leaf(points.coords[rows[0]])
-        old_d = leaf.distance[idx].astype(np.float64)
-        old_w = leaf.dist_weight[idx].astype(np.float64)
-        total = old_w + w[rows]
-        leaf.distance[idx] = (old_w * old_d + w[rows] * d[rows]) / total
-        leaf.dist_weight[idx] = np.minimum(total, cfg.weight_cap)
-        leaf.observed[idx] |= near[rows]
-        leaf.value_mask[idx] = True
-        if fuse_props:
-            sel = rows[near[rows]]
-            if len(sel):
-                lidx = flat[sel]
-                old_p = leaf.prop[lidx].astype(np.float64)
-                old_pw = leaf.prop_weight[lidx].astype(np.float64)
-                wcs = wc[sel]
-                pt = old_pw + wcs
-                safe = np.maximum(pt, np.finfo(np.float64).tiny)
-                leaf.prop[lidx] = (old_pw[:, None] * old_p
-                                   + wcs[:, None] * props[sel]) / safe[:, None]
-                leaf.prop_weight[lidx] = np.minimum(pt, cfg.weight_cap)
-        grid.mark_active(leaf)
+    slots = grid.allocate(leaves.keys)
+    at = slots[leaves.inverse] * LEAF_VOXELS + local_flat_index(points.coords)
+    # views taken after allocate, which may have grown the pool
+    dist, weight, observed, mask, prop, prop_weight = map(grid.voxels, (
+        "distance", "dist_weight", "observed", "value_mask", "prop",
+        "prop_weight"))
+    old_d = dist[at].astype(np.float64)
+    old_w = weight[at].astype(np.float64)
+    total = old_w + w
+    dist[at] = (old_w * old_d + w * d) / total
+    weight[at] = np.minimum(total, cfg.weight_cap)
+    observed[at] |= near
+    mask[at] = True
+    if fuse_props:
+        sel = np.flatnonzero(near)
+        if len(sel):
+            lat = at[sel]
+            old_p = prop[lat].astype(np.float64)
+            old_pw = prop_weight[lat].astype(np.float64)
+            wcs = wc[sel]
+            pt = old_pw + wcs
+            safe = np.maximum(pt, np.finfo(np.float64).tiny)
+            prop[lat] = (old_pw[:, None] * old_p
+                         + wcs[:, None] * props[sel]) / safe[:, None]
+            prop_weight[lat] = np.minimum(pt, cfg.weight_cap)
+    # each leaf stamped as get_or_create_leaf and then mark_active would,
+    # leaf after leaf in key order
+    grid.activate(slots, touches=2)
     grid.version += 1
-    stats.leaves_touched = len(leaves)
+    stats.leaves_touched = len(slots)
     stats.new_leaves = grid.n_leaves - before
     return stats

@@ -21,8 +21,7 @@ from scipy.spatial import cKDTree
 
 from . import gp
 from .grid import (KEY_BIAS, LEAF_VOXELS, SparseGrid, flat_local_coords,
-                   grid_to_world, leaf_keys, leaf_origin_of, local_flat_index,
-                   pack_keys)
+                   grid_to_world, leaf_keys, local_flat_index, pack_keys)
 
 
 class EmptyField(RuntimeError):
@@ -98,7 +97,6 @@ class BatchQueryResult:
 # of the main tree's voxels, so main-tree builds stay logarithmic in the
 # number of voxels indexed
 _TAIL_SHARE = 4
-_UNINDEXED = np.full(LEAF_VOXELS, -1, dtype=np.int32)
 
 
 class SignIndex:
@@ -107,8 +105,8 @@ class SignIndex:
     Fusion never clears a voxel's observed flag, so the observed set only
     grows. Each indexed voxel owns a slot: its centre and its distance
     sign. A main cKDTree covers the slots indexed at its last build and a
-    tail cKDTree the slots appended since; per leaf, a (512,) int32 row
-    maps flat voxel index to slot, -1 where not indexed.
+    tail cKDTree the slots appended since; ``rows`` maps a leaf's pool
+    slot and flat voxel index to an index slot, -1 where not indexed.
 
     ``refresh`` does nothing while ``grid.version`` stands still. After a
     change it visits only the leaves stamped since its last look: it
@@ -127,18 +125,27 @@ class SignIndex:
         self.clock = 0              # grid.clock at the last look
         self.n = self.n_main = 0    # slots in all, slots in the main tree
         self.signs = np.zeros(0)    # grows by doubling; slots n.. are unused
-        self.rows: dict[tuple[int, int, int], np.ndarray] = {}
+        # (leaf slots, 512) int32, grown by doubling
+        self.rows = np.zeros((0, LEAF_VOXELS), dtype=np.int32)
         self.main = self.tail = None
 
     def refresh(self, stats: QueryStats) -> None:
         grid = self.grid
         if self.version == grid.version:
             return
-        touched = [leaf for leaf in grid.leaves() if leaf.stamp > self.clock]
+        touched = grid.stamped_since(self.clock)
         first = self.version is None
         self.version, self.clock = grid.version, grid.clock
-        if first or not touched or not self._append(touched, stats):
+        if first or not len(touched) or not self._append(touched, stats):
             self._build(stats)
+
+    def _fit_rows(self, slots: int) -> None:
+        """Grow rows by doubling until it holds a row for slots slots."""
+        if len(self.rows) < slots:
+            rows = np.full((max(slots, 2 * len(self.rows)), LEAF_VOXELS), -1,
+                           dtype=np.int32)
+            rows[:len(self.rows)] = self.rows
+            self.rows = rows
 
     def _build(self, stats: QueryStats) -> None:
         coords, dists = self.grid.observed_voxels()
@@ -153,19 +160,19 @@ class SignIndex:
         lk = leaf_keys(pack_keys(coords))
         new = np.ones(n, dtype=bool)
         np.not_equal(lk[1:], lk[:-1], out=new[1:])
-        rows = np.full((int(new.sum()), LEAF_VOXELS), -1, dtype=np.int32)
-        rows[np.cumsum(new) - 1, local_flat_index(coords)] = np.arange(n)
-        origins = map(tuple, leaf_origin_of(coords[new]).tolist())
-        self.rows = {o: row.copy() for o, row in zip(origins, rows)}
+        leaf = self.grid.leaf_slots(lk[new])[np.cumsum(new) - 1]
+        self.rows = np.full((self.grid.n_leaves + 1, LEAF_VOXELS), -1,
+                            dtype=np.int32)
+        self.rows[leaf, local_flat_index(coords)] = np.arange(n)
         stats.sign_rebuilt = 1
         stats.n_observed_indexed = n
 
-    def _append(self, touched: list, stats: QueryStats) -> bool:
+    def _append(self, touched: np.ndarray, stats: QueryStats) -> bool:
         """Index the touched leaves' new voxels; False if one lost a voxel."""
-        mask = (np.stack([leaf.value_mask for leaf in touched])
-                & np.stack([leaf.observed for leaf in touched]))
-        slot = np.stack([self.rows.get(leaf.origin, _UNINDEXED)
-                         for leaf in touched])
+        pool = self.grid.pool
+        mask = pool["value_mask"][touched] & pool["observed"][touched]
+        self._fit_rows(int(touched[-1]) + 1)
+        slot = self.rows[touched]
         indexed = slot >= 0
         if (indexed & ~mask).any():
             return False
@@ -174,18 +181,17 @@ class SignIndex:
         slot[li, flat] = np.arange(n, n + k)
         if n + k > len(self.signs):
             self.signs = np.resize(self.signs, max(n + k, 2 * len(self.signs)))
-        dists = np.stack([leaf.distance for leaf in touched])[mask]
-        self.signs[slot[mask]] = np.where(dists < 0, -1.0, 1.0)
-        # copies, so no row pins this batch's stack
-        for i in np.unique(li).tolist():
-            self.rows[touched[i].origin] = slot[i].copy()
+        mi, mf = np.nonzero(mask)
+        dists = self.grid.voxels("distance")[touched[mi] * LEAF_VOXELS + mf]
+        self.signs[slot[mi, mf]] = np.where(dists < 0, -1.0, 1.0)
+        self.rows[touched] = slot
         self.n = n + k
         stats.n_observed_indexed = k
         if not k:
             return True
         # the trees hold the only copy of the slot centres, in slot order
-        origins = np.array([leaf.origin for leaf in touched], dtype=np.int64)
-        centers = grid_to_world(origins[li] + flat_local_coords(flat),
+        centers = grid_to_world(pool["origin"][touched[li]]
+                                + flat_local_coords(flat),
                                 self.grid.voxel_size)
         if self.tail is not None:
             centers = np.concatenate([self.tail.data, centers])

@@ -1,23 +1,30 @@
-"""Sparse voxel grid: a flat map of dense 8^3 leaves.
+"""Sparse voxel grid: a flat map of dense 8^3 leaves held in one pool.
 
 Voxel coordinates are signed int64 triples. ``pack_keys`` packs a triple
 into one biased int64 key, 21 bits per axis, whose integer order equals
 the lexicographic order of the triples; ``group_by`` sorts such keys once
 and splits rows into runs. Every module that deduplicates voxels or
 buckets rows by leaf goes through these two, so the key layout is decided
-here alone. Leaves are dense numpy blocks of 8^3 voxels held in one dict
-keyed by the packed key of their origin, so finding a leaf is one hash
-probe regardless of map extent. Batch reads of many leaves go through
-``SparseGrid.stack_leaves``, which binary-searches a cached sorted array
-of those keys and stacks the named arrays of the leaves hit, plus one
-all-zero row for every unallocated leaf; ``lookup`` and marching cubes'
-block gather both index into its stacks. Every write path stamps the
-leaf it writes from a grid-wide clock, so a reader that remembers the
-clock can find the leaves touched since by their stamps alone.
+here alone.
+
+A grid keeps every leaf's voxels in one pool: per leaf array (distance,
+weights, properties, masks) one C-contiguous array whose row ``slot``
+holds one leaf, plus an origin and a stamp column. Slots follow
+allocation order; row 0 stays all-zero and reads for every unallocated
+leaf. The pool grows by doubling, copying only the rows in use, and each
+``LeafNode`` is a handle whose array attributes are views of its row,
+re-pointed on growth. Finding one leaf is one dict probe on the packed
+key of its origin; ``SparseGrid.leaf_slots`` finds many by binary search
+in a cached sorted array of those keys, so ``lookup``, fusion, marching
+cubes and the sign index read and write voxels of many leaves with one
+fancy index into the pool. Every write path stamps the leaf it writes
+from a grid-wide clock, so a reader that remembers the clock can find
+the leaves touched since by one compare on the stamp column.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
 
@@ -52,6 +59,12 @@ def pack_keys(coords) -> np.ndarray:
 def leaf_keys(keys) -> np.ndarray:
     """Packed key of the leaf origin holding each packed voxel key."""
     return np.asarray(keys, dtype=np.int64) & _LEAF_KEY_MASK
+
+
+def unpack_keys(keys) -> np.ndarray:
+    """(N, 3) int64 voxel coordinates of packed keys; inverts pack_keys."""
+    k = np.asarray(keys, dtype=np.int64).reshape(-1, 1)
+    return ((k >> (KEY_BITS * np.arange(2, -1, -1))) & _AXIS_MASK) - KEY_BIAS
 
 
 def _leaf_key(coord) -> int:
@@ -128,26 +141,75 @@ class VoxelState:
     observed: bool = False
 
 
-class LeafNode:
-    """Dense 8^3 block of voxel state.
+# the per-voxel arrays of a leaf, each one pool array of the grid
+LEAF_ARRAYS = ("distance", "dist_weight", "prop_weight", "prop", "observed",
+               "value_mask")
 
-    ``stamp`` is the grid clock at the leaf's last touch through
-    ``get_or_create_leaf``, ``set`` or ``mark_active``.
+
+def _zeros(shape: tuple, dtype) -> np.ndarray:
+    """Zeroed array on pages of its own mapping.
+
+    Pages never written stay unresident, and all go back to the system
+    when the array is freed. np.zeros gives neither once the allocator
+    serves arrays of this size from its heap, where calloc clears, and
+    so makes resident, every byte.
+    """
+    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    if nbytes == 0:
+        return np.zeros(shape, dtype=dtype)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=dtype).reshape(shape)
+
+
+def new_pool(capacity: int, prop_channels: int) -> dict:
+    """Zeroed pool of capacity leaf rows: the LEAF_ARRAYS, then each
+    leaf's origin, stamp and active flag."""
+    voxels = (capacity, LEAF_VOXELS)
+    return {"distance": _zeros(voxels, np.float32),
+            "dist_weight": _zeros(voxels, np.float32),
+            "prop_weight": _zeros(voxels, np.float32),
+            "prop": _zeros(voxels + (prop_channels,), np.float32),
+            "observed": _zeros(voxels, bool),
+            "value_mask": _zeros(voxels, bool),
+            "origin": _zeros((capacity, 3), np.int64),
+            "stamp": _zeros((capacity,), np.int64),
+            "active": _zeros((capacity,), bool)}
+
+
+class LeafNode:
+    """Handle on one leaf: its origin, its pool slot and views of its row.
+
+    The LEAF_ARRAYS attributes are views of the leaf's row in its grid's
+    pool, re-pointed when the pool grows, so writes through them land in
+    the pool; a view kept across an allocation may be stale. A LeafNode
+    made outside a grid owns a one-row pool. ``stamp`` is the grid clock
+    at the leaf's last touch through ``get_or_create_leaf``, ``set`` or
+    ``activate``; ``active`` is set by ``activate`` until
+    ``clear_active``.
     """
 
-    __slots__ = ("origin", "distance", "dist_weight", "prop", "prop_weight",
-                 "observed", "value_mask", "active", "stamp")
+    __slots__ = ("origin", "slot", "_stamp", "_active") + LEAF_ARRAYS
 
-    def __init__(self, origin: tuple[int, int, int], prop_channels: int = 0):
+    def __init__(self, origin: tuple[int, int, int], prop_channels: int = 0,
+                 pool: Optional[dict] = None, slot: int = 0):
         self.origin = origin
-        self.distance = np.zeros(LEAF_VOXELS, dtype=np.float32)
-        self.dist_weight = np.zeros(LEAF_VOXELS, dtype=np.float32)
-        self.prop = np.zeros((LEAF_VOXELS, prop_channels), dtype=np.float32)
-        self.prop_weight = np.zeros(LEAF_VOXELS, dtype=np.float32)
-        self.observed = np.zeros(LEAF_VOXELS, dtype=bool)
-        self.value_mask = np.zeros(LEAF_VOXELS, dtype=bool)
-        self.active = False
-        self.stamp = 0
+        self.slot = slot
+        self.point_at(new_pool(1, prop_channels) if pool is None else pool)
+
+    def point_at(self, pool: dict) -> None:
+        """Make the attributes views of this leaf's row of pool."""
+        row = slice(self.slot, self.slot + 1)
+        for name in LEAF_ARRAYS:
+            setattr(self, name, pool[name][self.slot])
+        self._stamp = pool["stamp"][row]
+        self._active = pool["active"][row]
+
+    @property
+    def stamp(self) -> int:
+        return int(self._stamp[0])
+
+    @property
+    def active(self) -> bool:
+        return bool(self._active[0])
 
     def local_index(self, coord) -> int:
         lx = int(coord[0]) & (LEAF_SIZE - 1)
@@ -177,20 +239,31 @@ def flat_local_coords(flat: np.ndarray) -> np.ndarray:
 class SparseGrid:
     """Flat map of 8^3 leaves; allocates a leaf on first write."""
 
+    # rows a new grid's pool holds, the zero row included
+    _INITIAL_CAPACITY = 16
+
     def __init__(self, voxel_size: float, prop_channels: int = 0):
         if voxel_size <= 0:
             raise ValueError(f"voxel_size must be positive, got {voxel_size}")
         self.voxel_size = float(voxel_size)
         self.prop_channels = int(prop_channels)
-        # packed leaf-origin key -> leaf, in allocation order
-        self._leaves: dict[int, LeafNode] = {}
+        # the leaf arrays, origins, stamps and active flags by slot; row 0
+        # stays zero. Growth replaces the arrays, so read them from here
+        # after any allocation
+        self.pool = new_pool(self._INITIAL_CAPACITY, self.prop_channels)
+        # packed leaf-origin key -> slot, in slot order
+        self._slots: dict[int, int] = {}
+        # slot -> LeafNode, made on first request
+        self._handles: dict[int, LeafNode] = {}
         # allocated leaf keys in ascending order, then a key above every
-        # leaf key, and their leaves; stack_leaves merges in the keys
-        # allocated since its last call, which wait in _unsorted
+        # leaf key, and their slots (0 for that last key); leaf_slots
+        # merges in the keys allocated since its last call, which wait in
+        # _unsorted and own the last slots
         self._sorted = (np.array([np.iinfo(np.int64).max]),
-                        np.empty(0, dtype=object))
+                        np.zeros(1, dtype=np.int64))
         self._unsorted: list[int] = []
-        self._active: dict[tuple[int, int, int], LeafNode] = {}
+        # slots activated since the last clear_active, in touch order
+        self._active: list[np.ndarray] = []
         # bumped on every mutation; lets callers cache derived structures
         self.version = 0
         # advanced by every leaf stamp; a leaf stamped after a reader read
@@ -199,12 +272,21 @@ class SparseGrid:
 
     # -- node access --------------------------------------------------------
 
+    def _handle(self, slot: int) -> LeafNode:
+        leaf = self._handles.get(slot)
+        if leaf is None:
+            leaf = self._handles[slot] = LeafNode(
+                tuple(self.pool["origin"][slot].tolist()), pool=self.pool,
+                slot=slot)
+        return leaf
+
     def find_leaf(self, coord) -> Optional[LeafNode]:
         """Leaf containing the coordinate, or None if unallocated.
 
         Raises ValueError for a coordinate outside the key range.
         """
-        return self._leaves.get(_leaf_key(coord))
+        slot = self._slots.get(_leaf_key(coord))
+        return None if slot is None else self._handle(slot)
 
     def get_or_create_leaf(self, coord) -> LeafNode:
         """Leaf containing the coordinate, allocating it if needed.
@@ -212,18 +294,58 @@ class SparseGrid:
         Stamps the leaf: callers get it to write into it.
         """
         key = _leaf_key(coord)
-        leaf = self._leaves.get(key)
-        if leaf is None:
-            origin = tuple((int(v) >> LEAF_LOG2) << LEAF_LOG2 for v in coord)
-            leaf = self._leaves[key] = LeafNode(origin, self.prop_channels)
-            self._unsorted.append(key)
-            self.version += 1
-        self._stamp(leaf)
-        return leaf
-
-    def _stamp(self, leaf: LeafNode) -> None:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = int(self._allocate(np.array([key]))[0])
         self.clock += 1
-        leaf.stamp = self.clock
+        self.pool["stamp"][slot] = self.clock
+        return self._handle(slot)
+
+    def allocate(self, keys) -> np.ndarray:
+        """Slot of the leaf under each packed leaf key, allocating the
+        missing leaves in the order given; keys must be distinct.
+
+        Stamps nothing: a caller that writes stamps through activate.
+        """
+        keys = np.asarray(keys, dtype=np.int64)
+        slots = self.leaf_slots(keys)
+        missing = slots == 0
+        if missing.any():
+            slots[missing] = self._allocate(keys[missing])
+        return slots
+
+    def _allocate(self, keys: np.ndarray) -> np.ndarray:
+        """Allocate leaves under new packed leaf keys; returns their slots."""
+        first = self.n_leaves + 1
+        slots = np.arange(first, first + len(keys))
+        self._reserve(first + len(keys))
+        self.pool["origin"][slots] = unpack_keys(keys)
+        self._slots.update(zip(keys.tolist(), slots.tolist()))
+        self._unsorted += keys.tolist()
+        self.version += len(keys)
+        return slots
+
+    def _reserve(self, rows: int) -> None:
+        """Grow the pool by doubling until it holds rows rows; only the
+        rows in use are copied, and every handle is re-pointed."""
+        capacity = len(self.pool["stamp"])
+        if rows <= capacity:
+            return
+        while capacity < rows:
+            capacity *= 2
+        used = self.n_leaves + 1
+        pool = new_pool(capacity, self.prop_channels)
+        for name, a in self.pool.items():
+            pool[name][:used] = a[:used]
+        self.pool = pool
+        for leaf in self._handles.values():
+            leaf.point_at(pool)
+
+    def voxels(self, name: str) -> np.ndarray:
+        """View of a LEAF_ARRAYS pool array with one row per voxel: voxel
+        flat of the leaf in slot is row slot * LEAF_VOXELS + flat."""
+        a = self.pool[name]
+        return a.reshape((len(a) * LEAF_VOXELS,) + a.shape[2:])
 
     # -- single voxel API ----------------------------------------------------
 
@@ -256,68 +378,85 @@ class SparseGrid:
 
     @property
     def n_leaves(self) -> int:
-        return len(self._leaves)
+        return len(self._slots)
+
+    @property
+    def nbytes(self) -> int:
+        """Pool bytes of the rows in use by leaves."""
+        return self.n_leaves * sum(a[0].nbytes for a in self.pool.values())
 
     def leaves(self) -> Iterator[LeafNode]:
-        """All allocated leaves, in insertion order."""
-        return iter(self._leaves.values())
+        """All allocated leaves, in slot (allocation) order."""
+        return map(self._handle, range(1, self.n_leaves + 1))
+
+    def active_slots(self) -> np.ndarray:
+        """Slots of the leaves activated since the last clear_active(),
+        in touch order."""
+        if len(self._active) > 1:
+            self._active = [np.concatenate(self._active)]
+        return self._active[0] if self._active else np.zeros(0, np.int64)
 
     def active_leaves(self) -> Iterator[LeafNode]:
-        """Leaves touched since the last clear_active(), in touch order."""
-        return iter(self._active.values())
+        """Leaves activated since the last clear_active(), in touch order."""
+        return map(self._handle, self.active_slots().tolist())
 
     def mark_active(self, leaf: LeafNode) -> None:
-        self._stamp(leaf)
-        if not leaf.active:
-            leaf.active = True
-            self._active[leaf.origin] = leaf
+        self.activate([leaf.slot])
+
+    def activate(self, slots, touches: int = 1) -> None:
+        """Stamp the distinct leaves in slots one after another, each
+        touches times in a row, and mark them active in that order."""
+        slots = np.asarray(slots, dtype=np.int64)
+        self.pool["stamp"][slots] = self.clock + touches * np.arange(
+            1, len(slots) + 1)
+        self.clock += touches * len(slots)
+        active = self.pool["active"]
+        new = slots[~active[slots]]
+        active[new] = True
+        self._active.append(new)
 
     def clear_active(self) -> None:
-        for leaf in self._active.values():
-            leaf.active = False
-        self._active.clear()
+        self.pool["active"][self.active_slots()] = False
+        self._active = []
+
+    def stamped_since(self, clock: int) -> np.ndarray:
+        """Slots, ascending, of the leaves stamped after the clock read
+        clock."""
+        return np.flatnonzero(self.pool["stamp"][1:self.n_leaves + 1]
+                              > clock) + 1
 
     # -- bulk access ---------------------------------------------------------
 
-    def stack_leaves(self, keys, names):
-        """Stack the named arrays of the leaves under packed leaf keys.
+    def leaf_slots(self, keys) -> np.ndarray:
+        """Pool slot of the leaf under each packed leaf key.
 
-        Args:
-            keys: (N,) packed leaf-origin keys, duplicates allowed; a key
-                with no allocated leaf, such as -1, reads as unallocated.
-            names: LeafNode array names, e.g. ("distance", "observed").
-
-        Returns:
-            (row, stacks): stacks holds one array per name, the named
-            arrays of the distinct allocated leaves the keys hit, in key
-            order, then one all-zero row; row (N,) is each key's row in
-            them, the zero row where its leaf is unallocated.
+        Duplicates are allowed; a key with no allocated leaf, such as -1,
+        gets slot 0, the zero row.
         """
         keys = np.asarray(keys, dtype=np.int64)
         if self._unsorted:
             self._merge_unsorted()
-        sorted_keys, sorted_leaves = self._sorted
-        n = len(sorted_leaves)
-        slot = np.searchsorted(sorted_keys, keys)
-        slot[sorted_keys[slot] != keys] = n
-        hit = np.zeros(n + 1, dtype=bool)
-        hit[slot] = True
-        hit[n] = True
-        leaves = sorted_leaves[np.flatnonzero(hit[:n])].tolist()
-        leaves.append(LeafNode((0, 0, 0), self.prop_channels))
-        stacks = [np.stack([getattr(leaf, name) for leaf in leaves])
-                  for name in names]
-        return (np.cumsum(hit) - 1)[slot], stacks
+        sorted_keys, sorted_slots = self._sorted
+        at = np.searchsorted(sorted_keys, keys)
+        return np.where(sorted_keys[at] == keys, sorted_slots[at], 0)
+
+    def sorted_slots(self) -> np.ndarray:
+        """Slots of all leaves in ascending origin order."""
+        if self._unsorted:
+            self._merge_unsorted()
+        return self._sorted[1][:-1]
 
     def _merge_unsorted(self) -> None:
         """Merge the keys allocated since the last merge into _sorted."""
-        new = np.array(sorted(self._unsorted), dtype=np.int64)
-        new_leaves = np.empty(len(new), dtype=object)
-        new_leaves[:] = [self._leaves[k] for k in new.tolist()]
-        sorted_keys, sorted_leaves = self._sorted
+        new = np.array(self._unsorted, dtype=np.int64)
+        # the waiting keys own the last slots, in allocation order
+        new_slots = np.arange(self.n_leaves + 1 - len(new), self.n_leaves + 1)
+        order = np.argsort(new)
+        new, new_slots = new[order], new_slots[order]
+        sorted_keys, sorted_slots = self._sorted
         at = np.searchsorted(sorted_keys, new)
         self._sorted = (np.insert(sorted_keys, at, new),
-                        np.insert(sorted_leaves, at, new_leaves))
+                        np.insert(sorted_slots, at, new_slots))
         self._unsorted.clear()
 
     def lookup(self, coords: np.ndarray):
@@ -332,11 +471,11 @@ class SparseGrid:
             Raises ValueError for a coordinate outside the key range.
         """
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        row, stacks = self.stack_leaves(
-            leaf_keys(pack_keys(coords)),
+        at = (self.leaf_slots(leaf_keys(pack_keys(coords))) * LEAF_VOXELS
+              + local_flat_index(coords))
+        found, dist, weight, obs = (
+            self.voxels(name).take(at) for name in
             ("value_mask", "distance", "dist_weight", "observed"))
-        at = row * LEAF_VOXELS + local_flat_index(coords)
-        found, dist, weight, obs = (s.ravel().take(at) for s in stacks)
         return (found, np.where(found, dist.astype(np.float64), 0.0),
                 np.where(found, weight.astype(np.float64), 0.0), found & obs)
 
@@ -391,12 +530,9 @@ class SparseGrid:
         Leaves come in insertion order and voxels within a leaf in flat
         index order; returns ((N, 3) int64, (N,) float64).
         """
-        leaves = list(self._leaves.values())
-        if not leaves:
-            return np.zeros((0, 3), dtype=np.int64), np.zeros(0)
-        mask = (np.stack([leaf.value_mask for leaf in leaves])
-                & np.stack([leaf.observed for leaf in leaves]))
-        li, flat = np.nonzero(mask)
-        origins = np.array([leaf.origin for leaf in leaves], dtype=np.int64)
-        dists = np.stack([leaf.distance for leaf in leaves])[li, flat]
-        return flat_local_coords(flat) + origins[li], dists.astype(np.float64)
+        rows = slice(1, self.n_leaves + 1)
+        pool = self.pool
+        li, flat = np.nonzero(pool["value_mask"][rows] & pool["observed"][rows])
+        slot = li + 1
+        return (flat_local_coords(flat) + pool["origin"][slot],
+                pool["distance"][slot, flat].astype(np.float64))

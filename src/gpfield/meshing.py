@@ -13,13 +13,14 @@ zero crossings of any leaf are recomputed from them with
 ``crossings_by_leaf``.
 
 A frame's touched leaves are meshed in one batched pass,
-``mesh_leaves``: the 9^3 voxel blocks of a chunk of leaves are gathered
-into one array from a single ``SparseGrid.stack_leaves`` read of the
-leaves and their upper neighbours, and the case lookup, the crossed
-edges, the vertices and the triangles run over the cells of all of them
-at once (Lorensen & Cline's tables are pure lookups, so they batch
-across leaves). Vertex properties come from one more such read. Each
-leaf gets the same mesh, bit for bit, as meshing it alone.
+``mesh_leaves``: one ``SparseGrid.leaf_slots`` lookup finds the pool
+slots of a chunk of leaves and their upper neighbours, one fancy index
+into the grid's pool gathers their 9^3 voxel blocks, and the case
+lookup, the crossed edges, the vertices and the triangles run over the
+cells of all of them at once (Lorensen & Cline's tables are pure
+lookups, so they batch across leaves). Vertex properties come from one
+more fancy index through the same slots. Each leaf gets the same mesh,
+bit for bit, as meshing it alone.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ class Blocks(NamedTuple):
 
     distance: np.ndarray    # (T, 9, 9, 9) float64, 0 where unset
     observed: np.ndarray    # (T, 9, 9, 9) bool, set and observed
-    neighbours: np.ndarray  # (T, 8) packed leaf key of each upper
-                            # neighbour, -1 past the key range
+    slots: np.ndarray       # (T, 8) pool slot of the leaf and each upper
+                            # neighbour, 0 where unallocated or past the
+                            # key range
 
 
 def gather_blocks(grid: SparseGrid, origins) -> Blocks:
@@ -157,7 +159,7 @@ def gather_blocks(grid: SparseGrid, origins) -> Blocks:
     neighbours, the same values as ``grid.gather_block(origin, (9,)*3)``
     gives; neighbours past the top of the key range are unallocated.
     Properties are not gathered: read them where needed through the
-    neighbour keys.
+    slots, before the grid allocates again.
     """
     org = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
     if (org & (LEAF_SIZE - 1)).any():
@@ -166,14 +168,14 @@ def gather_blocks(grid: SparseGrid, origins) -> Blocks:
     keyed = ((nb >= -KEY_BIAS) & (nb < KEY_BIAS)).all(axis=2)
     keys = np.full(keyed.shape, -1, dtype=np.int64)
     keys[keyed] = pack_keys(nb[keyed])
-    row, (mask, dist, obs) = grid.stack_leaves(
-        keys.ravel(), ("value_mask", "distance", "observed"))
-    at = (row.reshape(keys.shape)[:, _BLOCK_NEIGHBOUR] * LEAF_VOXELS
-          + _BLOCK_FLAT)
-    dist = np.where(mask, dist, np.float32(0.0)).ravel()[at]
+    slots = grid.leaf_slots(keys.ravel()).reshape(keys.shape)
+    at = slots[:, _BLOCK_NEIGHBOUR] * LEAF_VOXELS + _BLOCK_FLAT
+    mask = grid.voxels("value_mask").take(at)
+    dist = np.where(mask, grid.voxels("distance").take(at), np.float32(0.0))
     shape = (len(org),) + (_BLOCK,) * 3
     return Blocks(dist.astype(np.float64).reshape(shape),
-                  (obs & mask).ravel()[at].reshape(shape), keys)
+                  (grid.voxels("observed").take(at) & mask).reshape(shape),
+                  slots)
 
 
 def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
@@ -226,10 +228,9 @@ def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
     if channels:
         end_target, end_local = np.divmod(np.concatenate([lo, hi]),
                                           _BLOCK ** 3)
-        row, (prop,) = grid.stack_leaves(
-            blocks.neighbours[end_target, _BLOCK_NEIGHBOUR[end_local]],
-            ("prop",))
-        p = prop[row, _BLOCK_FLAT[end_local]].astype(np.float64)
+        at = (blocks.slots[end_target, _BLOCK_NEIGHBOUR[end_local]]
+              * LEAF_VOXELS + _BLOCK_FLAT[end_local])
+        p = grid.voxels("prop")[at].astype(np.float64)
         p0 = p[:len(n)]
         pv = p0 + t[:, None] * (p[len(n):] - p0)
     else:

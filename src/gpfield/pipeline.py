@@ -186,19 +186,22 @@ class FrameStats:
     n_tp_normal: int = 0            # stepped along estimated normals
     stage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
+    n_leaves: int = 0               # leaves allocated after the frame
+    grid_bytes: int = 0             # pool bytes of their rows
 
 
 # a leaf and its 7 lower neighbours: the leaves whose cells read its voxels
 _LOWER_NEIGHBOURS = -UPPER_NEIGHBOURS
 
 
-def _with_lower_neighbours(origins) -> list:
+def _with_lower_neighbours(origins):
     """The given leaf origins and their lower neighbours inside the key
-    range, as unique tuples in ascending order."""
+    range: (U, 3) unique origins in ascending order, and their keys."""
     o = (np.asarray(origins, dtype=np.int64).reshape(-1, 1, 3)
          + _LOWER_NEIGHBOURS).reshape(-1, 3)
     o = o[(o >= -KEY_BIAS).all(axis=1)]
-    return list(map(tuple, o[group_by(pack_keys(o)).first].tolist()))
+    groups = group_by(pack_keys(o))
+    return o[groups.first], groups.keys
 
 
 # leaf arrays a snapshot stores as float32, after the bit-packed masks
@@ -215,6 +218,21 @@ def _leaf_record(prop_channels: int) -> np.dtype:
                      ("dist_weight", "<f4", LEAF_VOXELS),
                      ("prop_weight", "<f4", LEAF_VOXELS),
                      ("prop", "<f4", (LEAF_VOXELS, prop_channels))])
+
+
+# leaf records save_snapshot formats per write, which bounds its scratch
+_RECORDS_PER_WRITE = 256
+
+
+def _leaf_records(grid: SparseGrid, slots: np.ndarray) -> np.ndarray:
+    """Snapshot records of the leaves in slots."""
+    rec = np.zeros(len(slots), dtype=_leaf_record(grid.prop_channels))
+    rec["origin"] = grid.pool["origin"][slots]
+    for name in ("value_mask", "observed"):
+        rec[name] = np.packbits(grid.pool[name][slots], axis=1)
+    for name in _LEAF_ARRAYS:
+        rec[name] = grid.pool[name][slots]
+    return rec
 
 
 class Pipeline:
@@ -291,15 +309,18 @@ class Pipeline:
         stats.stage_ms["global_update"] = (time.perf_counter() - t0) * 1e3
 
         self.grid.clear_active()
+        stats.n_leaves = self.grid.n_leaves
+        stats.grid_bytes = self.grid.nbytes
         stats.total_ms = (time.perf_counter() - t_all) * 1e3
         self.stats.append(stats)
         self.frame_index += 1
         return stats
 
     def _remesh_targets(self) -> list:
-        active = [leaf.origin for leaf in self.grid.active_leaves()]
-        return [o for o in _with_lower_neighbours(active)
-                if self.grid.find_leaf(o) is not None]
+        active = self.grid.pool["origin"][self.grid.active_slots()]
+        origins, keys = _with_lower_neighbours(active)
+        allocated = self.grid.leaf_slots(keys) > 0
+        return list(map(tuple, origins[allocated].tolist()))
 
     def _remesh_active(self, stats: Optional[FrameStats] = None) -> dict:
         """Re-mesh touched leaves and return the training replacements for
@@ -328,7 +349,8 @@ class Pipeline:
         coords = leaf_origin_of(world_to_grid(np.concatenate(touched), h))
         owners = group_by(pack_keys(coords))
         changed = list(map(tuple, coords[owners.first].tolist()))
-        sources = [self._leaf_meshes[o] for o in _with_lower_neighbours(changed)
+        reach = map(tuple, _with_lower_neighbours(changed)[0].tolist())
+        sources = [self._leaf_meshes[o] for o in reach
                    if o in self._leaf_meshes]
         crossings = {}
         if sources:
@@ -362,19 +384,16 @@ class Pipeline:
     def save_snapshot(self, path) -> None:
         """Serialize config and grid; derived state rebuilds on load."""
         cfg = json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")
-        rec = np.zeros((), dtype=_leaf_record(self.config.prop_channels))
         with open(path, "wb") as f:
             f.write(self._MAGIC)
             f.write(struct.pack("<II", 1, len(cfg)))
             f.write(cfg)
             f.write(struct.pack("<QQ", self.grid.n_leaves, self.frame_index))
-            for leaf in sorted(self.grid.leaves(), key=lambda l: l.origin):
-                rec["origin"] = leaf.origin
-                for name in ("value_mask", "observed"):
-                    rec[name] = np.packbits(getattr(leaf, name))
-                for name in _LEAF_ARRAYS:
-                    rec[name] = getattr(leaf, name)
-                f.write(rec.tobytes())
+            # records in ascending origin order
+            slots = self.grid.sorted_slots()
+            for i in range(0, len(slots), _RECORDS_PER_WRITE):
+                f.write(_leaf_records(self.grid,
+                                      slots[i:i + _RECORDS_PER_WRITE]))
 
     @classmethod
     def load_snapshot(cls, path) -> "Pipeline":
@@ -407,20 +426,23 @@ class Pipeline:
                 f"{path}: snapshot holds {len(data) - off} bytes of leaf "
                 f"records where {n_leaves} leaves take "
                 f"{n_leaves * rec.itemsize}")
-        for r in np.frombuffer(data, dtype=rec, count=n_leaves, offset=off):
-            leaf = pipe.grid.get_or_create_leaf(tuple(r["origin"].tolist()))
-            for name in ("value_mask", "observed"):
-                getattr(leaf, name)[:] = np.unpackbits(r[name]).astype(bool)
-            for name in _LEAF_ARRAYS:
-                getattr(leaf, name)[:] = r[name]
+        recs = np.frombuffer(data, dtype=rec, count=n_leaves, offset=off)
+        keys = pack_keys(recs["origin"])
+        if (leaf_keys(keys) != keys).any() or (np.diff(keys) <= 0).any():
+            raise ply.IoFailure(f"{path}: leaf records are not distinct leaf "
+                                "origins in ascending order")
+        grid = pipe.grid
+        slots = grid.allocate(keys)
+        for name in ("value_mask", "observed"):
+            grid.pool[name][slots] = np.unpackbits(recs[name], axis=1)
+        for name in _LEAF_ARRAYS:
+            grid.pool[name][slots] = recs[name]
         pipe.frame_index = frame_index
         # rebuild the leaf meshes and the global field from the grid
-        for leaf in pipe.grid.leaves():
-            if leaf.observed.any():
-                pipe.grid.mark_active(leaf)
+        grid.activate(slots[grid.pool["observed"][slots].any(axis=1)])
         changed = pipe._remesh_active()
         pipe.field.update(changed)
-        pipe.grid.clear_active()
+        grid.clear_active()
         return pipe
 
 

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpfield import gp
-from gpfield.fusion import FusionConfig, FusionStats, fuse_frame, fuse_point
-from gpfield.grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
+from gpfield.fusion import (FusionConfig, FusionStats, _weight, fuse_frame,
+                            fuse_point)
+from gpfield.grid import (KEY_BIAS, LEAF_SIZE, SparseGrid, VoxelState,
+                          group_by, grid_to_world, leaf_keys,
+                          local_flat_index, pack_keys, world_to_grid)
 from gpfield.local_field import Frame, build
 from gpfield.query_points import generate
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
@@ -231,3 +236,153 @@ def test_fuse_frame_ten_frame_wall_sequence():
             good += abs(s.distance) < h / 2
     assert wall > 200
     assert good / wall >= 0.95
+
+
+def reference_fuse_frame(grid, points, distances, variances, cfg, props=None,
+                         prop_variances=None):
+    """The per-leaf loop fuse_frame replaced, kept as its oracle."""
+    n = len(points)
+    stats = FusionStats(voxels_fused=n)
+    if n == 0:
+        return stats
+    d = np.asarray(distances, dtype=np.float64)
+    w = _weight(np.asarray(variances, dtype=np.float64), cfg.v_max, cfg.v_clip)
+    near = np.abs(d) <= cfg.surface_band
+    fuse_props = props is not None and grid.prop_channels > 0
+    if fuse_props:
+        wc = np.minimum(_weight(np.asarray(prop_variances, dtype=np.float64),
+                                cfg.w_max, cfg.v_clip), w)
+    leaves = group_by(leaf_keys(pack_keys(points.coords))).rows()
+    before = grid.n_leaves
+    flat = local_flat_index(points.coords)
+    for rows in leaves:
+        idx = flat[rows]
+        leaf = grid.get_or_create_leaf(points.coords[rows[0]])
+        old_d = leaf.distance[idx].astype(np.float64)
+        old_w = leaf.dist_weight[idx].astype(np.float64)
+        total = old_w + w[rows]
+        leaf.distance[idx] = (old_w * old_d + w[rows] * d[rows]) / total
+        leaf.dist_weight[idx] = np.minimum(total, cfg.weight_cap)
+        leaf.observed[idx] |= near[rows]
+        leaf.value_mask[idx] = True
+        if fuse_props:
+            sel = rows[near[rows]]
+            if len(sel):
+                lidx = flat[sel]
+                old_p = leaf.prop[lidx].astype(np.float64)
+                old_pw = leaf.prop_weight[lidx].astype(np.float64)
+                wcs = wc[sel]
+                pt = old_pw + wcs
+                safe = np.maximum(pt, np.finfo(np.float64).tiny)
+                leaf.prop[lidx] = (old_pw[:, None] * old_p
+                                   + wcs[:, None] * props[sel]) / safe[:, None]
+                leaf.prop_weight[lidx] = np.minimum(pt, cfg.weight_cap)
+        grid.mark_active(leaf)
+    grid.version += 1
+    stats.leaves_touched = len(leaves)
+    stats.new_leaves = grid.n_leaves - before
+    return stats
+
+
+# leaf origins the random frames draw from: around the origin and at both
+# ends of the key range
+_FRAME_LEAVES = [(0, 0, 0), (8, 0, 0), (-8, 0, 8), (0, -16, 0),
+                 (-KEY_BIAS,) * 3, (KEY_BIAS - LEAF_SIZE,) * 3,
+                 (-KEY_BIAS, KEY_BIAS - LEAF_SIZE, 0)]
+_BAND = 0.1
+
+
+def random_frame(rng, leaves, n, channels):
+    """n voxels of the given leaves, deduplicated, with distances on both
+    sides of the surface band, variances past v_max and properties."""
+    origin = np.asarray([_FRAME_LEAVES[i] for i in leaves])[
+        rng.integers(0, len(leaves), n)]
+    coords = np.unique(origin + rng.integers(0, LEAF_SIZE, (n, 3)), axis=0)
+    m = len(coords)
+    points = PointSet(coords, grid_to_world(coords, 0.05), np.ones(m),
+                      np.ones(m, dtype=np.uint8))
+    d = rng.uniform(-3 * _BAND, 3 * _BAND, m)
+    d[: m // 4] = rng.choice([-_BAND, _BAND], m // 4)     # on the band edge
+    v = rng.uniform(0.0, 1.5, m)
+    props = rng.uniform(size=(m, channels)) if channels else None
+    pv = rng.uniform(0.0, 1.5, m) if channels else None
+    return points, d, v, props, pv
+
+
+frames = st.lists(st.tuples(st.lists(st.integers(0, len(_FRAME_LEAVES) - 1),
+                                     min_size=1, max_size=4),
+                            st.integers(1, 300)),
+                  min_size=1, max_size=5)
+
+
+def assert_same_grid(got, want):
+    rows = want.n_leaves + 1
+    assert got.n_leaves == want.n_leaves
+    for name, a in want.pool.items():
+        b = got.pool[name]
+        assert b.dtype == a.dtype and b.shape[1:] == a.shape[1:]
+        np.testing.assert_array_equal(b[:rows], a[:rows], err_msg=name)
+    assert ([leaf.origin for leaf in got.leaves()]
+            == [leaf.origin for leaf in want.leaves()])
+    assert ([leaf.origin for leaf in got.active_leaves()]
+            == [leaf.origin for leaf in want.active_leaves()])
+    assert (got.clock, got.version) == (want.clock, want.version)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=frames, channels=st.sampled_from([0, 3]),
+       cap=st.sampled_from([1.5, 100.0]), seed=st.integers(0, 2 ** 32 - 1))
+@example(frames=[([4, 5, 6], 200), ([0, 4], 300), ([5], 50)], channels=3,
+         cap=1.5, seed=0)
+def test_fuse_frame_matches_per_leaf_oracle(frames, channels, cap, seed):
+    """Every pool array, leaf order, active order, stamp and stat equals
+    the per-leaf loop's, bit for bit, frame after frame."""
+    rng = np.random.default_rng(seed)
+    cfg = simple_cfg(weight_cap=cap, surface_band=_BAND)
+    got = SparseGrid(voxel_size=0.05, prop_channels=channels)
+    want = SparseGrid(voxel_size=0.05, prop_channels=channels)
+    for leaves, n in frames:
+        points, d, v, props, pv = random_frame(rng, leaves, n, channels)
+        assert (fuse_frame(got, points, d, v, cfg, props, pv)
+                == reference_fuse_frame(want, points, d, v, cfg, props, pv))
+        assert_same_grid(got, want)
+        got.clear_active()
+        want.clear_active()
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=frames, channels=st.sampled_from([0, 3]),
+       cap=st.sampled_from([1.5, 100.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_fused_voxel_is_fuse_point_of_its_prior_state(frames, channels,
+                                                           cap, seed):
+    """A fused voxel holds fuse_point of its state before the frame, its
+    float64 values stored as float32."""
+    rng = np.random.default_rng(seed)
+    cfg = simple_cfg(weight_cap=cap, surface_band=_BAND)
+    grid = SparseGrid(voxel_size=0.05, prop_channels=channels)
+    for leaves, n in frames:
+        points, d, v, props, pv = random_frame(rng, leaves, n, channels)
+        prior = []
+        for c in points.coords:
+            leaf = grid.find_leaf(c)
+            if leaf is None:
+                prior.append(None)
+                continue
+            i = leaf.local_index(c)
+            prior.append(VoxelState(
+                float(leaf.distance[i]), float(leaf.dist_weight[i]),
+                leaf.prop[i].astype(np.float64), float(leaf.prop_weight[i]),
+                bool(leaf.observed[i])))
+        fuse_frame(grid, points, d, v, cfg, props, pv)
+        for k, c in enumerate(points.coords):
+            want = fuse_point(prior[k], float(d[k]), float(v[k]), cfg,
+                              None if props is None else props[k],
+                              0.0 if pv is None else float(pv[k]))
+            got = grid.get(tuple(c.tolist()))
+            assert got.distance == np.float32(want.distance)
+            assert got.dist_weight == np.float32(want.dist_weight)
+            assert got.observed == want.observed
+            if channels:
+                np.testing.assert_array_equal(
+                    got.prop, np.asarray(want.prop).astype(np.float32))
+                assert got.prop_weight == np.float32(want.prop_weight)

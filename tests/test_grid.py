@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gpfield.grid import (
     KEY_BIAS,
     LEAF_SIZE,
+    LEAF_ARRAYS,
     LEAF_VOXELS,
     LeafNode,
     SparseGrid,
@@ -321,14 +322,12 @@ def test_lookup_batch_matches_scalar_get():
             assert not found[i]
 
 
-# leaf origins stack_leaves is tested on: both ends of the key range,
+# leaf origins leaf_slots is tested on: both ends of the key range,
 # neighbours and leaves far apart
 _STACK_ORIGINS = [(-KEY_BIAS,) * 3, (KEY_BIAS - LEAF_SIZE,) * 3,
                   (0, 0, 0), (8, 0, 0), (0, 8, 0), (0, 0, 8), (-8, -8, -8),
                   (-KEY_BIAS, KEY_BIAS - LEAF_SIZE, 0), (64, -128, 1024),
                   (800, 8, -16)]
-_LEAF_ARRAYS = ("distance", "dist_weight", "prop", "prop_weight", "observed",
-                "value_mask")
 
 
 @settings(max_examples=80, deadline=None)
@@ -342,34 +341,38 @@ _LEAF_ARRAYS = ("distance", "dist_weight", "prop", "prop_weight", "observed",
          picks=[2, 0, -1, 1, 0, 0, 3, 9, 8, -1], channels=0, seed=1)
 def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
                                                 seed):
-    """Empty grids, repeated, unallocated and -1 keys, against find_leaf."""
+    """Empty grids, repeated, unallocated and -1 keys: leaf_slots and the
+    pool rows it points at, against find_leaf."""
     rng = np.random.default_rng(seed)
     grid = SparseGrid(voxel_size=0.1, prop_channels=channels)
     for origin, alloc in zip(_STACK_ORIGINS, allocated):
         if alloc:
             leaf = grid.get_or_create_leaf(origin)
-            for name in _LEAF_ARRAYS:
+            for name in LEAF_ARRAYS:
                 a = getattr(leaf, name)
                 a[...] = (rng.random(a.shape) < 0.5 if a.dtype == bool
                           else rng.normal(size=a.shape))
     origins = [None if i < 0 else _STACK_ORIGINS[i] for i in picks]
     keys = np.array([-1 if o is None else int(pack_keys([o])[0])
                      for o in origins], dtype=np.int64)
-    row, stacks = grid.stack_leaves(keys, _LEAF_ARRAYS)
+    slot = grid.leaf_slots(keys)
 
     leaves = [None if o is None else grid.find_leaf(o) for o in origins]
-    hit = sorted({int(k) for k, leaf in zip(keys, leaves) if leaf is not None})
     zero = LeafNode((0, 0, 0), channels)
-    assert row.shape == keys.shape
-    for i, (key, leaf) in enumerate(zip(keys.tolist(), leaves)):
-        assert row[i] == (len(hit) if leaf is None else hit.index(key))
-    for name, stack in zip(_LEAF_ARRAYS, stacks):
+    assert slot.shape == keys.shape
+    for i, leaf in enumerate(leaves):
+        assert slot[i] == (0 if leaf is None else leaf.slot)
+    hit = {leaf.slot for leaf in leaves if leaf is not None}
+    assert 0 not in hit
+    for name in LEAF_ARRAYS:
+        pool = grid.pool[name]
         want = getattr(zero, name)
-        assert stack.dtype == want.dtype
-        assert stack.shape == (len(hit) + 1,) + want.shape
-        np.testing.assert_array_equal(stack[-1], want)
+        assert pool.dtype == want.dtype
+        assert pool.shape[1:] == want.shape
+        assert len(pool) > grid.n_leaves
+        np.testing.assert_array_equal(pool[0], want)
         for i, leaf in enumerate(leaves):
-            np.testing.assert_array_equal(stack[row[i]],
+            np.testing.assert_array_equal(pool[slot[i]],
                                           getattr(leaf or zero, name))
 
 
@@ -392,11 +395,10 @@ def test_sorted_key_cache_equals_a_fresh_sort(batches, seed):
         probe = np.array([(i % 7 - 3, i // 7 - 3, i % 3 - 1) @ spread
                           for i in rng.integers(0, 41, 10)])
         found, dist, _, _ = grid.lookup(probe)
-        keys, leaves = grid._sorted
-        order = sorted(grid._leaves)
+        keys, slots = grid._sorted
+        order = sorted(grid._slots)
         assert keys.tolist() == order + [np.iinfo(np.int64).max]
-        assert all(a is grid._leaves[k] for a, k in zip(leaves, order))
-        assert len(leaves) == len(order)
+        assert slots.tolist() == [grid._slots[k] for k in order] + [0]
         for c, f, d in zip(probe, found, dist):
             want = grid.get(tuple(c.tolist()))
             assert f == (want is not None)
@@ -545,3 +547,70 @@ def test_negative_coordinates_round_trip():
         got = grid.get(c)
         assert got is not None
         assert got.distance == pytest.approx(float(i), abs=1e-6)
+
+
+def test_pool_growth_keeps_every_write_visible():
+    """Leaves allocated past several doublings of the pool, written through
+    handles fetched before and after each growth: lookup, gather_blocks
+    and observed_voxels see every write, and unallocated and -1 keys read
+    zeros after fusion, so the zero row is never written."""
+    from gpfield.fusion import FusionConfig, fuse_frame
+    from gpfield.meshing import gather_blocks
+    from gpfield.query_points import TestPointSet
+
+    rng = np.random.default_rng(11)
+    grid = SparseGrid(voxel_size=0.1, prop_channels=2)
+    handles = []
+    capacities = []
+    want = {}
+    for i in range(150):
+        origin = (LEAF_SIZE * (i % 7), LEAF_SIZE * (i // 7), -LEAF_SIZE * (i % 3))
+        handles.append(grid.get_or_create_leaf(origin))
+        capacities.append(len(grid.pool["stamp"]))
+        # one handle fetched now, one fetched at some earlier allocation
+        # (before a growth, for most), one fetched again by lookup
+        old = handles[rng.integers(len(handles))]
+        for leaf in (handles[-1], old, grid.find_leaf(old.origin)):
+            n = int(rng.integers(LEAF_VOXELS))
+            leaf.distance[n] = rng.normal()
+            leaf.value_mask[n] = leaf.observed[n] = True
+            c = tuple(int(v) for v in
+                      np.asarray(leaf.origin) + [n >> 6, (n >> 3) & 7, n & 7])
+            want[c] = leaf.distance[n]
+    assert len(set(capacities)) >= 4
+    assert grid.pool["distance"].flags.c_contiguous
+
+    coords = np.array(sorted(want))
+    found, dist, _, obs = grid.lookup(coords)
+    assert found.all() and obs.all()
+    np.testing.assert_array_equal(dist, [want[tuple(c)] for c in coords.tolist()])
+    got, gdist = grid.observed_voxels()
+    assert sorted(map(tuple, got.tolist())) == sorted(want)
+    assert {tuple(c): d for c, d in zip(got.tolist(), gdist)} == {
+        c: float(d) for c, d in want.items()}
+    origins = [leaf.origin for leaf in grid.leaves()]
+    assert origins == [leaf.origin for leaf in handles]
+    blocks = gather_blocks(grid, origins)
+    for i, origin in enumerate(origins):
+        d, o, _ = grid.gather_block(origin, (LEAF_SIZE + 1,) * 3)
+        np.testing.assert_array_equal(blocks.distance[i], d)
+        np.testing.assert_array_equal(blocks.observed[i], o)
+
+    # fusion into existing and new leaves, one at the top of the key range
+    top = KEY_BIAS - 1
+    fused = np.array([[0, 0, 0], [1, 2, 3], [top, top, top], [-900, 5, 5]])
+    fuse_frame(grid, TestPointSet(fused, grid_to_world(fused, 0.1),
+                                  np.ones(4), np.ones(4, dtype=np.uint8)),
+               np.full(4, 0.01), np.zeros(4),
+               FusionConfig(v_max=1.0, w_max=1.0), np.ones((4, 2)),
+               np.zeros(4))
+    for name, a in grid.pool.items():
+        assert not a[0].any(), name
+    assert grid.leaf_slots(np.array([-1]))[0] == 0
+    unallocated = np.array([[-800, 5, 5], [top - 8, top, top], [5, 5, 900]])
+    found, dist, weight, obs = grid.lookup(unallocated)
+    assert not (found.any() or dist.any() or weight.any() or obs.any())
+    blocks = gather_blocks(grid, [(top - 7,) * 3, (KEY_BIAS - 64,) * 3])
+    assert blocks.distance[0].sum() == np.float32(0.01)
+    assert (blocks.slots[0, 1:] == 0).all()
+    assert not (blocks.distance[1].any() or blocks.observed[1].any())

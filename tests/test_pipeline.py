@@ -4,10 +4,14 @@ import io
 import re
 import signal
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpfield import meshing, pipeline, query_points
 from gpfield.pipeline import (
@@ -20,7 +24,8 @@ from gpfield.pipeline import (
     lattice_points,
     write_stats_csv,
 )
-from gpfield.grid import KEY_BIAS, VoxelState
+from gpfield.grid import (KEY_BIAS, LEAF_ARRAYS, LEAF_SIZE, LEAF_VOXELS,
+                          VoxelState)
 from gpfield.local_field import EmptyFrame, Frame
 from gpfield.meshing import crossings_by_leaf
 from gpfield.ply import IoFailure
@@ -595,3 +600,75 @@ def test_surface_in_top_leaf_of_key_range_meshes_and_trains(tmp_path):
     assert back.export_mesh().n_triangles > 0
     assert back.field.n_nodes == 1
     assert_nodes_are_mesh_crossings(back)
+
+
+# leaf origins random snapshot grids allocate from: both ends of the key
+# range and a few neighbours around the origin
+_SNAP_ORIGINS = [(-KEY_BIAS,) * 3, (KEY_BIAS - LEAF_SIZE,) * 3,
+                 (-KEY_BIAS, KEY_BIAS - LEAF_SIZE, 0), (0, 0, 0), (8, 0, 0),
+                 (0, 8, 8), (-8, -8, -8)]
+
+
+def random_snapshot_pipe(picks, prop_kind, seed):
+    """A pipeline whose grid holds random leaves, allocated in pick order."""
+    rng = np.random.default_rng(seed)
+    pipe = Pipeline(PipelineConfig(prop_kind=prop_kind))
+    for i in picks:
+        leaf = pipe.grid.get_or_create_leaf(_SNAP_ORIGINS[i])
+        leaf.value_mask[:] = rng.random(LEAF_VOXELS) < 0.7
+        leaf.observed[:] = rng.random(LEAF_VOXELS) < 0.5
+        leaf.distance[:] = rng.normal(0.0, 0.05, LEAF_VOXELS)
+        leaf.dist_weight[:] = rng.uniform(0.0, 100.0, LEAF_VOXELS)
+        leaf.prop_weight[:] = rng.uniform(0.0, 100.0, LEAF_VOXELS)
+        leaf.prop[:] = rng.random(leaf.prop.shape)
+    return pipe
+
+
+@settings(max_examples=25, deadline=None)
+@given(picks=st.lists(st.integers(0, len(_SNAP_ORIGINS) - 1), max_size=6,
+                      unique=True),
+       prop_kind=st.sampled_from(["none", "rgb"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(picks=[], prop_kind="rgb", seed=0)
+@example(picks=[1, 0, 2], prop_kind="none", seed=1)
+def test_snapshot_save_load_save_is_byte_identical(picks, prop_kind, seed):
+    """Save, load, save gives the same bytes; the loaded grid holds the
+    saved leaves' arrays, its leaves in file (origin) order, and a second
+    load equals the first pool for pool; a truncated file raises."""
+    pipe = random_snapshot_pipe(picks, prop_kind, seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.snap"
+        pipe.save_snapshot(path)
+        first = path.read_bytes()
+        back = Pipeline.load_snapshot(path)
+        back.save_snapshot(path)
+        assert path.read_bytes() == first
+        again = Pipeline.load_snapshot(path)
+        path.write_bytes(first[:-1])
+        with pytest.raises(IoFailure):
+            Pipeline.load_snapshot(path)
+
+    origins = sorted(_SNAP_ORIGINS[i] for i in picks)
+    assert [leaf.origin for leaf in back.grid.leaves()] == origins
+    for leaf in pipe.grid.leaves():
+        loaded = back.grid.find_leaf(leaf.origin)
+        for name in LEAF_ARRAYS:
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(leaf, name))
+    rows = back.grid.n_leaves + 1
+    for name, a in back.grid.pool.items():
+        np.testing.assert_array_equal(again.grid.pool[name][:rows], a[:rows])
+    assert back.grid.nbytes == pipe.grid.nbytes
+
+
+def test_snapshot_with_records_out_of_order_is_refused(tmp_path):
+    pipe = random_snapshot_pipe([3, 4], "none", 0)
+    path = tmp_path / "two.snap"
+    pipe.save_snapshot(path)
+    data = bytearray(path.read_bytes())
+    size = (len(data) - (16 + struct.unpack_from("<II", data, 8)[1] + 16)) // 2
+    first, second = data[-2 * size:-size], data[-size:]
+    data[-2 * size:] = second + first
+    path.write_bytes(bytes(data))
+    with pytest.raises(IoFailure, match="ascending order"):
+        Pipeline.load_snapshot(path)
