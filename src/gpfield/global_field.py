@@ -56,12 +56,14 @@ class FieldQueryResult:
 
 @dataclass
 class QueryStats:
-    """What one query batch did: nodes it routed to, nodes it trained,
-    whether it built the sign index's main tree and how many observed
-    voxels it added to the index."""
+    """What one query batch did: nodes it routed to, nodes it trained and
+    the Cholesky jitter escalations their factors needed, whether it built
+    the sign index's main tree and how many observed voxels it added to
+    the index."""
 
     n_nodes_routed: int = 0
     n_nodes_trained: int = 0
+    n_jitter_escalations: int = 0   # of the nodes this batch trained
     sign_rebuilt: int = 0           # 1 if this batch built the main sign tree
     n_observed_indexed: int = 0     # observed voxels this batch indexed
 
@@ -286,20 +288,20 @@ class GlobalField:
             self._tree = cKDTree(pts) if len(pts) else None
             self._tree_stale = False
 
-    def _ensure_trained(self, node: GPNode) -> bool:
-        """Train the node if it lacks a model; True if it trained."""
-        if node.model is not None:
-            return False
-        node.model = gp.train(node.points, self.params, node.props)
-        node.train_count += 1
-        return True
+    def _train_nodes(self, nodes) -> tuple[int, int]:
+        """Train those of nodes that lack a model, in one gp.train_many
+        call; returns how many trained and their jitter escalations."""
+        pending = [node for node in nodes if node.model is None]
+        models = gp.train_many([node.points for node in pending], self.params,
+                               [node.props for node in pending])
+        for node, model in zip(pending, models):
+            node.model = model
+            node.train_count += 1
+        return len(pending), sum(model.jitter for model in models)
 
     def train_pending(self) -> int:
         """Train every node still lacking a model; returns the count."""
-        n = 0
-        for key in sorted(self.nodes):
-            n += self._ensure_trained(self.nodes[key])
-        return n
+        return self._train_nodes(self.nodes.values())[0]
 
     def _signs(self, points: np.ndarray, stats: QueryStats):
         """(sign, known) from the nearest observed fused voxel."""
@@ -322,9 +324,11 @@ class GlobalField:
         renormalize. Variance and properties come from the node with the
         smallest inferred distance.
 
-        Each routed node runs one gp.moments call over its rows; the
-        elementwise rest (clips, reverting, variance propagation,
-        gradient normalization) runs once over the whole batch.
+        The routed nodes that lack a model train in one gp.train_many
+        call, and all of them infer in one gp.routed_moments call, which
+        batches the models by training-set size; the elementwise rest
+        (clips, reverting, variance propagation, gradient normalization)
+        runs once over the whole batch.
         Raises ValueError if q < 1, or naming the first row that is not
         finite or, on a field with a grid, lies outside the voxel key range.
         """
@@ -341,13 +345,13 @@ class GlobalField:
         self._ensure_tree()
         stats = QueryStats()
         sel = gp.route(self._tree, pts, q)
-        models = {}
-        for i in np.flatnonzero(np.bincount(sel.ravel())).tolist():
-            node = self._tree_nodes[i]
-            stats.n_nodes_trained += self._ensure_trained(node)
-            models[i] = node.model
+        routed = np.flatnonzero(np.bincount(sel.ravel())).tolist()
+        nodes = [self._tree_nodes[i] for i in routed]
+        stats.n_nodes_trained, stats.n_jitter_escalations = \
+            self._train_nodes(nodes)
+        models = {i: node.model for i, node in zip(routed, nodes)}
         stats.n_nodes_routed = len(models)
-        has_props = all(self._tree_nodes[i].props is not None for i in models)
+        has_props = all(node.props is not None for node in nodes)
         mo, at = gp.routed_moments(models, pts, sel, gradient=True,
                                    properties=has_props)
         o, u, g, c, w = mo

@@ -6,11 +6,18 @@ with distance from the training set, so inverting the kernel profile
 recovers the Euclidean distance to the cluster. Inference also yields
 a propagated distance variance, an analytic distance gradient, and
 regressed surface properties with their own latent variance.
+
+Training and inference each have one path, run over many models at
+once: train_many and routed_moments group the models by training-set
+size and batch every step whose batched form keeps the bits of a
+one-model call, in chunks of bounded size (CHUNK_ELEMENTS). train and
+moments are one-model calls of the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,29 +75,118 @@ def reference_distance_variance(params: KernelParams) -> float:
     return max(float(v), np.finfo(np.float64).tiny)
 
 
-def _kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
-    d2 = cdist(a, b, "sqeuclidean")
-    return params.sigma2 * np.exp(-0.5 * d2 / params.length_scale ** 2)
+# Elements in the largest temporary of one chunk of the grouped path: the
+# (rows, 3, J) differences between each row's point and the J training
+# points of its model. A chunk holds whole models, because splitting one
+# model's rows changes the bits of its BLAS and LAPACK calls. A model whose
+# rows alone pass the cap forms a chunk of its own, whose differences are
+# still taken in row blocks under the cap; only its (rows, J) kernel matrix
+# and solve, which those calls need whole, grow past it.
+CHUNK_ELEMENTS = 1 << 16
+
+# A model with at least this many (row, training point) pairs forms a chunk
+# of its own, whose squared distances come from one cdist call. Gathered
+# over many models, a pair costs about twice what it costs in cdist (about
+# 3 ns more, measured on a 2-core Xeon), while a cdist call costs about
+# 4 us, so the two break even near a thousand pairs.
+SOLO_PAIRS = 1 << 10
+
+
+def _kernel_rows(points: list, counts: list, q: np.ndarray,
+                 params: KernelParams, alpha: Optional[np.ndarray] = None):
+    """(R, J) kernel between each query row q[r] and the (J, 3) training
+    points of its model, where the rows of q run through points[i] for
+    counts[i] rows each, and, given (models, J) occupancy weights alpha,
+    the (R, 3) gradient of the occupancy mean at each row (else None).
+    Rows go in blocks whose (rows, 3, J) differences stay within
+    CHUNK_ELEMENTS.
+
+    Several models' squared distances come from one gather of their
+    training points, axis by axis so each axis's differences are
+    contiguous rows, as dx*dx + dy*dy + dz*dz: the bits of cdist's
+    sqeuclidean, which a single model calls directly, needing no gather.
+    The gradient contraction reads the (R, J, 3) differences C-ordered,
+    as points[None] - q[:, None] lays them out.
+    """
+    n, j = len(q), len(points[0])
+    one = points[0] if len(points) == 1 else None
+    if one is None:
+        train = np.array([x.T for x in points])
+        owner = np.repeat(np.arange(len(points)), counts)
+    kq = np.empty((n, j))
+    g = None if alpha is None else np.empty((n, 3))
+    step = max(1, CHUNK_ELEMENTS // (3 * j))
+    for a in range(0, n, step):
+        b = a + step
+        if one is not None:
+            d2 = cdist(q[a:b], one, "sqeuclidean")
+            if g is not None:
+                diff = one[None, :, :] - q[a:b, None, :]
+        else:
+            t = train[owner[a:b]]
+            t -= q[a:b, :, None]            # training point minus query
+            if g is not None:
+                diff = t.transpose(0, 2, 1).copy()
+            t *= t
+            d2 = np.add(t[:, 0], t[:, 1])
+            d2 += t[:, 2]
+        d2 *= -0.5
+        d2 /= params.length_scale ** 2
+        k = kq[a:b]
+        np.exp(d2, out=k)
+        k *= params.sigma2
+        if g is not None:
+            wk = k * (alpha[0] if one is not None else alpha[owner[a:b]])
+            g[a:b] = np.einsum("ij,ijk->ik", wk, diff)
+    if g is not None:
+        g /= params.length_scale ** 2
+    return kq, g
+
+
+def _chunks(rows: list, j: int):
+    """Runs [a, b) of consecutive members, each holding whole members with
+    at most CHUNK_ELEMENTS // (3 j) rows in all, or a single member; a
+    member with SOLO_PAIRS (row, training point) pairs or more runs
+    alone."""
+    cap = CHUNK_ELEMENTS // (3 * j)
+    a = total = 0
+    for i, r in enumerate(rows):
+        solo = r * j >= SOLO_PAIRS
+        if i > a and (solo or total + r > cap):
+            yield a, i
+            a, total = i, 0
+        total += r
+        if solo:
+            yield a, i + 1
+            a, total = i + 1, 0
+    if a < len(rows):
+        yield a, len(rows)
+
+
+def _trtrs(chol: np.ndarray, b: np.ndarray, overwrite: bool = False):
+    """chol^-1 b by the one LAPACK trtrs call solve_triangular(chol, b,
+    lower=True) makes for float64 operands (a C-ordered factor is passed
+    transposed, as an upper factor solved with trans=1), so the result has
+    its bits. The (J, n) result keeps each column contiguous; with
+    overwrite, it is written into b."""
+    if chol.flags.f_contiguous:
+        x, info = dtrtrs(chol, b, lower=1, overwrite_b=overwrite)
+    else:
+        x, info = dtrtrs(chol.T, b, lower=0, trans=1, overwrite_b=overwrite)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
+    if overwrite and x is not b:
+        b[...] = x          # trtrs solved a copy: b was not F-ordered
+    return x
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """solve_triangular(chol, b, lower=True) at a fraction of its call
-    overhead.
-
-    Makes the LAPACK trtrs call solve_triangular makes for float64
-    operands (a C-ordered factor is passed transposed, as an upper
-    factor solved with trans=1), so the result has the same bits, and
-    raises ValueError for a non-finite right-hand side as it does.
-    """
+    overhead: _trtrs, after the ValueError solve_triangular raises for a
+    non-finite right-hand side."""
     if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    if chol.flags.f_contiguous:
-        x, info = dtrtrs(chol, b, lower=1)
-    else:
-        x, info = dtrtrs(chol.T, b, lower=0, trans=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
-    return x
+    return _trtrs(chol, b)
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -104,22 +200,42 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _cholesky_with_jitter(k: np.ndarray, noise2: float, sigma2: float) -> np.ndarray:
+def _cholesky_with_jitter(k: np.ndarray, noise2: float, sigma2: float):
+    """(factor, escalations): the lower Cholesky factor of k + noise2 I,
+    with diagonal jitter raised from 1e-8 sigma2 by tens while it fails,
+    and the number of raises it took."""
     n = k.shape[0]
     eye = np.eye(n)
     jitter = 0.0
+    steps = 0
     while True:
         try:
-            return np.linalg.cholesky(k + (noise2 + jitter) * eye)
+            return np.linalg.cholesky(k + (noise2 + jitter) * eye), steps
         except np.linalg.LinAlgError:
             if jitter == 0.0:
                 jitter = 1e-8 * sigma2
             else:
                 jitter *= 10.0
+            steps += 1
             if jitter > 1e-2 * sigma2:
                 raise FactorizationFailure(
                     f"kernel matrix of size {n} not positive definite "
                     f"after jitter escalation to {jitter:.3g}") from None
+
+
+def _cholesky_many(k: np.ndarray, noise2: float, sigma2: float):
+    """(factors, escalations) for each matrix of a (G, J, J) stack, as
+    _cholesky_with_jitter gives them: one stacked call, which runs the same
+    LAPACK routine per matrix, and the jitter loop member by member when
+    any member fails."""
+    try:
+        chol = np.linalg.cholesky(k + noise2 * np.eye(k.shape[-1]))
+    except np.linalg.LinAlgError:
+        factors = [_cholesky_with_jitter(m, noise2, sigma2) for m in k]
+        return [f for f, _ in factors], [s for _, s in factors]
+    # copies, so that a model does not keep a stack of several alive
+    return ([f.copy() for f in chol] if len(chol) > 1 else list(chol),
+            [0] * len(k))
 
 
 @dataclass
@@ -133,15 +249,69 @@ class GpLeafModel:
     centroid: np.ndarray            # (3,) mean of training points
     chol_prop: Optional[np.ndarray] = None
     alpha_prop: Optional[np.ndarray] = None   # (J, P)
+    jitter: int = 0                 # Cholesky jitter escalations of its factors
 
     @property
     def n_train(self) -> int:
         return len(self.train_points)
 
 
+def train_many(point_sets, params: KernelParams,
+               prop_sets=None) -> list[GpLeafModel]:
+    """Fit one model per point set, as train does for each.
+
+    Models are grouped by training-set size J, and each group runs in
+    chunks of whole models (see _chunks): one kernel stack and one stacked
+    Cholesky per chunk (see _kernel_rows and _cholesky_many), then each
+    model's own triangular solves. prop_sets, when given, holds each set's
+    (J, P) property targets or None.
+
+    Raises:
+        ValueError: for an empty point set or non-finite properties.
+        FactorizationFailure: if a Gram matrix cannot be factorized even
+            after escalating diagonal jitter.
+    """
+    xs = [np.asarray(p, dtype=np.float64).reshape(-1, 3) for p in point_sets]
+    props = [None] * len(xs) if prop_sets is None else list(prop_sets)
+    by_size: dict = {}
+    for i, x in enumerate(xs):
+        if len(x) == 0:
+            raise ValueError("cannot train on an empty point set")
+        by_size.setdefault(len(x), []).append(i)
+    models: list = [None] * len(xs)
+    for j, members in by_size.items():
+        for a, b in _chunks([j] * len(members), j):
+            chunk = members[a:b]
+            x = np.array([xs[i] for i in chunk])
+            k = _kernel_rows(x, [j] * len(chunk), x.reshape(-1, 3), params)[0]
+            k = k.reshape(-1, j, j)
+            chol, steps = _cholesky_many(k, params.noise2, params.sigma2)
+            centroid = x.mean(axis=1)
+            with_props = [g for g, i in enumerate(chunk) if props[i] is not None]
+            prop_chol = list(chol)
+            if with_props and params.prop_noise2 != params.noise2:
+                pc, ps = _cholesky_many(k[with_props], params.prop_noise2,
+                                        params.sigma2)
+                for g, f, s in zip(with_props, pc, ps):
+                    prop_chol[g] = f
+                    steps[g] += s
+            for g, i in enumerate(chunk):
+                model = GpLeafModel(
+                    train_points=xs[i], params=params, chol=chol[g],
+                    alpha_occ=_cho_solve(chol[g], np.ones(j)),
+                    centroid=centroid[g], jitter=steps[g])
+                if props[i] is not None:
+                    p = np.asarray(props[i], dtype=np.float64).reshape(j, -1)
+                    model.chol_prop = prop_chol[g]
+                    model.alpha_prop = _cho_solve(prop_chol[g], p)
+                models[i] = model
+    return models
+
+
 def train(points: np.ndarray, params: KernelParams,
           properties: Optional[np.ndarray] = None) -> GpLeafModel:
-    """Fit occupancy (and optional property) regressors to a point cluster.
+    """Fit occupancy (and optional property) regressors to a point cluster:
+    a one-model train_many call.
 
     Args:
         points: (J, 3) training positions, J >= 1.
@@ -152,23 +322,7 @@ def train(points: np.ndarray, params: KernelParams,
         FactorizationFailure: if the Gram matrix cannot be factorized
             even after escalating diagonal jitter.
     """
-    x = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(x) == 0:
-        raise ValueError("cannot train on an empty point set")
-    k = _kernel_matrix(x, x, params)
-    chol = _cholesky_with_jitter(k, params.noise2, params.sigma2)
-    alpha = _cho_solve(chol, np.ones(len(x)))
-    model = GpLeafModel(train_points=x, params=params, chol=chol,
-                        alpha_occ=alpha, centroid=x.mean(axis=0))
-    if properties is not None:
-        p = np.asarray(properties, dtype=np.float64).reshape(len(x), -1)
-        if params.prop_noise2 == params.noise2:
-            cp = chol
-        else:
-            cp = _cholesky_with_jitter(k, params.prop_noise2, params.sigma2)
-        model.chol_prop = cp
-        model.alpha_prop = _cho_solve(cp, p)
-    return model
+    return train_many([points], params, [properties])[0]
 
 
 def _as_queries(x: np.ndarray):
@@ -190,34 +344,86 @@ class Moments(NamedTuple):
     prop_variance: Optional[np.ndarray]    # (n,) property latent variance
 
 
+def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
+                     gradient: bool, properties: bool) -> Moments:
+    """Moments of models[i] at its rows xs[starts[i]:starts[i + 1]], in row
+    order, every field equal bit for bit to a one-model call per model.
+
+    Adjacent models of one training-set size J and one parameter set form
+    a group (callers put them side by side), and each group runs in chunks
+    of whole models (see _chunks). Per chunk, the kernel matrix, its exp,
+    the gradient contraction and the variance reductions run once (see
+    _kernel_rows). Per model run the calls whose batched forms change
+    bits: kq @ alpha_occ and kq @ alpha_prop (gemv and gemm) and the
+    dtrtrs solves. The variance reductions read a buffer that keeps each
+    row's solve output contiguous, as dtrtrs returns it; a C-ordered one
+    changes the bits. A model whose property factor is its occupancy
+    factor gets its occupancy variance as property variance, the value a
+    second solve would give.
+    """
+    if properties and any(m.alpha_prop is None for m in models):
+        raise ValueError("model has no property regressor")
+    n = len(xs)
+    o = np.empty(n)
+    u = np.empty(n) if variance else None
+    g = np.empty((n, 3)) if gradient else None
+    c = np.empty((n, models[0].alpha_prop.shape[1])) if properties else None
+    w = np.empty(n) if properties else None
+    bounds = np.asarray(starts, dtype=np.int64).tolist()
+    runs = groupby(range(len(models)),
+                   lambda i: (models[i].n_train, id(models[i].params)))
+    for (j, _), run in runs:
+        run = list(run)
+        params = models[run[0]].params
+        rows = [bounds[i + 1] - bounds[i] for i in run]
+        for a, b in _chunks(rows, j):
+            chunk = [models[i] for i in run[a:b]]
+            r0, r1 = bounds[run[a]], bounds[run[b - 1] + 1]
+            kq, gq = _kernel_rows(
+                [m.train_points for m in chunk], rows[a:b], xs[r0:r1], params,
+                np.array([m.alpha_occ for m in chunk]) if gradient else None)
+            if (variance or properties) and not np.isfinite(kq).all():
+                raise ValueError("array must not contain infs or NaNs")
+            shared = variance and all(m.chol_prop is m.chol for m in chunk)
+            pv = np.empty(kq.shape) if properties and not shared else None
+            # the solves run in place, the last one on the kernel rows
+            # themselves once the mean products have read them
+            for m, i in zip(chunk, run[a:b]):
+                s, e = bounds[i], bounds[i + 1]
+                k = kq[s - r0:e - r0]
+                np.matmul(k, m.alpha_occ, out=o[s:e])
+                if properties:
+                    np.matmul(k, m.alpha_prop, out=c[s:e])
+                    if pv is not None:
+                        pv[s - r0:e - r0] = k
+                        _trtrs(m.chol_prop, pv[s - r0:e - r0].T,
+                               overwrite=True)
+                if variance:
+                    _trtrs(m.chol, k.T, overwrite=True)
+            if variance:
+                u[r0:r1] = params.sigma2 - np.einsum("ij,ij->j", kq.T, kq.T)
+            if gradient:
+                g[r0:r1] = gq
+            if properties:
+                w[r0:r1] = u[r0:r1] if pv is None else (
+                    params.sigma2 - np.einsum("ij,ij->j", pv.T, pv.T))
+    return Moments(o, u, g, c, w)
+
+
 def moments(model: GpLeafModel, q: np.ndarray, variance: bool = True,
             gradient: bool = False, properties: bool = False) -> Moments:
-    """Posterior moments at (n, 3) queries from one kernel matrix.
+    """Posterior moments at (n, 3) queries from one kernel matrix: a
+    one-model call of the grouped path routed_moments runs.
 
-    This is the only inference path: everything here needs the model's
-    training set. What follows it (latent-variance clip, reverting,
-    variance propagation, gradient normalization, property clip) is
-    elementwise, so callers may apply it per model or once over the
-    stacked outputs of many models and get the same bits.
+    Everything here needs the model's training set. What follows it
+    (latent-variance clip, reverting, variance propagation, gradient
+    normalization, property clip) is elementwise, so callers may apply it
+    per model or once over the stacked outputs of many models and get the
+    same bits.
     """
-    if properties and model.alpha_prop is None:
-        raise ValueError("model has no property regressor")
-    params = model.params
-    kq = _kernel_matrix(q, model.train_points, params)
-    o = kq @ model.alpha_occ
-    u = g = c = w = None
-    if variance:
-        v = _solve_lower(model.chol, kq.T)
-        u = params.sigma2 - np.einsum("ij,ij->j", v, v)
-    if gradient:
-        wk = kq * model.alpha_occ[None, :]
-        diff = model.train_points[None, :, :] - q[:, None, :]
-        g = np.einsum("ij,ijk->ik", wk, diff) / params.length_scale ** 2
-    if properties:
-        c = kq @ model.alpha_prop
-        v = _solve_lower(model.chol_prop, kq.T)
-        w = params.sigma2 - np.einsum("ij,ij->j", v, v)
-    return Moments(o, u, g, c, w)
+    q = np.asarray(q, dtype=np.float64)
+    return _grouped_moments([model], q, [0, len(q)], variance, gradient,
+                            properties)
 
 
 def check_rows(pts: np.ndarray, inside: Optional[np.ndarray] = None,
@@ -263,24 +469,25 @@ def route(tree: cKDTree, pts: np.ndarray, k: int) -> np.ndarray:
 
 def routed_moments(models, pts: np.ndarray, sel: np.ndarray,
                    gradient: bool = False, properties: bool = False):
-    """One moments call per model routed in sel (see route) over its rows,
-    ascending; models[i] is the model of index i, and models[0] shapes the
-    outputs of an empty batch. Returns (mo, at): the stacked Moments in
-    ascending model order and the (m, k) position in mo of each (row,
-    slot) of sel. A row's k models are distinct, so sorting the flat (row,
-    slot) indices of sel by model gives every model one run of its rows."""
+    """Moments of every model routed in sel (see route) over its rows, in
+    one grouped call (see _grouped_moments); models[i] is the model of
+    index i, and models[0] shapes the outputs of an empty batch. Returns
+    (mo, at): the Moments of every (row, slot) of sel and the (m, k)
+    position in mo of each. The flat (row, slot) indices of sel are sorted
+    by the training-set size of their model, then by model, so models of
+    one size sit side by side and every model has one run of rows (a
+    row's k models are distinct)."""
     m, k = sel.shape
-    groups = group_by(sel.ravel())
-    xs = pts[groups.order // k]
-    bounds = groups.starts.tolist()
-    parts = [moments(models[i], xs[a:b], gradient=gradient,
-                     properties=properties)
-             for i, a, b in zip(groups.keys.tolist(), bounds[:-1], bounds[1:])]
-    if not parts:
-        parts = [moments(models[0], xs, gradient=gradient,
-                         properties=properties)]
-    mo = Moments(*(None if f[0] is None else np.concatenate(f)
-                   for f in zip(*parts)))
+    flat = sel.ravel()
+    routed = np.flatnonzero(np.bincount(flat))
+    size = np.zeros(len(routed) and routed[-1] + 1, dtype=np.int64)
+    size[routed] = [models[i].n_train for i in routed.tolist()]
+    groups = group_by(size[flat] * len(size) + flat)
+    keys, starts = (groups.keys % max(len(size), 1)).tolist(), groups.starts
+    if not keys:
+        keys, starts = [0], [0, 0]
+    mo = _grouped_moments([models[i] for i in keys], pts[groups.order // k],
+                          starts, True, gradient, properties)
     at = np.empty(m * k, dtype=np.int64)
     at[groups.order] = np.arange(m * k)
     return mo, at.reshape(m, k)

@@ -11,7 +11,7 @@ centroid is closest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,20 +60,29 @@ class Frame:
         return self.translation
 
 
-def voxelize(frame: Frame, voxel_size: float):
+class Voxels(NamedTuple):
+    """A frame collapsed to voxels (see voxelize)."""
+
+    coords: np.ndarray              # (V, 3) int64, lexicographic order
+    centers: np.ndarray             # (V, 3) world-space voxel centres
+    props: Optional[np.ndarray]     # (V, P) mean properties, or None
+    n_dropped: int                  # points dropped for a non-finite position
+
+
+def voxelize(frame: Frame, voxel_size: float) -> Voxels:
     """Collapse a frame to unique voxel centers.
 
-    Returns (coords, centers, props): integer voxel coordinates in
-    lexicographic order, their world-space centers, and per-voxel mean
-    properties (None if the frame has none). Points with a non-finite
-    world position are dropped with their properties. Raises EmptyFrame
-    when no point remains, and ValueError for a voxel outside the key
-    range (see grid.pack_keys).
+    Returns the integer voxel coordinates in lexicographic order, their
+    world-space centers, per-voxel mean properties (None if the frame has
+    none) and the number of points dropped, with their properties, for a
+    non-finite world position. Raises EmptyFrame when no point remains,
+    and ValueError for a voxel outside the key range (see grid.pack_keys).
     """
     with np.errstate(invalid="ignore"):
         world = frame.points_world()
     finite = np.isfinite(world).all(axis=1)
-    if not finite.any():
+    n_finite = int(finite.sum())
+    if not n_finite:
         raise EmptyFrame("frame has no finite points")
     coords = world_to_grid(world[finite], voxel_size)
     groups = group_by(pack_keys(coords))
@@ -87,7 +96,7 @@ def voxelize(frame: Frame, voxel_size: float):
         np.add.at(sums, groups.inverse, p)
         np.add.at(counts, groups.inverse, 1.0)
         props = sums / counts[:, None]
-    return uniq, centers, props
+    return Voxels(uniq, centers, props, len(world) - n_finite)
 
 
 class LocalField:
@@ -120,8 +129,9 @@ class LocalField:
                 None if w is None else float(w[0]))
 
     def query_batch(self, points: np.ndarray):
-        """Vectorized query: one gp.moments call per routing model, then
-        reverting, variance propagation and clips once over all points.
+        """Vectorized query: one gp.routed_moments call over every routing
+        model (grouped by training-set size), then reverting, variance
+        propagation and clips once over all points.
         Raises ValueError naming the first row that is not finite or is
         too far from every model to route."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -152,7 +162,7 @@ def build(frame: Frame, voxel_size: float, params: gp.KernelParams,
     the nearest sufficiently populated leaf (by training centroid); if
     no leaf is large enough everything trains as-is.
     """
-    coords, centers, props = voxelize(frame, voxel_size)
+    coords, centers, props, _ = voxelize(frame, voxel_size)
     return build_voxelized(coords, centers, props, voxel_size, params,
                            min_leaf_points, prop_clip)
 
@@ -161,24 +171,25 @@ def build_voxelized(coords: np.ndarray, centers: np.ndarray,
                     props: Optional[np.ndarray], voxel_size: float,
                     params: gp.KernelParams, min_leaf_points: int = 4,
                     prop_clip=None) -> LocalField:
-    """Train per-leaf models from an already voxelized cloud."""
+    """Train per-leaf models from an already voxelized cloud, in one
+    gp.train_many call; the small leaves find their hosts in one cKDTree
+    query over their centroids."""
     leaves = group_by(leaf_keys(pack_keys(coords)))
-    groups = leaves.rows()
-
-    big = [i for i, g in enumerate(groups) if len(g) >= min_leaf_points]
-    merged_into = np.arange(len(groups))
-    if big and len(big) < len(groups):
-        big_centroids = np.array([centers[groups[i]].mean(axis=0) for i in big])
-        tree = cKDTree(big_centroids)
-        for i, g in enumerate(groups):
-            if len(g) >= min_leaf_points:
-                continue
-            _, nearest = tree.query(centers[g].mean(axis=0))
-            merged_into[i] = big[int(nearest)]
+    sizes = np.diff(leaves.starts)
+    big = np.flatnonzero(sizes >= min_leaf_points)
+    merged_into = np.arange(len(sizes))
+    if len(big) and len(big) < len(sizes):
+        # mean per leaf: np.add.reduceat sums in another order
+        centroids = np.array([centers[rows].mean(axis=0)
+                              for rows in leaves.rows()])
+        small = np.flatnonzero(sizes < min_leaf_points)
+        _, nearest = cKDTree(centroids[big]).query(centroids[small])
+        merged_into[small] = big[nearest]
 
     # groups, and so hosts, are in lexicographic leaf-origin order, which
     # makes model routing deterministic
-    models = [gp.train(centers[rows], params,
-                       None if props is None else props[rows])
-              for rows in group_by(merged_into[leaves.inverse]).rows()]
+    hosts = group_by(merged_into[leaves.inverse]).rows()
+    models = gp.train_many([centers[rows] for rows in hosts], params,
+                           None if props is None
+                           else [props[rows] for rows in hosts])
     return LocalField(models, params, prop_clip)

@@ -188,6 +188,8 @@ class FrameStats:
     total_ms: float = 0.0
     n_leaves: int = 0               # leaves allocated after the frame
     grid_bytes: int = 0             # pool bytes of their rows
+    n_points_dropped: int = 0       # points voxelize dropped as non-finite
+    n_jitter_escalations: int = 0   # Cholesky jitter raises of local models
 
 
 # a leaf and its 7 lower neighbours: the leaves whose cells read its voxels
@@ -263,7 +265,8 @@ class Pipeline:
         t_all = time.perf_counter()
 
         t0 = time.perf_counter()
-        coords, centers, props = voxelize(frame, c.voxel_size)
+        coords, centers, props, stats.n_points_dropped = voxelize(
+            frame, c.voxel_size)
         stats.stage_ms["voxelize"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
@@ -271,6 +274,7 @@ class Pipeline:
                                          self.params, c.min_leaf_points,
                                          c.prop_clip)
         stats.stage_ms["local_gp"] = (time.perf_counter() - t0) * 1e3
+        stats.n_jitter_escalations = sum(m.jitter for m in lf.models)
 
         t0 = time.perf_counter()
         origin = frame.origin

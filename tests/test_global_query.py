@@ -21,11 +21,14 @@ from gpfield.global_field import GlobalField, QueryStats
 from gpfield.grid import KEY_BIAS, SparseGrid, VoxelState, group_by
 from gpfield.local_field import LocalField
 
+import gp_oracle
+from gp_oracle import kernel_matrix
+
 # -- reference: the per-node inference calls and loops as they were ----------
 
 
 def ref_infer_occupancy(model, q):
-    kq = gp._kernel_matrix(q, model.train_points, model.params)
+    kq = kernel_matrix(q, model.train_points, model.params)
     o = kq @ model.alpha_occ
     v = solve_triangular(model.chol, kq.T, lower=True)
     u = model.params.sigma2 - np.einsum("ij,ij->j", v, v)
@@ -33,7 +36,7 @@ def ref_infer_occupancy(model, q):
 
 
 def ref_infer_distance_gradient(model, q):
-    kq = gp._kernel_matrix(q, model.train_points, model.params)
+    kq = kernel_matrix(q, model.train_points, model.params)
     w = kq * model.alpha_occ[None, :]
     diff = model.train_points[None, :, :] - q[:, None, :]
     g = np.einsum("ij,ijk->ik", w, diff) / model.params.length_scale ** 2
@@ -45,7 +48,7 @@ def ref_infer_distance_gradient(model, q):
 
 
 def ref_infer_property(model, q, clip_range):
-    kq = gp._kernel_matrix(q, model.train_points, model.params)
+    kq = kernel_matrix(q, model.train_points, model.params)
     c = kq @ model.alpha_prop
     v = solve_triangular(model.chol_prop, kq.T, lower=True)
     w = model.params.sigma2 - np.einsum("ij,ij->j", v, v)
@@ -72,8 +75,7 @@ def reference_query_batch(field, points, q=None):
     sel = idx[rows, order][:, :k]
     groups = group_by(sel.ravel())
     nodes = [field._tree_nodes[u] for u in groups.keys.tolist()]
-    for node in nodes:
-        field._ensure_trained(node)
+    field._train_nodes(nodes)
 
     dq = np.full((m, k), np.inf)
     vq = np.zeros((m, k))
@@ -415,25 +417,25 @@ def test_query_rows_at_the_voxel_key_range_edges():
 
 
 def test_query_stats_match_spies(monkeypatch, capsys):
-    """n_nodes_trained counts gp.train calls; sign_rebuilt is 1 when the
-    batch built the sign index's main tree, and a full build is the one
-    that calls observed_voxels; n_observed_indexed is the number of
-    observed voxels the batch added to the index."""
+    """n_nodes_trained counts the models gp.train_many trained;
+    sign_rebuilt is 1 when the batch built the sign index's main tree, and
+    a full build is the one that calls observed_voxels; n_observed_indexed
+    is the number of observed voxels the batch added to the index."""
     trained = []
     full_builds = []
-    real_train = gp.train
+    real_train_many = gp.train_many
     real_observed = SparseGrid.observed_voxels
 
-    def spy_train(*args, **kwargs):
-        trained.append(args[0])
-        return real_train(*args, **kwargs)
+    def spy_train_many(*args, **kwargs):
+        trained.extend(args[0])
+        return real_train_many(*args, **kwargs)
 
     def spy_observed(self):
         out = real_observed(self)
         full_builds.append(len(out[0]))
         return out
 
-    monkeypatch.setattr(gp, "train", spy_train)
+    monkeypatch.setattr(gp, "train_many", spy_train_many)
     monkeypatch.setattr(SparseGrid, "observed_voxels", spy_observed)
 
     grid = SparseGrid(voxel_size=0.05)
@@ -483,3 +485,22 @@ def test_query_stats_match_spies(monkeypatch, capsys):
     assert fifth == QueryStats(n_nodes_routed=4, sign_rebuilt=1,
                                n_observed_indexed=4)
     assert capsys.readouterr() == ("", "")
+
+
+def test_query_stats_count_jitter_escalations_of_trained_nodes():
+    """A node of duplicated points under noise2 = 0 needs jitter; the batch
+    that trains it counts its escalations, and a batch that trains nothing
+    counts none."""
+    params = gp.KernelParams(length_scale=0.15, noise2=0.0)
+    rng = np.random.default_rng(9)
+    dup = np.repeat(rng.normal(scale=0.05, size=(4, 3)), 2, axis=0)
+    apart = rng.normal(scale=0.05, size=(6, 3)) + [0.8, 0.0, 0.0]
+    field = GlobalField(params, query_nodes=1)
+    field.update({(0, 0, 0): (dup, None), (16, 0, 0): (apart, None)})
+    want = gp_oracle.train(dup, params).jitter
+    assert want > 0
+    assert gp_oracle.train(apart, params).jitter == 0
+    both = np.array([[0.0, 0.0, 0.1], [0.8, 0.0, 0.1]])
+    stats = field.query_batch(both).stats
+    assert (stats.n_nodes_trained, stats.n_jitter_escalations) == (2, want)
+    assert field.query_batch(both).stats.n_jitter_escalations == 0

@@ -9,8 +9,7 @@ from scipy.linalg import solve_triangular
 from gpfield.gp import (
     GpLeafModel,
     KernelParams,
-    _cholesky_with_jitter,
-    _kernel_matrix,
+    _kernel_rows,
     infer_distance_gradient,
     infer_occupancy,
     infer_property,
@@ -20,6 +19,8 @@ from gpfield.gp import (
     revert_distance,
     train,
 )
+
+from gp_oracle import cholesky_with_jitter, kernel_matrix
 
 
 def random_rotation(rng):
@@ -58,21 +59,36 @@ def test_kernel_params_defaults():
     assert p.v_max == pytest.approx(reference_distance_variance(p))
 
 
+def kernel(a, b, p):
+    """The library kernel between the rows of a and b, in the gathered form
+    it takes for a chunk of several models (one model calls cdist)."""
+    return _kernel_rows([b, b], [len(a), 0], a, p)[0]
+
+
 def test_se_kernel_analytic_values():
     p = KernelParams(sigma2=2.5, length_scale=0.15)
     x = np.array([[0.3, -0.1, 0.7]])
-    assert _kernel_matrix(x, x, p)[0, 0] == pytest.approx(2.5)
+    assert kernel(x, x, p)[0, 0] == pytest.approx(2.5)
     y = x + np.array([0.15, 0.0, 0.0])
-    assert _kernel_matrix(x, y, p)[0, 0] == pytest.approx(2.5 * np.exp(-0.5))
-    assert _kernel_matrix(x, y, p)[0, 0] == pytest.approx(
-        _kernel_matrix(y, x, p)[0, 0])
+    assert kernel(x, y, p)[0, 0] == pytest.approx(2.5 * np.exp(-0.5))
+    assert kernel(x, y, p)[0, 0] == pytest.approx(kernel(y, x, p)[0, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2 ** 32 - 1))
+def test_kernel_of_differences_matches_cdist_bit_for_bit(n, j, seed):
+    rng = np.random.default_rng(seed)
+    p = KernelParams(sigma2=1.3, length_scale=0.18)
+    a = rng.uniform(-0.5, 0.5, size=(n, 3))
+    b = rng.uniform(-0.5, 0.5, size=(j, 3))
+    assert_same_bits(kernel(a, b, p), kernel_matrix(a, b, p))
 
 
 def test_kernel_matrix_symmetric_and_psd_with_jitter():
     rng = np.random.default_rng(11)
     p = KernelParams(sigma2=1.0, length_scale=0.2, noise2=1e-4)
     pts = rng.uniform(-0.5, 0.5, size=(20, 3))
-    k = _kernel_matrix(pts, pts, p)
+    k = kernel(pts, pts, p)
     np.testing.assert_allclose(k, k.T, atol=1e-12)
     assert np.all(k <= p.sigma2 + 1e-12)
     eig = np.linalg.eigvalsh(k + p.noise2 * np.eye(20))
@@ -98,7 +114,7 @@ def test_train_residual_and_factorization():
     p = KernelParams(length_scale=0.2, noise2=1e-4)
     pts = rng.uniform(-0.6, 0.6, size=(50, 3))
     model = train(pts, p)
-    k = _kernel_matrix(pts, pts, p) + p.noise2 * np.eye(50)
+    k = kernel_matrix(pts, pts, p) + p.noise2 * np.eye(50)
     residual = k @ model.alpha_occ - np.ones(50)
     assert np.abs(residual).max() < 1e-6
     assert np.abs(model.chol @ model.chol.T - k).max() < 1e-6 * p.sigma2
@@ -120,8 +136,8 @@ def test_train_duplicate_points_survives_via_jitter():
 def reference_train(points, params, properties=None):
     """gp.train as it was, with scipy's solve_triangular for the solves."""
     x = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    k = _kernel_matrix(x, x, params)
-    chol = _cholesky_with_jitter(k, params.noise2, params.sigma2)
+    k = kernel_matrix(x, x, params)
+    chol, _ = cholesky_with_jitter(k, params.noise2, params.sigma2)
     alpha = solve_triangular(
         chol.T, solve_triangular(chol, np.ones(len(x)), lower=True),
         lower=False)
@@ -131,7 +147,7 @@ def reference_train(points, params, properties=None):
         if params.prop_noise2 == params.noise2:
             cp = chol
         else:
-            cp = _cholesky_with_jitter(k, params.prop_noise2, params.sigma2)
+            cp, _ = cholesky_with_jitter(k, params.prop_noise2, params.sigma2)
         ap = solve_triangular(cp.T, solve_triangular(cp, p, lower=True),
                               lower=False)
     return chol, alpha, cp, ap
@@ -176,7 +192,7 @@ def test_train_oracle_cases_reach_jitter_escalation():
     the bit-for-bit test above runs the jitter path."""
     params = KernelParams(length_scale=0.15, noise2=0.0, prop_noise2=0.0)
     pts = np.array([[0.1, 0.0, 0.0], [0.1, 0.0, 0.0]])
-    k = _kernel_matrix(pts, pts, params)
+    k = kernel_matrix(pts, pts, params)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(k)
     model = train(pts, params, np.ones((2, 1)))
@@ -438,8 +454,8 @@ def test_property_midpoint_symmetric_and_matches_closed_form():
     c, _ = infer_property(model, np.array([0.0, 0.0, 0.0]))
     # equal channels by symmetry; value is the direct regression solution
     assert c[0] == pytest.approx(c[1], rel=1e-12)
-    k = _kernel_matrix(np.zeros((1, 3)), pts, p)[0]
-    gram = _kernel_matrix(pts, pts, p) + p.prop_noise2 * np.eye(2)
+    k = kernel_matrix(np.zeros((1, 3)), pts, p)[0]
+    gram = kernel_matrix(pts, pts, p) + p.prop_noise2 * np.eye(2)
     want = k @ np.linalg.solve(gram, props)
     np.testing.assert_allclose(c, want, atol=1e-9)
 

@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from gpfield import gp
 from gpfield.gp import KernelParams
 from gpfield.local_field import (
     EmptyFrame,
@@ -12,7 +16,10 @@ from gpfield.local_field import (
     build_voxelized,
     voxelize,
 )
-from gpfield.grid import grid_to_world, world_to_grid
+from gpfield.grid import (grid_to_world, group_by, leaf_keys, pack_keys,
+                          world_to_grid)
+
+import gp_oracle
 
 IDENTITY = np.eye(3)
 ZERO = np.zeros(3)
@@ -44,7 +51,7 @@ def test_frame_points_world_applies_pose():
 
 def test_voxelize_collapses_duplicate_points():
     pts = np.tile([[0.31, 0.22, 0.13]], (100, 1))
-    coords, centers, props = voxelize(world_frame(pts), 0.1)
+    coords, centers, props, _ = voxelize(world_frame(pts), 0.1)
     assert coords.shape == (1, 3)
     np.testing.assert_allclose(centers, [[0.35, 0.25, 0.15]])
     assert props is None
@@ -52,7 +59,7 @@ def test_voxelize_collapses_duplicate_points():
 
 def test_voxelize_adjacent_voxels():
     pts = np.array([[0.01, 0.0, 0.0], [0.11, 0.0, 0.0]])
-    coords, centers, _ = voxelize(world_frame(pts), 0.1)
+    coords, centers, _, _ = voxelize(world_frame(pts), 0.1)
     assert len(coords) == 2
     assert centers[1, 0] - centers[0, 0] == pytest.approx(0.1)
     np.testing.assert_allclose(centers[:, 1:], 0.05)
@@ -61,7 +68,7 @@ def test_voxelize_adjacent_voxels():
 def test_voxelize_count_matches_hash_set_oracle():
     rng = np.random.default_rng(22)
     pts = rng.uniform(0.0, 1.0, size=(10000, 3))
-    coords, centers, _ = voxelize(world_frame(pts), 0.1)
+    coords, centers, _, _ = voxelize(world_frame(pts), 0.1)
     oracle = {tuple(c) for c in world_to_grid(pts, 0.1)}
     assert len(coords) == len(oracle)
     assert {tuple(int(v) for v in c) for c in coords} == oracle
@@ -71,7 +78,7 @@ def test_voxelize_averages_properties_per_voxel():
     rng = np.random.default_rng(23)
     pts = rng.uniform(0.0, 0.4, size=(500, 3))
     props = rng.uniform(size=(500, 2))
-    coords, _, mean_props = voxelize(world_frame(pts, properties=props), 0.1)
+    coords, _, mean_props, _ = voxelize(world_frame(pts, properties=props), 0.1)
     sums = {}
     counts = {}
     for p, c in zip(props, world_to_grid(pts, 0.1)):
@@ -81,6 +88,19 @@ def test_voxelize_averages_properties_per_voxel():
     for c, m in zip(coords, mean_props):
         key = tuple(int(v) for v in c)
         np.testing.assert_allclose(m, sums[key] / counts[key], atol=1e-12)
+
+
+def test_voxelize_counts_dropped_non_finite_points():
+    pts = np.array([[0.01, 0.0, 0.0], [np.nan, 0.0, 0.0], [0.11, 0.0, 0.0],
+                    [0.0, np.inf, 0.0], [0.0, 0.0, -np.inf]])
+    props = np.arange(10.0).reshape(5, 2)
+    vox = voxelize(world_frame(pts, properties=props), 0.1)
+    assert vox.n_dropped == 3
+    np.testing.assert_array_equal(vox.props, props[[0, 2]])
+    clean = voxelize(world_frame(pts[[0, 2]], properties=props[[0, 2]]), 0.1)
+    assert clean.n_dropped == 0
+    for got, want in zip(vox[:3], clean[:3]):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_voxelize_empty_frame_raises():
@@ -94,7 +114,7 @@ def test_build_single_leaf_single_model():
     frame = world_frame(pts)
     field = build(frame, 0.05, KernelParams(length_scale=0.15))
     assert len(field.models) == 1
-    _, centers, _ = voxelize(frame, 0.05)
+    _, centers, _, _ = voxelize(frame, 0.05)
     np.testing.assert_array_equal(field.models[0].train_points, centers)
 
 
@@ -108,7 +128,7 @@ def test_build_partitions_voxels_across_leaves():
     frame = world_frame(pts)
     field = build(frame, h, KernelParams(length_scale=0.15))
     assert len(field.models) == 2
-    coords, centers, _ = voxelize(frame, h)
+    coords, centers, _, _ = voxelize(frame, h)
     trained = np.vstack([m.train_points for m in field.models])
     assert len(trained) == len(centers)
     got = {tuple(np.round(p, 9)) for p in trained}
@@ -256,3 +276,69 @@ def test_models_train_on_exactly_the_voxelized_cells():
     assert len(field.models) == 1
     want = grid_to_world(np.array([[0, 0, 0], [6, 0, 0]]), 0.05)
     np.testing.assert_array_equal(field.models[0].train_points, want)
+
+
+def reference_hosts(coords, centers, min_leaf_points):
+    """build_voxelized's small-leaf merge as it was: one cKDTree query per
+    small leaf. Returns each voxel's host leaf index."""
+    leaves = group_by(leaf_keys(pack_keys(coords)))
+    groups = leaves.rows()
+    big = [i for i, g in enumerate(groups) if len(g) >= min_leaf_points]
+    merged_into = np.arange(len(groups))
+    if big and len(big) < len(groups):
+        tree = cKDTree(np.array([centers[groups[i]].mean(axis=0)
+                                 for i in big]))
+        for i, g in enumerate(groups):
+            if len(g) >= min_leaf_points:
+                continue
+            _, nearest = tree.query(centers[g].mean(axis=0))
+            merged_into[i] = big[int(nearest)]
+    return merged_into[leaves.inverse]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 6), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_build_matches_per_leaf_merge_and_per_model_training(n, min_points,
+                                                             props, seed):
+    """One batched host query and one train_many call give the models the
+    per-small-leaf query loop and per-model training gave, bit for bit."""
+    rng = np.random.default_rng(seed)
+    h = 0.05
+    coords = np.unique(rng.integers(-20, 20, size=(n, 3)), axis=0)
+    centers = grid_to_world(coords, h)
+    p = rng.random((len(coords), 2)) if props else None
+    params = KernelParams(length_scale=3 * h)
+    field = build_voxelized(coords, centers, p, h, params, min_points)
+    hosts = group_by(reference_hosts(coords, centers, min_points)).rows()
+    assert len(field.models) == len(hosts)
+    for model, rows in zip(field.models, hosts):
+        want = gp_oracle.train(centers[rows], params,
+                               None if p is None else p[rows])
+        np.testing.assert_array_equal(model.train_points, centers[rows])
+        for name in ("chol", "alpha_occ", "centroid", "alpha_prop"):
+            got, ref = getattr(model, name), getattr(want, name)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got.tobytes() == ref.tobytes()
+
+
+def dense_cube_frame(h=0.05):
+    """Every voxel of one leaf, each hit twice: with noise2 = 0 its kernel
+    matrix is singular to working precision."""
+    idx = np.arange(8)
+    cube = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), -1)
+    pts = (cube.reshape(-1, 3) + 0.5) * h + [0.8, 0.0, 0.0]
+    return world_frame(np.concatenate([pts, pts]))
+
+
+def test_models_count_their_jitter_escalations():
+    frame = dense_cube_frame()
+    params = KernelParams(length_scale=0.15, noise2=0.0)
+    field = build(frame, 0.05, params)
+    jitter = [m.jitter for m in field.models]
+    assert jitter == [gp_oracle.train(m.train_points, params).jitter
+                      for m in field.models]
+    assert sum(jitter) > 0
+    noisy = build(frame, 0.05, KernelParams(length_scale=0.15))
+    assert [m.jitter for m in noisy.models] == [0] * len(noisy.models)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gpfield import meshing, pipeline, query_points
+from gpfield import local_field, meshing, pipeline, query_points
 from gpfield.pipeline import (
     FrameStats,
     Pipeline,
@@ -36,6 +36,8 @@ from gpfield.scene import (
     look_at,
     render_frame,
 )
+
+import gp_oracle
 
 STAGES = ("voxelize", "local_gp", "test_points", "local_infer", "fusion",
           "meshing", "global_update")
@@ -518,6 +520,47 @@ def test_non_finite_points_are_dropped_not_looped_on(tmp_path):
                      translation=clean.translation)
     with pytest.raises(EmptyFrame):
         Pipeline().integrate_frame(only_bad)
+
+
+def test_frame_stats_count_dropped_points_and_keep_the_csv_layout():
+    """NaN and inf rows are counted in FrameStats.n_points_dropped; the
+    stats CSV keeps its columns."""
+    clean = wall_frames(1)[0]
+    bad = [[np.nan, 0.1, 0.2], [1.0, np.inf, 0.0], [-np.inf, 0.0, 0.0],
+           [np.nan, np.nan, np.nan]]
+    dirty = Frame(points=np.insert(clean.points, [0, 7, 7, 30], bad, axis=0),
+                  rotation=clean.rotation, translation=clean.translation)
+    stats = [Pipeline().integrate_frame(f) for f in (clean, dirty)]
+    assert [s.n_points_dropped for s in stats] == [0, 4]
+    assert stats[1].n_points == stats[0].n_points + 4
+    assert stats[1].n_voxels_fused == stats[0].n_voxels_fused
+    buf = io.StringIO()
+    write_stats_csv(stats, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0] == "frame,stage,ms,points,voxels,leaves"
+    assert {len(line.split(",")) for line in lines} == {6}
+
+
+def test_frame_stats_count_local_jitter_escalations():
+    """A leaf hit everywhere (each point twice) with noise2 = 0 needs
+    jitter; FrameStats counts the escalations of the frame's local
+    models."""
+    h = 0.05
+    idx = np.arange(8)
+    cube = (np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), -1)
+            .reshape(-1, 3) + 0.5) * h + [0.8, 0.0, 0.0]
+    frame = Frame(points=np.concatenate([cube, cube]), rotation=np.eye(3),
+                  translation=np.zeros(3))
+    config = PipelineConfig(noise2=0.0)
+    coords, centers, props, _ = local_field.voxelize(frame, h)
+    models = local_field.build_voxelized(
+        coords, centers, props, h, config.kernel_params(),
+        config.min_leaf_points).models
+    want = sum(gp_oracle.train(m.train_points, config.kernel_params()).jitter
+               for m in models)
+    assert want > 0
+    assert Pipeline(config).integrate_frame(frame).n_jitter_escalations == want
+    assert Pipeline().integrate_frame(frame).n_jitter_escalations == 0
 
 
 def test_snapshot_loads_leaf_on_low_edge_of_key_range(tmp_path):
