@@ -357,9 +357,7 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
     bits: kq @ alpha_occ and kq @ alpha_prop (gemv and gemm) and the
     dtrtrs solves. The variance reductions read a buffer that keeps each
     row's solve output contiguous, as dtrtrs returns it; a C-ordered one
-    changes the bits. A model whose property factor is its occupancy
-    factor gets its occupancy variance as property variance, the value a
-    second solve would give.
+    changes the bits.
     """
     if properties and any(m.alpha_prop is None for m in models):
         raise ValueError("model has no property regressor")
@@ -384,8 +382,7 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
                 np.array([m.alpha_occ for m in chunk]) if gradient else None)
             if (variance or properties) and not np.isfinite(kq).all():
                 raise ValueError("array must not contain infs or NaNs")
-            shared = variance and all(m.chol_prop is m.chol for m in chunk)
-            pv = np.empty(kq.shape) if properties and not shared else None
+            pv = np.empty(kq.shape) if properties else None
             # the solves run in place, the last one on the kernel rows
             # themselves once the mean products have read them
             for m, i in zip(chunk, run[a:b]):
@@ -394,10 +391,8 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
                 np.matmul(k, m.alpha_occ, out=o[s:e])
                 if properties:
                     np.matmul(k, m.alpha_prop, out=c[s:e])
-                    if pv is not None:
-                        pv[s - r0:e - r0] = k
-                        _trtrs(m.chol_prop, pv[s - r0:e - r0].T,
-                               overwrite=True)
+                    pv[s - r0:e - r0] = k
+                    _trtrs(m.chol_prop, pv[s - r0:e - r0].T, overwrite=True)
                 if variance:
                     _trtrs(m.chol, k.T, overwrite=True)
             if variance:
@@ -405,8 +400,7 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
             if gradient:
                 g[r0:r1] = gq
             if properties:
-                w[r0:r1] = u[r0:r1] if pv is None else (
-                    params.sigma2 - np.einsum("ij,ij->j", pv.T, pv.T))
+                w[r0:r1] = params.sigma2 - np.einsum("ij,ij->j", pv.T, pv.T)
     return Moments(o, u, g, c, w)
 
 
