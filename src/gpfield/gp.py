@@ -267,7 +267,8 @@ def train_many(point_sets, params: KernelParams,
     (J, P) property targets or None.
 
     Raises:
-        ValueError: for an empty point set or non-finite properties.
+        ValueError: for an empty point set, or non-finite points or
+            properties.
         FactorizationFailure: if a Gram matrix cannot be factorized even
             after escalating diagonal jitter.
     """
@@ -283,6 +284,8 @@ def train_many(point_sets, params: KernelParams,
         for a, b in _chunks([j] * len(members), j):
             chunk = members[a:b]
             x = np.array([xs[i] for i in chunk])
+            if not np.isfinite(x).all():
+                raise ValueError("training points must be finite")
             k = _kernel_rows(x, [j] * len(chunk), x.reshape(-1, 3), params)[0]
             k = k.reshape(-1, j, j)
             chol, steps = _cholesky_many(k, params.noise2, params.sigma2)
@@ -367,6 +370,11 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
     g = np.empty((n, 3)) if gradient else None
     c = np.empty((n, models[0].alpha_prop.shape[1])) if properties else None
     w = np.empty(n) if properties else None
+    # the solves' ValueError for a non-finite right-hand side, checked
+    # once: with finite training points a kernel value is NaN exactly
+    # where its query row holds a NaN (an infinite one gives 0)
+    if (variance or properties) and np.isnan(xs).any():
+        raise ValueError("array must not contain infs or NaNs")
     bounds = np.asarray(starts, dtype=np.int64).tolist()
     runs = groupby(range(len(models)),
                    lambda i: (models[i].n_train, id(models[i].params)))
@@ -380,8 +388,6 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
             kq, gq = _kernel_rows(
                 [m.train_points for m in chunk], rows[a:b], xs[r0:r1], params,
                 np.array([m.alpha_occ for m in chunk]) if gradient else None)
-            if (variance or properties) and not np.isfinite(kq).all():
-                raise ValueError("array must not contain infs or NaNs")
             pv = np.empty(kq.shape) if properties else None
             # the solves run in place, the last one on the kernel rows
             # themselves once the mean products have read them

@@ -13,19 +13,25 @@ zero crossings of any leaf are recomputed from them with
 ``crossings_by_leaf``.
 
 A frame's touched leaves are meshed in one batched pass,
-``mesh_leaves``: one ``SparseGrid.leaf_slots`` lookup finds the pool
-slots of a chunk of leaves and their upper neighbours, one fancy index
-into the grid's pool gathers their 9^3 voxel blocks, and the case
-lookup, the crossed edges, the vertices and the triangles run over the
-cells of all of them at once (Lorensen & Cline's tables are pure
-lookups, so they batch across leaves). Vertex properties come from one
-more fancy index through the same slots. Each leaf gets the same mesh,
-bit for bit, as meshing it alone.
+``mesh_leaves``, whose cost follows the observed cells. One
+``SparseGrid.leaf_slots`` lookup finds the pool slots of every leaf and
+its upper neighbours. A leaf's 9^3 voxel block comes from whole pool
+rows: its own row, as [x][y][z], and one face, edge or corner of each
+neighbour's. The valid cells, those with all eight corners observed,
+are found first from the observed blocks alone, so a leaf without one
+gets an empty mesh without its distances being read. The leaves with a
+valid cell are packed into chunks, and per chunk the case lookup, the
+crossed edges, the vertices and the triangles run over the cells of
+all of them at once (Lorensen & Cline's tables are pure lookups, so
+they batch across leaves). Vertex properties come from one more fancy
+index through the same slots. Each leaf gets the same mesh, bit for
+bit, as meshing it alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -42,6 +48,10 @@ _CASE_EDGES = ((_EDGE_TABLE[:, None] >> np.arange(12)) & 1).astype(bool)
 # edge indices of up to five triangles per case, -1 for unused slots
 _TRI_TABLE = np.asarray(TRI_TABLE, dtype=np.int64)[:, :15].reshape(-1, 5, 3)
 _CASE_TRIS = _TRI_TABLE[:, :, 0] >= 0
+# case index of a cell whose corner (ox, oy, oz) sets bit ox + 2*oy + 4*oz
+_CASE_OF_CORNERS = sum(
+    ((np.arange(256) >> (ox + 2 * oy + 4 * oz)) & 1) << ci
+    for ci, (ox, oy, oz) in enumerate(CORNER_OFFSETS)).astype(np.uint8)
 # a leaf's cells read the 9^3 block of voxels from its origin up; flat
 # block indices step by _STRIDE along the axes
 _BLOCK = LEAF_SIZE + 1
@@ -63,6 +73,13 @@ UPPER_NEIGHBOURS = LEAF_SIZE * np.array(
     [(dx, dy, dz) for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
 _BLOCK_NEIGHBOUR = (_BLOCK_COORDS >> LEAF_LOG2) @ np.array([4, 2, 1])
 _BLOCK_FLAT = local_flat_index(_BLOCK_COORDS)
+# the same map by whole rows: for the leaf and each upper neighbour, where
+# in the 9^3 block its voxels go and which of its [x][y][z] voxels (flat
+# index x*64 + y*8 + z) go there: all of its own, and the low face, edge
+# or corner of a neighbour's
+_BLOCK_PARTS = [(tuple(LEAF_SIZE if d else slice(LEAF_SIZE) for d in off),
+                 tuple(0 if d else slice(None) for d in off))
+                for off in UPPER_NEIGHBOURS // LEAF_SIZE]
 # leaves meshed per vectorized pass; bounds mesh_leaves' scratch memory
 _CHUNK = 32
 
@@ -130,16 +147,33 @@ def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
 def mesh_leaves(grid: SparseGrid, origins) -> list:
     """Run marching cubes over the cells owned by each of the leaves.
 
-    origins are leaf origins (multiples of LEAF_SIZE). The leaves are
-    meshed _CHUNK at a time, each chunk in one vectorized pass, so
-    scratch memory does not grow with their number. Returns one LeafMesh
-    per origin, in order; each array of it owns its memory.
+    origins are leaf origins (multiples of LEAF_SIZE). The targets'
+    valid cells are found _CHUNK targets at a time; the targets holding
+    one are meshed _CHUNK at a time, each chunk in one vectorized pass,
+    so scratch memory does not grow with their number. Returns one
+    LeafMesh per origin, in order; each array of it owns its memory.
     """
     origins = [tuple(int(v) for v in o) for o in origins]
-    out = []
-    for i in range(0, len(origins), _CHUNK):
-        out += _mesh_chunk(grid, origins[i:i + _CHUNK])
-    return out
+    slots = _block_slots(grid, origins)
+    out = [None] * len(origins)
+    found = _with_valid_cells(grid, slots)
+    while chunk := list(islice(found, _CHUNK)):
+        rows = [r for r, _ in chunk]
+        meshes = _mesh_chunk(grid, [origins[r] for r in rows], slots[rows],
+                             np.array([v for _, v in chunk]))
+        for r, lm in zip(rows, meshes):
+            out[r] = lm
+    return [LeafMesh.empty(o, grid.prop_channels) if lm is None else lm
+            for o, lm in zip(origins, out)]
+
+
+def _with_valid_cells(grid: SparseGrid, slots: np.ndarray):
+    """(target, its (8, 8, 8) valid cells) for each target, in order,
+    that has a valid cell; found _CHUNK targets at a time."""
+    for a in range(0, len(slots), _CHUNK):
+        valid = _valid_cells(_observed_block(grid, slots[a:a + _CHUNK]))
+        for i in np.flatnonzero(valid.any(axis=(1, 2, 3))).tolist():
+            yield a + i, valid[i]
 
 
 class Blocks(NamedTuple):
@@ -153,7 +187,7 @@ class Blocks(NamedTuple):
 
 
 def gather_blocks(grid: SparseGrid, origins) -> Blocks:
-    """Gather the blocks of many leaves with one fancy index.
+    """Gather the blocks of many leaves from whole pool rows.
 
     A leaf's block is its own 8^3 voxels plus one layer of its 7 upper
     neighbours, the same values as ``grid.gather_block(origin, (9,)*3)``
@@ -161,6 +195,14 @@ def gather_blocks(grid: SparseGrid, origins) -> Blocks:
     Properties are not gathered: read them where needed through the
     slots, before the grid allocates again.
     """
+    slots = _block_slots(grid, origins)
+    return Blocks(_distance_block(grid, slots), _observed_block(grid, slots),
+                  slots)
+
+
+def _block_slots(grid: SparseGrid, origins) -> np.ndarray:
+    """(T, 8) pool slots of each leaf and its 7 upper neighbours, in
+    UPPER_NEIGHBOURS order; 0 where unallocated or past the key range."""
     org = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
     if (org & (LEAF_SIZE - 1)).any():
         raise ValueError("leaf origins must be multiples of LEAF_SIZE")
@@ -168,29 +210,53 @@ def gather_blocks(grid: SparseGrid, origins) -> Blocks:
     keyed = ((nb >= -KEY_BIAS) & (nb < KEY_BIAS)).all(axis=2)
     keys = np.full(keyed.shape, -1, dtype=np.int64)
     keys[keyed] = pack_keys(nb[keyed])
-    slots = grid.leaf_slots(keys.ravel()).reshape(keys.shape)
-    at = slots[:, _BLOCK_NEIGHBOUR] * LEAF_VOXELS + _BLOCK_FLAT
-    mask = grid.voxels("value_mask").take(at)
-    dist = np.where(mask, grid.voxels("distance").take(at), np.float32(0.0))
-    shape = (len(org),) + (_BLOCK,) * 3
-    return Blocks(dist.astype(np.float64).reshape(shape),
-                  (grid.voxels("observed").take(at) & mask).reshape(shape),
-                  slots)
+    return grid.leaf_slots(keys.ravel()).reshape(keys.shape)
 
 
-def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
-    """mesh_leaves over one chunk: the cells of all its leaves at once."""
+def _block(grid: SparseGrid, name: str, slots: np.ndarray) -> np.ndarray:
+    """(T, 9, 9, 9) block of pool array name per row of block slots: the
+    leaf's whole row, then one face, edge or corner of each neighbour's."""
+    a = grid.pool[name]
+    a = a.reshape((len(a),) + (LEAF_SIZE,) * 3)
+    out = np.empty((len(slots),) + (_BLOCK,) * 3, dtype=a.dtype)
+    for n, (dst, src) in enumerate(_BLOCK_PARTS):
+        out[(slice(None),) + dst] = a[(slots[:, n],) + src]
+    return out
+
+
+def _distance_block(grid: SparseGrid, slots: np.ndarray) -> np.ndarray:
+    """Block distances as float64, 0 where the value mask is off."""
+    mask = _block(grid, "value_mask", slots)
+    return np.where(mask, _block(grid, "distance", slots),
+                    np.float32(0.0)).astype(np.float64)
+
+
+def _observed_block(grid: SparseGrid, slots: np.ndarray) -> np.ndarray:
+    """Block voxels that are set and observed."""
+    return _block(grid, "observed", slots) & _block(grid, "value_mask", slots)
+
+
+def _valid_cells(observed: np.ndarray) -> np.ndarray:
+    """(T, 8, 8, 8) cells whose eight corners are all observed: one
+    pairwise AND of neighbouring block voxels per axis."""
+    v = observed[:, 1:] & observed[:, :-1]
+    v = v[:, :, 1:] & v[:, :, :-1]
+    return v[:, :, :, 1:] & v[:, :, :, :-1]
+
+
+def _mesh_chunk(grid: SparseGrid, origins: list, slots: np.ndarray,
+                valid: np.ndarray) -> list:
+    """mesh_leaves over one chunk of targets, given their block slots
+    and valid cells: the cells of all of them at once."""
     h = grid.voxel_size
     channels = grid.prop_channels
-    blocks = gather_blocks(grid, origins)
-    neg = (blocks.distance < 0).view(np.uint8)
-    case = np.zeros((len(origins),) + (LEAF_SIZE,) * 3, dtype=np.uint8)
-    valid = np.ones(case.shape, dtype=bool)
-    for ci, (ox, oy, oz) in enumerate(CORNER_OFFSETS):
-        sl = (slice(None), slice(ox, ox + LEAF_SIZE),
-              slice(oy, oy + LEAF_SIZE), slice(oz, oz + LEAF_SIZE))
-        case |= neg[sl] << ci
-        valid &= blocks.observed[sl]
+    distance = _distance_block(grid, slots)
+    # each cell's negative corners, bit ox + 2*oy + 4*oz for corner (ox,
+    # oy, oz), one pairwise step per axis; then in case bit order
+    neg = (distance < 0).view(np.uint8)
+    neg = neg[:, :-1] | (neg[:, 1:] << 1)
+    neg = neg[:, :, :-1] | (neg[:, :, 1:] << 2)
+    case = _CASE_OF_CORNERS[neg[:, :, :, :-1] | (neg[:, :, :, 1:] << 4)]
     # crossed cells, leaf by leaf and in (x, y, z) order within a leaf
     c = np.flatnonzero(valid & _CROSSED[case])
     if len(c) == 0:
@@ -217,7 +283,7 @@ def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
 
     lo, axis = np.divmod(key[first], 3)
     hi = lo + _STRIDE[axis]
-    dist = blocks.distance.ravel()
+    dist = distance.ravel()
     d0 = dist[lo]
     t = d0 / (d0 - dist[hi])
     target, local = np.divmod(lo, _BLOCK ** 3)
@@ -228,7 +294,7 @@ def _mesh_chunk(grid: SparseGrid, origins: list) -> list:
     if channels:
         end_target, end_local = np.divmod(np.concatenate([lo, hi]),
                                           _BLOCK ** 3)
-        at = (blocks.slots[end_target, _BLOCK_NEIGHBOUR[end_local]]
+        at = (slots[end_target, _BLOCK_NEIGHBOUR[end_local]]
               * LEAF_VOXELS + _BLOCK_FLAT[end_local])
         p = grid.voxels("prop")[at].astype(np.float64)
         p0 = p[:len(n)]

@@ -178,6 +178,7 @@ class FrameStats:
     n_leaves_active: int = 0
     n_new_leaves: int = 0
     n_leaves_meshed: int = 0        # remesh targets
+    n_leaves_surfaced: int = 0      # targets whose new mesh has a triangle
     n_mesh_vertices: int = 0        # vertices of their new leaf meshes
     n_nodes_replaced: int = 0       # entries handed to GlobalField.update
     # test points kept after merging, by source
@@ -278,12 +279,13 @@ class Pipeline:
 
         t0 = time.perf_counter()
         origin = frame.origin
-        tp_ray = query_points.generate(origin, coords, centers, self.grid,
+        tp_ray = query_points.ray_rows(origin, coords, centers, self.grid,
                                        c.band_width)
         normals, valid = query_points.estimate_normals(centers, origin,
                                                        c.normal_k)
-        tp_norm = query_points.normal_augment(coords, centers, normals, valid,
-                                              c.voxel_size, c.normal_reach)
+        tp_norm = query_points.normal_rows(coords, centers, normals, valid,
+                                           c.voxel_size, c.normal_reach)
+        # the one deduplication of the frame's test points
         tps = query_points.merge(tp_ray, tp_norm)
         stats.n_test_points = len(tps)
         (stats.n_tp_ray, stats.n_tp_band, stats.n_tp_normal) = np.bincount(
@@ -341,6 +343,8 @@ class Pipeline:
         meshes = mesh_leaves(self.grid, targets)
         if stats is not None:
             stats.n_leaves_meshed = len(targets)
+            stats.n_leaves_surfaced = sum(len(lm.triangles) > 0
+                                          for lm in meshes)
             stats.n_mesh_vertices = sum(len(lm.positions) for lm in meshes)
         touched = []
         for origin, lm in zip(targets, meshes):

@@ -23,7 +23,8 @@ SOURCE_NAMES = ("ray", "band", "normal")
 
 
 class TestPointSet:
-    """Column-wise container of deduplicated test points."""
+    """Column-wise container of test points, one voxel per row except in
+    the sets ray_rows and normal_rows build."""
 
     def __init__(self, coords, positions, signs, sources):
         self.coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
@@ -130,7 +131,15 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
 
 def generate(origin, coords: np.ndarray, centers: np.ndarray,
              grid: SparseGrid, band_width: int = 3) -> TestPointSet:
-    """Ray-carving and endpoint-band test points for one frame.
+    """Ray-carving and endpoint-band test points for one frame: the
+    rows of ray_rows, deduplicated."""
+    return merge(ray_rows(origin, coords, centers, grid, band_width))
+
+
+def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
+             grid: SparseGrid, band_width: int = 3) -> TestPointSet:
+    """Ray-carving and endpoint-band test points for one frame, a voxel
+    possibly more than once (see generate).
 
     Args:
         origin: sensor position in world coordinates.
@@ -187,7 +196,7 @@ def generate(origin, coords: np.ndarray, centers: np.ndarray,
     signs = np.where(behind[keep], -1, 1)
     sources = np.where(in_band[keep], SOURCE_BAND, SOURCE_RAY).astype(np.uint8)
     out = vox.take(keep, axis=0)
-    return dedup_first(out, grid_to_world(out, h), signs, sources)
+    return TestPointSet(out, grid_to_world(out, h), signs, sources)
 
 
 def estimate_normals(centers: np.ndarray, origin, k: int = 10):
@@ -229,7 +238,17 @@ def estimate_normals(centers: np.ndarray, origin, k: int = 10):
 def normal_augment(coords: np.ndarray, centers: np.ndarray,
                    normals: np.ndarray, valid: np.ndarray,
                    voxel_size: float, reach: int = 3) -> TestPointSet:
-    """Test points stepped along each valid normal.
+    """Test points stepped along each valid normal: the rows of
+    normal_rows, deduplicated."""
+    return merge(normal_rows(coords, centers, normals, valid, voxel_size,
+                             reach))
+
+
+def normal_rows(coords: np.ndarray, centers: np.ndarray,
+                normals: np.ndarray, valid: np.ndarray,
+                voxel_size: float, reach: int = 3) -> TestPointSet:
+    """Test points stepped along each valid normal, a voxel possibly more
+    than once.
 
     Emits positions at offsets {-reach..-1, +1..+reach} * voxel_size
     along the normal; positive offsets (sensor side) carry sign +1.
@@ -247,4 +266,4 @@ def normal_augment(coords: np.ndarray, centers: np.ndarray,
     pos = pos.reshape(-1, 3)
     c = world_to_grid(pos, voxel_size)
     src = np.full(len(pos), SOURCE_NORMAL, dtype=np.uint8)
-    return dedup_first(c, grid_to_world(c, voxel_size), signs.reshape(-1), src)
+    return TestPointSet(c, grid_to_world(c, voxel_size), signs, src)

@@ -8,8 +8,8 @@ rewritten. ``QUERY_GOLDEN_SHA256`` hashes the rest of the same batch's
 outputs (variances, gradients, properties, property variances and
 free-space flags); it was recorded before the global query path was
 restructured. ``TEST_POINTS_SHA256`` hashes what ``query_points.generate``
-returned on each of the eight frames (coordinates, positions, signs and
-sources, in order); it was recorded before the test-point traversal,
+gives on each of the eight frames, the frame's ray rows deduplicated
+(coordinates, positions, signs and sources, in order); it was recorded before the test-point traversal,
 classification and grid lookup were rewritten. Refactors that claim to compute the same outputs must keep
 both. They depend on the floating-point results of this numpy/scipy
 build, so on another platform first check that the unrefactored code
@@ -50,15 +50,16 @@ def golden_run(tmp_path_factory):
     pipe = Pipeline(PipelineConfig(voxel_size=0.05, length_scale=0.1,
                                    d_max=0.55, prop_kind="rgb"))
     generated = []
-    real_generate = query_points.generate
+    real_rows = query_points.ray_rows
 
+    # the pipeline builds the ray rows; generate gives them deduplicated
     def spy(*args, **kwargs):
-        out = real_generate(*args, **kwargs)
-        generated.append(out)
-        return out
+        rows = real_rows(*args, **kwargs)
+        generated.append(query_points.merge(rows))
+        return rows
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(query_points, "generate", spy)
+        mp.setattr(query_points, "ray_rows", spy)
         for pose in poses:
             pipe.integrate_frame(render_frame(scene, sensor, pose))
     mesh = pipe.export_mesh()

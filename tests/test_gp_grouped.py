@@ -274,3 +274,30 @@ def test_moments_errors_match_the_oracle():
     with pytest.raises(ValueError) as got:
         gp.moments(plain, bad)
     assert str(got.value) == str(want.value)
+
+
+def test_moments_check_nan_rows_once_per_call():
+    """An infinite or huge query row has kernel value 0 and passes the
+    solves as in the oracle; a NaN row fails only where the solves run;
+    a model cannot be trained on non-finite points."""
+    rng = np.random.default_rng(9)
+    params = KernelParams()
+    models = gp.train_many([rng.uniform(size=(3, 3)) for _ in range(3)],
+                           params, [rng.uniform(size=(3, 2))] * 3)
+    far = np.array([[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1e300]])
+    for model in models:
+        got = gp.moments(model, far, gradient=True, properties=True)
+        want = gp_oracle.moments(model, far, gradient=True, properties=True)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+    nan = np.array([[0.1, 0.2, 0.3]] * 5 + [[0.0, np.nan, 0.0]])
+    sel = np.arange(18).reshape(6, 3) % 3
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp.routed_moments(models, nan, sel)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        gp.moments(models[0], nan, variance=False, properties=True)
+    assert np.isnan(gp.moments(models[0], nan, variance=False).occupancy[-1])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="training points must be finite"):
+            gp.train_many([np.zeros((2, 3)), [[0.0, 0.0, 0.0], [bad, 0, 0]]],
+                          params)

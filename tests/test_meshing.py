@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfield import meshing
+from gpfield import meshing, pipeline
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           VoxelState, grid_to_world, world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
@@ -21,7 +21,12 @@ from gpfield.meshing import (
     mesh_leaf,
     mesh_leaves,
 )
+from gpfield.pipeline import Pipeline, PipelineConfig
 from gpfield.ply import IoFailure, read_ply, write_mesh, write_points
+from gpfield.scene import (Primitive, SensorModel, SyntheticScene, look_at,
+                           orbit_trajectory, render_frame)
+
+import mesh_oracle
 
 H = 0.05
 
@@ -138,10 +143,14 @@ _CLUSTER_CORNERS = (0, KEY_BIAS - 2 * LEAF_SIZE, -KEY_BIAS)
 _LOCAL = np.argwhere(np.ones((LEAF_SIZE,) * 3, dtype=bool))
 
 
-def random_leaf_grid(seed, channels, corner, density):
+def random_leaf_grid(seed, channels, corner, density, observed=0.9,
+                     planted=0):
     """Leaves around corner, each allocated with probability 0.7, holding
     random distances, masks and properties; values outside the value
-    mask are garbage that a reader must ignore."""
+    mask are garbage that a reader must ignore. A voxel is observed with
+    probability observed; then planted cells, each on the upper face,
+    edge or corner of a leaf, get all eight corners set and observed
+    where their leaves are allocated."""
     rng = np.random.default_rng(seed)
     grid = SparseGrid(voxel_size=H, prop_channels=channels)
     for off in meshing.UPPER_NEIGHBOURS:
@@ -150,22 +159,38 @@ def random_leaf_grid(seed, channels, corner, density):
         leaf = grid.get_or_create_leaf(tuple(int(v) for v in corner + off))
         leaf.distance[:] = rng.normal(0.0, H, LEAF_VOXELS)
         leaf.value_mask[:] = rng.uniform(size=LEAF_VOXELS) < density
-        leaf.observed[:] = rng.uniform(size=LEAF_VOXELS) < 0.9
+        leaf.observed[:] = rng.uniform(size=LEAF_VOXELS) < observed
         leaf.prop[:] = rng.uniform(size=(LEAF_VOXELS, channels))
+    for _ in range(planted):
+        local = np.where(rng.uniform(size=3) < 0.5, LEAF_SIZE - 1,
+                         rng.integers(0, LEAF_SIZE, 3))
+        local[rng.integers(3)] = LEAF_SIZE - 1
+        cell = corner + rng.choice(meshing.UPPER_NEIGHBOURS) + local
+        for c in cell + np.asarray(CORNER_OFFSETS):
+            if ((c < -KEY_BIAS) | (c >= KEY_BIAS)).any():
+                continue
+            leaf = grid.find_leaf(tuple(int(v) for v in c))
+            if leaf is not None:
+                n = leaf.local_index(c)
+                leaf.value_mask[n] = leaf.observed[n] = True
     return grid
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        channels=st.sampled_from([0, 3]),
        corner=st.tuples(*[st.sampled_from(_CLUSTER_CORNERS)] * 3),
        density=st.floats(0.5, 1.0),
+       observed=st.floats(0.05, 1.0),
+       planted=st.integers(0, 16),
        picks=st.lists(st.integers(0, 63), min_size=1, max_size=150),
        chunk=st.sampled_from([meshing._CHUNK, 7]))
 def test_mesh_leaves_matches_reference_and_gather_block(seed, channels, corner,
-                                                        density, picks, chunk):
+                                                        density, observed,
+                                                        planted, picks, chunk):
     corner = np.asarray(corner, dtype=np.int64)
-    grid = random_leaf_grid(seed, channels, corner, density)
+    grid = random_leaf_grid(seed, channels, corner, density, observed,
+                            planted)
     # targets from a 4^3 ring of leaf origins around the allocated 2^3:
     # allocated and unallocated leaves, those inside the key range only
     ring = [tuple(int(v) for v in corner + LEAF_SIZE * (np.array(
@@ -186,6 +211,77 @@ def test_mesh_leaves_matches_reference_and_gather_block(seed, channels, corner,
             want[origin] = reference_mesh_leaf(grid, origin)
         assert got[i].origin == origin
         assert_leaf_mesh_equals(got[i], want[origin])
+
+
+def room_run():
+    """Config and frames of the lidar room with rgb properties: six
+    walls, a sphere and a box, five frames on a loop through it."""
+    scene = SyntheticScene([
+        Primitive("plane", normal=[1, 0, 0], offset=-3.0, prop=[0.8, 0.2, 0.2]),
+        Primitive("plane", normal=[-1, 0, 0], offset=-3.0, prop=[0.2, 0.8, 0.2]),
+        Primitive("plane", normal=[0, 1, 0], offset=-2.0, prop=[0.2, 0.2, 0.8]),
+        Primitive("plane", normal=[0, -1, 0], offset=-2.0, prop=[0.8, 0.8, 0.2]),
+        Primitive("plane", normal=[0, 0, 1], offset=0.0, prop=[0.5, 0.5, 0.5]),
+        Primitive("plane", normal=[0, 0, -1], offset=-2.5, prop=[0.9, 0.9, 0.9]),
+        Primitive("sphere", center=[1.2, 0.5, 0.6], radius=0.5,
+                  prop=[0.1, 0.6, 0.9]),
+        Primitive("box", center=[-1.3, -0.6, 0.4], half_extents=[0.4, 0.3, 0.4],
+                  prop=[0.9, 0.4, 0.1])], prop_channels=3)
+    sensor = SensorModel(kind="lidar", azimuth_steps=96, elevation_steps=20,
+                         elevation_range=(-0.6, 0.6), max_range=8.0,
+                         noise_sigma=0.005, seed=81)
+    frames = []
+    for i in range(5):
+        a = 2.0 * np.pi * i / 5
+        eye = np.array([1.5 * np.cos(a), 1.0 * np.sin(a), 1.2])
+        ahead = eye + np.array([np.cos(a + 1.0), np.sin(a + 1.0), 0.0])
+        frames.append(render_frame(scene, sensor, look_at(eye, ahead)))
+    return PipelineConfig(prop_kind="rgb"), frames
+
+
+def orbit_run():
+    """Config and frames of the acceptance-3 sphere orbit: four frames
+    on each of its two rings."""
+    scene = SyntheticScene([Primitive("sphere", radius=1.0)])
+    sensor = SensorModel(kind="pinhole", width=64, height=48, focal=60.0,
+                         max_range=8.0, noise_sigma=0.005, seed=81)
+    ring = 30
+    poses = (orbit_trajectory([0, 0, 0], 2.5, ring, elevation=np.pi / 6)[:4]
+             + orbit_trajectory([0, 0, 0], 2.5, ring, elevation=-np.pi / 6,
+                                start_azimuth=np.pi / ring)[:4])
+    return (PipelineConfig(voxel_size=0.05, length_scale=0.1, d_max=0.55),
+            [render_frame(scene, sensor, p) for p in poses])
+
+
+@pytest.mark.parametrize("run", [room_run, orbit_run])
+def test_mesh_leaves_matches_dense_oracle_on_pipeline_targets(run, tmp_path,
+                                                              monkeypatch):
+    """Every remesh target of every frame and of the snapshot load gets
+    the dense oracle's mesh, bit for bit."""
+    config, frames = run()
+    real = pipeline.mesh_leaves
+    calls = []
+
+    def spy(grid, origins):
+        got = real(grid, origins)
+        want = mesh_oracle.mesh_leaves(grid, origins)
+        assert len(got) == len(want) == len(origins)
+        for g, w in zip(got, want):
+            assert g.origin == w.origin
+            assert_leaf_mesh_equals(g, (w.edges, w.positions, w.props,
+                                        w.triangles))
+        calls.append((len(origins), sum(len(w.triangles) > 0 for w in want)))
+        return got
+
+    monkeypatch.setattr(pipeline, "mesh_leaves", spy)
+    pipe = Pipeline(config)
+    for frame in frames:
+        pipe.integrate_frame(frame)
+    pipe.save_snapshot(tmp_path / "map.snap")
+    Pipeline.load_snapshot(tmp_path / "map.snap")
+    assert len(calls) == len(frames) + 1
+    # every call meshes targets with and targets without a surface
+    assert all(0 < surfaced < targets for targets, surfaced in calls)
 
 
 def test_mesh_leaves_rejects_origins_off_the_leaf_lattice():

@@ -381,7 +381,8 @@ def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
     def spy_mesh_leaves(grid, origins):
         out = batched(grid, origins)
         calls.append(("meshed", len(origins),
-                      sum(len(lm.positions) for lm in out)))
+                      sum(len(lm.positions) for lm in out),
+                      sum(len(lm.triangles) > 0 for lm in out)))
         return out
 
     monkeypatch.setattr(pipeline, "mesh_leaves", spy_mesh_leaves)
@@ -395,11 +396,13 @@ def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
     # one mesh_leaves call and one update per frame, counted in FrameStats
     assert [c[0] for c in calls] == ["meshed", "replaced"] * 4
     for i, st in enumerate(pipe.stats):
-        _, n_meshed, n_vertices = calls[2 * i]
+        _, n_meshed, n_vertices, n_surfaced = calls[2 * i]
         assert (st.n_leaves_meshed, st.n_mesh_vertices) == (n_meshed,
                                                             n_vertices)
+        assert st.n_leaves_surfaced == n_surfaced
         assert st.n_nodes_replaced == calls[2 * i + 1][1]
         assert st.n_leaves_meshed > 0 and st.n_mesh_vertices > 0
+        assert 0 < st.n_leaves_surfaced <= st.n_leaves_meshed
         assert st.n_nodes_replaced > 0
     assert_cached_meshes_own_their_memory(pipe)
 

@@ -261,16 +261,19 @@ def test_generate_matches_reference_on_rendered_frames(monkeypatch):
                                orbit_trajectory, render_frame)
 
     seen = []
-    real = query_points.generate
+    real = query_points.ray_rows
 
+    # the pipeline builds the ray rows and deduplicates them with the
+    # normal rows; generate gives those rows deduplicated
     def spy(origin, coords, centers, grid, band_width=3):
         want = reference_generate(origin, coords, centers, grid, band_width)
-        got = real(origin, coords, centers, grid, band_width)
+        rows = real(origin, coords, centers, grid, band_width)
+        got = query_points.merge(rows)
         seen.append(len(got))
         assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
-        return got
+        return rows
 
-    monkeypatch.setattr(query_points, "generate", spy)
+    monkeypatch.setattr(query_points, "ray_rows", spy)
     scene = SyntheticScene([Primitive("sphere", radius=1.0)])
     sensor = SensorModel(kind="pinhole", width=32, height=24, focal=30.0,
                          max_range=8.0, noise_sigma=0.005, seed=3)
