@@ -191,9 +191,12 @@ def _cmd_bench(args) -> int:
     if pipe.stats:
         pipe.stats[-1].stage_ms["global_train"] = train_ms
     write_stats_csv(pipe.stats, args.stats if args.stats else sys.stdout)
+    invalidated = sum(st.n_nodes_invalidated for st in pipe.stats)
     print(f"frames={pipe.frame_index} leaves={pipe.grid.n_leaves} "
-          f"nodes={pipe.field.n_nodes} trained={n_trained} "
-          f"train_ms={train_ms:.1f}", file=sys.stderr)
+          f"nodes={pipe.field.n_nodes} invalidated={invalidated} "
+          f"trained={n_trained} train_ms={train_ms:.1f} "
+          f"field_bytes={pipe.field.nbytes} mesh_bytes={pipe.mesh_bytes}",
+          file=sys.stderr)
     return 0
 
 
@@ -302,6 +305,10 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,10 @@
 """Global continuous distance field over per-leaf surface GPs.
 
 Every leaf with mesh zero crossings owns a GP node. Nodes train
-lazily, on first query after their training set changed. A query
+lazily, on first query after their training set changed; an update
+that hands a node crossings byte-equal to the ones it holds keeps its
+model, and the centroid tree is rebuilt only after the node set or a
+node's crossings changed. A query
 routes to the nearest node centroids, blends their inferred distances
 with a sharp smooth minimum, averages their unit gradients, and
 attaches a sign from the fused grid when an observed voxel lies within
@@ -229,6 +232,13 @@ class SignIndex:
         return sign, known
 
 
+def _same_bytes(a: Optional[np.ndarray], b: Optional[np.ndarray]) -> bool:
+    """Both None, or both arrays of one shape and identical bytes."""
+    if a is None or b is None:
+        return a is b
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class GlobalField:
     """Container of per-leaf GP nodes plus blending at query time."""
 
@@ -251,19 +261,46 @@ class GlobalField:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def update(self, replacements: dict) -> None:
-        """Replace per-leaf crossing lists.
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the nodes' points, props and model arrays, each buffer
+        counted once (a model's train_points views its node's points, and
+        its chol_prop may be its chol). Summed over every node on each
+        call, so ask only when the number is wanted."""
+        held = {}
+        for node in self.nodes.values():
+            arrays = [node.points, node.props]
+            m = node.model
+            if m is not None:
+                arrays += [m.train_points, m.chol, m.alpha_occ, m.centroid,
+                           m.chol_prop, m.alpha_prop]
+            for a in arrays:
+                if a is not None:
+                    held[(a.ctypes.data, a.nbytes)] = a.nbytes
+        return sum(held.values())
+
+    def update(self, replacements: dict) -> int:
+        """Replace per-leaf crossing lists; returns how many nodes it added,
+        removed or gave new crossings.
 
         Maps leaf origin to (points, props) or to None/empty to remove
-        the node. Training is deferred to the next query that needs the
-        node.
+        the node. A replacement whose points and props equal the node's
+        in shape and bytes (props both None or both arrays) leaves the
+        node as it is, model and train_count included: a model depends
+        only on its node's points, props and the kernel params, so a
+        retrain would rebuild it bit for bit. Bytes, not values: -0.0 and
+        0.0 differ, and a NaN equals itself. Any other replacement drops
+        the node's model, and training is deferred to the next query that
+        needs the node. The centroid tree is marked for rebuilding only
+        when the count is nonzero.
         """
+        n_changed = 0
         for origin, payload in replacements.items():
             origin = tuple(int(v) for v in origin)
             pts = None if payload is None else np.asarray(payload[0], dtype=np.float64)
             if pts is None or len(pts) == 0:
-                if origin in self.nodes:
-                    del self.nodes[origin]
+                if self.nodes.pop(origin, None) is not None:
+                    n_changed += 1
                 continue
             props = payload[1]
             if props is not None:
@@ -272,14 +309,19 @@ class GlobalField:
                     props = None
             node = self.nodes.get(origin)
             if node is None:
-                node = GPNode(points=pts, props=props, centroid=pts.mean(axis=0))
-                self.nodes[origin] = node
+                self.nodes[origin] = GPNode(points=pts, props=props,
+                                            centroid=pts.mean(axis=0))
+            elif _same_bytes(node.points, pts) and _same_bytes(node.props, props):
+                continue
             else:
                 node.points = pts
                 node.props = props
                 node.centroid = pts.mean(axis=0)
                 node.model = None
-        self._tree_stale = True
+            n_changed += 1
+        if n_changed:
+            self._tree_stale = True
+        return n_changed
 
     def _ensure_tree(self):
         if self._tree_stale:

@@ -34,6 +34,7 @@ from .meshing import (UPPER_NEIGHBOURS, TriangleMesh, combine,
 # it by this module path, although the pipeline meshes through mesh_leaves
 from .meshing import mesh_leaf  # noqa: F401
 from . import ply
+from .scene import lattice_points
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
 _PROP_CLIP = {"none": None, "rgb": (0.0, 1.0), "intensity": (0.0, np.inf)}
@@ -181,6 +182,7 @@ class FrameStats:
     n_leaves_surfaced: int = 0      # targets whose new mesh has a triangle
     n_mesh_vertices: int = 0        # vertices of their new leaf meshes
     n_nodes_replaced: int = 0       # entries handed to GlobalField.update
+    n_nodes_invalidated: int = 0    # nodes it added, removed or re-crossed
     # test points kept after merging, by source
     n_tp_ray: int = 0               # carving a stale surface before the band
     n_tp_band: int = 0              # endpoint band
@@ -311,7 +313,7 @@ class Pipeline:
         stats.stage_ms["meshing"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        self.field.update(changed)
+        stats.n_nodes_invalidated = self.field.update(changed)
         stats.stage_ms["global_update"] = (time.perf_counter() - t0) * 1e3
 
         self.grid.clear_active()
@@ -372,6 +374,12 @@ class Pipeline:
         return {o: crossings.get(o) for o in changed}
 
     # -- outputs ---------------------------------------------------------------
+
+    @property
+    def mesh_bytes(self) -> int:
+        """Bytes of the cached leaf meshes' arrays, summed on each call."""
+        return sum(lm.edges.nbytes + lm.positions.nbytes + lm.props.nbytes
+                   + lm.triangles.nbytes for lm in self._leaf_meshes.values())
 
     def export_mesh(self) -> TriangleMesh:
         metas = [self._leaf_meshes[k] for k in sorted(self._leaf_meshes)]
@@ -457,16 +465,6 @@ class Pipeline:
 # -- evaluation -----------------------------------------------------------------
 
 
-def lattice_points(bounds, resolution: float) -> np.ndarray:
-    """Regular lattice covering an axis-aligned box, inclusive of both ends."""
-    lo = np.asarray(bounds[0], dtype=np.float64)
-    hi = np.asarray(bounds[1], dtype=np.float64)
-    axes = [np.arange(l, h + resolution * 0.5, resolution)
-            for l, h in zip(lo, hi)]
-    g = np.meshgrid(*axes, indexing="ij")
-    return np.stack([a.ravel() for a in g], axis=1)
-
-
 def eval_distance_rmse(field: GlobalField, oracle: Callable[[np.ndarray], np.ndarray],
                        bounds, resolution: float,
                        band: tuple[float, float] = (0.0, np.inf),
@@ -523,18 +521,16 @@ def export_slice(field: GlobalField, axis: str, offset: float, bounds,
     bounds is ((a0, a1), (b0, b1)) over the two in-plane axes; columns
     are the in-plane coordinates, the signed distance, the two in-plane
     gradient components, and |distance| error vs the oracle when given.
-    Returns the number of data rows.
+    Returns the number of data rows. Raises ValueError for an unknown
+    axis or a resolution that is not finite and positive.
     """
     if axis not in _SLICE_AXES:
         raise ValueError(f"axis must be one of x, y, z, got {axis!r}")
     ia, ib, ic = _SLICE_AXES[axis]
     (a0, a1), (b0, b1) = bounds
-    av = np.arange(a0, a1 + resolution * 0.5, resolution)
-    bv = np.arange(b0, b1 + resolution * 0.5, resolution)
-    ag, bg = np.meshgrid(av, bv, indexing="ij")
-    pts = np.zeros((ag.size, 3))
-    pts[:, ia] = ag.ravel()
-    pts[:, ib] = bg.ravel()
+    plane = lattice_points(((a0, b0), (a1, b1)), resolution)
+    pts = np.zeros((len(plane), 3))
+    pts[:, [ia, ib]] = plane
     pts[:, ic] = offset
     res = field.query_batch(pts)
     header = "x,y,distance,gradient_x,gradient_y"

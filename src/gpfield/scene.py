@@ -234,6 +234,24 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     return rot, eye
 
 
+def lattice_points(bounds, resolution: float) -> np.ndarray:
+    """Regular lattice covering an axis-aligned box, inclusive of both ends.
+
+    bounds is (lo, hi), one coordinate per axis each; rows run in C order
+    over the axes. Raises ValueError for a resolution that is not finite
+    and positive.
+    """
+    resolution = float(resolution)
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and positive, "
+                         f"got {resolution!r}")
+    axes = [np.arange(l, h + resolution * 0.5, resolution)
+            for l, h in zip(np.asarray(bounds[0], dtype=np.float64),
+                            np.asarray(bounds[1], dtype=np.float64))]
+    g = np.meshgrid(*axes, indexing="ij")
+    return np.stack([a.ravel() for a in g], axis=1)
+
+
 def surface_samples(scene: SyntheticScene, bounds, resolution: float,
                     t: float = 0.0, tol: float = 1e-4) -> np.ndarray:
     """Near-uniform samples of the scene surface inside a box.
@@ -241,14 +259,12 @@ def surface_samples(scene: SyntheticScene, bounds, resolution: float,
     Lattice points within one cell of the surface are projected along
     the numerical SDF gradient; the composed SDF has unit slope away
     from seams so a few Newton steps converge. Points that fail to
-    reach |sdf| < tol (seams, inactive scenes) are dropped.
+    reach |sdf| < tol (seams, inactive scenes) are dropped. Raises
+    ValueError for a resolution that is not finite and positive.
     """
     lo = np.asarray(bounds[0], dtype=np.float64)
     hi = np.asarray(bounds[1], dtype=np.float64)
-    axes = [np.arange(a, b + resolution * 0.5, resolution)
-            for a, b in zip(lo, hi)]
-    g = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([a.ravel() for a in g], axis=1)
+    pts = lattice_points((lo, hi), resolution)
     d = scene.sdf(pts, t)
     pts = pts[np.abs(d) <= resolution]
     eps = 1e-5

@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gpfield import pipeline
 from gpfield.cli import main
 from gpfield.pipeline import Pipeline
 from gpfield.ply import read_ply
@@ -227,6 +229,48 @@ def test_eval_verb_reports_metrics(workdir, capsys):
     assert 0.2 < float(metrics["completeness"]) <= 1.0
 
 
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan"])
+@pytest.mark.parametrize("verb, flag", [("slice", "--resolution"),
+                                        ("eval", "--resolution"),
+                                        ("eval", "--surface-resolution")])
+def test_bad_resolution_is_one_error_line(workdir, capsys, verb, flag, value):
+    argv = [verb, str(workdir / "map.snap")]
+    if verb == "slice":
+        argv += ["--bounds=-1,1,-1,1", "--out", os.devnull]
+    else:
+        argv += ["--scene", str(workdir / "sphere.scene"),
+                 "--bounds=-1,1,-1,1,-1,1", "--resolution=0.5", "--chamfer"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a library warning fails the test
+        assert main(argv + [f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: resolution must be finite and positive, got {float(value)!r}"]
+
+
+def test_bad_resolution_leaves_nothing_else_on_stderr(workdir):
+    run = subprocess.run(
+        [sys.executable, "-m", "gpfield.cli", "slice", str(workdir / "map.snap"),
+         "--bounds=-1,1,-1,1", "--resolution", "0", "--out", os.devnull],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr.splitlines() == [
+        "error: resolution must be finite and positive, got 0.0"]
+
+
+def test_memory_error_is_one_error_line(workdir, capsys, monkeypatch):
+    def too_big(bounds, resolution):
+        raise MemoryError("Unable to allocate 7.3 TiB for an array")
+
+    monkeypatch.setattr(pipeline, "lattice_points", too_big)
+    assert main(["eval", str(workdir / "map.snap"),
+                 "--scene", str(workdir / "sphere.scene"),
+                 "--bounds=-1,1,-1,1,-1,1", "--resolution", "1e-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: Unable to allocate 7.3 TiB for an array"]
+
+
 def test_bench_verb_emits_timings(tmp_path, capsys):
     scene = tmp_path / "s.scene"
     scene.write_text(SPHERE_SCENE)
@@ -234,7 +278,12 @@ def test_bench_verb_emits_timings(tmp_path, capsys):
                  "--stats", str(tmp_path / "bench.csv")])
     captured = capsys.readouterr()
     assert code == 0
-    assert "trained=" in captured.err
+    summary = dict(kv.split("=") for kv in captured.err.split())
+    assert {"nodes", "invalidated", "trained", "field_bytes",
+            "mesh_bytes"} <= set(summary)
+    # every node still held was added by some frame's update
+    assert int(summary["invalidated"]) >= int(summary["nodes"]) > 0
+    assert int(summary["field_bytes"]) > 0 and int(summary["mesh_bytes"]) > 0
     rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
     assert rows[0] == "frame,stage,ms,points,voxels,leaves"
     stages = {ln.split(",")[1] for ln in rows[1:]}

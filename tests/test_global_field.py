@@ -6,6 +6,9 @@ import pytest
 from gpfield import gp
 from gpfield.global_field import EmptyField, GlobalField
 from gpfield.grid import SparseGrid, VoxelState
+from gpfield.pipeline import Pipeline, PipelineConfig
+from gpfield.scene import (Primitive, SensorModel, SyntheticScene, look_at,
+                           orbit_trajectory, render_frame)
 
 PARAMS = gp.KernelParams(length_scale=0.15)
 H = 0.05
@@ -265,3 +268,164 @@ def test_query_nodes_limit_restricts_blend():
     res = field.query(x)
     assert res.distance == pytest.approx(
         node_distance(field.nodes[(0, 0, 0)], x), abs=1e-12)
+
+
+# -- kept nodes -----------------------------------------------------------------
+
+
+def trained_field(props=None):
+    """A one-node field whose node trained in a first query; returns the
+    field, its node, the node's points and the tree that query built."""
+    field = GlobalField(PARAMS)
+    pts = disc_points([0, 0, 0])
+    field.update({(0, 0, 0): (pts, props)})
+    field.query([0.0, 0.0, 0.1])
+    return field, field.nodes[(0, 0, 0)], pts, field._tree
+
+
+def test_byte_equal_replacement_keeps_model_and_tree():
+    props = np.tile([0.25, 0.75], (24, 1))
+    field, node, pts, tree = trained_field(props)
+    model = node.model
+    # equal copies, not the held arrays: the rule compares bytes
+    assert field.update({(0, 0, 0): (pts.copy(), props.copy())}) == 0
+    assert field.nodes[(0, 0, 0)] is node
+    assert node.model is model and node.train_count == 1
+    assert not field._tree_stale
+    stats = field.query_batch([[0.0, 0.0, 0.1]]).stats
+    assert stats.n_nodes_trained == 0
+    assert field._tree is tree and node.train_count == 1
+
+
+def _negative_zero(pts, props):
+    neg = pts.copy()
+    neg[:, 2] = -0.0        # disc_points puts every z at +0.0
+    assert (neg == pts).all() and neg.tobytes() != pts.tobytes()
+    return neg, props
+
+
+@pytest.mark.parametrize("props, replace", [
+    (None, _negative_zero),
+    (None, lambda pts, props: (pts, np.full((len(pts), 1), 0.5))),
+    (np.full((24, 1), 0.5), lambda pts, props: (pts, None)),
+    (np.full((24, 1), 0.5), lambda pts, props: (pts, props + 0.125)),
+    (None, lambda pts, props: (pts[::-1], props)),
+], ids=["negative-zero", "props-added", "props-removed", "props-changed",
+        "rows-reordered"])
+def test_replacement_differing_in_bytes_drops_model(props, replace):
+    field, node, pts, tree = trained_field(props)
+    assert field.update({(0, 0, 0): replace(pts, props)}) == 1
+    assert node.model is None and field._tree_stale
+    stats = field.query_batch([[0.0, 0.0, 0.1]]).stats
+    assert stats.n_nodes_trained == 1 and node.train_count == 2
+    assert field._tree is not tree
+
+
+def test_update_counts_added_removed_and_changed_nodes():
+    field = GlobalField(PARAMS)
+    a, b = disc_points([0, 0, 0]), disc_points([0.5, 0, 0], seed=1)
+    assert field.update({(0, 0, 0): (a, None), (8, 0, 0): (b, None)}) == 2
+    field.query([0.0, 0.0, 0.1])
+    # removing an absent node and repeating a present one change nothing
+    assert field.update({(16, 0, 0): None, (0, 0, 0): (a, None)}) == 0
+    assert not field._tree_stale
+    assert field.update({(0, 0, 0): (a + 0.01, None), (8, 0, 0): None}) == 2
+    assert field._tree_stale and field.n_nodes == 1
+
+
+def test_nbytes_sums_node_and_model_arrays():
+    props = np.full((24, 2), 0.5)
+    field = GlobalField(PARAMS)
+    field.update({(0, 0, 0): (disc_points([0, 0, 0]), props),
+                  (8, 0, 0): (disc_points([0.5, 0, 0], seed=1), props[:, :1])})
+    nodes = list(field.nodes.values())
+    held = sum(n.points.nbytes + n.props.nbytes for n in nodes)
+    assert field.nbytes == held
+    field.train_pending()
+    for n in nodes:
+        m = n.model
+        # a model's training points are its node's points, counted once
+        assert np.shares_memory(m.train_points, n.points)
+        assert m.chol_prop is not m.chol
+        held += sum(a.nbytes for a in (m.chol, m.alpha_occ, m.centroid,
+                                       m.chol_prop, m.alpha_prop))
+    assert field.nbytes == held
+
+
+class DropEveryReplacedModel(GlobalField):
+    """The rule before kept nodes: every node an update names loses its
+    model, and the centroid tree is rebuilt after every update."""
+
+    def update(self, replacements: dict) -> int:
+        n = super().update(replacements)
+        for origin in replacements:
+            node = self.nodes.get(tuple(int(v) for v in origin))
+            if node is not None:
+                node.model = None
+        self._tree_stale = True
+        return n
+
+
+def sphere_orbit_frames(n=10):
+    scene = SyntheticScene([Primitive("sphere", center=[0.0, 0.0, 0.0],
+                                      radius=1.0, prop=[0.2, 0.5, 0.9])],
+                           prop_channels=3)
+    sensor = SensorModel(kind="pinhole", width=24, height=18, focal=25.0,
+                         max_range=8.0, noise_sigma=0.005, seed=3)
+    poses = orbit_trajectory([0, 0, 0], 2.5, 24, elevation=np.pi / 6)[:n]
+    box = ((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
+    return [render_frame(scene, sensor, p) for p in poses], box
+
+
+def corridor_frames(n=10):
+    scene = SyntheticScene([
+        Primitive("plane", normal=[0.0, -1.0, 0.0], offset=-1.0),
+        Primitive("plane", normal=[0.0, 1.0, 0.0], offset=-1.0),
+        Primitive("plane", normal=[0.0, 0.0, -1.0], offset=-1.0),
+        Primitive("plane", normal=[0.0, 0.0, 1.0], offset=-1.0)])
+    sensor = SensorModel(kind="pinhole", width=24, height=18, focal=25.0,
+                         max_range=3.5)
+    frames = []
+    for i in range(n):
+        eye = np.array([0.05 * i, 0.0, 0.0])
+        frames.append(render_frame(scene, sensor,
+                                   look_at(eye, eye + [1.0, 0.0, 0.0])))
+    return frames, ((0.2, -0.9, -0.9), (3.5, 0.9, 0.9))
+
+
+@pytest.mark.parametrize("make, prop_kind", [
+    (sphere_orbit_frames, "rgb"), (corridor_frames, "none")],
+    ids=["sphere_orbit", "corridor"])
+def test_kept_nodes_match_dropping_every_replaced_model(monkeypatch, make,
+                                                        prop_kind):
+    """After every frame, the field that keeps byte-equal nodes answers a
+    batch bit for bit as one that retrains every replaced node, and it
+    trains strictly fewer nodes over the run."""
+    frames, box = make()
+    pipe = Pipeline(PipelineConfig(prop_kind=prop_kind))
+    c = pipe.config
+    oracle = DropEveryReplacedModel(pipe.params, pipe.grid,
+                                    smooth_lambda=c.smooth_lambda,
+                                    query_nodes=c.query_nodes,
+                                    sign_radius=c.sign_radius,
+                                    prop_clip=c.prop_clip)
+    update = pipe.field.update
+    monkeypatch.setattr(pipe.field, "update", lambda changed: (
+        oracle.update(changed), update(changed))[1])
+    rng = np.random.default_rng(5)
+    trained = np.zeros(2, dtype=int)
+    for frame in frames:
+        pipe.integrate_frame(frame)
+        pts = rng.uniform(box[0], box[1], size=(200, 3))
+        got, want = pipe.field.query_batch(pts), oracle.query_batch(pts)
+        for name in ("distances", "variances", "gradients", "properties",
+                     "free_space"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None) == (name == "properties"
+                                                  and prop_kind == "none")
+            if a is not None:
+                assert a.tobytes() == b.tobytes(), name
+        trained += got.stats.n_nodes_trained, want.stats.n_nodes_trained
+    assert 0 < trained[0] < trained[1]
+    assert sum(st.n_nodes_invalidated for st in pipe.stats) < sum(
+        st.n_nodes_replaced for st in pipe.stats)

@@ -389,7 +389,7 @@ def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
     pipe = Pipeline(PipelineConfig())
     update = pipe.field.update
     monkeypatch.setattr(pipe.field, "update", lambda changed: (
-        calls.append(("replaced", len(changed))), update(changed)))
+        calls.append(("replaced", len(changed))), update(changed))[1])
     for frame in wall_frames(4):
         pipe.integrate_frame(frame)
 
@@ -415,6 +415,31 @@ def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
         for s in pipe.stats
         for stage, ms in [*s.stage_ms.items(), ("total", s.total_ms)])
     assert buf.getvalue() == want
+
+
+def test_frame_stats_count_invalidated_nodes(monkeypatch):
+    """n_nodes_invalidated is what GlobalField.update returned: at most
+    the entries it was handed, which n_nodes_replaced still counts."""
+    pipe = Pipeline(PipelineConfig())
+    returned = []
+    update = pipe.field.update
+    monkeypatch.setattr(pipe.field, "update", lambda changed: (
+        returned.append(update(changed)), returned[-1])[1])
+    for frame in wall_frames(4):
+        pipe.integrate_frame(frame)
+    assert [st.n_nodes_invalidated for st in pipe.stats] == returned
+    assert all(0 <= st.n_nodes_invalidated <= st.n_nodes_replaced
+               for st in pipe.stats)
+    # the first frame adds every node its update creates
+    assert pipe.stats[0].n_nodes_invalidated > 0
+
+
+def test_mesh_bytes_sums_cached_leaf_meshes():
+    pipe = run_pipeline(2)
+    meshes = pipe._leaf_meshes.values()
+    assert pipe.mesh_bytes == sum(
+        lm.edges.nbytes + lm.positions.nbytes + lm.props.nbytes
+        + lm.triangles.nbytes for lm in meshes) > 0
 
 
 def test_frame_stats_count_test_points_by_source(monkeypatch):
