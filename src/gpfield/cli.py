@@ -57,7 +57,7 @@ def _build_sensor(args) -> scene_mod.SensorModel:
 
 def _iter_frames(args, config: PipelineConfig):
     """Yield Frames from either a synthetic scene or recorded files."""
-    if args.scene:
+    if args.scene and not (args.frames_dir or args.trajectory):
         scn = scene_mod.load_scene(args.scene,
                                    prop_channels=config.prop_channels)
         sensor = _build_sensor(args)
@@ -69,8 +69,11 @@ def _iter_frames(args, config: PipelineConfig):
         for i, pose in enumerate(poses):
             t = i * args.time_step
             yield scene_mod.render_frame(scn, sensor, pose, t)
-    else:
+    elif args.frames_dir and args.trajectory and not args.scene:
         yield from frame_io.load_frames(args.frames_dir, args.trajectory)
+    else:
+        raise ValueError("pass one frame source: --scene, or --frames-dir "
+                         "with --trajectory")
 
 
 def _integrate(args, quiet: bool) -> Pipeline:

@@ -28,13 +28,16 @@ class FusionConfig:
     w_max: float                    # property-variance normalizer (kernel sigma2)
     weight_cap: float = 100.0       # ceiling on accumulated weight
     surface_band: float = 0.1      # metres; gates property fusion and observed
-    v_clip: float = 0.99
 
 
-def _weight(variance, v_max: float, clip: float) -> np.ndarray:
+# normalized variances are clipped here, so every fused weight stays positive
+V_CLIP = 0.99
+
+
+def _weight(variance, v_max: float) -> np.ndarray:
     v = np.asarray(variance, dtype=np.float64)
     vn = np.minimum(np.divide(v, v_max, out=np.zeros_like(v),
-                              where=v_max > 0), clip)
+                              where=v_max > 0), V_CLIP)
     return 1.0 - vn
 
 
@@ -54,7 +57,7 @@ def fuse_point(state: Optional[VoxelState], distance: float, variance: float,
     """
     if state is None:
         state = VoxelState(prop=np.zeros(0 if prop is None else len(prop)))
-    w = float(_weight(variance, cfg.v_max, cfg.v_clip))
+    w = float(_weight(variance, cfg.v_max))
     total = state.dist_weight + w
     new_d = (state.dist_weight * state.distance + w * distance) / total
     new_v = min(total, cfg.weight_cap)
@@ -62,7 +65,7 @@ def fuse_point(state: Optional[VoxelState], distance: float, variance: float,
     new_prop = state.prop.copy()
     new_pw = state.prop_weight
     if prop is not None and len(prop) and near_surface:
-        wc = min(float(_weight(prop_variance, cfg.w_max, cfg.v_clip)), w)
+        wc = min(float(_weight(prop_variance, cfg.w_max)), w)
         pw_total = state.prop_weight + wc
         if pw_total > 0:
             new_prop = (state.prop_weight * state.prop + wc * np.asarray(prop)) / pw_total
@@ -97,12 +100,11 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
     if n == 0:
         return stats
     d = np.asarray(distances, dtype=np.float64)
-    w = _weight(np.asarray(variances, dtype=np.float64), cfg.v_max, cfg.v_clip)
+    w = _weight(variances, cfg.v_max)
     near = np.abs(d) <= cfg.surface_band
     fuse_props = props is not None and grid.prop_channels > 0
     if fuse_props:
-        wc = np.minimum(_weight(np.asarray(prop_variances, dtype=np.float64),
-                                cfg.w_max, cfg.v_clip), w)
+        wc = np.minimum(_weight(prop_variances, cfg.w_max), w)
 
     # keying every point first rejects out-of-range voxels before any write
     leaves = group_by(leaf_keys(pack_keys(points.coords)))
@@ -135,7 +137,6 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
     # each leaf stamped as get_or_create_leaf and then mark_active would,
     # leaf after leaf in key order
     grid.activate(slots, touches=2)
-    grid.version += 1
     stats.leaves_touched = len(slots)
     stats.new_leaves = grid.n_leaves - before
     return stats

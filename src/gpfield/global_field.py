@@ -11,7 +11,8 @@ attaches a sign from the fused grid when an observed voxel lies within
 the search radius. Far from all observations the field keeps
 extrapolating, which is what distinguishes it from a lookup into the
 carved grid. The signs come from a ``SignIndex``, which follows the grid
-by appending the voxels observed since its last look.
+by its stamp clock, appending the voxels of the leaves stamped since its
+last look.
 """
 
 from __future__ import annotations
@@ -113,21 +114,21 @@ class SignIndex:
     tail cKDTree the slots appended since; ``rows`` maps a leaf's pool
     slot and flat voxel index to an index slot, -1 where not indexed.
 
-    ``refresh`` does nothing while ``grid.version`` stands still. After a
+    ``refresh`` does nothing while ``grid.clock`` stands still. After a
     change it visits only the leaves stamped since its last look: it
     appends their newly observed voxels, rebuilds the tail tree and
     rewrites their indexed voxels' signs. The main tree absorbs the tail
     once the tail outgrows a quarter of it (Bentley and Saxe's logarithmic
-    method with two levels). The first refresh, a version change without a
-    stamped leaf and a stamped leaf that lost an indexed voxel (only
-    ``SparseGrid.set`` can clear the flag) rebuild everything from
-    ``SparseGrid.observed_voxels``.
+    method with two levels). Every grid write path stamps the leaf it
+    writes, and a writer that goes around them stamps its leaves with
+    ``SparseGrid.activate``. The first refresh and a stamped leaf that
+    lost an indexed voxel (only ``SparseGrid.set`` can clear the flag)
+    rebuild everything from ``SparseGrid.observed_voxels``.
     """
 
     def __init__(self, grid: SparseGrid):
         self.grid = grid
-        self.version = None         # grid.version at the last look
-        self.clock = 0              # grid.clock at the last look
+        self.clock = None           # grid.clock at the last look
         self.n = self.n_main = 0    # slots in all, slots in the main tree
         self.signs = np.zeros(0)    # grows by doubling; slots n.. are unused
         # (leaf slots, 512) int32, grown by doubling
@@ -136,12 +137,10 @@ class SignIndex:
 
     def refresh(self, stats: QueryStats) -> None:
         grid = self.grid
-        if self.version == grid.version:
+        if self.clock == grid.clock:
             return
-        touched = grid.stamped_since(self.clock)
-        first = self.version is None
-        self.version, self.clock = grid.version, grid.clock
-        if first or not len(touched) or not self._append(touched, stats):
+        clock, self.clock = self.clock, grid.clock
+        if clock is None or not self._append(grid.stamped_since(clock), stats):
             self._build(stats)
 
     def _fit_rows(self, slots: int) -> None:

@@ -568,18 +568,13 @@ def propagate_variance(u_hat, o_hat, params: KernelParams):
     return float(v) if np.ndim(u_hat) == 0 and np.ndim(o_hat) == 0 else v
 
 
-def occupancy_gradient(model: GpLeafModel, x: np.ndarray):
-    """Analytic gradient of the posterior occupancy mean."""
-    q, scalar = _as_queries(x)
-    g = moments(model, q, variance=False, gradient=True).gradient
-    return g[0] if scalar else g
-
-
 def infer_distance_gradient(model: GpLeafModel, x: np.ndarray):
     """Unit gradient of the inferred distance at query points (see
     unit_distance_gradient)."""
     q, scalar = _as_queries(x)
-    g = unit_distance_gradient(occupancy_gradient(model, q), model.params)
+    g = unit_distance_gradient(
+        moments(model, q, variance=False, gradient=True).gradient,
+        model.params)
     return g[0] if scalar else g
 
 

@@ -11,14 +11,16 @@ A grid keeps every leaf's voxels in one pool: per leaf array (distance,
 weights, properties, masks) one C-contiguous array whose row ``slot``
 holds one leaf, plus an origin and a stamp column. Slots follow
 allocation order; row 0 stays all-zero and reads for every unallocated
-leaf. The pool grows by doubling, copying only the rows in use, and each
-``LeafNode`` is a handle whose array attributes are views of its row,
-re-pointed on growth. Finding one leaf is one dict probe on the packed
-key of its origin; ``SparseGrid.leaf_slots`` finds many by binary search
-in a cached sorted array of those keys, so ``lookup``, fusion, marching
-cubes and the sign index read and write voxels of many leaves with one
-fancy index into the pool. Every write path stamps the leaf it writes
-from a grid-wide clock, so a reader that remembers the clock can find
+leaf. The pool grows by doubling, copying only the rows in use. It is
+the only leaf state: a ``LeafNode`` handle (grid, slot, origin) reads its
+row on each access, so growth re-points nothing. Finding one leaf is one
+dict probe on the packed key of its origin; ``SparseGrid.leaf_slots``
+finds many by binary search in a cached sorted array of those keys, so
+``lookup``, fusion, marching cubes and the sign index read and write
+voxels of many leaves with one fancy index into the pool. Every write
+path stamps the leaf it writes from a grid-wide clock, the grid's only
+change record (a writer that goes around the write paths stamps its
+leaves with ``activate``), so a reader that remembers the clock can find
 the leaves touched since by one compare on the stamp column.
 """
 
@@ -92,6 +94,15 @@ class Groups(NamedTuple):
         """Each group's row indices, ascending."""
         s = self.starts.tolist()
         return [self.order[a:b] for a, b in zip(s[:-1], s[1:])]
+
+    def mean(self, values: np.ndarray) -> np.ndarray:
+        """Float64 mean of each group's rows of values, summed in row
+        order by np.add.at."""
+        sums = np.zeros((len(self.keys),) + values.shape[1:])
+        counts = np.zeros(len(self.keys))
+        np.add.at(sums, self.inverse, values)
+        np.add.at(counts, self.inverse, 1.0)
+        return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
 def group_by(keys) -> Groups:
@@ -175,52 +186,51 @@ def new_pool(capacity: int, prop_channels: int) -> dict:
             "active": _zeros((capacity,), bool)}
 
 
+@dataclass(slots=True, eq=False)
 class LeafNode:
-    """Handle on one leaf: its origin, its pool slot and views of its row.
+    """Handle on one leaf of a grid: its pool slot and origin.
 
-    The LEAF_ARRAYS attributes are views of the leaf's row in its grid's
-    pool, re-pointed when the pool grows, so writes through them land in
-    the pool; a view kept across an allocation may be stale. A LeafNode
-    made outside a grid owns a one-row pool. ``stamp`` is the grid clock
-    at the leaf's last touch through ``get_or_create_leaf``, ``set`` or
-    ``activate``; ``active`` is set by ``activate`` until
-    ``clear_active``.
+    Each LEAF_ARRAYS attribute reads the leaf's row of the grid's pool
+    on every access, so a handle stays valid across pool growth and
+    writes through it, augmented assignment included, land in the pool.
+    ``stamp`` is the grid clock at the leaf's last touch through
+    ``get_or_create_leaf``, ``set`` or ``activate``; ``active`` is set by
+    ``activate`` until ``clear_active``.
     """
 
-    __slots__ = ("origin", "slot", "_stamp", "_active") + LEAF_ARRAYS
-
-    def __init__(self, origin: tuple[int, int, int], prop_channels: int = 0,
-                 pool: Optional[dict] = None, slot: int = 0):
-        self.origin = origin
-        self.slot = slot
-        self.point_at(new_pool(1, prop_channels) if pool is None else pool)
-
-    def point_at(self, pool: dict) -> None:
-        """Make the attributes views of this leaf's row of pool."""
-        row = slice(self.slot, self.slot + 1)
-        for name in LEAF_ARRAYS:
-            setattr(self, name, pool[name][self.slot])
-        self._stamp = pool["stamp"][row]
-        self._active = pool["active"][row]
+    grid: "SparseGrid"
+    slot: int
+    origin: tuple[int, int, int]
 
     @property
     def stamp(self) -> int:
-        return int(self._stamp[0])
+        return int(self.grid.pool["stamp"][self.slot])
 
     @property
     def active(self) -> bool:
-        return bool(self._active[0])
+        return bool(self.grid.pool["active"][self.slot])
 
-    def local_index(self, coord) -> int:
-        lx = int(coord[0]) & (LEAF_SIZE - 1)
-        ly = int(coord[1]) & (LEAF_SIZE - 1)
-        lz = int(coord[2]) & (LEAF_SIZE - 1)
-        return (lx << (2 * LEAF_LOG2)) | (ly << LEAF_LOG2) | lz
 
-    def set_coords(self) -> np.ndarray:
-        """Global coordinates of voxels with the value mask on."""
-        return (flat_local_coords(np.flatnonzero(self.value_mask))
-                + np.asarray(self.origin, dtype=np.int64))
+def _pool_row(name: str) -> property:
+    """A LeafNode's row of pool array name, read and written in place."""
+    def get(leaf: LeafNode) -> np.ndarray:
+        return leaf.grid.pool[name][leaf.slot]
+
+    def put(leaf: LeafNode, value) -> None:
+        leaf.grid.pool[name][leaf.slot] = value
+
+    return property(get, put)
+
+
+for _name in LEAF_ARRAYS:
+    setattr(LeafNode, _name, _pool_row(_name))
+
+
+def _local_index(coord) -> int:
+    """Scalar within-leaf flat index of one coordinate."""
+    m = LEAF_SIZE - 1
+    return (((int(coord[0]) & m) << (2 * LEAF_LOG2))
+            | ((int(coord[1]) & m) << LEAF_LOG2) | (int(coord[2]) & m))
 
 
 def local_flat_index(coords: np.ndarray) -> np.ndarray:
@@ -264,8 +274,6 @@ class SparseGrid:
         self._unsorted: list[int] = []
         # slots activated since the last clear_active, in touch order
         self._active: list[np.ndarray] = []
-        # bumped on every mutation; lets callers cache derived structures
-        self.version = 0
         # advanced by every leaf stamp; a leaf stamped after a reader read
         # the clock was written since
         self.clock = 0
@@ -276,8 +284,7 @@ class SparseGrid:
         leaf = self._handles.get(slot)
         if leaf is None:
             leaf = self._handles[slot] = LeafNode(
-                tuple(self.pool["origin"][slot].tolist()), pool=self.pool,
-                slot=slot)
+                self, slot, tuple(self.pool["origin"][slot].tolist()))
         return leaf
 
     def find_leaf(self, coord) -> Optional[LeafNode]:
@@ -293,13 +300,17 @@ class SparseGrid:
 
         Stamps the leaf: callers get it to write into it.
         """
+        return self._handle(self._touch(coord))
+
+    def _touch(self, coord) -> int:
+        """Stamp the leaf holding coord, allocated if needed; its slot."""
         key = _leaf_key(coord)
         slot = self._slots.get(key)
         if slot is None:
             slot = int(self._allocate(np.array([key]))[0])
         self.clock += 1
         self.pool["stamp"][slot] = self.clock
-        return self._handle(slot)
+        return slot
 
     def allocate(self, keys) -> np.ndarray:
         """Slot of the leaf under each packed leaf key, allocating the
@@ -322,12 +333,11 @@ class SparseGrid:
         self.pool["origin"][slots] = unpack_keys(keys)
         self._slots.update(zip(keys.tolist(), slots.tolist()))
         self._unsorted += keys.tolist()
-        self.version += len(keys)
         return slots
 
     def _reserve(self, rows: int) -> None:
         """Grow the pool by doubling until it holds rows rows; only the
-        rows in use are copied, and every handle is re-pointed."""
+        rows in use are copied."""
         capacity = len(self.pool["stamp"])
         if rows <= capacity:
             return
@@ -338,8 +348,6 @@ class SparseGrid:
         for name, a in self.pool.items():
             pool[name][:used] = a[:used]
         self.pool = pool
-        for leaf in self._handles.values():
-            leaf.point_at(pool)
 
     def voxels(self, name: str) -> np.ndarray:
         """View of a LEAF_ARRAYS pool array with one row per voxel: voxel
@@ -350,29 +358,26 @@ class SparseGrid:
     # -- single voxel API ----------------------------------------------------
 
     def set(self, coord, state: VoxelState) -> None:
-        leaf = self.get_or_create_leaf(coord)
-        n = leaf.local_index(coord)
-        leaf.distance[n] = state.distance
-        leaf.dist_weight[n] = state.dist_weight
+        at = self._touch(coord), _local_index(coord)
+        for name in ("distance", "dist_weight", "prop_weight", "observed"):
+            self.pool[name][at] = getattr(state, name)
         if self.prop_channels:
-            leaf.prop[n] = state.prop
-        leaf.prop_weight[n] = state.prop_weight
-        leaf.observed[n] = state.observed
-        leaf.value_mask[n] = True
-        self.version += 1
+            self.pool["prop"][at] = state.prop
+        self.pool["value_mask"][at] = True
 
     def get(self, coord) -> Optional[VoxelState]:
-        leaf = self.find_leaf(coord)
-        if leaf is None:
+        slot = self._slots.get(_leaf_key(coord))
+        if slot is None:
             return None
-        n = leaf.local_index(coord)
-        if not leaf.value_mask[n]:
+        at = slot, _local_index(coord)
+        pool = self.pool
+        if not pool["value_mask"][at]:
             return None
-        return VoxelState(distance=float(leaf.distance[n]),
-                          dist_weight=float(leaf.dist_weight[n]),
-                          prop=leaf.prop[n].copy(),
-                          prop_weight=float(leaf.prop_weight[n]),
-                          observed=bool(leaf.observed[n]))
+        return VoxelState(distance=float(pool["distance"][at]),
+                          dist_weight=float(pool["dist_weight"][at]),
+                          prop=pool["prop"][at].copy(),
+                          prop_weight=float(pool["prop_weight"][at]),
+                          observed=bool(pool["observed"][at]))
 
     # -- iteration -----------------------------------------------------------
 

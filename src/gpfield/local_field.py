@@ -90,12 +90,7 @@ def voxelize(frame: Frame, voxel_size: float) -> Voxels:
     centers = grid_to_world(uniq, voxel_size)
     props = None
     if frame.properties is not None and frame.properties.shape[1] > 0:
-        p = frame.properties[finite]
-        sums = np.zeros((len(uniq), p.shape[1]))
-        counts = np.zeros(len(uniq))
-        np.add.at(sums, groups.inverse, p)
-        np.add.at(counts, groups.inverse, 1.0)
-        props = sums / counts[:, None]
+        props = groups.mean(frame.properties[finite])
     return Voxels(uniq, centers, props, len(world) - n_finite)
 
 
@@ -113,12 +108,6 @@ class LocalField:
     @property
     def has_properties(self) -> bool:
         return bool(self.models) and self.models[0].alpha_prop is not None
-
-    def nearest_model(self, points: np.ndarray) -> np.ndarray:
-        """Index of the routing model per query point (see gp.route: exact
-        centroid-distance ties go to the smaller index, whose leaf origin
-        sorts first)."""
-        return gp.route(self._tree, np.atleast_2d(points), 1)[:, 0]
 
     def query(self, point: np.ndarray):
         """Distance, distance variance, property mean and property
@@ -179,9 +168,7 @@ def build_voxelized(coords: np.ndarray, centers: np.ndarray,
     big = np.flatnonzero(sizes >= min_leaf_points)
     merged_into = np.arange(len(sizes))
     if len(big) and len(big) < len(sizes):
-        # mean per leaf: np.add.reduceat sums in another order
-        centroids = np.array([centers[rows].mean(axis=0)
-                              for rows in leaves.rows()])
+        centroids = leaves.mean(centers)
         small = np.flatnonzero(sizes < min_leaf_points)
         _, nearest = cKDTree(centroids[big]).query(centroids[small])
         merged_into[small] = big[nearest]

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -174,30 +174,6 @@ def _with_valid_cells(grid: SparseGrid, slots: np.ndarray):
         valid = _valid_cells(_observed_block(grid, slots[a:a + _CHUNK]))
         for i in np.flatnonzero(valid.any(axis=(1, 2, 3))).tolist():
             yield a + i, valid[i]
-
-
-class Blocks(NamedTuple):
-    """The 9^3 voxel blocks read by the cells of a batch of leaves."""
-
-    distance: np.ndarray    # (T, 9, 9, 9) float64, 0 where unset
-    observed: np.ndarray    # (T, 9, 9, 9) bool, set and observed
-    slots: np.ndarray       # (T, 8) pool slot of the leaf and each upper
-                            # neighbour, 0 where unallocated or past the
-                            # key range
-
-
-def gather_blocks(grid: SparseGrid, origins) -> Blocks:
-    """Gather the blocks of many leaves from whole pool rows.
-
-    A leaf's block is its own 8^3 voxels plus one layer of its 7 upper
-    neighbours, the same values as ``grid.gather_block(origin, (9,)*3)``
-    gives; neighbours past the top of the key range are unallocated.
-    Properties are not gathered: read them where needed through the
-    slots, before the grid allocates again.
-    """
-    slots = _block_slots(grid, origins)
-    return Blocks(_distance_block(grid, slots), _observed_block(grid, slots),
-                  slots)
 
 
 def _block_slots(grid: SparseGrid, origins) -> np.ndarray:
@@ -376,7 +352,8 @@ def combine(leaf_meshes: Iterable[LeafMesh], voxel_size: float,
 def marching_cubes(grid: SparseGrid, origins: Optional[Iterable] = None) -> TriangleMesh:
     """Mesh the given leaves (default: every leaf with observed voxels)."""
     if origins is None:
-        origins = [leaf.origin for leaf in grid.leaves() if leaf.observed.any()]
+        used = grid.pool["observed"][:grid.n_leaves + 1].any(axis=1)
+        origins = grid.pool["origin"][:grid.n_leaves + 1][used]
     origins = sorted(tuple(int(v) for v in o) for o in origins)
     return combine(mesh_leaves(grid, origins), grid.voxel_size,
                    grid.prop_channels)
@@ -395,16 +372,7 @@ def crossings_by_leaf(positions: np.ndarray, props: np.ndarray,
     """
     coords = world_to_grid(positions, voxel_size)
     voxels = group_by(pack_keys(coords))
-    k = len(voxels.keys)
-    pos = np.zeros((k, 3))
-    cnt = np.zeros(k)
-    np.add.at(pos, voxels.inverse, positions)
-    np.add.at(cnt, voxels.inverse, 1.0)
-    pos /= cnt[:, None]
-    pr = np.zeros((k, props.shape[1]))
-    if props.shape[1]:
-        np.add.at(pr, voxels.inverse, props)
-        pr /= cnt[:, None]
+    pos, pr = voxels.mean(positions), voxels.mean(props)
     leaves = group_by(leaf_keys(voxels.keys))
     origins = leaf_origin_of(coords[voxels.first[leaves.first]]).tolist()
     return {tuple(o): (pos[rows], pr[rows])

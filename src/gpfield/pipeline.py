@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import struct
 import time
 import warnings
@@ -38,6 +39,9 @@ from .scene import lattice_points
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
 _PROP_CLIP = {"none": None, "rgb": (0.0, 1.0), "intensity": (0.0, np.inf)}
+# the values a config field of each type takes, bool excepted, and their name
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"),
+                "float": (numbers.Real, "a number"), "str": (str, "a string")}
 
 
 class EmptyInput(ValueError):
@@ -50,9 +54,10 @@ class PipelineConfig:
 
     length_scale defaults to three voxels; a ratio outside [2, 4]
     voxels still runs but triggers a warning since the local GPs then
-    either alias the quantization or blur the surface. A non-finite float
-    (None stays allowed where Optional), normal_k or query_nodes below 1,
-    or a negative band_width or sign_radius raises ValueError naming it.
+    either alias the quantization or blur the surface. A value of the
+    wrong type (None only where Optional, bool nowhere), a non-finite
+    float, normal_k or query_nodes below 1, or a negative band_width or
+    sign_radius raises ValueError naming it; values are never converted.
     """
 
     voxel_size: float = 0.05
@@ -78,8 +83,13 @@ class PipelineConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             x = getattr(self, f.name)
-            if f.type in ("float", "Optional[float]") and x is not None \
-                    and not np.isfinite(x):
+            kind = f.type.removeprefix("Optional[").removesuffix("]")
+            if x is None and kind != f.type:
+                continue
+            types, noun = _FIELD_TYPES[kind]
+            if isinstance(x, bool) or not isinstance(x, types):
+                raise ValueError(f"{f.name} must be {noun}, got {x!r}")
+            if kind == "float" and not np.isfinite(x):
                 raise ValueError(f"{f.name} must be finite, got {x}")
         for key, low in (("normal_k", 1), ("query_nodes", 1),
                          ("band_width", 0), ("sign_radius", 0)):
@@ -127,6 +137,8 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
+        if not isinstance(mapping, dict):
+            raise ValueError(f"config must be a mapping, got {mapping!r}")
         kwargs = {}
         fields = {f.name: f for f in dataclasses.fields(cls)}
         for key, raw in mapping.items():
@@ -431,8 +443,11 @@ class Pipeline:
         if version != 1:
             raise ply.IoFailure(f"{path}: unsupported snapshot version {version}")
         cfg = take(cfg_len, "config")
-        config = PipelineConfig.from_mapping(
-            json.loads(data[cfg:off].decode("utf-8")))
+        try:
+            config = PipelineConfig.from_mapping(
+                json.loads(data[cfg:off].decode("utf-8")))
+        except ValueError as exc:
+            raise ply.IoFailure(f"{path}: bad snapshot config: {exc}") from None
         n_leaves, frame_index = struct.unpack_from("<QQ", data,
                                                    take(16, "header"))
         pipe = cls(config)

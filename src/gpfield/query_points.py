@@ -59,18 +59,6 @@ def merge(*sets: TestPointSet) -> TestPointSet:
                        np.concatenate([s.sources for s in sets]))
 
 
-def traverse_ray(origin, end, voxel_size: float) -> np.ndarray:
-    """Voxels pierced by the segment origin -> end, in visit order.
-
-    Reference single-ray DDA; starts in the origin's voxel and stops in
-    the endpoint's voxel.
-    """
-    coords, t, ray = _traverse([np.asarray(origin, dtype=np.float64)],
-                               np.asarray(end, dtype=np.float64).reshape(1, 3),
-                               voxel_size, extra=0.0)
-    return coords
-
-
 def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
     """Lockstep DDA over many rays from one origin.
 

@@ -105,6 +105,23 @@ class SensorModel:
     noise_sigma: float = 0.0
     seed: int = 0
 
+    def __post_init__(self):
+        el = self.elevation_range
+        for name, ok, need in (
+                ("kind", self.kind in ("pinhole", "lidar"),
+                 "'pinhole' or 'lidar'"),
+                *[(n, getattr(self, n) >= 1, "at least 1") for n in
+                  ("width", "height", "azimuth_steps", "elevation_steps")],
+                *[(n, 0 < getattr(self, n) < np.inf, "finite and positive")
+                  for n in ("focal", "max_range")],
+                ("noise_sigma", 0 <= self.noise_sigma < np.inf,
+                 "finite and not negative"),
+                ("elevation_range", len(el) == 2 and np.isfinite(el).all(),
+                 "two finite values")):
+            if not ok:
+                raise ValueError(f"sensor {name} must be {need}, got "
+                                 f"{getattr(self, name)!r}")
+
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the sensor frame, fixed ordering."""
         if self.kind == "pinhole":
@@ -113,7 +130,7 @@ class SensorModel:
             uu, vv = np.meshgrid(u, v, indexing="xy")
             d = np.stack([uu / self.focal, vv / self.focal,
                           np.ones_like(uu)], axis=-1).reshape(-1, 3)
-        elif self.kind == "lidar":
+        else:
             az = np.linspace(0.0, 2.0 * np.pi, self.azimuth_steps,
                              endpoint=False)
             el = np.linspace(self.elevation_range[0], self.elevation_range[1],
@@ -123,8 +140,6 @@ class SensorModel:
             d = np.stack([np.cos(ee) * np.sin(aa),
                           -np.sin(ee),
                           np.cos(ee) * np.cos(aa)], axis=-1).reshape(-1, 3)
-        else:
-            raise ValueError(f"unknown sensor kind {self.kind!r}")
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
 

@@ -7,6 +7,8 @@ triangle code run over every cell of every target, _CHUNK targets at a
 time.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from gpfield.grid import KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, pack_keys
@@ -14,10 +16,19 @@ from gpfield.mc_tables import CORNER_OFFSETS
 from gpfield.meshing import (_BLOCK, _BLOCK_COORDS, _BLOCK_FLAT,
                              _BLOCK_NEIGHBOUR, _CASE_EDGES, _CASE_TRIS,
                              _CELL_AT, _CROSSED, _EDGE_AXIS, _EDGE_STEP,
-                             _STRIDE, _TRI_TABLE, UPPER_NEIGHBOURS, Blocks,
-                             LeafMesh)
+                             _STRIDE, _TRI_TABLE, UPPER_NEIGHBOURS, LeafMesh)
 
 _CHUNK = 32
+
+
+class Blocks(NamedTuple):
+    """The 9^3 voxel blocks read by the cells of a batch of leaves."""
+
+    distance: np.ndarray    # (T, 9, 9, 9) float64, 0 where unset
+    observed: np.ndarray    # (T, 9, 9, 9) bool, set and observed
+    slots: np.ndarray       # (T, 8) pool slot of the leaf and each upper
+                            # neighbour, 0 where unallocated or past the
+                            # key range
 
 
 def mesh_leaves(grid, origins):

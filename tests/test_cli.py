@@ -1,6 +1,8 @@
 """Command line verbs, exit codes, and output formats."""
 
+import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -123,6 +125,112 @@ def test_bad_config_value_is_one_error_line_naming_the_key(tmp_path):
     assert run.stdout == ""
     assert run.stderr.splitlines() == ["error: voxel_size must be finite, "
                                        "got nan"]
+
+
+def error_lines(capsys, argv):
+    """Exit status and stderr lines of main(argv), warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a library warning fails the test
+        code = main(argv)
+    return code, capsys.readouterr().err.splitlines()
+
+
+ONE_SOURCE = ("error: pass one frame source: --scene, or --frames-dir with "
+              "--trajectory")
+
+
+@pytest.mark.parametrize("verb", ["run", "bench"])
+@pytest.mark.parametrize("source", [
+    [], ["--frames-dir", "{dir}"], ["--trajectory", "{traj}"],
+    ["--scene", "{scene}", "--frames-dir", "{dir}"],
+    ["--scene", "{scene}", "--trajectory", "{traj}"],
+    ["--scene", "{scene}", "--frames-dir", "{dir}", "--trajectory", "{traj}"]])
+def test_frame_source_must_be_exactly_one(tmp_path, capsys, verb, source):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    paths = {"scene": scene, "dir": tmp_path, "traj": tmp_path / "poses.txt"}
+    argv = [verb, *(a.format(**paths) for a in source), *RUN_ARGS[:-1]]
+    if verb == "run":
+        argv += ["--snapshot", str(tmp_path / "m.snap")]
+    assert error_lines(capsys, argv) == (1, [ONE_SOURCE])
+    assert not (tmp_path / "m.snap").exists()
+
+
+def test_run_from_recorded_frames(tmp_path, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    u, v = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(-0.5, 0.5, 21))
+    plane = np.stack([u.ravel(), v.ravel(), np.full(u.size, 1.0)], axis=1)
+    for i in range(2):
+        np.savetxt(frames / f"{i:03d}.xyz", plane)
+    traj = tmp_path / "poses.txt"
+    traj.write_text("0 0 0 0 0 0 0 1\n1 0.05 0 0 0 0 0 1\n")
+    snap = tmp_path / "m.snap"
+    code = main(["run", "--frames-dir", str(frames), "--trajectory",
+                 str(traj), "--snapshot", str(snap), "--quiet"])
+    assert code == 0, capsys.readouterr().err
+    assert Pipeline.load_snapshot(snap).frame_index == 2
+
+
+@pytest.mark.parametrize("item, message", [
+    ("voxel_size=none", "voxel_size must be a number, got None"),
+    ("sigma2=null", "sigma2 must be a number, got None"),
+    ("normal_k=none", "normal_k must be an integer, got None")])
+def test_none_for_a_required_key_is_one_error_line(tmp_path, capsys, item,
+                                                   message):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), "--set", item, *RUN_ARGS]
+    assert error_lines(capsys, argv) == (1, [f"error: {message}"])
+
+
+def with_config(snap, path, config):
+    """Copy of snapshot snap at path with its config JSON replaced: by
+    config if bytes, else by the old keys updated from config."""
+    data = snap.read_bytes()
+    n = len(Pipeline._MAGIC)
+    version, length = struct.unpack_from("<II", data, n)
+    if isinstance(config, dict):
+        config = json.dumps({**json.loads(data[n + 8:n + 8 + length]),
+                             **config}).encode()
+    path.write_bytes(data[:n] + struct.pack("<II", version, len(config))
+                     + config + data[n + 8 + length:])
+    return path
+
+
+@pytest.mark.parametrize("config, reason", [
+    (b"[]", "config must be a mapping, got []"),
+    (b"3", "config must be a mapping, got 3"),
+    ({"voxel_size": [0.05]}, "voxel_size must be a number, got [0.05]"),
+    ({"voxel_size": None}, "voxel_size must be a number, got None"),
+    ({"voxel_size": True}, "voxel_size must be a number, got True"),
+    ({"normal_k": 10.0}, "normal_k must be an integer, got 10.0"),
+    ({"prop_kind": 3}, "prop_kind must be a string, got 3"),
+    (b"{", None)])
+def test_bad_snapshot_config_is_one_error_line_naming_the_file(
+        workdir, tmp_path, capsys, config, reason):
+    bad = with_config(workdir / "map.snap", tmp_path / "bad.snap", config)
+    code, lines = error_lines(capsys, ["query", str(bad), "1.5,0,0"])
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith(f"error: {bad}: bad snapshot config: ")
+    if reason is not None:
+        assert lines[0].endswith(reason)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--focal", "0"], "sensor focal must be finite and positive, got 0.0"),
+    (["--noise", "-1"],
+     "sensor noise_sigma must be finite and not negative, got -1.0"),
+    (["--width", "-3"], "sensor width must be at least 1, got -3"),
+    (["--max-range", "nan"],
+     "sensor max_range must be finite and positive, got nan")])
+def test_bad_sensor_is_one_error_line(tmp_path, capsys, flags, message):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), *RUN_ARGS, *flags]
+    assert error_lines(capsys, argv) == (1, [f"error: {message}"])
 
 
 def test_mesh_verb_exports_ply(workdir, capsys):

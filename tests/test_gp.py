@@ -13,7 +13,7 @@ from gpfield.gp import (
     infer_distance_gradient,
     infer_occupancy,
     infer_property,
-    occupancy_gradient,
+    moments,
     propagate_variance,
     reference_distance_variance,
     revert_distance,
@@ -417,7 +417,8 @@ def test_occupancy_gradient_zero_at_symmetry_point():
     p = KernelParams(length_scale=0.15, noise2=1e-4)
     pts = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
     model = train(pts, p)
-    g = occupancy_gradient(model, np.array([0.0, 0.0, 0.0]))
+    g = moments(model, np.zeros((1, 3)), variance=False,
+                gradient=True).gradient[0]
     np.testing.assert_allclose(g, 0.0, atol=1e-12)
     unit = infer_distance_gradient(model, np.array([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(unit, 0.0)

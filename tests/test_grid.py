@@ -10,17 +10,19 @@ from gpfield.grid import (
     LEAF_SIZE,
     LEAF_ARRAYS,
     LEAF_VOXELS,
-    LeafNode,
     SparseGrid,
     VoxelState,
+    _local_index,
     group_by,
     grid_to_world,
     leaf_keys,
     leaf_origin_of,
     local_flat_index,
+    new_pool,
     pack_keys,
     world_to_grid,
 )
+from mesh_oracle import gather_blocks
 
 in_range = st.integers(-KEY_BIAS, KEY_BIAS - 1)
 coord = st.tuples(in_range, in_range, in_range)
@@ -85,10 +87,9 @@ def test_leaf_origin_shift_matches_floor_division():
 def test_local_flat_index_matches_leaf_method():
     rng = np.random.default_rng(3)
     coords = rng.integers(-10000, 10000, size=(200, 3))
-    leaf = LeafNode((0, 0, 0))
     flat = local_flat_index(coords)
     for c, f in zip(coords, flat):
-        assert leaf.local_index(c) == f
+        assert _local_index(c) == f
         assert 0 <= f < LEAF_VOXELS
 
 
@@ -214,6 +215,33 @@ def test_group_by_matches_dict_of_lists_oracle(values):
     assert [groups.keys[g] for g in groups.inverse] == values
 
 
+@settings(max_examples=60, deadline=None)
+@given(keys=st.lists(st.integers(-5, 5), min_size=1, max_size=60),
+       width=st.sampled_from([None, 0, 1, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_group_mean_sums_each_group_in_row_order(keys, width, seed):
+    """Bit for bit a sequential sum of each group's rows over its count;
+    for three columns that is also numpy's mean, as the per-leaf centroid
+    loop of build_voxelized computed it."""
+    rng = np.random.default_rng(seed)
+    shape = (len(keys),) if width is None else (len(keys), width)
+    values = rng.normal(scale=10.0, size=shape)
+    groups = group_by(np.array(keys, dtype=np.int64))
+    got = groups.mean(values)
+    want = []
+    for rows in groups.rows():
+        total = np.zeros(values.shape[1:])
+        for r in rows:
+            total = total + values[r]
+        want.append(total / len(rows))
+    want = np.array(want)
+    assert got.dtype == np.float64
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if width == 3:
+        loop = np.array([values[rows].mean(axis=0) for rows in groups.rows()])
+        assert got.tobytes() == loop.tobytes()
+
+
 def test_gather_block_stops_at_key_range_edge():
     grid = SparseGrid(voxel_size=0.1)
     top = KEY_BIAS - 1
@@ -286,16 +314,6 @@ def test_active_leaves_equals_brute_force_scan():
     assert {l.origin for l in grid.active_leaves()} == brute == {l.origin for l in chosen}
 
 
-def test_set_coords_reports_masked_voxels():
-    grid = SparseGrid(voxel_size=0.1)
-    put = [(-8, -8, -8), (-8, -7, -6), (-1, -1, -1)]
-    for c in put:
-        grid.set(c, VoxelState(0.0, 1.0))
-    leaf = grid.find_leaf((-8, -8, -8))
-    got = {tuple(int(v) for v in row) for row in leaf.set_coords()}
-    assert got == set(put)
-
-
 def test_lookup_batch_matches_scalar_get():
     rng = np.random.default_rng(9)
     grid = SparseGrid(voxel_size=0.1)
@@ -358,7 +376,7 @@ def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
     slot = grid.leaf_slots(keys)
 
     leaves = [None if o is None else grid.find_leaf(o) for o in origins]
-    zero = LeafNode((0, 0, 0), channels)
+    zero = new_pool(1, channels)
     assert slot.shape == keys.shape
     for i, leaf in enumerate(leaves):
         assert slot[i] == (0 if leaf is None else leaf.slot)
@@ -366,14 +384,14 @@ def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
     assert 0 not in hit
     for name in LEAF_ARRAYS:
         pool = grid.pool[name]
-        want = getattr(zero, name)
+        want = zero[name][0]
         assert pool.dtype == want.dtype
         assert pool.shape[1:] == want.shape
         assert len(pool) > grid.n_leaves
         np.testing.assert_array_equal(pool[0], want)
         for i, leaf in enumerate(leaves):
-            np.testing.assert_array_equal(pool[slot[i]],
-                                          getattr(leaf or zero, name))
+            np.testing.assert_array_equal(
+                pool[slot[i]], want if leaf is None else getattr(leaf, name))
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,14 +545,17 @@ def test_observed_voxels_matches_per_leaf_reference(leaves, seed):
     assert got[0].dtype == np.int64 and got[1].dtype == np.float64
 
 
-def test_version_advances_on_mutation():
+def test_clock_advances_on_mutation():
     grid = SparseGrid(voxel_size=0.1)
-    v0 = grid.version
+    c0 = grid.clock
     grid.set((0, 0, 0), VoxelState(0.0, 1.0))
-    v1 = grid.version
-    assert v1 > v0
+    c1 = grid.clock
+    assert c1 > c0
+    leaf = grid.find_leaf((0, 0, 0))
+    assert leaf.stamp == c1
     grid.set((0, 0, 0), VoxelState(0.5, 2.0))
-    assert grid.version > v1
+    assert grid.clock > c1 and leaf.stamp == grid.clock
+    assert grid.stamped_since(c1).tolist() == [leaf.slot]
 
 
 def test_negative_coordinates_round_trip():
@@ -551,11 +572,11 @@ def test_negative_coordinates_round_trip():
 
 def test_pool_growth_keeps_every_write_visible():
     """Leaves allocated past several doublings of the pool, written through
-    handles fetched before and after each growth: lookup, gather_blocks
-    and observed_voxels see every write, and unallocated and -1 keys read
-    zeros after fusion, so the zero row is never written."""
+    handles fetched before and after each growth: lookup, the mesh
+    oracle's gather_blocks, gather_block and observed_voxels see every
+    write, and unallocated and -1 keys read zeros after fusion, so the
+    zero row is never written."""
     from gpfield.fusion import FusionConfig, fuse_frame
-    from gpfield.meshing import gather_blocks
     from gpfield.query_points import TestPointSet
 
     rng = np.random.default_rng(11)

@@ -161,7 +161,7 @@ def test_build_merges_small_leaves_into_nearest_big_one():
     # the lone voxel of leaf (8, 0, 0) trains with, and routes to, the
     # model of leaf (0, 0, 0)
     np.testing.assert_array_equal(field.models[0].train_points, centers)
-    assert field.nearest_model(centers).tolist() == [0] * 5
+    assert gp.route(field._tree, centers, 1)[:, 0].tolist() == [0] * 5
 
 
 def test_build_keeps_small_leaves_when_none_are_big():
@@ -185,10 +185,10 @@ def test_nearest_model_tie_breaks_to_first_origin():
                             min_leaf_points=4)
     assert len(field.models) == 2
     mid = 0.5 * (field.centroids[0] + field.centroids[1])
-    owner = field.nearest_model(mid[None, :])
+    owner = gp.route(field._tree, mid[None, :], 1)[:, 0]
     assert owner[0] == 0
     near_b = mid + np.array([0.5, 0.0, 0.0])
-    assert field.nearest_model(near_b[None, :])[0] == 1
+    assert gp.route(field._tree, near_b[None, :], 1)[0, 0] == 1
 
 
 def test_query_distance_accuracy_above_plane_patch():

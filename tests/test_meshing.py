@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from gpfield import meshing, pipeline
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
-                          VoxelState, grid_to_world, world_to_grid)
+                          VoxelState, _local_index, grid_to_world,
+                          world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
 from gpfield.meshing import (
     TriangleMesh,
     crossings_by_leaf,
-    gather_blocks,
     group_edges,
     marching_cubes,
     mesh_leaf,
@@ -171,7 +171,7 @@ def random_leaf_grid(seed, channels, corner, density, observed=0.9,
                 continue
             leaf = grid.find_leaf(tuple(int(v) for v in c))
             if leaf is not None:
-                n = leaf.local_index(c)
+                n = _local_index(c)
                 leaf.value_mask[n] = leaf.observed[n] = True
     return grid
 
@@ -199,7 +199,7 @@ def test_mesh_leaves_matches_reference_and_gather_block(seed, channels, corner,
     targets = [ring[i % len(ring)] for i in picks]
     with mock.patch.object(meshing, "_CHUNK", chunk):
         got = mesh_leaves(grid, targets)
-    blocks = gather_blocks(grid, targets)
+    blocks = mesh_oracle.gather_blocks(grid, targets)
     assert len(got) == len(targets)
     want = {}
     for i, origin in enumerate(targets):

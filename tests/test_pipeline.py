@@ -1,6 +1,7 @@
 """End-to-end frame integration, evaluation helpers, and file formats."""
 
 import io
+import json
 import re
 import signal
 import struct
@@ -313,7 +314,12 @@ def test_config_rejects_unknown_keys_and_bad_lines(tmp_path):
     ("voxel_size", float("nan")), ("voxel_size", float("inf")),
     ("normal_k", 0), ("smooth_lambda", float("nan")), ("query_nodes", 0),
     ("sign_radius", -1), ("band_width", -1), ("length_scale", float("inf")),
-    ("d_max", float("nan"))])
+    ("d_max", float("nan")),
+    # values of the wrong type
+    ("voxel_size", None), ("voxel_size", True), ("voxel_size", [0.05]),
+    ("voxel_size", "0.05"), ("sigma2", None), ("normal_k", None),
+    ("normal_k", 2.5), ("normal_k", False), ("prop_kind", 3),
+    ("prop_kind", None)])
 def test_config_rejects_bad_values_naming_the_key(key, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -329,6 +335,17 @@ def test_config_from_mapping_names_the_key_of_an_unparsable_value(key, raw,
     with pytest.raises(ValueError) as err:
         PipelineConfig.from_mapping({key: raw})
     assert str(err.value) == f"{key} must be {kind}, got {raw!r}"
+
+
+def test_config_checks_types_without_converting_values():
+    cfg = PipelineConfig(sigma2=1, voxel_size=np.float64(0.05))
+    assert type(cfg.sigma2) is int and cfg.to_dict()["sigma2"] == 1
+    assert '"sigma2": 1,' in json.dumps(cfg.to_dict())
+    assert type(PipelineConfig(min_leaf_points=np.int64(3)).min_leaf_points
+                ) is np.int64
+    for mapping in ([], 3, "voxel_size=0.1", None):
+        with pytest.raises(ValueError, match="^config must be a mapping"):
+            PipelineConfig.from_mapping(mapping)
 
 
 def test_config_keeps_optional_defaults_and_edge_values():

@@ -13,7 +13,6 @@ from gpfield.query_points import (
     generate,
     merge,
     normal_augment,
-    traverse_ray,
 )
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
 
@@ -22,7 +21,7 @@ def test_traverse_axis_aligned_ray():
     h = 0.5
     origin = np.array([0.25, 0.25, 0.25])
     end = np.array([5.25, 0.25, 0.25])
-    coords = traverse_ray(origin, end, h)
+    coords = _traverse(origin, [end], h, extra=0.0)[0]
     want = [(k, 0, 0) for k in range(11)]
     assert [tuple(int(v) for v in c) for c in coords] == want
 
@@ -49,7 +48,7 @@ def test_traverse_steps_one_axis_at_a_time():
     for _ in range(50):
         origin = rng.uniform(-1.0, 1.0, size=3)
         end = origin + rng.uniform(-2.0, 2.0, size=3)
-        coords = traverse_ray(origin, end, 0.1)
+        coords = _traverse(origin, [end], 0.1, extra=0.0)[0]
         steps = np.abs(np.diff(coords, axis=0)).sum(axis=1)
         assert np.all(steps == 1)
         seen = {tuple(int(v) for v in c) for c in coords}
@@ -64,7 +63,7 @@ def test_traverse_matches_fine_sampling_oracle():
         end = origin + rng.uniform(-3.0, 3.0, size=3)
         if np.linalg.norm(end - origin) < 1e-3:
             continue
-        coords = traverse_ray(origin, end, h)
+        coords = _traverse(origin, [end], h, extra=0.0)[0]
         got = {tuple(int(v) for v in c) for c in coords}
         # a 1/20-voxel sampler finds every robustly pierced voxel; the
         # DDA may additionally catch corner clips the sampler stepped over

@@ -97,6 +97,33 @@ def test_unknown_sensor_kind_rejected():
         SensorModel(kind="sonar").ray_directions()
 
 
+@pytest.mark.parametrize("field, value, need", [
+    ("kind", "sonar", "'pinhole' or 'lidar'"),
+    ("width", 0, "at least 1"), ("height", -3, "at least 1"),
+    ("azimuth_steps", 0, "at least 1"), ("elevation_steps", -1, "at least 1"),
+    ("focal", 0.0, "finite and positive"),
+    ("focal", float("inf"), "finite and positive"),
+    ("max_range", -1.0, "finite and positive"),
+    ("max_range", float("nan"), "finite and positive"),
+    ("noise_sigma", -0.1, "finite and not negative"),
+    ("noise_sigma", float("nan"), "finite and not negative"),
+    ("elevation_range", (0.0, float("inf")), "two finite values"),
+    ("elevation_range", (0.1,), "two finite values")])
+def test_sensor_rejects_out_of_range_fields_naming_them(field, value, need):
+    with pytest.raises(ValueError) as err:
+        SensorModel(**{field: value})
+    assert str(err.value) == f"sensor {field} must be {need}, got {value!r}"
+
+
+def test_sensor_accepts_smallest_valid_fields():
+    sensor = SensorModel(width=1, height=1, focal=1e-3, noise_sigma=0.0,
+                         max_range=1e-3)
+    assert sensor.ray_directions().shape == (1, 3)
+    lidar = SensorModel(kind="lidar", azimuth_steps=1, elevation_steps=1,
+                        elevation_range=(0.0, 0.0))
+    assert lidar.ray_directions().shape == (1, 3)
+
+
 def test_sphere_trace_hits_at_analytic_range():
     scene = SyntheticScene([Primitive("sphere", center=[0.0, 0.0, 3.0],
                                       radius=1.0)])

@@ -2,7 +2,7 @@
 
 ``SignIndex`` keeps a main and a tail cKDTree over observed voxel
 centres and, after a grid change, indexes only the voxels of leaves
-stamped since its last look. ``reference_signs`` is the per-version
+stamped since its last look. ``reference_signs`` is the per-change
 rebuild it replaced: one cKDTree over every observed voxel. On every
 query row without an exact distance tie between observed voxels, sign
 and known must equal the reference bit for bit; on a tied row, the sign
@@ -25,7 +25,7 @@ from gpfield.query_points import TestPointSet as PointSet  # collection-safe ali
 H = 0.05
 RADIUS = 2.5 * H
 CFG = FusionConfig(v_max=1.0, w_max=1.0, weight_cap=100.0,
-                   surface_band=2 * H, v_clip=0.99)
+                   surface_band=2 * H)
 
 
 def reference_signs(grid, points, radius):
@@ -138,8 +138,9 @@ def test_lookup_matches_single_tree_reference(seed, ops):
 
 def test_sequence_reaches_every_branch():
     """One fixed sequence: first build, unchanged grid, new leaves, sign
-    flips, tail appends, compactions and the un-observe fallback, each
-    checked against the reference, lattice ties included."""
+    flips, tail appends, compactions, the un-observe fallback and a
+    writer stamping through activate, each checked against the
+    reference, lattice ties included."""
     rng = np.random.default_rng(5)
     grid = SparseGrid(voxel_size=H)
     index = SignIndex(grid)
@@ -190,14 +191,15 @@ def test_sequence_reaches_every_branch():
     stats, _ = refresh()
     assert stats == QueryStats(sign_rebuilt=1, n_observed_indexed=n)
 
-    # a version change with no stamped leaf also builds in full
+    # a writer that goes around the write paths and stamps its leaf with
+    # activate has that leaf's new voxels appended
     leaf = next(grid.leaves())
-    leaf.observed[:] = True
-    leaf.value_mask[:] = True
-    grid.version += 1
+    new = int((~(leaf.observed & leaf.value_mask))[:16].sum())
+    leaf.observed[:16] = True
+    leaf.value_mask[:16] = True
+    grid.activate([leaf.slot])
     stats, _ = refresh()
-    assert stats == QueryStats(sign_rebuilt=1,
-                               n_observed_indexed=observed_count(grid))
+    assert new > 0 and stats == QueryStats(n_observed_indexed=new)
     assert ties > 0
 
 

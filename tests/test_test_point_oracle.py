@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from gpfield import query_points
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
-                          VoxelState, grid_to_world, group_by, leaf_keys,
-                          local_flat_index, pack_keys)
+                          VoxelState, _local_index, grid_to_world, group_by,
+                          leaf_keys, local_flat_index, pack_keys)
 from gpfield.query_points import SOURCE_BAND, SOURCE_RAY, dedup_first
 
 # -- reference: the lockstep DDA, generator and lookup as they were ----------
@@ -327,7 +327,7 @@ def test_lookup_sees_leaves_created_after_an_earlier_call():
     grid.set((-9, 0, 4), VoxelState(distance=-0.25, dist_weight=2.0,
                                     observed=True))
     leaf = grid.get_or_create_leaf((40, -17, 8))
-    n = leaf.local_index((40, -17, 8))
+    n = _local_index((40, -17, 8))
     leaf.value_mask[n] = True
     leaf.distance[n] = 0.125
     got = grid.lookup(queries)
