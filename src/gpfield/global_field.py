@@ -25,7 +25,7 @@ from scipy.spatial import cKDTree
 
 from . import gp
 from .grid import (KEY_BIAS, LEAF_VOXELS, SparseGrid, flat_local_coords,
-                   grid_to_world, leaf_keys, local_flat_index, pack_keys)
+                   grid_to_world)
 
 
 class EmptyField(RuntimeError):
@@ -109,31 +109,36 @@ class SignIndex:
     """Nearest observed voxel within a radius, kept current by appends.
 
     Fusion never clears a voxel's observed flag, so the observed set only
-    grows. Each indexed voxel owns a slot: its centre and its distance
-    sign. A main cKDTree covers the slots indexed at its last build and a
-    tail cKDTree the slots appended since; ``rows`` maps a leaf's pool
-    slot and flat voxel index to an index slot, -1 where not indexed.
+    grows. Each indexed voxel owns a slot, which holds the voxel's row in
+    the grid's pool (``SparseGrid.voxels``); a lookup reads the sign from
+    that row's distance, so the index keeps no copy of it. A main cKDTree
+    covers the slots indexed at its last build and a tail cKDTree the
+    slots appended since; ``indexed`` marks, per leaf pool slot, the
+    voxels that own an index slot.
 
     ``refresh`` does nothing while ``grid.clock`` stands still. After a
-    change it visits only the leaves stamped since its last look: it
-    appends their newly observed voxels, rebuilds the tail tree and
-    rewrites their indexed voxels' signs. The main tree absorbs the tail
-    once the tail outgrows a quarter of it (Bentley and Saxe's logarithmic
-    method with two levels). Every grid write path stamps the leaf it
-    writes, and a writer that goes around them stamps its leaves with
-    ``SparseGrid.activate``. The first refresh and a stamped leaf that
-    lost an indexed voxel (only ``SparseGrid.set`` can clear the flag)
-    rebuild everything from ``SparseGrid.observed_voxels``.
+    change it appends the newly observed voxels of the leaves stamped
+    since its last look and rebuilds the tail tree. The main tree absorbs
+    the tail once the tail outgrows a quarter of it (Bentley and Saxe's
+    logarithmic method with two levels). Every grid write path stamps the
+    leaf it writes, and a writer that goes around them stamps its leaves
+    with ``SparseGrid.activate``. The first refresh, and a stamped leaf
+    that lost an indexed voxel (only ``SparseGrid.set`` can clear the
+    flag), clear the index and run the same append over every allocated
+    leaf.
     """
 
     def __init__(self, grid: SparseGrid):
         self.grid = grid
         self.clock = None           # grid.clock at the last look
+        self._clear()
+
+    def _clear(self) -> None:
         self.n = self.n_main = 0    # slots in all, slots in the main tree
-        self.signs = np.zeros(0)    # grows by doubling; slots n.. are unused
-        # (leaf slots, 512) int32, grown by doubling
-        self.rows = np.zeros((0, LEAF_VOXELS), dtype=np.int32)
         self.main = self.tail = None
+        self.voxel_rows = np.zeros(0, dtype=np.int64)   # pool row by slot
+        # (leaf slots, 512) bool, grown with the pool
+        self.indexed = np.zeros((0, LEAF_VOXELS), dtype=bool)
 
     def refresh(self, stats: QueryStats) -> None:
         grid = self.grid
@@ -141,58 +146,30 @@ class SignIndex:
             return
         clock, self.clock = self.clock, grid.clock
         if clock is None or not self._append(grid.stamped_since(clock), stats):
-            self._build(stats)
-
-    def _fit_rows(self, slots: int) -> None:
-        """Grow rows by doubling until it holds a row for slots slots."""
-        if len(self.rows) < slots:
-            rows = np.full((max(slots, 2 * len(self.rows)), LEAF_VOXELS), -1,
-                           dtype=np.int32)
-            rows[:len(self.rows)] = self.rows
-            self.rows = rows
-
-    def _build(self, stats: QueryStats) -> None:
-        coords, dists = self.grid.observed_voxels()
-        n = len(coords)
-        self.signs = np.where(dists < 0, -1.0, 1.0)
-        self.n = self.n_main = n
-        self.main = (cKDTree(grid_to_world(coords, self.grid.voxel_size))
-                     if n else None)
-        self.tail = None
-        # observed_voxels lists the voxels leaf by leaf, so slots run
-        # through each leaf's row in one contiguous range
-        lk = leaf_keys(pack_keys(coords))
-        new = np.ones(n, dtype=bool)
-        np.not_equal(lk[1:], lk[:-1], out=new[1:])
-        leaf = self.grid.leaf_slots(lk[new])[np.cumsum(new) - 1]
-        self.rows = np.full((self.grid.n_leaves + 1, LEAF_VOXELS), -1,
-                            dtype=np.int32)
-        self.rows[leaf, local_flat_index(coords)] = np.arange(n)
-        stats.sign_rebuilt = 1
-        stats.n_observed_indexed = n
+            # start over: the same append, over every leaf in slot order
+            self._clear()
+            self._append(np.arange(1, grid.n_leaves + 1), stats)
+            stats.sign_rebuilt = 1
 
     def _append(self, touched: np.ndarray, stats: QueryStats) -> bool:
         """Index the touched leaves' new voxels; False if one lost a voxel."""
         pool = self.grid.pool
         mask = pool["value_mask"][touched] & pool["observed"][touched]
-        self._fit_rows(int(touched[-1]) + 1)
-        slot = self.rows[touched]
-        indexed = slot >= 0
+        grow = len(pool["stamp"]) - len(self.indexed)
+        if grow > 0:
+            self.indexed = np.pad(self.indexed, ((0, grow), (0, 0)))
+        indexed = self.indexed[touched]
         if (indexed & ~mask).any():
             return False
         li, flat = np.nonzero(mask & ~indexed)
+        self.indexed[touched] = mask
         n, k = self.n, len(li)
-        slot[li, flat] = np.arange(n, n + k)
-        if n + k > len(self.signs):
-            self.signs = np.resize(self.signs, max(n + k, 2 * len(self.signs)))
-        mi, mf = np.nonzero(mask)
-        dists = self.grid.voxels("distance")[touched[mi] * LEAF_VOXELS + mf]
-        self.signs[slot[mi, mf]] = np.where(dists < 0, -1.0, 1.0)
-        self.rows[touched] = slot
-        self.n = n + k
         stats.n_observed_indexed = k
         if not k:
             return True
+        self.voxel_rows = np.concatenate([self.voxel_rows,
+                                          touched[li] * LEAF_VOXELS + flat])
+        self.n = n + k
         # the trees hold the only copy of the slot centres, in slot order
         centers = grid_to_world(pool["origin"][touched[li]]
                                 + flat_local_coords(flat),
@@ -227,7 +204,8 @@ class SignIndex:
             dist = np.where(nearer, tdist, dist)
             idx = np.where(nearer, tidx + self.n_main, idx)
         known = np.isfinite(dist)
-        sign[known] = self.signs[idx[known]]
+        rows = self.voxel_rows[idx[known]]
+        sign[known] = np.where(self.grid.voxels("distance")[rows] < 0, -1.0, 1.0)
         return sign, known
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
 import struct
 import time
 import warnings
@@ -39,9 +38,10 @@ from .scene import lattice_points
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
 _PROP_CLIP = {"none": None, "rgb": (0.0, 1.0), "intensity": (0.0, np.inf)}
-# the values a config field of each type takes, bool excepted, and their name
-_FIELD_TYPES = {"int": (numbers.Integral, "an integer"),
-                "float": (numbers.Real, "a number"), "str": (str, "a string")}
+# the values a config field of each type takes, bool excepted, and their
+# name: the Python types a snapshot's JSON stores (np.float64 is a float)
+_FIELD_TYPES = {"int": (int, "an integer"),
+                "float": ((int, float), "a number"), "str": (str, "a string")}
 
 
 class EmptyInput(ValueError):
@@ -55,9 +55,11 @@ class PipelineConfig:
     length_scale defaults to three voxels; a ratio outside [2, 4]
     voxels still runs but triggers a warning since the local GPs then
     either alias the quantization or blur the surface. A value of the
-    wrong type (None only where Optional, bool nowhere), a non-finite
-    float, normal_k or query_nodes below 1, or a negative band_width or
-    sign_radius raises ValueError naming it; values are never converted.
+    wrong type (None only where Optional, bool nowhere; an int field
+    takes an int, a float field an int or a float, so of the numpy
+    scalars only np.float64 passes), a non-finite float, normal_k or
+    query_nodes below 1, or a negative band_width or sign_radius raises
+    ValueError naming it; values are never converted.
     """
 
     voxel_size: float = 0.05
@@ -175,10 +177,6 @@ class PipelineConfig:
                 key, val = line.split("=", 1)
                 mapping[key.strip()] = val.strip()
         return mapping
-
-    @classmethod
-    def from_file(cls, path) -> "PipelineConfig":
-        return cls.from_mapping(cls.parse_file(path))
 
 
 @dataclass
@@ -412,7 +410,7 @@ class Pipeline:
     def save_snapshot(self, path) -> None:
         """Serialize config and grid; derived state rebuilds on load."""
         cfg = json.dumps(self.config.to_dict(), sort_keys=True).encode("utf-8")
-        with open(path, "wb") as f:
+        with ply.replacing(path) as f:
             f.write(self._MAGIC)
             f.write(struct.pack("<II", 1, len(cfg)))
             f.write(cfg)
@@ -555,7 +553,7 @@ def export_slice(field: GlobalField, axis: str, offset: float, bounds,
         header += ",error"
         cols.append(np.abs(res.distances) - np.abs(np.asarray(oracle(pts))))
     rows = np.stack(cols, axis=1)
-    with open(path, "w", encoding="utf-8") as f:
+    with ply.replacing(path, text=True) as f:
         f.write(header + "\n")
         for row in rows:
             f.write(",".join("%.9g" % v for v in row) + "\n")
@@ -579,5 +577,5 @@ def write_stats_csv(stats: list[FrameStats], path_or_file) -> None:
     if hasattr(path_or_file, "write"):
         emit(path_or_file)
     else:
-        with open(path_or_file, "w", encoding="utf-8") as f:
+        with ply.replacing(path_or_file, text=True) as f:
             emit(f)

@@ -9,7 +9,10 @@ bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
+import uuid
+from contextlib import contextmanager, suppress
 from typing import Optional
 
 import numpy as np
@@ -28,6 +31,26 @@ _PROP_TYPES = {
 
 class IoFailure(OSError):
     """File did not parse as the expected PLY structure."""
+
+
+@contextmanager
+def replacing(path, text: bool = False):
+    """A new file to write path's contents to, in path's directory.
+
+    When the block finishes, os.replace moves it onto path; when the
+    block raises, it is removed. So a failed write leaves any previous
+    file at path as it was.
+    """
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x" if text else "xb",
+                  encoding="utf-8" if text else None) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_mesh(path, vertices: np.ndarray, faces: np.ndarray,
@@ -55,7 +78,7 @@ def write_mesh(path, vertices: np.ndarray, faces: np.ndarray,
         raise ValueError(f"unknown prop_kind {prop_kind!r}")
     header += [f"element face {len(f)}",
                "property list uchar int vertex_indices", "end_header"]
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
         if prop_kind == "rgb":
             rec = np.zeros(len(v), dtype=[("xyz", "<f4", 3), ("rgb", "<u1", 3)])
@@ -73,14 +96,6 @@ def write_mesh(path, vertices: np.ndarray, faces: np.ndarray,
         frec["n"] = 3
         frec["idx"] = f
         fh.write(frec.tobytes())
-
-
-def write_points(path, points: np.ndarray,
-                 properties: Optional[np.ndarray] = None,
-                 prop_kind: str = "none") -> None:
-    """Write a point cloud (vertex element only)."""
-    write_mesh(path, points, np.zeros((0, 3), dtype=np.int32),
-               properties, prop_kind)
 
 
 def read_ply(path):

@@ -352,21 +352,3 @@ def parse_scene(text: str, prop_channels: int = 0) -> SyntheticScene:
 def load_scene(path, prop_channels: int = 0) -> SyntheticScene:
     with open(path, "r", encoding="utf-8") as f:
         return parse_scene(f.read(), prop_channels=prop_channels)
-
-
-def format_scene(scene: SyntheticScene) -> str:
-    lines = []
-    for p in scene.primitives:
-        if p.kind == "sphere":
-            body = "sphere %.17g %.17g %.17g %.17g" % (*p.center, p.radius)
-        elif p.kind == "box":
-            body = "box %.17g %.17g %.17g %.17g %.17g %.17g" % (
-                *p.center, *p.half_extents)
-        else:
-            body = "plane %.17g %.17g %.17g %.17g" % (*p.normal, p.offset)
-        if len(p.prop):
-            body += " prop " + " ".join("%.17g" % v for v in p.prop)
-        if np.isfinite(p.active[0]) or np.isfinite(p.active[1]):
-            body += " active %.17g %.17g" % p.active
-        lines.append(body)
-    return "\n".join(lines) + "\n"

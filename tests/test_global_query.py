@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gpfield import gp
-from gpfield.global_field import GlobalField, QueryStats
+from gpfield.global_field import GlobalField, QueryStats, SignIndex
 from gpfield.grid import KEY_BIAS, SparseGrid, VoxelState, group_by
 from gpfield.local_field import LocalField
 
@@ -419,24 +419,27 @@ def test_query_rows_at_the_voxel_key_range_edges():
 def test_query_stats_match_spies(monkeypatch, capsys):
     """n_nodes_trained counts the models gp.train_many trained;
     sign_rebuilt is 1 when the batch built the sign index's main tree, and
-    a full build is the one that calls observed_voxels; n_observed_indexed
-    is the number of observed voxels the batch added to the index."""
+    a full build is an append to an empty index over every allocated leaf;
+    n_observed_indexed is the number of observed voxels the batch added to
+    the index."""
     trained = []
     full_builds = []
     real_train_many = gp.train_many
-    real_observed = SparseGrid.observed_voxels
+    real_append = SignIndex._append
 
     def spy_train_many(*args, **kwargs):
         trained.extend(args[0])
         return real_train_many(*args, **kwargs)
 
-    def spy_observed(self):
-        out = real_observed(self)
-        full_builds.append(len(out[0]))
+    def spy_append(self, touched, stats):
+        full = self.n == 0 and len(touched) == self.grid.n_leaves
+        out = real_append(self, touched, stats)
+        if full:
+            full_builds.append(self.n)
         return out
 
     monkeypatch.setattr(gp, "train_many", spy_train_many)
-    monkeypatch.setattr(SparseGrid, "observed_voxels", spy_observed)
+    monkeypatch.setattr(SignIndex, "_append", spy_append)
 
     grid = SparseGrid(voxel_size=0.05)
     for i in range(6):

@@ -22,7 +22,7 @@ from gpfield.meshing import (
     mesh_leaves,
 )
 from gpfield.pipeline import Pipeline, PipelineConfig
-from gpfield.ply import IoFailure, read_ply, write_mesh, write_points
+from gpfield.ply import IoFailure, read_ply, write_mesh
 from gpfield.scene import (Primitive, SensorModel, SyntheticScene, look_at,
                            orbit_trajectory, render_frame)
 
@@ -544,6 +544,7 @@ def test_ply_intensity_round_trip(tmp_path):
     write_mesh(path, verts, np.zeros((0, 3), dtype=np.int64),
                properties=props, prop_kind="intensity")
     back = read_ply(path)
+    np.testing.assert_array_equal(back["vertices"], verts)
     np.testing.assert_allclose(back["properties"], props, atol=1e-6)
     assert back["faces"].shape == (0, 3)
 
@@ -566,13 +567,21 @@ def test_ply_empty_mesh_is_valid(tmp_path):
     assert back["faces"].shape == (0, 3)
 
 
-def test_write_points_round_trip(tmp_path):
-    pts = np.random.default_rng(5).normal(size=(25, 3))
-    path = tmp_path / "cloud.ply"
-    write_points(path, pts)
-    back = read_ply(path)
-    np.testing.assert_array_equal(back["vertices"], pts.astype(np.float32))
-    assert back["faces"].shape == (0, 3)
+def test_failed_write_mesh_leaves_the_previous_file(tmp_path, monkeypatch):
+    mesh = marching_cubes(sphere_grid())
+    path = tmp_path / "mesh.ply"
+    write_mesh(path, mesh.vertices, mesh.triangles)
+    before = path.read_bytes()
+
+    def fail(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "zeros", fail)
+    with pytest.raises(MemoryError):
+        write_mesh(path, mesh.vertices[:3], mesh.triangles[:1])
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_ply_rejects_unknown_property_kind(tmp_path):

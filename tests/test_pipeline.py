@@ -1,5 +1,6 @@
 """End-to-end frame integration, evaluation helpers, and file formats."""
 
+import dataclasses
 import io
 import json
 import re
@@ -35,6 +36,7 @@ from gpfield.scene import (
     SensorModel,
     SyntheticScene,
     look_at,
+    orbit_trajectory,
     render_frame,
 )
 
@@ -294,7 +296,7 @@ def test_config_file_parsing(tmp_path):
     raw = PipelineConfig.parse_file(path)
     assert raw == {"voxel_size": "0.1", "band_width": "4",
                    "length_scale": "none", "prop_kind": "rgb"}
-    cfg = PipelineConfig.from_file(path)
+    cfg = PipelineConfig.from_mapping(PipelineConfig.parse_file(path))
     assert cfg.voxel_size == 0.1
     assert cfg.band_width == 4 and isinstance(cfg.band_width, int)
     assert cfg.length_scale == pytest.approx(0.3)
@@ -341,11 +343,42 @@ def test_config_checks_types_without_converting_values():
     cfg = PipelineConfig(sigma2=1, voxel_size=np.float64(0.05))
     assert type(cfg.sigma2) is int and cfg.to_dict()["sigma2"] == 1
     assert '"sigma2": 1,' in json.dumps(cfg.to_dict())
-    assert type(PipelineConfig(min_leaf_points=np.int64(3)).min_leaf_points
-                ) is np.int64
+    for key, value in (("min_leaf_points", np.int64(3)),
+                       ("voxel_size", np.float32(0.05)),
+                       ("sigma2", np.int64(1))):
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            PipelineConfig(**{key: value})
     for mapping in ([], 3, "voxel_size=0.1", None):
         with pytest.raises(ValueError, match="^config must be a mapping"):
             PipelineConfig.from_mapping(mapping)
+
+
+_FLOAT_VALUES = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(-1e6, 1e6).map(np.float64),
+    st.integers(-1000, 1000), st.just(np.float32(0.5)), st.just(np.int64(2)),
+    st.just(True), st.none())
+_INT_VALUES = st.one_of(st.integers(-3, 2 ** 40), st.just(np.int64(2)),
+                        st.just(2.0), st.just(False), st.none())
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional={
+    f.name: _INT_VALUES if f.type == "int" else _FLOAT_VALUES
+    for f in dataclasses.fields(PipelineConfig) if f.type != "str"}),
+    prop_kind=st.sampled_from(["none", "rgb", "intensity"]))
+def test_every_accepted_config_survives_a_snapshot(values, prop_kind):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            cfg = PipelineConfig(prop_kind=prop_kind, **values)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "map.snap"
+            Pipeline(cfg).save_snapshot(path)
+            back = Pipeline.load_snapshot(path)
+    assert back.config == cfg
+    assert json.dumps(back.config.to_dict()) == json.dumps(cfg.to_dict())
 
 
 def test_config_keeps_optional_defaults_and_edge_values():
@@ -636,6 +669,109 @@ def test_snapshot_size_is_checked(tmp_path, cut):
     path.write_bytes(cuts[cut])
     with pytest.raises(IoFailure, match=re.escape(str(path))):
         Pipeline.load_snapshot(path)
+
+
+def test_failed_save_leaves_the_previous_snapshot(tmp_path, monkeypatch):
+    pipe = run_pipeline(2)
+    path = tmp_path / "map.snap"
+    pipe.save_snapshot(path)
+    before = path.read_bytes()
+    pipe.integrate_frame(wall_frames(3)[2])
+
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(pipeline, "_leaf_records", fail)
+    with pytest.raises(MemoryError):
+        pipe.save_snapshot(path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_stats_csv_leaves_the_previous_file(tmp_path):
+    stats = run_pipeline(2).stats
+    path = tmp_path / "stats.csv"
+    write_stats_csv(stats, path)
+    before = path.read_bytes()
+    with pytest.raises(AttributeError):
+        write_stats_csv(stats[:1] + [None], path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def orbit_run():
+    """A short sphere orbit, one query batch after each frame."""
+    scene = SyntheticScene([Primitive("sphere", radius=1.0)])
+    sensor = SensorModel(width=32, height=24, focal=30.0, max_range=8.0,
+                         noise_sigma=0.005, seed=3)
+    poses = orbit_trajectory([0, 0, 0], 2.5, 8, elevation=np.pi / 6)
+    rng = np.random.default_rng(3)
+    return (PipelineConfig(voxel_size=0.05, length_scale=0.1),
+            [render_frame(scene, sensor, p) for p in poses],
+            [rng.uniform(-1.5, 1.5, size=(300, 3)) for _ in poses])
+
+
+def corridor_run():
+    """A short corridor walk, a planner batch ahead after each frame."""
+    scene = SyntheticScene([
+        Primitive("plane", normal=[0.0, -1.0, 0.0], offset=-1.0),
+        Primitive("plane", normal=[0.0, 1.0, 0.0], offset=-1.0),
+        Primitive("plane", normal=[0.0, 0.0, -1.0], offset=-1.0),
+        Primitive("plane", normal=[0.0, 0.0, 1.0], offset=-1.0)])
+    sensor = SensorModel(width=32, height=24, focal=33.0, max_range=3.5)
+    rng = np.random.default_rng(4)
+    frames, batches = [], []
+    for i in range(8):
+        eye = np.array([0.1 * i, 0.0, 0.0])
+        frames.append(render_frame(scene, sensor,
+                                   look_at(eye, eye + [1.0, 0.0, 0.0])))
+        batches.append(rng.uniform([eye[0] + 0.2, -0.9, -0.9],
+                                   [eye[0] + 2.0, 0.9, 0.9], size=(300, 3)))
+    return PipelineConfig(), frames, batches
+
+
+def integrate_and_query(pipe, frames, batches):
+    """Query outputs after each frame, as arrays."""
+    out = []
+    for frame, pts in zip(frames, batches):
+        pipe.integrate_frame(frame)
+        res = pipe.field.query_batch(pts)
+        out.append([res.distances, res.variances, res.gradients,
+                    res.properties, res.prop_variances, res.free_space])
+    return out
+
+
+@pytest.mark.parametrize("run", [orbit_run, corridor_run])
+def test_resumed_run_matches_an_uninterrupted_one(tmp_path, run):
+    """Save at frame k, load, integrate the rest: the queries after each
+    later frame, the mesh and the final snapshot equal those of a run
+    that never stopped. The loaded map indexes its signs in one pass, the
+    uninterrupted one batch by batch."""
+    config, frames, batches = run()
+    k = 4
+    whole = Pipeline(config)
+    want = integrate_and_query(whole, frames, batches)
+    part = Pipeline(config)
+    integrate_and_query(part, frames[:k], batches[:k])
+    part.save_snapshot(tmp_path / "part.snap")
+    resumed = Pipeline.load_snapshot(tmp_path / "part.snap")
+    got = integrate_and_query(resumed, frames[k:], batches[k:])
+    assert len(got) == len(want) - k > 0
+    for g, w in zip(got, want[k:]):
+        for a, b in zip(g, w):
+            if b is None:
+                assert a is None
+            else:
+                np.testing.assert_array_equal(a, b)
+    assert not want[-1][5].all()    # some points took a sign from the grid
+    a, b = resumed.export_mesh(), whole.export_mesh()
+    assert len(b.vertices) > 0
+    for name in ("vertices", "triangles", "properties"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    resumed.save_snapshot(tmp_path / "resumed.snap")
+    whole.save_snapshot(tmp_path / "whole.snap")
+    assert ((tmp_path / "resumed.snap").read_bytes()
+            == (tmp_path / "whole.snap").read_bytes())
 
 
 def assert_nodes_are_mesh_crossings(pipe):

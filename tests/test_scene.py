@@ -8,7 +8,6 @@ from gpfield.scene import (
     Primitive,
     SensorModel,
     SyntheticScene,
-    format_scene,
     load_scene,
     look_at,
     orbit_trajectory,
@@ -241,7 +240,7 @@ def test_scene_file_round_trip(tmp_path):
     assert [p.kind for p in scene.primitives] == ["sphere", "box", "plane"]
     assert scene.primitives[1].active == (0.0, 10.0)
     path = tmp_path / "scene.txt"
-    path.write_text(format_scene(scene))
+    path.write_text(text)
     again = load_scene(path, prop_channels=3)
     for a, b in zip(scene.primitives, again.primitives):
         assert a.kind == b.kind
