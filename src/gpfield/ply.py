@@ -4,14 +4,14 @@ Covers what the pipeline needs: binary little-endian or ascii files
 with a vertex element (positions plus optional uchar RGB or float
 intensity) and an optional face element with triangle indices. The
 writer emits binary little-endian; a file written here reads back
-bit-exactly.
+bit-exactly. ``replacing`` is how every file writer of the package
+writes, so that a failed write keeps the previous file.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import uuid
 from contextlib import contextmanager, suppress
 from typing import Optional
 
@@ -41,7 +41,7 @@ def replacing(path, text: bool = False):
     block raises, it is removed. So a failed write leaves any previous
     file at path as it was.
     """
-    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    tmp = f"{os.fspath(path)}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "x" if text else "xb",
                   encoding="utf-8" if text else None) as f:
