@@ -163,13 +163,13 @@ class SignIndex:
             return False
         li, flat = np.nonzero(mask & ~indexed)
         self.indexed[touched] = mask
-        n, k = self.n, len(li)
+        k = len(li)
         stats.n_observed_indexed = k
         if not k:
             return True
         self.voxel_rows = np.concatenate([self.voxel_rows,
                                           touched[li] * LEAF_VOXELS + flat])
-        self.n = n + k
+        self.n += k
         # the trees hold the only copy of the slot centres, in slot order
         centers = grid_to_world(pool["origin"][touched[li]]
                                 + flat_local_coords(flat),
