@@ -567,6 +567,16 @@ def test_ply_empty_mesh_is_valid(tmp_path):
     assert back["faces"].shape == (0, 3)
 
 
+def test_write_points_round_trip(tmp_path):
+    pts = np.random.default_rng(5).normal(size=(25, 3))
+    path = tmp_path / "cloud.ply"
+    write_mesh(path, pts, np.zeros((0, 3), dtype=np.int64))
+    back = read_ply(path)
+    np.testing.assert_array_equal(back["vertices"], pts.astype(np.float32))
+    assert back["properties"] is None
+    assert back["faces"].shape == (0, 3)
+
+
 def test_failed_write_mesh_leaves_the_previous_file(tmp_path, monkeypatch):
     mesh = marching_cubes(sphere_grid())
     path = tmp_path / "mesh.ply"
