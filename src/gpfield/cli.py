@@ -195,11 +195,13 @@ def _cmd_bench(args) -> int:
         pipe.stats[-1].stage_ms["global_train"] = train_ms
     write_stats_csv(pipe.stats, args.stats if args.stats else sys.stdout)
     invalidated = sum(st.n_nodes_invalidated for st in pipe.stats)
+    ray_steps = sum(st.n_ray_steps for st in pipe.stats)
+    skipped = sum(st.n_ray_steps_skipped for st in pipe.stats)
     print(f"frames={pipe.frame_index} leaves={pipe.grid.n_leaves} "
           f"nodes={pipe.field.n_nodes} invalidated={invalidated} "
           f"trained={n_trained} train_ms={train_ms:.1f} "
-          f"field_bytes={pipe.field.nbytes} mesh_bytes={pipe.mesh_bytes}",
-          file=sys.stderr)
+          f"field_bytes={pipe.field.nbytes} mesh_bytes={pipe.mesh_bytes} "
+          f"ray_steps={ray_steps} skipped={skipped}", file=sys.stderr)
     return 0
 
 

@@ -30,6 +30,7 @@ bit, as meshing it alone.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
@@ -102,9 +103,9 @@ class LeafMesh:
 
     @staticmethod
     def empty(origin, prop_channels: int = 0) -> "LeafMesh":
-        return LeafMesh(origin, np.zeros((0, 4), dtype=np.int64),
-                        np.zeros((0, 3)), np.zeros((0, prop_channels)),
-                        np.zeros((0, 3), dtype=np.int64))
+        """Mesh of a leaf without a surface; its arrays are read-only and
+        shared by every empty mesh with as many property channels."""
+        return LeafMesh(origin, *_empty_arrays(prop_channels))
 
     @property
     def verts(self) -> np.ndarray:
@@ -115,6 +116,16 @@ class LeafMesh:
     def tris(self) -> list:
         """Triangle rows as a list, empty when the leaf has no surface."""
         return self.triangles.tolist()
+
+
+@functools.cache
+def _empty_arrays(prop_channels: int) -> tuple:
+    """Read-only zero-length edges, positions, props and triangles."""
+    arrays = (np.zeros((0, 4), dtype=np.int64), np.zeros((0, 3)),
+              np.zeros((0, prop_channels)), np.zeros((0, 3), dtype=np.int64))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass
@@ -151,7 +162,8 @@ def mesh_leaves(grid: SparseGrid, origins) -> list:
     valid cells are found _CHUNK targets at a time; the targets holding
     one are meshed _CHUNK at a time, each chunk in one vectorized pass,
     so scratch memory does not grow with their number. Returns one
-    LeafMesh per origin, in order; each array of it owns its memory.
+    LeafMesh per origin, in order; each array of a mesh with a vertex
+    owns its memory, and every empty mesh shares LeafMesh.empty's.
     """
     origins = [tuple(int(v) for v in o) for o in origins]
     slots = _block_slots(grid, origins)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 import time
 import warnings
@@ -42,6 +43,15 @@ _PROP_CLIP = {"none": None, "rgb": (0.0, 1.0), "intensity": (0.0, np.inf)}
 # name: the Python types a snapshot's JSON stores (np.float64 is a float)
 _FIELD_TYPES = {"int": (int, "an integer"),
                 "float": ((int, float), "a number"), "str": (str, "a string")}
+
+
+def _finite(x) -> bool:
+    """Whether the int or float x is a finite float: an int beyond the
+    float range, which math.isfinite cannot convert, is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 class EmptyInput(ValueError):
@@ -91,8 +101,9 @@ class PipelineConfig:
             types, noun = _FIELD_TYPES[kind]
             if isinstance(x, bool) or not isinstance(x, types):
                 raise ValueError(f"{f.name} must be {noun}, got {x!r}")
-            if kind == "float" and not np.isfinite(x):
-                raise ValueError(f"{f.name} must be finite, got {x}")
+            if kind == "float" and not _finite(x):
+                got = x if isinstance(x, float) else "an int past float range"
+                raise ValueError(f"{f.name} must be finite, got {got}")
         for key, low in (("normal_k", 1), ("query_nodes", 1),
                          ("band_width", 0), ("sign_radius", 0)):
             if getattr(self, key) < low:
@@ -197,7 +208,11 @@ class FrameStats:
     n_tp_ray: int = 0               # carving a stale surface before the band
     n_tp_band: int = 0              # endpoint band
     n_tp_normal: int = 0            # stepped along estimated normals
+    n_ray_steps: int = 0            # (ray, voxel) steps the DDA walked
+    n_ray_steps_skipped: int = 0    # steps before each ray's first row
     stage_ms: dict = field(default_factory=dict)
+    # parts of the test_points stage: ray_rows, normals and merge
+    substage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
     n_leaves: int = 0               # leaves allocated after the frame
     grid_bytes: int = 0             # pool bytes of their rows
@@ -292,13 +307,19 @@ class Pipeline:
         t0 = time.perf_counter()
         origin = frame.origin
         tp_ray = query_points.ray_rows(origin, coords, centers, self.grid,
-                                       c.band_width)
+                                       c.band_width, stats=stats)
+        t1 = time.perf_counter()
         normals, valid = query_points.estimate_normals(centers, origin,
                                                        c.normal_k)
         tp_norm = query_points.normal_rows(coords, centers, normals, valid,
                                            c.voxel_size, c.normal_reach)
+        t2 = time.perf_counter()
         # the one deduplication of the frame's test points
         tps = query_points.merge(tp_ray, tp_norm)
+        t3 = time.perf_counter()
+        stats.substage_ms.update(ray_rows=(t1 - t0) * 1e3,
+                                 normals=(t2 - t1) * 1e3,
+                                 merge=(t3 - t2) * 1e3)
         stats.n_test_points = len(tps)
         (stats.n_tp_ray, stats.n_tp_band, stats.n_tp_normal) = np.bincount(
             tps.sources, minlength=len(query_points.SOURCE_NAMES)).tolist()

@@ -7,14 +7,26 @@ fused map still holds a stale surface there, which is what lets moved
 objects be carved away. Surface voxels additionally spawn test points
 along their estimated normals so thin observations gain support on
 both sides.
+
+No row comes from a voxel wholly before the band and outside every
+allocated leaf, so a ray's lockstep walk starts where the map or its
+band starts: a walk over leaves (_skip) brings each ray to the lockstep
+state it has there. The lockstep's crossing times are running sums
+t + t_delta, and the leaf walk makes the same sums, so that state, and
+every row after it, is the full walk's own. ray_rows reports the
+(ray, voxel) steps walked and those skipped, which add up to the full
+walk's.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .grid import SparseGrid, grid_to_world, group_by, pack_keys, world_to_grid
+from .grid import (KEY_BITS, LEAF_SIZE, SparseGrid, grid_to_world, group_by,
+                   leaf_keys, pack_keys, world_to_grid)
 
 SOURCE_RAY = 0
 SOURCE_BAND = 1
@@ -59,15 +71,25 @@ def merge(*sets: TestPointSet) -> TestPointSet:
                        np.concatenate([s.sources for s in sets]))
 
 
-def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
-    """Lockstep DDA over many rays from one origin.
+class _Rays(NamedTuple):
+    """Lockstep DDA state of rays from one origin, one row per ray."""
 
-    Returns flattened (coords, t_enter, ray_index) arrays covering each
-    ray from the origin voxel until entry t exceeds its range + extra,
-    step by step and, within a step, in ascending ray order. A ray is
-    dropped from the working arrays at the step it finishes, so each
-    step costs what the rays still running cost.
-    """
+    ray: np.ndarray       # (m,) index of the ray's endpoint
+    cur: np.ndarray       # (m, 3) voxel the ray is in
+    t_max: np.ndarray     # (m, 3) t of the ray's next crossing on each axis
+    t_delta: np.ndarray   # (m, 3) t between its crossings on each axis
+    step: np.ndarray      # (m, 3) +1 or -1, the direction of those crossings
+    n: np.ndarray         # (m,) crossings made: cur's L1 distance from
+                          # the origin voxel, the step index of its row
+    stop: np.ndarray      # (m,) last t at which the ray enters a voxel
+
+    def take(self, rows) -> "_Rays":
+        return _Rays(*(a.take(rows, axis=0) for a in self))
+
+
+def _start(origin, ends: np.ndarray, voxel_size: float, extra: float) -> _Rays:
+    """State at t = 0 of the rays from origin to ends, zero-length rays
+    left out; each runs until entry t exceeds its range + extra."""
     o = np.asarray(origin, dtype=np.float64).reshape(3)
     ends = np.asarray(ends, dtype=np.float64).reshape(-1, 3)
     h = voxel_size
@@ -75,8 +97,6 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
     rng = np.linalg.norm(delta, axis=1)
     live = np.flatnonzero(rng > 1e-12)
     dirn = delta[live] / rng[live, None]
-    stop = rng[live] + extra
-
     m = len(live)
     cur = np.tile(np.floor(o / h).astype(np.int64), (m, 1))
     step = np.where(dirn > 0, 1, -1).astype(np.int64)
@@ -87,11 +107,29 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
         lo = np.floor(o / h) * h
         t_max = np.where(dirn > 0, (lo + h - o) / dirn,
                          np.where(dirn < 0, (lo - o) / dirn, np.inf))
+    return _Rays(live, cur, t_max, t_delta, step, np.zeros(m, np.int64),
+                 rng[live] + extra)
 
+
+def _traverse(rays: _Rays, first=None):
+    """Lockstep DDA: every ray crosses its nearest boundary per iteration.
+
+    Returns flattened (coords, t_enter, ray) arrays: the voxel each ray
+    in the mask first (all rays by default) is in, entered at t = 0, then
+    every voxel entered until entry t exceeds the ray's stop, iteration
+    by iteration and, within one, in the order of rays. So from the state
+    at t = 0 of rays in ascending order the rows come in (step, ray)
+    order. A ray is dropped from the working arrays at the iteration it
+    finishes, so each iteration costs what the rays still running cost.
+    """
+    first = np.ones(len(rays.ray), bool) if first is None else first
+    cur, t_max = rays.cur.copy(), rays.t_max.copy()
+    t_delta, step, stop, live = rays.t_delta, rays.step, rays.stop, rays.ray
+    m = len(live)
     row_start = np.arange(0, 3 * m, 3)
-    coords_parts = [cur.copy()]
-    t_parts = [np.zeros(m)]
-    ray_parts = [live]
+    coords_parts = [cur[first]]
+    t_parts = [np.zeros(np.count_nonzero(first))]
+    ray_parts = [live[first]]
     while m:
         # advance every running ray across its nearest boundary (ties go
         # to the lowest axis), through flat row*3 + axis indices
@@ -117,6 +155,94 @@ def _traverse(origin, ends: np.ndarray, voxel_size: float, extra: float):
             np.concatenate(ray_parts))
 
 
+# change of a packed key per leaf step along each axis
+_LEAF_KEY_STEP = LEAF_SIZE << (KEY_BITS * np.arange(2, -1, -1))
+
+
+def _skip(rays: _Rays, grid: SparseGrid, t_stop: np.ndarray):
+    """Advance each ray with t_stop > 0 to its lockstep state at the
+    earlier of t_stop and its entry into its first allocated leaf.
+
+    Returns (rays, skipped), skipped marking the rays advanced. An
+    advanced state holds exactly the crossings made before that time: a
+    walk over leaves reaches each leaf crossing through the same additions
+    of t_delta the lockstep makes, LEAF_SIZE per leaf, and takes leaves in
+    the lockstep's order (ties go to the lowest axis); then each axis's
+    last window of at most LEAF_SIZE crossings is replayed to count them.
+    Nothing is advanced when the sensor is in an allocated leaf. Raises
+    ValueError, as the lookup of a skipped voxel would, if one lies
+    outside the key range.
+    """
+    skipped = t_stop > 0
+    walk = np.flatnonzero(skipped)
+    if not len(walk):
+        return rays, skipped
+    cur0 = rays.cur[0]
+    key0 = leaf_keys(pack_keys(cur0))
+    if grid.leaf_slots(key0)[0]:
+        return rays, np.zeros_like(skipped)
+    r = rays.take(walk)
+    m = len(walk)
+    # per axis, the index of the ray's first crossing into another leaf
+    low = cur0 & (LEAF_SIZE - 1)
+    first = np.where(r.step > 0, LEAF_SIZE - 1 - low, low)
+    t_next = r.t_max
+    for i in range(LEAF_SIZE - 1):
+        t_next = np.where(first > i, t_next + r.t_delta, t_next)
+
+    # walk leaves. Per ray and axis: t_next, the t of the next leaf
+    # crossing; t_last, that of the last one (of the first crossing before
+    # any); crossed, the leaf crossings made. key is the ray's leaf. A ray
+    # leaves the working arrays at the crossing that reaches t_stop or an
+    # allocated leaf, and t_end, t_from and n_from keep its state there
+    t_last, crossed = r.t_max, np.zeros((m, 3), dtype=np.int64)
+    key = np.repeat(key0, m)
+    t_delta, key_step, stop = r.t_delta, r.step * _LEAF_KEY_STEP, t_stop[walk]
+    at = np.arange(m)
+    t_end, t_from, n_from = np.empty(m), np.empty((m, 3)), np.empty_like(crossed)
+    row_start = np.arange(0, 3 * m, 3)
+    while len(at):
+        axis = t_next.argmin(axis=1)
+        flat = axis + row_start[:len(at)]
+        t = t_next.take(flat)
+        key += key_step.take(flat)
+        done = (t >= stop) | (grid.leaf_slots(key) > 0)
+        if done.any():
+            end = np.flatnonzero(done)
+            t_end[at[end]] = np.minimum(t[end], stop[end])
+            t_from[at[end]] = t_last[end]
+            n_from[at[end]] = crossed[end]
+            go = np.flatnonzero(~done)
+            t_next, t_last, crossed, t_delta, key_step = (
+                a.take(go, axis=0)
+                for a in (t_next, t_last, crossed, t_delta, key_step))
+            key, stop, at, t, axis = (a.take(go)
+                                      for a in (key, stop, at, t, axis))
+            flat = axis + row_start[:len(at)]
+        t_last.put(flat, t)
+        crossed.put(flat, crossed.take(flat) + 1)
+        dt = t_delta.take(flat)
+        for _ in range(LEAF_SIZE):
+            t += dt
+        t_next.put(flat, t)
+
+    # replay each axis from t_from, counting its crossings before t_end;
+    # the first one not before is the axis's t_max
+    k = np.where(n_from > 0, first + LEAF_SIZE * (n_from - 1), 0)
+    t, t_k = t_from, t_from
+    for _ in range(LEAF_SIZE):
+        before = t < t_end[:, None]
+        k = k + before
+        t = t + r.t_delta
+        t_k = np.where(before, t, t_k)
+    cur, t_max, n = rays.cur.copy(), rays.t_max.copy(), rays.n.copy()
+    cur[walk] = cur0 + r.step * k
+    t_max[walk] = t_k
+    n[walk] = k.sum(axis=1)
+    pack_keys(cur[walk])
+    return rays._replace(cur=cur, t_max=t_max, n=n), skipped
+
+
 def generate(origin, coords: np.ndarray, centers: np.ndarray,
              grid: SparseGrid, band_width: int = 3) -> TestPointSet:
     """Ray-carving and endpoint-band test points for one frame: the
@@ -125,7 +251,8 @@ def generate(origin, coords: np.ndarray, centers: np.ndarray,
 
 
 def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
-             grid: SparseGrid, band_width: int = 3) -> TestPointSet:
+             grid: SparseGrid, band_width: int = 3,
+             stats=None) -> TestPointSet:
     """Ray-carving and endpoint-band test points for one frame, a voxel
     possibly more than once (see generate).
 
@@ -135,9 +262,21 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
         grid: fused global grid; read-only here.
         band_width: half-width of the always-emitted endpoint band, in
             voxels, measured along the ray.
+        stats: when given, receives n_ray_steps, the (ray, voxel) steps
+            the lockstep walked, and n_ray_steps_skipped, the steps of the
+            full walk from the sensor it did not.
 
     Every measured voxel appears in the output. Signs are +1 on the
-    sensor side of the endpoint and -1 behind it.
+    sensor side of the endpoint and -1 behind it. Rows come in the order
+    of the full lockstep walk, step by step and, within a step, by ray.
+
+    A voxel entered before range - (band_width + 2) * h lies wholly
+    before the band (see below), and a carving candidate outside every
+    allocated leaf finds no stale surface, so neither row can be emitted.
+    Each ray therefore starts (_skip) at the lockstep state at the
+    earlier of that t and its entry into its first allocated leaf, and
+    the lockstep runs from there. That state is the full walk's own, so
+    the rows from it are the full walk's rows from that step on.
     """
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
@@ -145,11 +284,18 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
         return TestPointSet.empty()
     h = grid.voxel_size
     band = band_width * h
-    vox, t_enter, ray = _traverse(origin, centers, h, extra=(band_width + 2) * h)
+    rays = _start(origin, centers, h, extra=(band_width + 2) * h)
 
     dirs = centers - origin
     rng = np.linalg.norm(dirs, axis=1)
     dirn = dirs / np.maximum(rng, 1e-300)[:, None]
+
+    rays, skipped = _skip(rays, grid, rng[rays.ray] - (band_width + 2) * h)
+    vox, t_enter, ray = _traverse(rays, ~skipped)
+    if stats is not None:
+        stats.n_ray_steps = len(vox)
+        stats.n_ray_steps_skipped = int(rays.n[skipped].sum()
+                                        + np.count_nonzero(skipped))
     r = rng[ray]
 
     # The ray enters a voxel at t_enter on the voxel's boundary, and no
@@ -181,9 +327,15 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
         emit[cand[stale]] = True
 
     keep = np.flatnonzero(emit)
+    out = vox.take(keep, axis=0)
+    if skipped.any():
+        # rays resumed at different steps: restore (step, ray) order, a
+        # voxel's step being its L1 distance from the origin voxel
+        step = np.abs(out - world_to_grid(origin, h)).sum(axis=1)
+        order = np.argsort(step * len(centers) + ray.take(keep))
+        keep, out = keep.take(order), out.take(order, axis=0)
     signs = np.where(behind[keep], -1, 1)
     sources = np.where(in_band[keep], SOURCE_BAND, SOURCE_RAY).astype(np.uint8)
-    out = vox.take(keep, axis=0)
     return TestPointSet(out, grid_to_world(out, h), signs, sources)
 
 

@@ -388,10 +388,13 @@ def test_bench_verb_emits_timings(tmp_path, capsys):
     assert code == 0
     summary = dict(kv.split("=") for kv in captured.err.split())
     assert {"nodes", "invalidated", "trained", "field_bytes",
-            "mesh_bytes"} <= set(summary)
+            "mesh_bytes", "ray_steps", "skipped"} <= set(summary)
     # every node still held was added by some frame's update
     assert int(summary["invalidated"]) >= int(summary["nodes"]) > 0
     assert int(summary["field_bytes"]) > 0 and int(summary["mesh_bytes"]) > 0
+    # the sphere sits well inside the sensor range, so every ray starts
+    # past the empty space in front of it
+    assert int(summary["skipped"]) > 0 and int(summary["ray_steps"]) > 0
     rows = (tmp_path / "bench.csv").read_text().strip().splitlines()
     assert rows[0] == "frame,stage,ms,points,voxels,leaves"
     stages = {ln.split(",")[1] for ln in rows[1:]}

@@ -113,7 +113,15 @@ def test_frame_stats_track_counts_and_stages():
         assert set(st.stage_ms) == set(STAGES)
         assert all(ms >= 0.0 for ms in st.stage_ms.values())
         assert sum(st.stage_ms.values()) <= st.total_ms + 1e-6
+        # the test_points stage's parts, timed inside it
+        assert set(st.substage_ms) == {"ray_rows", "normals", "merge"}
+        assert all(ms >= 0.0 for ms in st.substage_ms.values())
+        assert (sum(st.substage_ms.values())
+                <= st.stage_ms["test_points"] + 1e-6)
+        assert st.n_ray_steps > 0 and st.n_ray_steps_skipped >= 0
     assert pipe.stats[0].n_new_leaves > 0
+    # the first frame meets an empty map, so every ray starts at its band
+    assert pipe.stats[0].n_ray_steps_skipped > pipe.stats[0].n_ray_steps
 
 
 def test_integrate_empty_frame_raises():
@@ -353,10 +361,20 @@ def test_config_checks_types_without_converting_values():
             PipelineConfig.from_mapping(mapping)
 
 
+def test_config_float_fields_take_ints_past_int64():
+    assert PipelineConfig(sigma2=2 ** 70).sigma2 == 2 ** 70
+    for value in (10 ** 400, -10 ** 400):
+        with pytest.raises(ValueError, match="^sigma2 must be finite"):
+            PipelineConfig(sigma2=value)
+
+
 _FLOAT_VALUES = st.one_of(
     st.floats(-1e6, 1e6), st.floats(-1e6, 1e6).map(np.float64),
     st.integers(-1000, 1000), st.just(np.float32(0.5)), st.just(np.int64(2)),
-    st.just(True), st.none())
+    st.just(True), st.none(),
+    # ints past int64, within the float range and beyond it
+    st.sampled_from([2 ** 63, -2 ** 70, 2 ** 70, 2 ** 1023, 2 ** 1024,
+                     10 ** 400, -10 ** 400]))
 _INT_VALUES = st.one_of(st.integers(-3, 2 ** 40), st.just(np.int64(2)),
                         st.just(2.0), st.just(False), st.none())
 

@@ -7,6 +7,7 @@ import pytest
 
 from gpfield.grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
 from gpfield.query_points import (
+    _start,
     _traverse,
     dedup_first,
     estimate_normals,
@@ -21,7 +22,7 @@ def test_traverse_axis_aligned_ray():
     h = 0.5
     origin = np.array([0.25, 0.25, 0.25])
     end = np.array([5.25, 0.25, 0.25])
-    coords = _traverse(origin, [end], h, extra=0.0)[0]
+    coords = _traverse(_start(origin, [end], h, extra=0.0))[0]
     want = [(k, 0, 0) for k in range(11)]
     assert [tuple(int(v) for v in c) for c in coords] == want
 
@@ -35,7 +36,7 @@ def test_traverse_from_a_voxel_boundary_along_an_axis_warns_nothing():
                      [2.25, 1e-310, -1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        coords, t_enter, ray = _traverse(origin, ends, 0.5, 0.0)
+        coords, t_enter, ray = _traverse(_start(origin, ends, 0.5, 0.0))
     assert np.isfinite(t_enter).all()
     assert set(ray.tolist()) == {0, 1, 3}
     for r in (0, 3):
@@ -48,7 +49,7 @@ def test_traverse_steps_one_axis_at_a_time():
     for _ in range(50):
         origin = rng.uniform(-1.0, 1.0, size=3)
         end = origin + rng.uniform(-2.0, 2.0, size=3)
-        coords = _traverse(origin, [end], 0.1, extra=0.0)[0]
+        coords = _traverse(_start(origin, [end], 0.1, extra=0.0))[0]
         steps = np.abs(np.diff(coords, axis=0)).sum(axis=1)
         assert np.all(steps == 1)
         seen = {tuple(int(v) for v in c) for c in coords}
@@ -63,7 +64,7 @@ def test_traverse_matches_fine_sampling_oracle():
         end = origin + rng.uniform(-3.0, 3.0, size=3)
         if np.linalg.norm(end - origin) < 1e-3:
             continue
-        coords = _traverse(origin, [end], h, extra=0.0)[0]
+        coords = _traverse(_start(origin, [end], h, extra=0.0))[0]
         got = {tuple(int(v) for v in c) for c in coords}
         # a 1/20-voxel sampler finds every robustly pierced voxel; the
         # DDA may additionally catch corner clips the sampler stepped over
