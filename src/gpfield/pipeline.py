@@ -67,9 +67,10 @@ class PipelineConfig:
     either alias the quantization or blur the surface. A value of the
     wrong type (None only where Optional, bool nowhere; an int field
     takes an int, a float field an int or a float, so of the numpy
-    scalars only np.float64 passes), a non-finite float, normal_k or
-    query_nodes below 1, or a negative band_width or sign_radius raises
-    ValueError naming it; values are never converted.
+    scalars only np.float64 passes), a non-finite float or an int past
+    the float range in a float field, normal_k or query_nodes below 1,
+    or a negative band_width or sign_radius raises ValueError naming
+    it; values are never converted.
     """
 
     voxel_size: float = 0.05
@@ -209,7 +210,7 @@ class FrameStats:
     n_tp_band: int = 0              # endpoint band
     n_tp_normal: int = 0            # stepped along estimated normals
     n_ray_steps: int = 0            # (ray, voxel) steps the DDA walked
-    n_ray_steps_skipped: int = 0    # steps before each ray's first row
+    n_ray_steps_skipped: int = 0    # steps of the full walk it skipped
     stage_ms: dict = field(default_factory=dict)
     # parts of the test_points stage: ray_rows, normals and merge
     substage_ms: dict = field(default_factory=dict)

@@ -328,12 +328,11 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
 
     keep = np.flatnonzero(emit)
     out = vox.take(keep, axis=0)
-    if skipped.any():
-        # rays resumed at different steps: restore (step, ray) order, a
-        # voxel's step being its L1 distance from the origin voxel
-        step = np.abs(out - world_to_grid(origin, h)).sum(axis=1)
-        order = np.argsort(step * len(centers) + ray.take(keep))
-        keep, out = keep.take(order), out.take(order, axis=0)
+    # rays resumed at different steps: restore (step, ray) order, a
+    # voxel's step being its L1 distance from the origin voxel
+    step = np.abs(out - world_to_grid(origin, h)).sum(axis=1)
+    order = np.argsort(step * len(centers) + ray.take(keep))
+    keep, out = keep.take(order), out.take(order, axis=0)
     signs = np.where(behind[keep], -1, 1)
     sources = np.where(in_band[keep], SOURCE_BAND, SOURCE_RAY).astype(np.uint8)
     return TestPointSet(out, grid_to_world(out, h), signs, sources)

@@ -336,6 +336,25 @@ def test_leaf_mesh_arrays_own_their_memory():
             assert getattr(lm, name).base is None
 
 
+def test_empty_leaf_meshes_share_read_only_arrays():
+    """Targets without a valid cell and targets with valid but uncrossed
+    cells get empty meshes of their own origin over one set of arrays."""
+    grid = plane_leaf_grid(2)
+    flat = grid.get_or_create_leaf((0, 0, 4 * LEAF_SIZE))
+    flat.distance[:] = H
+    flat.value_mask[:] = flat.observed[:] = True
+    origins = [(0, 0, 4 * LEAF_SIZE), (0, 0, 8 * LEAF_SIZE),
+               (LEAF_SIZE, LEAF_SIZE, 0), (-LEAF_SIZE, 0, 0)]
+    meshes = mesh_leaves(grid, origins)
+    empty = [lm for lm in meshes if len(lm.positions) == 0]
+    assert [lm.origin for lm in empty] == [origins[0], origins[1], origins[3]]
+    for name in ("edges", "positions", "props", "triangles"):
+        arrays = [getattr(lm, name) for lm in empty]
+        assert all(a is arrays[0] for a in arrays)
+        assert not arrays[0].flags.writeable
+    assert len(meshes[2].triangles) > 0
+
+
 def test_group_edges_follows_tuple_order_over_the_whole_key_range():
     rng = np.random.default_rng(41)
     coords = rng.integers(-KEY_BIAS, KEY_BIAS, size=(400, 3))
