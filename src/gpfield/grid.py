@@ -43,6 +43,9 @@ _AXIS_MASK = (1 << KEY_BITS) - 1
 # packed axis field maps a voxel key to the key of its leaf origin
 _LEAF_KEY_MASK = sum((_AXIS_MASK & ~(LEAF_SIZE - 1)) << (KEY_BITS * a)
                      for a in range(3))
+# change of a packed key per leaf step along each axis, x y z, while the
+# coordinates stay in the key range
+LEAF_KEY_STEP = LEAF_SIZE << (KEY_BITS * np.arange(2, -1, -1))
 
 
 def pack_keys(coords) -> np.ndarray:

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .grid import (KEY_BITS, LEAF_SIZE, SparseGrid, grid_to_world, group_by,
-                   leaf_keys, pack_keys, world_to_grid)
+from .grid import (LEAF_KEY_STEP, LEAF_SIZE, SparseGrid, grid_to_world,
+                   group_by, leaf_keys, pack_keys, world_to_grid)
 
 SOURCE_RAY = 0
 SOURCE_BAND = 1
@@ -155,10 +155,6 @@ def _traverse(rays: _Rays, first=None):
             np.concatenate(ray_parts))
 
 
-# change of a packed key per leaf step along each axis
-_LEAF_KEY_STEP = LEAF_SIZE << (KEY_BITS * np.arange(2, -1, -1))
-
-
 def _skip(rays: _Rays, grid: SparseGrid, t_stop: np.ndarray):
     """Advance each ray with t_stop > 0 to its lockstep state at the
     earlier of t_stop and its entry into its first allocated leaf.
@@ -197,7 +193,7 @@ def _skip(rays: _Rays, grid: SparseGrid, t_stop: np.ndarray):
     # allocated leaf, and t_end, t_from and n_from keep its state there
     t_last, crossed = r.t_max, np.zeros((m, 3), dtype=np.int64)
     key = np.repeat(key0, m)
-    t_delta, key_step, stop = r.t_delta, r.step * _LEAF_KEY_STEP, t_stop[walk]
+    t_delta, key_step, stop = r.t_delta, r.step * LEAF_KEY_STEP, t_stop[walk]
     at = np.arange(m)
     t_end, t_from, n_from = np.empty(m), np.empty((m, 3)), np.empty_like(crossed)
     row_start = np.arange(0, 3 * m, 3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gpfield.grid import (
     KEY_BIAS,
+    LEAF_KEY_STEP,
     LEAF_SIZE,
     LEAF_ARRAYS,
     LEAF_VOXELS,
@@ -199,6 +200,12 @@ def test_packed_key_order_equals_tuple_order(coords):
     assert found.all()
     last = {c: float(i) for i, c in enumerate(coords)}
     assert dist.tolist() == [last[c] for c in coords]
+    # one leaf step along an axis changes a leaf key by LEAF_KEY_STEP
+    origins = origins[(origins < KEY_BIAS - LEAF_SIZE).all(axis=1)]
+    for axis in range(3):
+        moved = origins + LEAF_SIZE * (np.arange(3) == axis)
+        np.testing.assert_array_equal(pack_keys(moved) - pack_keys(origins),
+                                      LEAF_KEY_STEP[axis])
 
 
 @settings(max_examples=200, deadline=None)
