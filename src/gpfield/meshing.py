@@ -8,9 +8,10 @@ leaves open boundaries at the observation frontier instead of inventing
 geometry. A vertex is identified by its grid edge (ix, iy, iz, axis):
 any cell sharing the edge computes the same position bit for bit, so
 meshes of adjacent leaves merge exactly through ``group_edges``, and the
-per-leaf meshes are the only mesh state a caller needs to keep. The
-zero crossings of any leaf are recomputed from them with
-``crossings_by_leaf``.
+per-leaf meshes are the only mesh state to keep. ``SurfaceMesh`` keeps
+them: after a frame it remeshes the active leaves and their lower
+neighbours, and recomputes the zero crossings of every leaf a changed
+mesh puts a vertex in, with ``crossings_by_leaf``.
 
 A frame's touched leaves are meshed in one batched pass,
 ``mesh_leaves``, whose cost follows the observed cells. One
@@ -21,11 +22,11 @@ neighbour's. The valid cells, those with all eight corners observed,
 are found first from the observed blocks alone, so a leaf without one
 gets an empty mesh without its distances being read. The leaves with a
 valid cell are packed into chunks, and per chunk the case lookup, the
-crossed edges, the vertices and the triangles run over the cells of
-all of them at once (Lorensen & Cline's tables are pure lookups, so
-they batch across leaves). Vertex properties come from one more fancy
-index through the same slots. Each leaf gets the same mesh, bit for
-bit, as meshing it alone.
+crossed edges (those whose corners differ in sign), the vertices and
+the triangles run over the cells of all of them at once (Lorensen &
+Cline's tables are pure lookups, so they batch across leaves). Vertex
+properties come from one more fancy index through the same slots. Each
+leaf gets the same mesh, bit for bit, as meshing it alone.
 """
 
 from __future__ import annotations
@@ -40,12 +41,13 @@ import numpy as np
 from .grid import (KEY_BIAS, LEAF_LOG2, LEAF_SIZE, LEAF_VOXELS, Groups,
                    SparseGrid, group_by, leaf_keys, leaf_origin_of,
                    local_flat_index, pack_keys, world_to_grid)
-from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
-_EDGE_TABLE = np.asarray(EDGE_TABLE, dtype=np.int64)
-# per case: whether the cell is crossed, and which of its 12 edges are
-_CROSSED = _EDGE_TABLE != 0
-_CASE_EDGES = ((_EDGE_TABLE[:, None] >> np.arange(12)) & 1).astype(bool)
+# per case (bit i set when corner i is negative): which of its 12 edges
+# are crossed, those whose two corners differ in sign, and whether any is
+_END_NEGATIVE = (np.arange(256)[:, None, None] >> np.array(EDGE_CORNERS)) & 1
+_CASE_EDGES = _END_NEGATIVE[..., 0] != _END_NEGATIVE[..., 1]
+_CROSSED = _CASE_EDGES.any(axis=1)
 # edge indices of up to five triangles per case, -1 for unused slots
 _TRI_TABLE = np.asarray(TRI_TABLE, dtype=np.int64)[:, :15].reshape(-1, 5, 3)
 _CASE_TRIS = _TRI_TABLE[:, :, 0] >= 0
@@ -389,3 +391,86 @@ def crossings_by_leaf(positions: np.ndarray, props: np.ndarray,
     origins = leaf_origin_of(coords[voxels.first[leaves.first]]).tolist()
     return {tuple(o): (pos[rows], pr[rows])
             for o, rows in zip(origins, leaves.rows())}
+
+
+# a leaf and its 7 lower neighbours: the leaves whose cells read its voxels
+_LOWER_NEIGHBOURS = -UPPER_NEIGHBOURS
+
+
+def _with_lower_neighbours(origins):
+    """The given leaf origins and their lower neighbours inside the key
+    range: (U, 3) unique origins in ascending order, and their keys."""
+    o = (np.asarray(origins, dtype=np.int64).reshape(-1, 1, 3)
+         + _LOWER_NEIGHBOURS).reshape(-1, 3)
+    o = o[(o >= -KEY_BIAS).all(axis=1)]
+    groups = group_by(pack_keys(o))
+    return o[groups.first], groups.keys
+
+
+class SurfaceMesh:
+    """The surface of a grid: one cached LeafMesh per leaf with a surface,
+    kept current by remesh, and the zero crossings it hands on."""
+
+    def __init__(self, grid: SparseGrid):
+        self.grid = grid
+        # leaf origin -> LeafMesh of its cells, for leaves with a surface;
+        # the only mesh and crossing state
+        self.meshes: dict = {}
+
+    def remesh(self, stats=None) -> dict:
+        """Re-mesh the grid's active leaves and the lower neighbours that
+        read their voxels, and return the training replacements for the
+        global field: {leaf origin: (positions, properties) or None}.
+
+        All targets are meshed in one mesh_leaves call. Every leaf owning
+        a vertex of an old or a new leaf mesh gets its zero crossings
+        recomputed from the cached meshes that can put a vertex in it:
+        its own and its lower neighbours'. stats, when given, receives
+        the meshing counters n_leaves_meshed, n_leaves_surfaced and
+        n_mesh_vertices.
+        """
+        grid = self.grid
+        h = grid.voxel_size
+        origins, keys = _with_lower_neighbours(
+            grid.pool["origin"][grid.active_slots()])
+        targets = list(map(tuple, origins[grid.leaf_slots(keys) > 0].tolist()))
+        meshes = mesh_leaves(grid, targets)
+        if stats is not None:
+            stats.n_leaves_meshed = len(targets)
+            stats.n_leaves_surfaced = sum(len(lm.triangles) > 0
+                                          for lm in meshes)
+            stats.n_mesh_vertices = sum(len(lm.positions) for lm in meshes)
+        touched = []
+        for origin, lm in zip(targets, meshes):
+            old = self.meshes.pop(origin, None)
+            if len(lm.triangles):
+                self.meshes[origin] = lm
+            touched += [m.positions for m in (old, lm) if m is not None]
+        if not touched:
+            return {}
+        coords = leaf_origin_of(world_to_grid(np.concatenate(touched), h))
+        owners = group_by(pack_keys(coords))
+        changed = list(map(tuple, coords[owners.first].tolist()))
+        reach = map(tuple, _with_lower_neighbours(changed)[0].tolist())
+        sources = [self.meshes[o] for o in reach if o in self.meshes]
+        crossings = {}
+        if sources:
+            edges, pos, props = stack_vertices(sources)
+            own = np.isin(leaf_keys(pack_keys(world_to_grid(pos, h))),
+                          owners.keys)
+            # one vertex per edge, in edge order, as crossings_by_leaf
+            # sums each voxel's vertices in input order
+            first = np.flatnonzero(own)[group_edges(edges[own]).first]
+            crossings = crossings_by_leaf(pos[first], props[first], h)
+        return {o: crossings.get(o) for o in changed}
+
+    def export(self) -> TriangleMesh:
+        """The cached meshes combined in ascending origin order."""
+        return combine([self.meshes[k] for k in sorted(self.meshes)],
+                       self.grid.voxel_size, self.grid.prop_channels)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the cached leaf meshes' arrays, summed on each call."""
+        return sum(lm.edges.nbytes + lm.positions.nbytes + lm.props.nbytes
+                   + lm.triangles.nbytes for lm in self.meshes.values())

@@ -25,14 +25,11 @@ from scipy.spatial import cKDTree
 from . import gp, local_field, query_points
 from .fusion import FusionConfig, fuse_frame
 from .global_field import GlobalField
-from .grid import (KEY_BIAS, LEAF_VOXELS, SparseGrid, group_by,
-                   leaf_keys, leaf_origin_of, pack_keys, world_to_grid)
+from .grid import LEAF_VOXELS, SparseGrid, leaf_keys, pack_keys
 from .local_field import EmptyFrame, Frame, voxelize
-from .meshing import (UPPER_NEIGHBOURS, TriangleMesh, combine,
-                      crossings_by_leaf, group_edges, mesh_leaves,
-                      stack_vertices)
+from .meshing import SurfaceMesh, TriangleMesh
 # the one-leaf entry point stays reachable here: perfbench/tracing.py wraps
-# it by this module path, although the pipeline meshes through mesh_leaves
+# it by this module path, although the pipeline meshes through SurfaceMesh
 from .meshing import mesh_leaf  # noqa: F401
 from . import ply
 from .scene import lattice_points
@@ -221,20 +218,6 @@ class FrameStats:
     n_jitter_escalations: int = 0   # Cholesky jitter raises of local models
 
 
-# a leaf and its 7 lower neighbours: the leaves whose cells read its voxels
-_LOWER_NEIGHBOURS = -UPPER_NEIGHBOURS
-
-
-def _with_lower_neighbours(origins):
-    """The given leaf origins and their lower neighbours inside the key
-    range: (U, 3) unique origins in ascending order, and their keys."""
-    o = (np.asarray(origins, dtype=np.int64).reshape(-1, 1, 3)
-         + _LOWER_NEIGHBOURS).reshape(-1, 3)
-    o = o[(o >= -KEY_BIAS).all(axis=1)]
-    groups = group_by(pack_keys(o))
-    return o[groups.first], groups.keys
-
-
 # leaf arrays a snapshot stores as float32, after the bit-packed masks
 _LEAF_ARRAYS = ("distance", "dist_weight", "prop_weight", "prop")
 
@@ -281,14 +264,23 @@ class Pipeline:
                                  prop_clip=c.prop_clip)
         self.frame_index = 0
         self.stats: list[FrameStats] = []
-        # leaf origin -> LeafMesh of its cells, for leaves with a surface;
-        # the only mesh and crossing state, kept current by _remesh_active
-        self._leaf_meshes: dict = {}
+        self.surface = SurfaceMesh(self.grid)
 
     # -- integration ---------------------------------------------------------
 
     def integrate_frame(self, frame: Frame) -> FrameStats:
+        """Integrate one frame into the map and return its stats.
+
+        A frame whose property channels are neither none nor the map's
+        raises ValueError before anything is written; a map without
+        properties ignores a frame's.
+        """
         c = self.config
+        width = 0 if frame.properties is None else frame.properties.shape[1]
+        if c.prop_channels and width not in (0, c.prop_channels):
+            raise ValueError(
+                f"frame has {width} property channels where a prop_kind "
+                f"{c.prop_kind!r} map takes {c.prop_channels}")
         stats = FrameStats(frame=self.frame_index, timestamp=frame.timestamp,
                            n_points=len(frame.points))
         t_all = time.perf_counter()
@@ -340,7 +332,7 @@ class Pipeline:
         stats.stage_ms["fusion"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        changed = self._remesh_active(stats)
+        changed = self.surface.remesh(stats)
         stats.n_nodes_replaced = len(changed)
         stats.stage_ms["meshing"] = (time.perf_counter() - t0) * 1e3
 
@@ -356,67 +348,14 @@ class Pipeline:
         self.frame_index += 1
         return stats
 
-    def _remesh_targets(self) -> list:
-        active = self.grid.pool["origin"][self.grid.active_slots()]
-        origins, keys = _with_lower_neighbours(active)
-        allocated = self.grid.leaf_slots(keys) > 0
-        return list(map(tuple, origins[allocated].tolist()))
-
-    def _remesh_active(self, stats: Optional[FrameStats] = None) -> dict:
-        """Re-mesh touched leaves and return the training replacements for
-        the global field.
-
-        All targets are meshed in one mesh_leaves call. Every leaf owning
-        a vertex of an old or a new leaf mesh gets its zero crossings
-        recomputed from the cached meshes that can put a vertex in it:
-        its own and its lower neighbours'. stats, when given, receives
-        the meshing counters.
-        """
-        h = self.config.voxel_size
-        targets = self._remesh_targets()
-        meshes = mesh_leaves(self.grid, targets)
-        if stats is not None:
-            stats.n_leaves_meshed = len(targets)
-            stats.n_leaves_surfaced = sum(len(lm.triangles) > 0
-                                          for lm in meshes)
-            stats.n_mesh_vertices = sum(len(lm.positions) for lm in meshes)
-        touched = []
-        for origin, lm in zip(targets, meshes):
-            old = self._leaf_meshes.pop(origin, None)
-            if len(lm.triangles):
-                self._leaf_meshes[origin] = lm
-            touched += [m.positions for m in (old, lm) if m is not None]
-        if not touched:
-            return {}
-        coords = leaf_origin_of(world_to_grid(np.concatenate(touched), h))
-        owners = group_by(pack_keys(coords))
-        changed = list(map(tuple, coords[owners.first].tolist()))
-        reach = map(tuple, _with_lower_neighbours(changed)[0].tolist())
-        sources = [self._leaf_meshes[o] for o in reach
-                   if o in self._leaf_meshes]
-        crossings = {}
-        if sources:
-            edges, pos, props = stack_vertices(sources)
-            own = np.isin(leaf_keys(pack_keys(world_to_grid(pos, h))),
-                          owners.keys)
-            # one vertex per edge, in edge order, as crossings_by_leaf
-            # sums each voxel's vertices in input order
-            first = np.flatnonzero(own)[group_edges(edges[own]).first]
-            crossings = crossings_by_leaf(pos[first], props[first], h)
-        return {o: crossings.get(o) for o in changed}
-
     # -- outputs ---------------------------------------------------------------
 
     @property
     def mesh_bytes(self) -> int:
-        """Bytes of the cached leaf meshes' arrays, summed on each call."""
-        return sum(lm.edges.nbytes + lm.positions.nbytes + lm.props.nbytes
-                   + lm.triangles.nbytes for lm in self._leaf_meshes.values())
+        return self.surface.nbytes
 
     def export_mesh(self) -> TriangleMesh:
-        metas = [self._leaf_meshes[k] for k in sorted(self._leaf_meshes)]
-        return combine(metas, self.config.voxel_size,
-                       self.config.prop_channels)
+        return self.surface.export()
 
     def write_mesh(self, path) -> TriangleMesh:
         mesh = self.export_mesh()
@@ -491,7 +430,7 @@ class Pipeline:
         pipe.frame_index = frame_index
         # rebuild the leaf meshes and the global field from the grid
         grid.activate(slots[grid.pool["observed"][slots].any(axis=1)])
-        changed = pipe._remesh_active()
+        changed = pipe.surface.remesh()
         pipe.field.update(changed)
         grid.clear_active()
         return pipe

@@ -103,7 +103,10 @@ def read_ply(path):
 
     Returns a dict with "vertices" (V, 3) float32, "faces" (T, 3) int32
     (empty if absent), and "properties" (V, P) float64 holding RGB
-    scaled to [0, 1] or intensity when present (None otherwise).
+    scaled to [0, 1] or intensity when present (None otherwise). A
+    malformed header, an unknown property type, a vertex element
+    without x, y and z, or data that ends inside an element raises
+    IoFailure naming the file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -119,17 +122,37 @@ def read_ply(path):
         tok = line.split()
         if not tok or tok[0] == "comment":
             continue
-        if tok[0] == "format":
+        is_list = tok[1:2] == ["list"]
+        if tok[0] == "format" and len(tok) == 3:
             fmt = tok[1]
-        elif tok[0] == "element":
+        elif tok[0] == "element" and len(tok) == 3 and tok[2].isdigit():
             elements.append((tok[1], int(tok[2]), []))
-        elif tok[0] == "property":
-            if tok[1] == "list":
+        elif (tok[0] == "property" and elements
+              and len(tok) == (5 if is_list else 3)):
+            types = tok[2:4] if is_list else tok[1:2]
+            if not set(types) <= _PROP_TYPES.keys():
+                raise IoFailure(f"{path}: unknown PLY property type in "
+                                f"{line!r}")
+            if is_list:
                 elements[-1][2].append((tok[4], tok[3], True, tok[2]))
             else:
                 elements[-1][2].append((tok[2], tok[1], False, None))
+        elif tok[0] in ("format", "element", "property"):
+            raise IoFailure(f"{path}: bad PLY header line {line!r}")
     if fmt == "binary_big_endian":
         raise IoFailure(f"{path}: big-endian PLY not supported")
+    if fmt not in ("ascii", "binary_little_endian"):
+        raise IoFailure(f"{path}: unknown PLY format {fmt!r}")
+    for name, _, props in elements:
+        if len(props) > 1 and any(p[2] for p in props):
+            raise IoFailure(f"{path}: PLY element {name} mixes a list "
+                            "with other properties")
+        if name == "vertex" and not {"x", "y", "z"} <= {p[0] for p in props}:
+            raise IoFailure(f"{path}: PLY vertex element lacks x, y or z")
+
+    def ensure(ok: bool, name: str) -> None:
+        if not ok:
+            raise IoFailure(f"{path}: PLY data ends inside element {name}")
 
     out = {"vertices": np.zeros((0, 3), dtype=np.float32),
            "faces": np.zeros((0, 3), dtype=np.int32),
@@ -141,7 +164,9 @@ def read_ply(path):
             if any(p[2] for p in props):        # list property (faces)
                 faces = []
                 for _ in range(count):
+                    ensure(pos < len(rows), name)
                     n = int(rows[pos]); pos += 1
+                    ensure(0 <= n <= len(rows) - pos, name)
                     idx = [int(rows[pos + i]) for i in range(n)]
                     pos += n
                     for i in range(1, n - 1):
@@ -149,6 +174,7 @@ def read_ply(path):
                 if name == "face":
                     out["faces"] = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
             else:
+                ensure(count * len(props) <= len(rows) - pos, name)
                 vals = np.asarray(rows[pos:pos + count * len(props)],
                                   dtype=np.float64).reshape(count, len(props))
                 pos += count * len(props)
@@ -164,9 +190,11 @@ def read_ply(path):
             item_t, item_s = _PROP_TYPES[props[0][1]]
             csize = _PROP_TYPES[props[0][3]][1]
             for _ in range(count):
+                ensure(offset + csize <= len(body), name)
                 n = int(np.frombuffer(body, dtype=count_t, count=1,
                                       offset=offset)[0])
                 offset += csize
+                ensure(0 <= n and offset + n * item_s <= len(body), name)
                 idx = np.frombuffer(body, dtype=item_t, count=n, offset=offset)
                 offset += n * item_s
                 for i in range(1, n - 1):
@@ -175,6 +203,7 @@ def read_ply(path):
                 out["faces"] = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
         else:
             dt = np.dtype([(p[0], _PROP_TYPES[p[1]][0]) for p in props])
+            ensure(offset + dt.itemsize * count <= len(body), name)
             rec = np.frombuffer(body, dtype=dt, count=count, offset=offset)
             offset += dt.itemsize * count
             if name == "vertex":

@@ -305,7 +305,23 @@ def surface_samples(scene: SyntheticScene, bounds, resolution: float,
 #   plane NX NY NZ OFFSET [prop V...] [active T0 T1]
 # Blank lines and '#' comments are ignored.
 
+def _numbers(ln: int, name: str, tokens: list, count=None) -> list:
+    """tokens as floats, count of them when given; otherwise ValueError
+    naming line ln."""
+    try:
+        if count is None or len(tokens) == count:
+            return [float(t) for t in tokens]
+    except ValueError:
+        pass
+    n = "" if count is None else f"{count} "
+    raise ValueError(f"line {ln}: {name} takes {n}numbers, "
+                     f"got {' '.join(tokens)!r}")
+
+
 def parse_scene(text: str, prop_channels: int = 0) -> SyntheticScene:
+    """Scene from description text; a malformed line raises ValueError
+    naming it."""
+    counts = {"sphere": 4, "box": 6, "plane": 4}
     prims = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -313,29 +329,21 @@ def parse_scene(text: str, prop_channels: int = 0) -> SyntheticScene:
             continue
         tok = line.split()
         kind = tok[0].lower()
-        counts = {"sphere": 4, "box": 6, "plane": 4}
         if kind not in counts:
             raise ValueError(f"line {ln}: unknown primitive {kind!r}")
-        nums = counts[kind]
-        vals = [float(v) for v in tok[1:1 + nums]]
-        rest = tok[1 + nums:]
-        prop = np.zeros(0)
-        active = (-np.inf, np.inf)
-        i = 0
-        while i < len(rest):
-            if rest[i] == "prop":
-                j = i + 1
-                acc = []
-                while j < len(rest) and rest[j] != "active":
-                    acc.append(float(rest[j]))
-                    j += 1
-                prop = np.asarray(acc)
-                i = j
-            elif rest[i] == "active":
-                active = (float(rest[i + 1]), float(rest[i + 2]))
-                i += 3
+        # the tokens after the kind, and after each prop or active keyword
+        key = kind
+        parts = {key: []}
+        for t in tok[1:]:
+            if t in ("prop", "active"):
+                key = t
+                parts[key] = []
             else:
-                raise ValueError(f"line {ln}: unexpected token {rest[i]!r}")
+                parts[key].append(t)
+        vals = _numbers(ln, kind, parts[kind], counts[kind])
+        prop = np.asarray(_numbers(ln, "prop", parts.get("prop", [])))
+        active = (tuple(_numbers(ln, "active", parts["active"], 2))
+                  if "active" in parts else (-np.inf, np.inf))
         if kind == "sphere":
             prim = Primitive("sphere", center=vals[:3], radius=vals[3],
                              prop=prop, active=active)

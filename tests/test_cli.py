@@ -1,20 +1,25 @@
 """Command line verbs, exit codes, and output formats."""
 
+import contextlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gpfield import pipeline
 from gpfield.cli import main
 from gpfield.pipeline import Pipeline
-from gpfield.ply import read_ply
+from gpfield.ply import read_ply, write_mesh
 
 SPHERE_SCENE = "sphere 0 0 0 1\n"
 
@@ -442,3 +447,97 @@ def test_console_script_roundtrip(tmp_path):
         capture_output=True, text=True, env=CHILD_ENV)
     assert bad.returncode == 1
     assert bad.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sphere 0 0 0\n", "line 1: sphere takes 4 numbers, got '0 0 0'"),
+    ("sphere 0 0 0 1 active 1\n", "line 1: active takes 2 numbers, got '1'"),
+    ("plane 0 0 1 -1\nbox 0 0 0 1 1\n",
+     "line 2: box takes 6 numbers, got '0 0 0 1 1'")])
+def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
+                                                message):
+    scene = tmp_path / "s.scene"
+    scene.write_text(text)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), *RUN_ARGS]
+    assert error_lines(capsys, argv) == (1, [f"error: {message}"])
+
+
+# valid inputs of each kind that `gpfield run` reads, for the damage test
+FUZZ_SCENE = b"sphere 0 0 0 1 active 0 9\nbox 0 0 -1.2 2 2 0.1 prop 0.5\n"
+FUZZ_POINTS = np.stack(np.meshgrid(np.linspace(-0.4, 0.4, 6),
+                                   np.linspace(-0.4, 0.4, 6), [1.0],
+                                   indexing="ij"), axis=-1).reshape(-1, 3)
+FUZZ_RGB = np.linspace(0.0, 1.0, FUZZ_POINTS.size).reshape(-1, 3)
+
+
+def fuzz_ascii_ply() -> bytes:
+    header = ["ply", "format ascii 1.0", f"element vertex {len(FUZZ_POINTS)}",
+              "property float x", "property float y", "property float z",
+              "property uchar red", "property uchar green",
+              "property uchar blue", "end_header"]
+    rows = [" ".join(["%g" % x for x in p] + [str(int(c * 255)) for c in q])
+            for p, q in zip(FUZZ_POINTS, FUZZ_RGB)]
+    return "\n".join(header + rows + [""]).encode("ascii")
+
+
+def fuzz_binary_ply() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "frame.ply"
+        write_mesh(path, FUZZ_POINTS, np.zeros((0, 3), dtype=np.int64),
+                   FUZZ_RGB, "rgb")
+        return path.read_bytes()
+
+
+FUZZ_INPUTS = {"scene": FUZZ_SCENE, "ascii_ply": fuzz_ascii_ply(),
+               "binary_ply": fuzz_binary_ply()}
+
+
+@st.composite
+def damaged(draw, data: bytes) -> bytes:
+    """data cut short, or with one byte replaced."""
+    i = draw(st.integers(0, len(data) - 1))
+    if draw(st.booleans()):
+        return data[:i]
+    return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:]
+
+
+def run_on(kind: str, data: bytes):
+    """Exit status and stderr lines of `gpfield run` on data as a scene
+    file or as the one PLY frame of a recorded sequence."""
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        if kind == "scene":
+            (d / "s.scene").write_bytes(data)
+            source = ["--scene", str(d / "s.scene"), "--frames", "2",
+                      "--sensor", "pinhole", "--width", "16",
+                      "--height", "12", "--focal", "15"]
+        else:
+            (d / "frames").mkdir()
+            (d / "frames" / "0.ply").write_bytes(data)
+            (d / "poses.txt").write_text("0 0 0 0 0 0 0 1\n")
+            source = ["--frames-dir", str(d / "frames"), "--trajectory",
+                      str(d / "poses.txt"), "--set", "prop_kind=rgb"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", *source, "--snapshot", str(d / "m.snap"),
+                         "--quiet"])
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_INPUTS))
+def test_valid_fuzz_inputs_run(kind):
+    assert run_on(kind, FUZZ_INPUTS[kind]) == (0, [])
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_INPUTS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_damaged_input_runs_or_is_one_error_line(kind, data):
+    """A cut or corrupted input file never escapes the CLI as a
+    traceback: the run succeeds or exits 1 with one error line."""
+    code, lines = run_on(kind, data.draw(damaged(FUZZ_INPUTS[kind])))
+    errors = [ln for ln in lines if ln.startswith("error:")]
+    assert code == 0 and errors == [] or code == 1 and len(errors) == 1

@@ -1,5 +1,6 @@
 """Surface extraction and PLY round trips."""
 
+import re
 import tracemalloc
 from unittest import mock
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpfield import meshing, pipeline
+from gpfield import meshing
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           VoxelState, _local_index, grid_to_world,
                           world_to_grid)
-from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from gpfield.meshing import (
     TriangleMesh,
     crossings_by_leaf,
@@ -82,8 +83,8 @@ def reference_mesh_leaf(grid, origin):
                 case = sum(1 << i for i, c in enumerate(corners) if dist[c] < 0)
                 keys = [None] * 12
                 for e, (a, b) in enumerate(EDGE_CORNERS):
-                    if not (EDGE_TABLE[case] >> e) & 1:
-                        continue
+                    if (dist[corners[a]] < 0) == (dist[corners[b]] < 0):
+                        continue        # corners of one sign: not crossed
                     lo = min(corners[a], corners[b])
                     hi = max(corners[a], corners[b])
                     axis = [i for i in range(3) if lo[i] != hi[i]][0]
@@ -125,6 +126,15 @@ def test_mesh_leaf_matches_cell_loop_reference():
             assert_leaf_mesh_equals(mesh_leaf(grid, leaf.origin), want)
             n_leaves += len(want[3]) > 0
     assert n_leaves > 50
+
+
+def test_crossed_edges_are_the_edges_the_triangles_use():
+    """The corner-sign rule gives, for every case, exactly the edges
+    TRI_TABLE's triangles use, and a crossing in cases 1 to 254 only."""
+    for case, row in enumerate(TRI_TABLE):
+        used = {e for e in row if e >= 0}
+        assert set(np.flatnonzero(meshing._CASE_EDGES[case])) == used
+    assert meshing._CROSSED.tolist() == [0 < case < 255 for case in range(256)]
 
 
 def assert_leaf_mesh_equals(got, want):
@@ -259,7 +269,7 @@ def test_mesh_leaves_matches_dense_oracle_on_pipeline_targets(run, tmp_path,
     """Every remesh target of every frame and of the snapshot load gets
     the dense oracle's mesh, bit for bit."""
     config, frames = run()
-    real = pipeline.mesh_leaves
+    real = meshing.mesh_leaves
     calls = []
 
     def spy(grid, origins):
@@ -273,7 +283,7 @@ def test_mesh_leaves_matches_dense_oracle_on_pipeline_targets(run, tmp_path,
         calls.append((len(origins), sum(len(w.triangles) > 0 for w in want)))
         return got
 
-    monkeypatch.setattr(pipeline, "mesh_leaves", spy)
+    monkeypatch.setattr(meshing, "mesh_leaves", spy)
     pipe = Pipeline(config)
     for frame in frames:
         pipe.integrate_frame(frame)
@@ -624,4 +634,51 @@ def test_read_ply_rejects_non_ply(tmp_path):
     path = tmp_path / "junk.ply"
     path.write_bytes(b"OFF\n0 0 0\n")
     with pytest.raises(IoFailure):
+        read_ply(path)
+
+
+def test_ascii_ply_reads_as_the_binary_file_it_spells_out(tmp_path):
+    rng = np.random.default_rng(6)
+    verts = rng.uniform(-1, 1, size=(12, 3)).astype(np.float32)
+    faces = rng.integers(0, 12, size=(5, 3))
+    binary = tmp_path / "binary.ply"
+    write_mesh(binary, verts, faces, properties=rng.uniform(size=(12, 3)),
+               prop_kind="rgb")
+    want = read_ply(binary)
+    rgb = np.rint(want["properties"] * 255).astype(int)
+    lines = ["ply", "format ascii 1.0", "element vertex 12",
+             "property float x", "property float y", "property float z",
+             "property uchar red", "property uchar green",
+             "property uchar blue", "element face 5",
+             "property list uchar int vertex_indices", "end_header"]
+    lines += [" ".join(["%.9g" % x for x in v] + [str(c) for c in p])
+              for v, p in zip(verts, rgb)]
+    lines += ["3 " + " ".join(map(str, f)) for f in faces]
+    ascii_path = tmp_path / "ascii.ply"
+    ascii_path.write_text("\n".join(lines) + "\n")
+    got = read_ply(ascii_path)
+    for name in ("vertices", "faces", "properties"):
+        np.testing.assert_array_equal(got[name], want[name])
+
+
+VERTEX_HEADER = ("ply\nformat {fmt} 1.0\nelement vertex 2\nproperty float x\n"
+                 "property float y\nproperty float z\n")
+
+
+@pytest.mark.parametrize("fmt, header, body", [
+    ("ascii", "ply\nformat ascii 1.0\nelement vertex\n", ""),
+    ("ascii", "ply\nformat ascii 1.0\nproperty float x\n", ""),
+    ("ascii", VERTEX_HEADER + "element face 1\n"
+     "property list uchar int vertex_indices\n", "0 0 0\n1 1 1\n3 0 1\n"),
+    ("ascii", VERTEX_HEADER, "0 0 0\n1 1\n"),
+    ("binary_little_endian",
+     "ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+     "property float16 x\n", "\0\0"),
+    ("binary_little_endian", "ply\nformat binary_little_endiam 1.0\n", "")])
+def test_malformed_ply_raises_io_failure_naming_the_file(tmp_path, fmt,
+                                                         header, body):
+    path = tmp_path / "bad.ply"
+    path.write_bytes((header.format(fmt=fmt) + "end_header\n"
+                      + body).encode("latin-1"))
+    with pytest.raises(IoFailure, match=re.escape(str(path))):
         read_ply(path)

@@ -292,6 +292,25 @@ def test_config_prop_kind_gates_channels():
         PipelineConfig(prop_kind="bgr")
 
 
+@pytest.mark.parametrize("prop_kind, width", [("rgb", 1), ("rgb", 4),
+                                               ("intensity", 3)])
+def test_frame_of_another_property_width_is_refused_before_any_write(
+        prop_kind, width):
+    pipe = Pipeline(PipelineConfig(prop_kind=prop_kind))
+    first, frame = wall_frames(2)
+    first.properties = np.full((len(first.points), pipe.config.prop_channels),
+                               0.25)
+    pipe.integrate_frame(first)
+    state = (pipe.grid.clock, pipe.grid.n_leaves, pipe.frame_index)
+    frame.properties = np.full((len(frame.points), width), 0.25)
+    message = (f"frame has {width} property channels where a prop_kind "
+               f"'{prop_kind}' map takes {pipe.config.prop_channels}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipe.integrate_frame(frame)
+    assert (pipe.grid.clock, pipe.grid.n_leaves, pipe.frame_index) == state
+    assert len(pipe.stats) == 1
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "map.cfg"
     path.write_text(
@@ -437,14 +456,14 @@ def test_write_stats_csv_layout(tmp_path):
 
 def assert_cached_meshes_own_their_memory(pipe):
     """No cached leaf mesh is a view that keeps a larger buffer alive."""
-    for lm in pipe._leaf_meshes.values():
+    for lm in pipe.surface.meshes.values():
         for name in ("edges", "positions", "props", "triangles"):
             assert getattr(lm, name).base is None
 
 
 def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
     calls = []
-    batched = pipeline.mesh_leaves
+    batched = meshing.mesh_leaves
 
     def spy_mesh_leaves(grid, origins):
         out = batched(grid, origins)
@@ -453,7 +472,7 @@ def test_frame_stats_count_meshing_and_keep_the_csv_layout(monkeypatch):
                       sum(len(lm.triangles) > 0 for lm in out)))
         return out
 
-    monkeypatch.setattr(pipeline, "mesh_leaves", spy_mesh_leaves)
+    monkeypatch.setattr(meshing, "mesh_leaves", spy_mesh_leaves)
     pipe = Pipeline(PipelineConfig())
     update = pipe.field.update
     monkeypatch.setattr(pipe.field, "update", lambda changed: (
@@ -504,7 +523,7 @@ def test_frame_stats_count_invalidated_nodes(monkeypatch):
 
 def test_mesh_bytes_sums_cached_leaf_meshes():
     pipe = run_pipeline(2)
-    meshes = pipe._leaf_meshes.values()
+    meshes = pipe.surface.meshes.values()
     assert pipe.mesh_bytes == sum(
         lm.edges.nbytes + lm.positions.nbytes + lm.props.nbytes
         + lm.triangles.nbytes for lm in meshes) > 0
@@ -554,7 +573,7 @@ def test_snapshot_round_trip_across_meshing_chunks(tmp_path):
                                           look_at(eye, [0.0, 0.0, -0.3])))
     # loading meshes every leaf in one call: more than one chunk of them,
     # with surface in more than one chunk
-    assert len(pipe._leaf_meshes) > meshing._CHUNK
+    assert len(pipe.surface.meshes) > meshing._CHUNK
     path = tmp_path / "map.snap"
     pipe.save_snapshot(path)
     back = Pipeline.load_snapshot(path)
