@@ -661,24 +661,25 @@ def test_ascii_ply_reads_as_the_binary_file_it_spells_out(tmp_path):
         np.testing.assert_array_equal(got[name], want[name])
 
 
-VERTEX_HEADER = ("ply\nformat {fmt} 1.0\nelement vertex 2\nproperty float x\n"
-                 "property float y\nproperty float z\n")
+ASCII_VERTICES = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                  "property float y\nproperty float z\n")
 
 
-@pytest.mark.parametrize("fmt, header, body", [
-    ("ascii", "ply\nformat ascii 1.0\nelement vertex\n", ""),
-    ("ascii", "ply\nformat ascii 1.0\nproperty float x\n", ""),
-    ("ascii", VERTEX_HEADER + "element face 1\n"
+@pytest.mark.parametrize("header, body", [
+    ("ply\nformat ascii 1.0\nelement vertex\n", ""),
+    ("ply\nformat ascii 1.0\nproperty float x\n", ""),
+    (ASCII_VERTICES + "element face 1\n"
      "property list uchar int vertex_indices\n", "0 0 0\n1 1 1\n3 0 1\n"),
-    ("ascii", VERTEX_HEADER, "0 0 0\n1 1\n"),
-    ("binary_little_endian",
-     "ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
+    (ASCII_VERTICES, "0 0 0\n1 1\n"),
+    ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
      "property float16 x\n", "\0\0"),
-    ("binary_little_endian", "ply\nformat binary_little_endiam 1.0\n", "")])
-def test_malformed_ply_raises_io_failure_naming_the_file(tmp_path, fmt,
-                                                         header, body):
+    ("ply\nformat binary_little_endiam 1.0\n", "")],
+    ids=["element_without_count", "property_before_element",
+         "short_list_row", "short_vertex_rows", "unknown_binary_type",
+         "unknown_format"])
+def test_malformed_ply_raises_io_failure_naming_the_file(tmp_path, header,
+                                                         body):
     path = tmp_path / "bad.ply"
-    path.write_bytes((header.format(fmt=fmt) + "end_header\n"
-                      + body).encode("latin-1"))
+    path.write_bytes((header + "end_header\n" + body).encode("ascii"))
     with pytest.raises(IoFailure, match=re.escape(str(path))):
         read_ply(path)
