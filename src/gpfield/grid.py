@@ -48,6 +48,10 @@ _LEAF_KEY_MASK = sum((_AXIS_MASK & ~(LEAF_SIZE - 1)) << (KEY_BITS * a)
 LEAF_KEY_STEP = LEAF_SIZE << (KEY_BITS * np.arange(2, -1, -1))
 
 
+KEY_RANGE_ERROR = (f"voxel coordinates outside [-{KEY_BIAS}, {KEY_BIAS})"
+                   " cannot be keyed")
+
+
 def pack_keys(coords) -> np.ndarray:
     """Pack (N, 3) integer voxel coordinates into (N,) int64 keys.
 
@@ -55,8 +59,7 @@ def pack_keys(coords) -> np.ndarray:
     """
     c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     if len(c) and (c.min() < -KEY_BIAS or c.max() >= KEY_BIAS):
-        raise ValueError(f"voxel coordinates outside [-{KEY_BIAS}, {KEY_BIAS})"
-                         " cannot be keyed")
+        raise ValueError(KEY_RANGE_ERROR)
     b = c + KEY_BIAS
     return (b[:, 0] << (2 * KEY_BITS)) | (b[:, 1] << KEY_BITS) | b[:, 2]
 
@@ -125,6 +128,15 @@ def group_by(keys) -> Groups:
 def world_to_grid(points: np.ndarray, voxel_size: float) -> np.ndarray:
     """Map world positions to integer voxel coordinates (floor)."""
     return np.floor(np.asarray(points, dtype=np.float64) / voxel_size).astype(np.int64)
+
+
+def in_key_range(points: np.ndarray, voxel_size: float) -> np.ndarray:
+    """(N,) bool: whether each row's voxel lies in the key range on every
+    axis; False for a non-finite row. It compares the floored floats, so
+    a far point never reaches world_to_grid's int64 cast."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.floor(np.asarray(points, dtype=np.float64) / voxel_size)
+    return ((v >= -KEY_BIAS) & (v < KEY_BIAS)).all(axis=1)
 
 
 def grid_to_world(coords: np.ndarray, voxel_size: float) -> np.ndarray:

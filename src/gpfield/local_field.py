@@ -17,7 +17,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import gp
-from .grid import grid_to_world, group_by, leaf_keys, pack_keys, world_to_grid
+from .grid import (KEY_RANGE_ERROR, grid_to_world, group_by, in_key_range,
+                   leaf_keys, pack_keys, world_to_grid)
 
 
 class EmptyFrame(ValueError):
@@ -76,7 +77,7 @@ def voxelize(frame: Frame, voxel_size: float) -> Voxels:
     world-space centers, per-voxel mean properties (None if the frame has
     none) and the number of points dropped, with their properties, for a
     non-finite world position. Raises EmptyFrame when no point remains,
-    and ValueError for a voxel outside the key range (see grid.pack_keys).
+    and pack_keys's ValueError for a voxel outside the key range.
     """
     with np.errstate(invalid="ignore"):
         world = frame.points_world()
@@ -84,7 +85,10 @@ def voxelize(frame: Frame, voxel_size: float) -> Voxels:
     n_finite = int(finite.sum())
     if not n_finite:
         raise EmptyFrame("frame has no finite points")
-    coords = world_to_grid(world[finite], voxel_size)
+    kept = world[finite]
+    if not in_key_range(kept, voxel_size).all():
+        raise ValueError(KEY_RANGE_ERROR)     # before the int64 cast
+    coords = world_to_grid(kept, voxel_size)
     groups = group_by(pack_keys(coords))
     uniq = coords[groups.first]
     centers = grid_to_world(uniq, voxel_size)

@@ -249,6 +249,20 @@ def _leaf_records(grid: SparseGrid, slots: np.ndarray) -> np.ndarray:
     return rec
 
 
+def _check_properties(frame: Frame) -> None:
+    """Raise ValueError naming the first point and channel whose property
+    is not finite, among the points voxelize keeps (those of finite world
+    position); a dropped point's properties are dropped with it."""
+    with np.errstate(invalid="ignore"):
+        kept = np.isfinite(frame.points_world()).all(axis=1)
+    bad = ~np.isfinite(frame.properties) & kept[:, None]
+    if bad.any():
+        row, channel = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"frame point {row} has property channel {channel} "
+                         f"{float(frame.properties[row, channel])}; "
+                         "properties must be finite")
+
+
 class Pipeline:
     """Stateful frame integrator."""
 
@@ -271,9 +285,10 @@ class Pipeline:
     def integrate_frame(self, frame: Frame) -> FrameStats:
         """Integrate one frame into the map and return its stats.
 
-        A frame whose property channels are neither none nor the map's
-        raises ValueError before anything is written; a map without
-        properties ignores a frame's.
+        A frame whose property channels are neither none nor the map's,
+        or that holds a NaN or infinite property on a point of finite
+        position, raises ValueError before anything is written; a map
+        without properties ignores a frame's.
         """
         c = self.config
         width = 0 if frame.properties is None else frame.properties.shape[1]
@@ -281,6 +296,8 @@ class Pipeline:
             raise ValueError(
                 f"frame has {width} property channels where a prop_kind "
                 f"{c.prop_kind!r} map takes {c.prop_channels}")
+        if width:
+            _check_properties(frame)
         stats = FrameStats(frame=self.frame_index, timestamp=frame.timestamp,
                            n_points=len(frame.points))
         t_all = time.perf_counter()

@@ -56,11 +56,22 @@ class Primitive:
 
 
 class SyntheticScene:
-    """Min-composition of primitives with exact signed distances."""
+    """Min-composition of primitives with exact signed distances.
+
+    With property channels, each primitive's prop holds none (its hits
+    read zeros) or one value per channel; any other primitive raises
+    ValueError naming it. A scene without channels ignores every prop.
+    """
 
     def __init__(self, primitives: list[Primitive], prop_channels: int = 0):
         self.primitives = list(primitives)
         self.prop_channels = int(prop_channels)
+        for i, prim in enumerate(self.primitives):
+            if self.prop_channels and prim.prop.shape not in (
+                    (0,), (self.prop_channels,)):
+                raise ValueError(
+                    f"primitive {i} ({prim.kind}) has {prim.prop.size} prop "
+                    f"values where the scene takes 0 or {self.prop_channels}")
 
     def sdf(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
         """Scene signed distance; +inf where no primitive is active."""
@@ -319,8 +330,9 @@ def _numbers(ln: int, name: str, tokens: list, count=None) -> list:
 
 
 def parse_scene(text: str, prop_channels: int = 0) -> SyntheticScene:
-    """Scene from description text; a malformed line raises ValueError
-    naming it."""
+    """Scene from description text; a malformed line, or a prop that does
+    not hold one number per property channel, raises ValueError naming
+    the line."""
     counts = {"sphere": 4, "box": 6, "plane": 4}
     prims = []
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -341,7 +353,9 @@ def parse_scene(text: str, prop_channels: int = 0) -> SyntheticScene:
             else:
                 parts[key].append(t)
         vals = _numbers(ln, kind, parts[kind], counts[kind])
-        prop = np.asarray(_numbers(ln, "prop", parts.get("prop", [])))
+        prop = np.asarray(_numbers(ln, "prop", parts["prop"],
+                                   prop_channels or None)
+                          if "prop" in parts else [])
         active = (tuple(_numbers(ln, "active", parts["active"], 2))
                   if "active" in parts else (-np.inf, np.inf))
         if kind == "sphere":

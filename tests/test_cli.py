@@ -463,6 +463,15 @@ def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
     assert error_lines(capsys, argv) == (1, [f"error: {message}"])
 
 
+def test_scene_prop_of_another_width_is_one_error_line(tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text("sphere 0 0 0 1 prop 0.3 0.4\n")
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), "--set", "prop_kind=rgb", *RUN_ARGS]
+    assert error_lines(capsys, argv) == (
+        1, ["error: line 1: prop takes 3 numbers, got '0.3 0.4'"])
+
+
 # valid inputs of each kind that `gpfield run` reads, for the damage test
 FUZZ_SCENE = b"sphere 0 0 0 1 active 0 9\nbox 0 0 -1.2 2 2 0.1 prop 0.5\n"
 FUZZ_POINTS = np.stack(np.meshgrid(np.linspace(-0.4, 0.4, 6),

@@ -10,6 +10,8 @@ bit. Also here: the empty batch, bad ``q``, bad rows and the per-batch
 query stats.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -488,6 +490,26 @@ def test_query_stats_match_spies(monkeypatch, capsys):
     assert fifth == QueryStats(n_nodes_routed=4, sign_rebuilt=1,
                                n_observed_indexed=4)
     assert capsys.readouterr() == ("", "")
+
+
+QUERY_STAGES = {"route", "train", "moments", "signs", "blend"}
+
+
+@pytest.mark.parametrize("with_grid", [True, False])
+def test_query_stats_time_every_stage(with_grid):
+    """stage_ms holds the milliseconds of each query stage, on a field
+    with a sign index and on one without; it takes no part in equality."""
+    grid = SparseGrid(voxel_size=0.05) if with_grid else None
+    if with_grid:
+        grid.set((0, 0, 0), VoxelState(-0.01, 1.0, observed=True))
+    field = GlobalField(PARAM_SETS[0], grid=grid)
+    rng = np.random.default_rng(4)
+    field.update({(0, 0, 0): (rng.normal(scale=0.05, size=(8, 3)), None)})
+    for _ in range(2):      # a batch that trains and one that does not
+        stats = field.query_batch(rng.normal(scale=0.1, size=(50, 3))).stats
+        assert set(stats.stage_ms) == QUERY_STAGES
+        assert all(ms >= 0 for ms in stats.stage_ms.values())
+    assert stats == dataclasses.replace(stats, stage_ms={})
 
 
 def test_query_stats_count_jitter_escalations_of_trained_nodes():

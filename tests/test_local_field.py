@@ -1,5 +1,8 @@
 """Per-frame voxelization and leaf-wise GP training."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +19,8 @@ from gpfield.local_field import (
     build_voxelized,
     voxelize,
 )
-from gpfield.grid import (grid_to_world, group_by, leaf_keys, pack_keys,
-                          world_to_grid)
+from gpfield.grid import (KEY_RANGE_ERROR, grid_to_world, group_by,
+                          leaf_keys, pack_keys, world_to_grid)
 
 import gp_oracle
 
@@ -101,6 +104,16 @@ def test_voxelize_counts_dropped_non_finite_points():
     assert clean.n_dropped == 0
     for got, want in zip(vox[:3], clean[:3]):
         np.testing.assert_array_equal(got, want)
+
+
+def test_voxelize_refuses_a_far_point_before_the_int64_cast():
+    """A finite point past the int64 range raises pack_keys's key-range
+    ValueError, and no RuntimeWarning from a cast comes first."""
+    pts = np.array([[0.01, 0.0, 0.0], [1e30, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(KEY_RANGE_ERROR)):
+            voxelize(world_frame(pts), 0.05)
 
 
 def test_voxelize_empty_frame_raises():

@@ -3,9 +3,12 @@
 import dataclasses
 import io
 import json
+import os
 import re
 import signal
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -305,6 +308,26 @@ def test_frame_of_another_property_width_is_refused_before_any_write(
     frame.properties = np.full((len(frame.points), width), 0.25)
     message = (f"frame has {width} property channels where a prop_kind "
                f"'{prop_kind}' map takes {pipe.config.prop_channels}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipe.integrate_frame(frame)
+    assert (pipe.grid.clock, pipe.grid.n_leaves, pipe.frame_index) == state
+    assert len(pipe.stats) == 1
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_frame_with_a_non_finite_property_is_refused_before_any_stage(value):
+    """The ValueError names the first bad point and channel; nothing is
+    written, and a point dropped for its position takes its properties
+    with it."""
+    pipe = Pipeline(PipelineConfig(prop_kind="rgb"))
+    first, frame = wall_frames(2, props=True)
+    pipe.integrate_frame(first)
+    state = (pipe.grid.clock, pipe.grid.n_leaves, pipe.frame_index)
+    frame.points[2] = np.nan
+    frame.properties[2] = np.nan
+    frame.properties[[5, 9], [1, 0]] = value
+    message = (f"frame point 5 has property channel 1 {value}; properties "
+               "must be finite")
     with pytest.raises(ValueError, match=re.escape(message)):
         pipe.integrate_frame(frame)
     assert (pipe.grid.clock, pipe.grid.n_leaves, pipe.frame_index) == state
@@ -933,3 +956,55 @@ def test_snapshot_with_records_out_of_order_is_refused(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(IoFailure, match="ascending order"):
         Pipeline.load_snapshot(path)
+
+
+# one short rgb sphere orbit; prints the sha256 of the mesh, of the
+# snapshot bytes and of every query output
+DIGEST_RUN = """
+import hashlib, os, sys, tempfile
+import numpy as np
+from gpfield.pipeline import Pipeline, PipelineConfig
+from gpfield.scene import (Primitive, SensorModel, SyntheticScene,
+                           orbit_trajectory, render_frame)
+scene = SyntheticScene([Primitive("sphere", radius=1.0,
+                                  prop=[0.2, 0.5, 0.9])], prop_channels=3)
+sensor = SensorModel(width=24, height=18, focal=25.0, max_range=8.0,
+                     noise_sigma=0.005, seed=3)
+pipe = Pipeline(PipelineConfig(prop_kind="rgb"))
+rng = np.random.default_rng(7)
+queries = hashlib.sha256()
+for pose in orbit_trajectory([0, 0, 0], 2.5, 6, elevation=np.pi / 6):
+    pipe.integrate_frame(render_frame(scene, sensor, pose))
+    res = pipe.field.query_batch(rng.uniform(-1.5, 1.5, size=(300, 3)))
+    for a in (res.distances, res.variances, res.gradients, res.properties,
+              res.prop_variances, res.free_space):
+        queries.update(a.tobytes())
+mesh = pipe.export_mesh()
+digest = hashlib.sha256()
+for a in (mesh.vertices, mesh.triangles, mesh.properties, mesh.vertex_leaf):
+    digest.update(a.tobytes())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "map.snap")
+    pipe.save_snapshot(path)
+    with open(path, "rb") as f:
+        snapshot = hashlib.sha256(f.read())
+print(digest.hexdigest(), snapshot.hexdigest(), queries.hexdigest())
+"""
+
+
+def test_outputs_equal_across_processes_with_other_hash_seeds():
+    """Two interpreters with different PYTHONHASHSEEDs give the same mesh,
+    snapshot bytes and query outputs, so no output follows set or dict
+    order of hashed values."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    digests = []
+    for seed in ("1", "2"):
+        run = subprocess.run([sys.executable, "-c", DIGEST_RUN],
+                             capture_output=True, text=True, env={
+                                 **os.environ, "PYTHONPATH": path,
+                                 "PYTHONHASHSEED": seed})
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]

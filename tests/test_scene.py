@@ -1,5 +1,7 @@
 """Analytic scene primitives, sensor simulation and scene files."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,29 @@ def test_render_frame_attaches_primitive_properties():
     assert frame.properties.shape == (len(frame.points), 3)
     want = np.tile([0.9, 0.1, 0.4], (len(frame.points), 1))
     np.testing.assert_allclose(frame.properties, want)
+
+
+@pytest.mark.parametrize("prop", [[0.3], [0.3, 0.4], [0.1, 0.2, 0.3, 0.4]])
+def test_scene_refuses_a_prop_of_another_width_naming_the_primitive(prop):
+    with pytest.raises(ValueError, match=re.escape(
+            f"primitive 1 (box) has {len(prop)} prop values where the scene "
+            "takes 0 or 3")):
+        SyntheticScene([Primitive("sphere", prop=[0.1, 0.2, 0.3]),
+                        Primitive("box", prop=prop)], prop_channels=3)
+    # a scene without property channels ignores every prop
+    SyntheticScene([Primitive("box", prop=prop)])
+
+
+@pytest.mark.parametrize("prop, got", [("prop 0.3", "0.3"),
+                                       ("prop 0.3 0.4", "0.3 0.4"),
+                                       ("prop", "")])
+def test_parse_scene_refuses_a_prop_of_another_width_naming_the_line(prop,
+                                                                      got):
+    text = f"sphere 0 0 0 1 prop 0.1 0.2 0.3\nbox 0 0 0 1 1 1 {prop}\n"
+    with pytest.raises(ValueError, match=re.escape(
+            f"line 2: prop takes 3 numbers, got '{got}'")):
+        parse_scene(text, prop_channels=3)
+    assert len(parse_scene(text).primitives) == 2
 
 
 def test_surface_samples_land_on_sphere():

@@ -1,17 +1,22 @@
-"""The append-only sign index against the single-tree index it replaced.
+"""The append-only sign index against a brute-force nearest voxel.
 
 ``SignIndex`` keeps a main and a tail cKDTree over observed voxel
 centres and, after a grid change, indexes only the voxels of leaves
-stamped since its last look. ``reference_signs`` is the per-change
-rebuild it replaced: one cKDTree over every observed voxel. On every
-query row without an exact distance tie between observed voxels, sign
-and known must equal the reference bit for bit; on a tied row, the sign
-must be the sign of one of the tied voxels.
+stamped since its last look. ``reference_signs`` needs no tree: numpy
+distances from each query row to every observed voxel centre. A row
+whose nearest observed voxel within the radius is unique gets a
+bit-equal sign and known from any exact tree; a row with an exact
+distance tie takes the sign of one of the tied voxels, and a tail voxel
+wins only when strictly nearer. The draws hold rows at the centres,
+corners and face centres of observed voxels, so tied rows occur on
+purpose. ``test_field_matches_default_tree_layout`` runs the real field
+beside one whose index builds scipy's default trees.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
@@ -20,7 +25,9 @@ from gpfield import gp
 from gpfield.fusion import FusionConfig, fuse_frame
 from gpfield.global_field import GlobalField, QueryStats, SignIndex
 from gpfield.grid import SparseGrid, VoxelState, grid_to_world
+from gpfield.pipeline import Pipeline, PipelineConfig
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
+from test_global_field import corridor_frames, sphere_orbit_frames
 
 H = 0.05
 RADIUS = 2.5 * H
@@ -28,17 +35,30 @@ CFG = FusionConfig(v_max=1.0, w_max=1.0, weight_cap=100.0,
                    surface_band=2 * H)
 
 
-def reference_signs(grid, points, radius):
-    """(sign, known) from one cKDTree over every observed voxel."""
-    n = len(points)
+def observed_distances(grid, points):
+    """(voxel signs, (n, V) distances) from each row to every observed
+    voxel centre. The squares add x, y, z in order, as cKDTree adds
+    them, and the radius test is the tree's: squared distance strictly
+    below the squared radius."""
     coords, dists = grid.observed_voxels()
-    if len(coords) == 0:
-        return np.ones(n), np.zeros(n, dtype=bool)
-    tree = cKDTree(grid_to_world(coords, grid.voxel_size))
-    dist, idx = tree.query(points, k=1, distance_upper_bound=radius)
-    known = np.isfinite(dist)
+    centres = grid_to_world(coords, grid.voxel_size)
+    diff = points[:, None, :] - centres[None, :, :]
+    sq = diff[..., 0] * diff[..., 0] + diff[..., 1] * diff[..., 1]
+    sq += diff[..., 2] * diff[..., 2]
+    return np.where(dists < 0, -1.0, 1.0), sq
+
+
+def reference_signs(grid, points, radius):
+    """(sign, known) from the nearest observed voxel within radius, by
+    brute force over every observed voxel centre."""
+    n = len(points)
+    voxel_signs, sq = observed_distances(grid, points)
     sign = np.ones(n)
-    sign[known] = np.where(dists < 0, -1.0, 1.0)[idx[known]]
+    if not sq.shape[1]:
+        return sign, np.zeros(n, dtype=bool)
+    near = sq.argmin(axis=1)
+    known = sq[np.arange(n), near] < radius * radius
+    sign[known] = voxel_signs[near[known]]
     return sign, known
 
 
@@ -47,20 +67,17 @@ def assert_matches_reference(index, points):
     sign, known = index.lookup(points, RADIUS)
     want_sign, want_known = reference_signs(index.grid, points, RADIUS)
     np.testing.assert_array_equal(known, want_known)
-    coords, dists = index.grid.observed_voxels()
-    if len(coords) < 2:
+    voxel_signs, sq = observed_distances(index.grid, points)
+    if sq.shape[1] < 2:
         np.testing.assert_array_equal(sign, want_sign)
         return 0
-    # a lattice point has at most 8 equidistant nearest voxel centres
-    k = min(9, len(coords))
-    tree = cKDTree(grid_to_world(coords, H))
-    d, idx = tree.query(points, k=k, distance_upper_bound=RADIUS)
-    tied = known & (d[:, 1] == d[:, 0])
+    # a tie as the trees see it: equal returned (square-rooted) distances
+    d = np.sqrt(sq)
+    nearest = d.min(axis=1)
+    tied = known & ((d == nearest[:, None]).sum(axis=1) > 1)
     np.testing.assert_array_equal(sign[~tied], want_sign[~tied])
-    voxel_signs = np.where(dists < 0, -1.0, 1.0)
     for r in np.flatnonzero(tied):
-        at = idx[r][d[r] == d[r, 0]]
-        assert sign[r] in voxel_signs[at], r
+        assert sign[r] in voxel_signs[d[r] == nearest[r]], r
     return int(tied.sum())
 
 
@@ -86,6 +103,20 @@ def query_points(rng, n, lo, span):
     anywhere = rng.random(n) < 0.25
     offsets[anywhere] = rng.random((int(anywhere.sum()), 3))
     return (c + offsets) * H
+
+
+def lattice_rows(rng, grid, n):
+    """The centres, corners and face centres of n random observed voxels
+    (none while nothing is observed), where neighbouring observed voxels
+    tie."""
+    coords, _ = grid.observed_voxels()
+    if not len(coords):
+        return np.zeros((0, 3))
+    offsets = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0],
+                        [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.5, 0.0, 0.5],
+                        [0.0, 0.5, 0.5], [0.5, 0.5, 1.0]])
+    c = coords[rng.integers(len(coords), size=n)]
+    return (c + offsets[rng.integers(len(offsets), size=n)]) * H
 
 
 OPS = st.one_of(
@@ -131,7 +162,8 @@ def test_lookup_matches_single_tree_reference(seed, ops):
                 assert stats.sign_rebuilt == 1
                 assert stats.n_observed_indexed == now
             assert index.n == now
-            assert_matches_reference(index, query_points(rng, a, lo, span))
+            assert_matches_reference(index, np.concatenate([
+                query_points(rng, a, lo, span), lattice_rows(rng, grid, a)]))
             seen = now
             may_build = False
 
@@ -152,7 +184,8 @@ def test_sequence_reaches_every_branch():
         before = index.n
         index.refresh(stats)
         nonlocal ties
-        pts = np.concatenate([query_points(rng, 400, lo, span), near])
+        pts = np.concatenate([query_points(rng, 400, lo, span), near,
+                              lattice_rows(rng, grid, 200)])
         ties += assert_matches_reference(index, pts)
         return stats, before
 
@@ -238,3 +271,50 @@ def test_field_signs_follow_a_growing_corridor_with_logarithmic_builds():
     assert sum(builds) - 1 <= math.log(seen / first) / math.log(1.25)
     assert sum(builds) < 4 * math.log(frames)
     assert builds[0] == 1 and sum(builds) > 1
+
+
+class DefaultTreeIndex(SignIndex):
+    """The sign index with scipy's default tree layout: every tree the
+    real index builds is rebuilt over the same centres, in the same slot
+    order, with cKDTree's defaults (compacted nodes, median split)."""
+
+    def _append(self, touched, stats):
+        main, tail = self.main, self.tail
+        appended = super()._append(touched, stats)
+        if self.main is not None and self.main is not main:
+            self.main = cKDTree(self.main.data)
+        if self.tail is not None and self.tail is not tail:
+            self.tail = cKDTree(self.tail.data)
+        return appended
+
+
+@pytest.mark.parametrize("make, prop_kind, n", [
+    (corridor_frames, "none", 12), (sphere_orbit_frames, "rgb", 6)],
+    ids=["corridor", "sphere_orbit"])
+def test_field_matches_default_tree_layout(monkeypatch, make, prop_kind, n):
+    """After every frame, random query rows get byte-equal distances,
+    gradients, variances and free-space flags from the real field and
+    from one whose sign index builds scipy's default trees. Random rows
+    tie with probability zero, so only the tree layout differs."""
+    frames, box = make(n)
+    pipe = Pipeline(PipelineConfig(prop_kind=prop_kind))
+    c = pipe.config
+    twin = GlobalField(pipe.params, pipe.grid, smooth_lambda=c.smooth_lambda,
+                       query_nodes=c.query_nodes, sign_radius=c.sign_radius,
+                       prop_clip=c.prop_clip)
+    twin._sign_index = DefaultTreeIndex(pipe.grid)
+    update = pipe.field.update
+    monkeypatch.setattr(pipe.field, "update", lambda changed: (
+        twin.update(changed), update(changed))[1])
+    rng = np.random.default_rng(11)
+    tails = 0
+    for frame in frames:
+        pipe.integrate_frame(frame)
+        pts = rng.uniform(box[0], box[1], size=(400, 3))
+        got, want = pipe.field.query_batch(pts), twin.query_batch(pts)
+        for name in ("distances", "gradients", "variances", "free_space"):
+            assert (getattr(got, name).tobytes()
+                    == getattr(want, name).tobytes()), name
+        assert got.stats == want.stats
+        tails += twin._sign_index.tail is not None
+    assert tails > 0 and not got.free_space.all()
