@@ -139,6 +139,14 @@ class SignIndex:
     that lost an indexed voxel (only ``SparseGrid.set`` can clear the
     flag), clear the index and run the same append over every allocated
     leaf.
+
+    Neither tree shrinks its nodes to their points' bounding boxes; the
+    main tree splits at the median and the tail tree at the sliding
+    midpoint (see ``_MAIN_TREE``). The layout decides only which voxel a
+    tied row finds: a row whose nearest indexed voxel within the radius
+    is unique gets a bit-equal sign and known from any exact tree, a row
+    with an exact distance tie takes the sign of one of the tied voxels,
+    and a tail voxel wins only when strictly nearer.
     """
 
     def __init__(self, grid: SparseGrid):

@@ -285,18 +285,19 @@ class Pipeline:
     def integrate_frame(self, frame: Frame) -> FrameStats:
         """Integrate one frame into the map and return its stats.
 
-        A frame whose property channels are neither none nor the map's,
-        or that holds a NaN or infinite property on a point of finite
-        position, raises ValueError before anything is written; a map
-        without properties ignores a frame's.
+        On a map with properties, a frame whose property channels are
+        neither none nor the map's, or that holds a NaN or infinite
+        property on a point of finite position, raises ValueError before
+        anything is written. A map without properties ignores a frame's,
+        and trains no local property models.
         """
         c = self.config
         width = 0 if frame.properties is None else frame.properties.shape[1]
-        if c.prop_channels and width not in (0, c.prop_channels):
-            raise ValueError(
-                f"frame has {width} property channels where a prop_kind "
-                f"{c.prop_kind!r} map takes {c.prop_channels}")
-        if width:
+        if c.prop_channels and width:
+            if width != c.prop_channels:
+                raise ValueError(
+                    f"frame has {width} property channels where a prop_kind "
+                    f"{c.prop_kind!r} map takes {c.prop_channels}")
             _check_properties(frame)
         stats = FrameStats(frame=self.frame_index, timestamp=frame.timestamp,
                            n_points=len(frame.points))
@@ -305,6 +306,8 @@ class Pipeline:
         t0 = time.perf_counter()
         coords, centers, props, stats.n_points_dropped = voxelize(
             frame, c.voxel_size)
+        if not c.prop_channels:
+            props = None    # a map without properties ignores a frame's
         stats.stage_ms["voxelize"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()

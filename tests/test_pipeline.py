@@ -334,6 +334,30 @@ def test_frame_with_a_non_finite_property_is_refused_before_any_stage(value):
     assert len(pipe.stats) == 1
 
 
+def test_map_without_properties_ignores_a_frames_properties(tmp_path):
+    """Given frames with rgb properties, NaN ones included, a prop_kind
+    none map ends with the mesh, query outputs and snapshot bytes of one
+    given the same frames without properties."""
+    frames = wall_frames(3, props=True)
+    frames[1].properties[4] = np.nan
+    bare = [dataclasses.replace(f, properties=None) for f in frames]
+    pts = np.random.default_rng(2).uniform([0.5, -1.0, -1.0], [2.5, 1.0, 1.0],
+                                           size=(200, 3))
+    out = []
+    for name, run in (("props", frames), ("bare", bare)):
+        pipe = Pipeline(PipelineConfig())
+        for frame in run:
+            pipe.integrate_frame(frame)
+        res = pipe.field.query_batch(pts)
+        mesh = pipe.export_mesh()
+        pipe.save_snapshot(tmp_path / f"{name}.snap")
+        out.append([a.tobytes() for a in (
+            res.distances, res.variances, res.gradients, res.free_space,
+            mesh.vertices, mesh.triangles, mesh.properties)]
+            + [(tmp_path / f"{name}.snap").read_bytes()])
+    assert out[0] == out[1]
+
+
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "map.cfg"
     path.write_text(
