@@ -155,6 +155,10 @@ def _traverse(rays: _Rays, first=None):
             np.concatenate(ray_parts))
 
 
+# a near-subnormal direction component gives a t_delta near the float
+# maximum, and sums of it overflow to inf: a crossing past every stop,
+# which is right
+@np.errstate(over="ignore")
 def _skip(rays: _Rays, grid: SparseGrid, t_stop: np.ndarray):
     """Advance each ray with t_stop > 0 to its lockstep state at the
     earlier of t_stop and its entry into its first allocated leaf.
