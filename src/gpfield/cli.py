@@ -21,6 +21,7 @@ import numpy as np
 
 from . import frame_io
 from . import scene as scene_mod
+from .local_field import EmptyFrame
 from .pipeline import (EmptyInput, Pipeline, PipelineConfig, eval_chamfer,
                        eval_distance_rmse, export_slice, write_stats_csv)
 
@@ -81,10 +82,11 @@ def _integrate(args, quiet: bool) -> Pipeline:
     pipe = Pipeline(config)
     n_skipped = 0
     for frame in _iter_frames(args, config):
-        if len(frame.points) == 0:
+        try:
+            st = pipe.integrate_frame(frame)
+        except EmptyFrame:      # no finite point; the map is untouched
             n_skipped += 1
             continue
-        st = pipe.integrate_frame(frame)
         if not quiet:
             print(f"frame {st.frame}: points={st.n_points} "
                   f"test_points={st.n_test_points} "
@@ -93,7 +95,7 @@ def _integrate(args, quiet: bool) -> Pipeline:
     if pipe.frame_index == 0:
         raise EmptyInput("no non-empty frames to integrate")
     if n_skipped and not quiet:
-        print(f"skipped {n_skipped} empty frame(s)")
+        print(f"skipped {n_skipped} frame(s) without a finite point")
     return pipe
 
 
@@ -142,7 +144,7 @@ def _cmd_query(args) -> int:
     pipe = Pipeline.load_snapshot(args.snapshot)
     pts = [_vec(p, 3, "point") for p in args.points]
     if args.points_file:
-        rows = np.loadtxt(args.points_file, dtype=np.float64, ndmin=2)
+        rows = frame_io.load_rows(args.points_file)
         if rows.shape[1] < 3:
             raise ValueError(f"{args.points_file}: expected 3 columns")
         pts.extend(rows[:, :3])

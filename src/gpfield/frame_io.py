@@ -11,6 +11,7 @@ order.
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 
@@ -49,12 +50,22 @@ def load_trajectory(path) -> list[tuple[float, np.ndarray, np.ndarray]]:
     return poses
 
 
+def load_rows(path) -> np.ndarray:
+    """(n, c) float64 rows of a whitespace text file, one row per line;
+    (0, 3) for a file without rows (empty, blank or comments only)."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)
+        rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    return rows if rows.size else np.zeros((0, 3))
+
+
 def load_points(path):
     """Read a point cloud file; returns (points, properties_or_None)."""
     if str(path).lower().endswith(".ply"):
         data = ply.read_ply(path)
         return data["vertices"].astype(np.float64), data["properties"]
-    rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    rows = load_rows(path)
     if rows.shape[1] < 3:
         raise ValueError(f"{path}: expected at least 3 columns")
     props = rows[:, 3:] if rows.shape[1] > 3 else None

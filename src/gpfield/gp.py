@@ -76,7 +76,7 @@ def reference_distance_variance(params: KernelParams) -> float:
 
 
 # Elements in the largest temporary of one chunk of the grouped path: the
-# (rows, 3, J) differences between each row's point and the J training
+# (rows, J, 3) differences between each row's point and the J training
 # points of its model. A chunk holds whole models, because splitting one
 # model's rows changes the bits of its BLAS and LAPACK calls. A model whose
 # rows alone pass the cap forms a chunk of its own, whose differences are
@@ -84,11 +84,14 @@ def reference_distance_variance(params: KernelParams) -> float:
 # and solve, which those calls need whole, grow past it.
 CHUNK_ELEMENTS = 1 << 16
 
-# A model with at least this many (row, training point) pairs forms a chunk
-# of its own, whose squared distances come from one cdist call. Gathered
-# over many models, a pair costs about twice what it costs in cdist (about
-# 3 ns more, measured on a 2-core Xeon), while a cdist call costs about
-# 4 us, so the two break even near a thousand pairs.
+# Without a gradient, a model with at least this many (row, training point)
+# pairs forms a chunk of its own, whose squared distances come from one
+# cdist call. Gathered over many models, a pair costs about twice what it
+# costs in cdist (about 3 ns more, measured on a 2-core Xeon), while a
+# cdist call costs about 4 us, so the two break even near a thousand
+# pairs. A gradient needs the (rows, J, 3) differences anyway, and cdist
+# would only repeat their work, so with one no model runs alone for its
+# size.
 SOLO_PAIRS = 1 << 10
 
 
@@ -98,38 +101,45 @@ def _kernel_rows(points: list, counts: list, q: np.ndarray,
     points of its model, where the rows of q run through points[i] for
     counts[i] rows each, and, given (models, J) occupancy weights alpha,
     the (R, 3) gradient of the occupancy mean at each row (else None).
-    Rows go in blocks whose (rows, 3, J) differences stay within
+    Rows go in blocks whose (rows, J, 3) differences stay within
     CHUNK_ELEMENTS.
 
-    Several models' squared distances come from one gather of their
-    training points, axis by axis so each axis's differences are
-    contiguous rows, as dx*dx + dy*dy + dz*dz: the bits of cdist's
+    Several models' rows gather their training points once, as (rows, J,
+    3) differences training point minus query; the squared distances are
+    dx*dx + dy*dy + dz*dz, added in that order: the bits of cdist's
     sqeuclidean, which a single model calls directly, needing no gather.
-    The gradient contraction reads the (R, J, 3) differences C-ordered,
-    as points[None] - q[:, None] lays them out.
+    The gradient contraction reads the same C-ordered differences. A
+    finite row far enough to overflow the squares gets an infinite
+    squared distance and a kernel value of 0, as from cdist.
     """
     n, j = len(q), len(points[0])
     one = points[0] if len(points) == 1 else None
     if one is None:
-        train = np.array([x.T for x in points])
+        train = np.asarray(points)
         owner = np.repeat(np.arange(len(points)), counts)
     kq = np.empty((n, j))
     g = None if alpha is None else np.empty((n, 3))
     step = max(1, CHUNK_ELEMENTS // (3 * j))
     for a in range(0, n, step):
         b = a + step
+        # differences training point minus query, taken axis by axis:
+        # numpy then loops over the J training points of a row, where one
+        # broadcast over (rows, J, 3) loops over the 3 coordinates
         if one is not None:
             d2 = cdist(q[a:b], one, "sqeuclidean")
             if g is not None:
-                diff = one[None, :, :] - q[a:b, None, :]
+                diff = np.empty((len(d2), j, 3))
+                for c in range(3):
+                    np.subtract(one[:, c], q[a:b, c, None], out=diff[..., c])
         else:
-            t = train[owner[a:b]]
-            t -= q[a:b, :, None]            # training point minus query
-            if g is not None:
-                diff = t.transpose(0, 2, 1).copy()
-            t *= t
-            d2 = np.add(t[:, 0], t[:, 1])
-            d2 += t[:, 2]
+            diff = train[owner[a:b]]
+            for c in range(3):
+                diff[..., c] -= q[a:b, c, None]
+            dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+            with np.errstate(over="ignore"):
+                d2 = dx * dx
+                d2 += dy * dy
+                d2 += dz * dz
         d2 *= -0.5
         d2 /= params.length_scale ** 2
         k = kq[a:b]
@@ -143,15 +153,15 @@ def _kernel_rows(points: list, counts: list, q: np.ndarray,
     return kq, g
 
 
-def _chunks(rows: list, j: int):
+def _chunks(rows: list, j: int, gradient: bool = False):
     """Runs [a, b) of consecutive members, each holding whole members with
-    at most CHUNK_ELEMENTS // (3 j) rows in all, or a single member; a
-    member with SOLO_PAIRS (row, training point) pairs or more runs
-    alone."""
+    at most CHUNK_ELEMENTS // (3 j) rows in all, or a single member;
+    without a gradient, a member with SOLO_PAIRS (row, training point)
+    pairs or more runs alone."""
     cap = CHUNK_ELEMENTS // (3 * j)
     a = total = 0
     for i, r in enumerate(rows):
-        solo = r * j >= SOLO_PAIRS
+        solo = not gradient and r * j >= SOLO_PAIRS
         if i > a and (solo or total + r > cap):
             yield a, i
             a, total = i, 0
@@ -382,7 +392,7 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
         run = list(run)
         params = models[run[0]].params
         rows = [bounds[i + 1] - bounds[i] for i in run]
-        for a, b in _chunks(rows, j):
+        for a, b in _chunks(rows, j, gradient):
             chunk = [models[i] for i in run[a:b]]
             r0, r1 = bounds[run[a]], bounds[run[b - 1] + 1]
             kq, gq = _kernel_rows(

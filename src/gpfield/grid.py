@@ -26,6 +26,7 @@ the leaves touched since by one compare on the stamp column.
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional
@@ -102,27 +103,55 @@ class Groups(NamedTuple):
         return [self.order[a:b] for a, b in zip(s[:-1], s[1:])]
 
     def mean(self, values: np.ndarray) -> np.ndarray:
-        """Float64 mean of each group's rows of values, summed in row
-        order by np.add.at."""
-        sums = np.zeros((len(self.keys),) + values.shape[1:])
-        counts = np.zeros(len(self.keys))
-        np.add.at(sums, self.inverse, values)
-        np.add.at(counts, self.inverse, 1.0)
-        return sums / counts.reshape((-1,) + (1,) * (values.ndim - 1))
+        """Float64 mean of each group's rows of values, summed from 0.0 in
+        row order by one np.bincount per column."""
+        u, n = len(self.keys), len(values)
+        cols = values.reshape(n, math.prod(values.shape[1:]))
+        sums = np.empty((u, cols.shape[1]))
+        for c in range(cols.shape[1]):
+            sums[:, c] = np.bincount(self.inverse, cols[:, c], u)
+        sums /= np.bincount(self.inverse, minlength=u)[:, None]
+        return sums.reshape((u,) + values.shape[1:])
 
 
 def group_by(keys) -> Groups:
-    """Group rows by int64 key with one stable argsort."""
+    """Group rows by int64 key with one sort.
+
+    When the composite (key - min) * n + row of n keys fits in int64, the
+    composites are distinct and sorted by value, and their quotient and
+    remainder by n are the sorted keys and the row order; otherwise rows
+    go through one stable argsort. Both give the same Groups.
+    """
     keys = np.asarray(keys, dtype=np.int64).reshape(-1)
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    new = np.empty(len(sk), dtype=bool)
+    n = len(keys)
+    lo = int(keys.min()) if n else 0
+    if n and (int(keys.max()) - lo + 1) * n < 1 << 63:
+        comp = (keys - lo) * n
+        comp += np.arange(n)
+        comp.sort()
+        sk = comp // n
+        order = comp - sk * n
+        sk += lo
+    else:
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+    new = np.empty(n, dtype=bool)
     new[:1] = True
     np.not_equal(sk[1:], sk[:-1], out=new[1:])
-    starts = np.append(np.flatnonzero(new), len(sk))
-    inverse = np.empty(len(sk), dtype=np.int64)
+    starts = np.append(np.flatnonzero(new), n)
+    inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     return Groups(sk[new], order[new], inverse, order, starts)
+
+
+def isin_sorted(keys, sorted_keys: np.ndarray) -> np.ndarray:
+    """(N,) bool: whether each key occurs in sorted_keys, an ascending
+    array of unique keys; np.isin's answer by one binary search."""
+    keys = np.asarray(keys, dtype=np.int64)
+    if not len(sorted_keys):
+        return np.zeros(keys.shape, dtype=bool)
+    i = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(i, len(sorted_keys) - 1)] == keys
 
 
 def world_to_grid(points: np.ndarray, voxel_size: float) -> np.ndarray:

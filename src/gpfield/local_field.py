@@ -10,6 +10,7 @@ centroid is closest.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -121,20 +122,26 @@ class LocalField:
                 None if c is None else c[0],
                 None if w is None else float(w[0]))
 
-    def query_batch(self, points: np.ndarray):
+    def query_batch(self, points: np.ndarray,
+                    stage_ms: Optional[dict] = None):
         """Vectorized query: one gp.routed_moments call over every routing
         model (grouped by training-set size), then reverting, variance
-        propagation and clips once over all points.
+        propagation and clips once over all points. stage_ms, when given,
+        receives the milliseconds of the route and of the moments.
         Raises ValueError naming the first row that is not finite or is
         too far from every model to route."""
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if not self.models:
             raise EmptyFrame("local field has no models")
+        t0 = time.perf_counter()
         gp.check_rows(pts)
+        sel = gp.route(self._tree, pts, 1)
+        t1 = time.perf_counter()
         has_prop = self.has_properties
-        mo, at = gp.routed_moments(self.models, pts,
-                                   gp.route(self._tree, pts, 1),
-                                   properties=has_prop)
+        mo, at = gp.routed_moments(self.models, pts, sel, properties=has_prop)
+        if stage_ms is not None:
+            stage_ms.update(route=(t1 - t0) * 1e3,
+                            moments=(time.perf_counter() - t1) * 1e3)
         at = at[:, 0]
         p = self.params
         o = mo.occupancy[at]

@@ -32,6 +32,7 @@ leaf gets the same mesh, bit for bit, as meshing it alone.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Optional
@@ -39,8 +40,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .grid import (KEY_BIAS, LEAF_LOG2, LEAF_SIZE, LEAF_VOXELS, Groups,
-                   SparseGrid, group_by, leaf_keys, leaf_origin_of,
-                   local_flat_index, pack_keys, world_to_grid)
+                   SparseGrid, group_by, isin_sorted, leaf_keys,
+                   leaf_origin_of, local_flat_index, pack_keys, world_to_grid)
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 # per case (bit i set when corner i is negative): which of its 12 edges
@@ -427,27 +428,41 @@ class SurfaceMesh:
         recomputed from the cached meshes that can put a vertex in it:
         its own and its lower neighbours'. stats, when given, receives
         the meshing counters n_leaves_meshed, n_leaves_surfaced and
-        n_mesh_vertices.
+        n_mesh_vertices, and in its substage_ms the milliseconds of
+        mesh_leaves and of the crossings.
         """
         grid = self.grid
-        h = grid.voxel_size
         origins, keys = _with_lower_neighbours(
             grid.pool["origin"][grid.active_slots()])
         targets = list(map(tuple, origins[grid.leaf_slots(keys) > 0].tolist()))
+        t0 = time.perf_counter()
         meshes = mesh_leaves(grid, targets)
-        if stats is not None:
-            stats.n_leaves_meshed = len(targets)
-            stats.n_leaves_surfaced = sum(len(lm.triangles) > 0
-                                          for lm in meshes)
-            stats.n_mesh_vertices = sum(len(lm.positions) for lm in meshes)
+        t1 = time.perf_counter()
         touched = []
         for origin, lm in zip(targets, meshes):
             old = self.meshes.pop(origin, None)
             if len(lm.triangles):
                 self.meshes[origin] = lm
             touched += [m.positions for m in (old, lm) if m is not None]
+        t2 = time.perf_counter()
+        changed = self._crossings(touched)
+        if stats is not None:
+            stats.n_leaves_meshed = len(targets)
+            stats.n_leaves_surfaced = sum(len(lm.triangles) > 0
+                                          for lm in meshes)
+            stats.n_mesh_vertices = sum(len(lm.positions) for lm in meshes)
+            stats.substage_ms.update(
+                mesh_leaves=(t1 - t0) * 1e3,
+                crossings=(time.perf_counter() - t2) * 1e3)
+        return changed
+
+    def _crossings(self, touched: list) -> dict:
+        """{leaf origin: (positions, properties) or None} for every leaf
+        owning one of the touched vertex positions, from the cached
+        meshes of that leaf and its lower neighbours."""
         if not touched:
             return {}
+        h = self.grid.voxel_size
         coords = leaf_origin_of(world_to_grid(np.concatenate(touched), h))
         owners = group_by(pack_keys(coords))
         changed = list(map(tuple, coords[owners.first].tolist()))
@@ -456,8 +471,8 @@ class SurfaceMesh:
         crossings = {}
         if sources:
             edges, pos, props = stack_vertices(sources)
-            own = np.isin(leaf_keys(pack_keys(world_to_grid(pos, h))),
-                          owners.keys)
+            own = isin_sorted(leaf_keys(pack_keys(world_to_grid(pos, h))),
+                              owners.keys)
             # one vertex per edge, in edge order, as crossings_by_leaf
             # sums each voxel's vertices in input order
             first = np.flatnonzero(own)[group_edges(edges[own]).first]

@@ -209,7 +209,9 @@ class FrameStats:
     n_ray_steps: int = 0            # (ray, voxel) steps the DDA walked
     n_ray_steps_skipped: int = 0    # steps of the full walk it skipped
     stage_ms: dict = field(default_factory=dict)
-    # parts of the test_points stage: ray_rows, normals and merge
+    # parts of three stages, timed inside them and not in stage_ms:
+    # test_points' ray_rows, normals and merge; local_infer's route and
+    # moments; meshing's mesh_leaves and crossings
     substage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
     n_leaves: int = 0               # leaves allocated after the frame
@@ -339,7 +341,7 @@ class Pipeline:
         stats.stage_ms["test_points"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        d, v, cc, ww = lf.query_batch(tps.positions)
+        d, v, cc, ww = lf.query_batch(tps.positions, stats.substage_ms)
         signed = d * tps.signs
         stats.stage_ms["local_infer"] = (time.perf_counter() - t0) * 1e3
 

@@ -177,6 +177,52 @@ def test_run_from_recorded_frames(tmp_path, capsys):
     assert Pipeline.load_snapshot(snap).frame_index == 2
 
 
+PLANE = "".join(f"{x:g} {y:g} 1\n" for x in np.linspace(-0.5, 0.5, 21)
+                for y in np.linspace(-0.5, 0.5, 21))
+
+
+def run_frames(capsys, root, frames):
+    """(exit status, stdout lines, stderr lines, snapshot bytes) of `gpfield
+    run` with warnings as errors, over frames {t: text}: a text frame at
+    timestamp t posed at x = 0.05 t, alternately .xyz and .txt."""
+    (root / "frames").mkdir(parents=True)
+    for i, (t, text) in enumerate(sorted(frames.items())):
+        (root / "frames" / f"{t:03d}.{'txt' if i % 2 else 'xyz'}"
+         ).write_text(text)
+    traj = root / "poses.txt"
+    traj.write_text("".join(f"{t} {0.05 * t} 0 0 0 0 0 1\n"
+                            for t in sorted(frames)))
+    snap = root / "m.snap"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--frames-dir", str(root / "frames"),
+                     "--trajectory", str(traj), "--snapshot", str(snap)])
+    out, err = capsys.readouterr()
+    return (code, out.splitlines(), err.splitlines(),
+            snap.read_bytes() if code == 0 else None)
+
+
+@pytest.mark.parametrize("skipped", ["", "\n  \n# no returns\n",
+                                     "nan nan nan\nnan nan nan\n"],
+                         ids=["empty", "blank", "all_nan"])
+def test_frame_without_a_finite_point_is_skipped(tmp_path, capsys, skipped):
+    """An empty text frame loads as zero points without numpy's warning,
+    and a frame whose points are all NaN (a scan with no returns) is
+    skipped like it: the run counts it and writes the snapshot of the run
+    without it."""
+    code, out, err, snap = run_frames(capsys, tmp_path / "a",
+                                      {0: PLANE, 1: skipped, 2: PLANE})
+    assert (code, err) == (0, [])
+    assert "skipped 1 frame(s) without a finite point" in out
+    assert snap == run_frames(capsys, tmp_path / "b",
+                              {0: PLANE, 2: PLANE})[3]
+
+
+def test_run_of_only_empty_frames_is_one_error_line(tmp_path, capsys):
+    code, _, err, _ = run_frames(capsys, tmp_path, {0: "", 1: "nan 0 0\n"})
+    assert (code, err) == (1, ["error: no non-empty frames to integrate"])
+
+
 @pytest.mark.parametrize("item, message", [
     ("voxel_size=none", "voxel_size must be a number, got None"),
     ("sigma2=null", "sigma2 must be a number, got None"),
@@ -301,6 +347,16 @@ def test_query_verb_input_errors(workdir, capsys):
     assert main(["query", str(workdir / "map.snap"), "1,2"]) == 1
     err = capsys.readouterr().err
     assert err.count("error:") == 2
+
+
+@pytest.mark.parametrize("text", ["", "\n# none\n"], ids=["empty", "blank"])
+def test_query_verb_empty_points_file_is_one_error_line(workdir, tmp_path,
+                                                        capsys, text):
+    pts = tmp_path / "pts.txt"
+    pts.write_text(text)
+    assert error_lines(capsys, ["query", str(workdir / "map.snap"),
+                                "--points-file", str(pts)]) == (
+        1, ["error: no query points given"])
 
 
 @pytest.mark.parametrize("point", ["nan,0,0", "0,inf,0", "1e300,0,0"])
@@ -498,8 +554,14 @@ def fuzz_binary_ply() -> bytes:
         return path.read_bytes()
 
 
+def fuzz_xyz() -> bytes:
+    """A text frame: x y z r g b per line."""
+    return "".join(" ".join("%g" % x for x in row) + "\n"
+                   for row in np.hstack([FUZZ_POINTS, FUZZ_RGB])).encode()
+
+
 FUZZ_INPUTS = {"scene": FUZZ_SCENE, "ascii_ply": fuzz_ascii_ply(),
-               "binary_ply": fuzz_binary_ply()}
+               "binary_ply": fuzz_binary_ply(), "xyz": fuzz_xyz()}
 
 
 @st.composite
@@ -513,7 +575,7 @@ def damaged(draw, data: bytes) -> bytes:
 
 def run_on(kind: str, data: bytes):
     """Exit status and stderr lines of `gpfield run` on data as a scene
-    file or as the one PLY frame of a recorded sequence."""
+    file or as the one PLY or text frame of a recorded sequence."""
     with tempfile.TemporaryDirectory() as d:
         d = Path(d)
         if kind == "scene":
@@ -523,7 +585,8 @@ def run_on(kind: str, data: bytes):
                       "--height", "12", "--focal", "15"]
         else:
             (d / "frames").mkdir()
-            (d / "frames" / "0.ply").write_bytes(data)
+            suffix = "xyz" if kind == "xyz" else "ply"
+            (d / "frames" / f"0.{suffix}").write_bytes(data)
             (d / "poses.txt").write_text("0 0 0 0 0 0 0 1\n")
             source = ["--frames-dir", str(d / "frames"), "--trajectory",
                       str(d / "poses.txt"), "--set", "prop_kind=rgb"]

@@ -301,3 +301,22 @@ def test_moments_check_nan_rows_once_per_call():
         with pytest.raises(ValueError, match="training points must be finite"):
             gp.train_many([np.zeros((2, 3)), [[0.0, 0.0, 0.0], [bad, 0, 0]]],
                           params)
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_routed_moments_far_finite_rows_match_the_oracle(gradient, k):
+    """A finite row far enough that its squared distances overflow gets
+    kernel value 0 from gathered models as from a one-model cdist call,
+    bit for bit and without an overflow warning."""
+    rng = np.random.default_rng(10)
+    params = KernelParams()
+    models = gp.train_many([rng.uniform(size=(3, 3)) for _ in range(3)],
+                           params, [rng.uniform(size=(3, 2))] * 3)
+    pts = np.array([[1e200, 0.0, 0.0], [0.1, 0.2, 0.3],
+                    [0.0, -1e200, 1e200], [-1e300, 1e-300, 0.5]])
+    sel = np.stack([np.roll(np.arange(3), r)[:k] for r in range(len(pts))])
+    got = gp.routed_moments(models, pts, sel, gradient, True)
+    assert_same_moments(got, gp_oracle.routed_moments(models, pts, sel,
+                                                      gradient, True))
+    assert got[0].occupancy[got[1][0, 0]] == 0.0

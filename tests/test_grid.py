@@ -11,11 +11,13 @@ from gpfield.grid import (
     LEAF_SIZE,
     LEAF_ARRAYS,
     LEAF_VOXELS,
+    Groups,
     SparseGrid,
     VoxelState,
     _local_index,
     group_by,
     grid_to_world,
+    isin_sorted,
     leaf_keys,
     leaf_origin_of,
     local_flat_index,
@@ -220,6 +222,76 @@ def test_group_by_matches_dict_of_lists_oracle(values):
     assert [r.tolist() for r in groups.rows()] == [oracle[k]
                                                     for k in sorted(oracle)]
     assert [groups.keys[g] for g in groups.inverse] == values
+
+
+def stable_groups(keys) -> Groups:
+    """group_by's fields by one stable argsort of the keys: the reference
+    its sort by value must equal."""
+    keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+    order = np.argsort(keys, kind="stable")
+    sk = keys[order]
+    new = np.empty(len(sk), dtype=bool)
+    new[:1] = True
+    np.not_equal(sk[1:], sk[:-1], out=new[1:])
+    starts = np.append(np.flatnonzero(new), len(sk))
+    inverse = np.empty(len(sk), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return Groups(sk[new], order[new], inverse, order, starts)
+
+
+I64 = np.iinfo(np.int64)
+# keys of both group_by branches: (max - min + 1) * n fits in int64 for
+# small ranges and local voxel clouds, and does not for voxel keys across
+# the key range or for int64 extremes
+GROUP_KEYS = st.one_of(
+    st.lists(st.integers(-5, 5), max_size=80),
+    st.tuples(st.tuples(st.integers(-KEY_BIAS, KEY_BIAS - 64),
+                        st.integers(-KEY_BIAS, KEY_BIAS - 64),
+                        st.integers(-KEY_BIAS, KEY_BIAS - 64)),
+              st.lists(st.tuples(*[st.integers(0, 63)] * 3), max_size=80)
+              ).map(lambda t: pack_keys(
+                  np.array(t[1], dtype=np.int64).reshape(-1, 3) + t[0])),
+    st.lists(coord, max_size=40).map(lambda c: pack_keys(c)),
+    st.lists(st.sampled_from([I64.min, I64.min + 1, -1, 0, 1, I64.max - 1,
+                              I64.max]), max_size=20),
+    st.lists(st.integers(I64.min, I64.max), max_size=1),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUP_KEYS)
+@example([])
+@example([I64.max])
+@example([I64.min, I64.max, I64.min])                  # argsort branch
+@example([5, 0, (1 << 61) - 1, 5])                      # (range + 1) n = 2^63
+@example([5, 0, (1 << 61) - 2, 5])                      # the largest that fits
+def test_group_by_equals_stable_argsort_reference(keys):
+    keys = np.asarray(keys, dtype=np.int64)
+    got, want = group_by(keys), stable_groups(keys)
+    for name in Groups._fields:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), max_size=40),
+       st.lists(st.integers(-20, 20), max_size=40))
+def test_isin_sorted_equals_isin(keys, members):
+    """Absent, present and duplicated keys, against sorted unique members
+    (none included)."""
+    sorted_keys = np.unique(np.array(members, dtype=np.int64))
+    keys = np.array(keys + members[:5] * 2, dtype=np.int64)
+    got = isin_sorted(keys, sorted_keys)
+    assert got.dtype == bool
+    np.testing.assert_array_equal(got, np.isin(keys, sorted_keys))
+
+
+def test_group_mean_of_no_rows():
+    groups = group_by(np.zeros(0, dtype=np.int64))
+    for shape in [(0,), (0, 0), (0, 3)]:
+        got = groups.mean(np.zeros(shape))
+        assert got.shape == shape and got.dtype == np.float64
 
 
 @settings(max_examples=60, deadline=None)

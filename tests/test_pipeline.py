@@ -47,6 +47,9 @@ import gp_oracle
 
 STAGES = ("voxelize", "local_gp", "test_points", "local_infer", "fusion",
           "meshing", "global_update")
+SUBSTAGES = {"test_points": ("ray_rows", "normals", "merge"),
+             "local_infer": ("route", "moments"),
+             "meshing": ("mesh_leaves", "crossings")}
 
 
 def wall_scene(props=False):
@@ -116,11 +119,13 @@ def test_frame_stats_track_counts_and_stages():
         assert set(st.stage_ms) == set(STAGES)
         assert all(ms >= 0.0 for ms in st.stage_ms.values())
         assert sum(st.stage_ms.values()) <= st.total_ms + 1e-6
-        # the test_points stage's parts, timed inside it
-        assert set(st.substage_ms) == {"ray_rows", "normals", "merge"}
+        # the parts of three stages, each timed inside its stage
+        assert set(st.substage_ms) == {p for ps in SUBSTAGES.values()
+                                       for p in ps}
         assert all(ms >= 0.0 for ms in st.substage_ms.values())
-        assert (sum(st.substage_ms.values())
-                <= st.stage_ms["test_points"] + 1e-6)
+        for stage, parts in SUBSTAGES.items():
+            assert (sum(st.substage_ms[p] for p in parts)
+                    <= st.stage_ms[stage] + 1e-6), stage
         assert st.n_ray_steps > 0 and st.n_ray_steps_skipped >= 0
     assert pipe.stats[0].n_new_leaves > 0
     # the first frame meets an empty map, so every ray starts at its band

@@ -9,7 +9,8 @@ bit-equal sign and known from any exact tree; a row with an exact
 distance tie takes the sign of one of the tied voxels, and a tail voxel
 wins only when strictly nearer. The draws hold rows at the centres,
 corners and face centres of observed voxels, so tied rows occur on
-purpose. ``test_field_matches_default_tree_layout`` runs the real field
+purpose, and rows near the middles of leaves looked up with a radius
+whose box spans three leaves per axis. ``test_field_matches_default_tree_layout`` runs the real field
 beside one whose index builds scipy's default trees.
 """
 
@@ -24,13 +25,17 @@ from scipy.spatial import cKDTree
 from gpfield import gp
 from gpfield.fusion import FusionConfig, fuse_frame
 from gpfield.global_field import GlobalField, QueryStats, SignIndex
-from gpfield.grid import SparseGrid, VoxelState, grid_to_world
+from gpfield.grid import (LEAF_SIZE, SparseGrid, VoxelState, grid_to_world,
+                          leaf_origin_of)
 from gpfield.pipeline import Pipeline, PipelineConfig
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
 from test_global_field import corridor_frames, sphere_orbit_frames
 
 H = 0.05
 RADIUS = 2.5 * H
+# the default sign_radius, 5 voxels: a box of 11 voxel indices per axis,
+# which spans three leaves per axis around a point near a leaf's middle
+WIDE = 5 * H
 CFG = FusionConfig(v_max=1.0, w_max=1.0, weight_cap=100.0,
                    surface_band=2 * H)
 
@@ -62,10 +67,10 @@ def reference_signs(grid, points, radius):
     return sign, known
 
 
-def assert_matches_reference(index, points):
+def assert_matches_reference(index, points, radius=RADIUS):
     """Compare one lookup with the reference; returns the tied row count."""
-    sign, known = index.lookup(points, RADIUS)
-    want_sign, want_known = reference_signs(index.grid, points, RADIUS)
+    sign, known = index.lookup(points, radius)
+    want_sign, want_known = reference_signs(index.grid, points, radius)
     np.testing.assert_array_equal(known, want_known)
     voxel_signs, sq = observed_distances(index.grid, points)
     if sq.shape[1] < 2:
@@ -119,6 +124,21 @@ def lattice_rows(rng, grid, n):
     return (c + offsets[rng.integers(len(offsets), size=n)]) * H
 
 
+def wide_rows(rng, grid, n):
+    """n rows near the middles of leaves holding an observed voxel (none
+    while nothing is observed), whose WIDE radius box spans three leaves
+    per axis: the leaf and both its neighbours."""
+    coords, _ = grid.observed_voxels()
+    if not len(coords):
+        return np.zeros((0, 3))
+    origins = leaf_origin_of(coords[rng.integers(len(coords), size=n)])
+    rows = (origins + rng.uniform(3.2, 4.8, size=(n, 3))) * H
+    lo = np.floor((rows - WIDE) / (LEAF_SIZE * H))
+    hi = np.floor((rows + WIDE) / (LEAF_SIZE * H))
+    assert (hi - lo == 2).all()
+    return rows
+
+
 OPS = st.one_of(
     st.tuples(st.just("fuse"), st.integers(1, 120), st.sampled_from([0.02, 0.2])),
     st.tuples(st.just("set"), st.integers(0, 3), st.booleans()),
@@ -164,6 +184,8 @@ def test_lookup_matches_single_tree_reference(seed, ops):
             assert index.n == now
             assert_matches_reference(index, np.concatenate([
                 query_points(rng, a, lo, span), lattice_rows(rng, grid, a)]))
+            assert_matches_reference(index, np.concatenate([
+                wide_rows(rng, grid, a), lattice_rows(rng, grid, a)]), WIDE)
             seen = now
             may_build = False
 
@@ -187,6 +209,8 @@ def test_sequence_reaches_every_branch():
         pts = np.concatenate([query_points(rng, 400, lo, span), near,
                               lattice_rows(rng, grid, 200)])
         ties += assert_matches_reference(index, pts)
+        ties += assert_matches_reference(index, np.concatenate([
+            wide_rows(rng, grid, 200), lattice_rows(rng, grid, 200)]), WIDE)
         return stats, before
 
     stats, _ = refresh()                    # empty grid
