@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -41,12 +42,14 @@ def load_trajectory(path) -> list[tuple[float, np.ndarray, np.ndarray]]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            vals = [float(v) for v in line.split()]
-            if len(vals) != 8:
-                raise ValueError(f"{path}:{ln}: expected 8 values, got {len(vals)}")
-            t, tx, ty, tz = vals[0], vals[1], vals[2], vals[3]
-            rot = quat_to_rotation(vals[4:8])
-            poses.append((t, rot, np.array([tx, ty, tz])))
+            try:
+                vals = [float(v) for v in line.split()]
+                if len(vals) != 8:
+                    raise ValueError(f"expected 8 values, got {len(vals)}")
+                rot = quat_to_rotation(vals[4:8])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
+            poses.append((vals[0], rot, np.array(vals[1:4])))
     return poses
 
 
@@ -56,7 +59,10 @@ def load_rows(path) -> np.ndarray:
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data",
                                 UserWarning)
-        rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        try:
+            rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return rows if rows.size else np.zeros((0, 3))
 
 
@@ -72,17 +78,16 @@ def load_points(path):
     return rows[:, :3], props
 
 
-def load_frames(frames_dir, trajectory_path) -> list[Frame]:
-    """Pair sorted frame files with trajectory rows, in order."""
+def load_frames(frames_dir, trajectory_path) -> Iterator[Frame]:
+    """Pair sorted frame files with trajectory rows, in order, loading
+    each file only when its frame is asked for."""
     names = sorted(n for n in os.listdir(frames_dir)
                    if n.lower().endswith((".ply", ".xyz", ".txt")))
     poses = load_trajectory(trajectory_path)
     if len(names) > len(poses):
         raise ValueError(f"{len(names)} frame files but only "
                          f"{len(poses)} trajectory rows")
-    frames = []
     for name, (t, rot, trans) in zip(names, poses):
         pts, props = load_points(os.path.join(frames_dir, name))
-        frames.append(Frame(points=pts, rotation=rot, translation=trans,
-                            properties=props, timestamp=t))
-    return frames
+        yield Frame(points=pts, rotation=rot, translation=trans,
+                    properties=props, timestamp=t)

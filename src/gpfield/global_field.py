@@ -414,10 +414,7 @@ class GlobalField:
         variance = gp.propagate_variance(gp.clip_variance(u[win], p), o[win], p)
 
         gmean = gp.unit_distance_gradient(g[at], p).mean(axis=1)
-        gnorm = np.linalg.norm(gmean, axis=1)
-        grad = np.zeros_like(gmean)
-        okg = gnorm > p.grad_eps
-        grad[okg] = gmean[okg] / gnorm[okg, None]
+        grad = gp.unit_distance_gradient(-gmean, p)
 
         distance = blended * np.where(known, sign, 1.0)
         grad = grad * np.where(known, sign, 1.0)[:, None]

@@ -163,14 +163,13 @@ def build(frame: Frame, voxel_size: float, params: gp.KernelParams,
     no leaf is large enough everything trains as-is.
     """
     coords, centers, props, _ = voxelize(frame, voxel_size)
-    return build_voxelized(coords, centers, props, voxel_size, params,
-                           min_leaf_points, prop_clip)
+    return build_voxelized(coords, centers, props, params, min_leaf_points,
+                           prop_clip)
 
 
 def build_voxelized(coords: np.ndarray, centers: np.ndarray,
-                    props: Optional[np.ndarray], voxel_size: float,
-                    params: gp.KernelParams, min_leaf_points: int = 4,
-                    prop_clip=None) -> LocalField:
+                    props: Optional[np.ndarray], params: gp.KernelParams,
+                    min_leaf_points: int = 4, prop_clip=None) -> LocalField:
     """Train per-leaf models from an already voxelized cloud, in one
     gp.train_many call; the small leaves find their hosts in one cKDTree
     query over their centroids."""

@@ -313,9 +313,8 @@ class Pipeline:
         stats.stage_ms["voxelize"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        lf = local_field.build_voxelized(coords, centers, props, c.voxel_size,
-                                         self.params, c.min_leaf_points,
-                                         c.prop_clip)
+        lf = local_field.build_voxelized(coords, centers, props, self.params,
+                                         c.min_leaf_points, c.prop_clip)
         stats.stage_ms["local_gp"] = (time.perf_counter() - t0) * 1e3
         stats.n_jitter_escalations = sum(m.jitter for m in lf.models)
 

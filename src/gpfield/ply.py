@@ -18,14 +18,10 @@ from typing import Optional
 import numpy as np
 
 _PROP_TYPES = {
-    "float": ("<f4", 4), "float32": ("<f4", 4),
-    "double": ("<f8", 8), "float64": ("<f8", 8),
-    "uchar": ("<u1", 1), "uint8": ("<u1", 1),
-    "char": ("<i1", 1), "int8": ("<i1", 1),
-    "short": ("<i2", 2), "int16": ("<i2", 2),
-    "ushort": ("<u2", 2), "uint16": ("<u2", 2),
-    "int": ("<i4", 4), "int32": ("<i4", 4),
-    "uint": ("<u4", 4), "uint32": ("<u4", 4),
+    "float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8",
+    "uchar": "<u1", "uint8": "<u1", "char": "<i1", "int8": "<i1",
+    "short": "<i2", "int16": "<i2", "ushort": "<u2", "uint16": "<u2",
+    "int": "<i4", "int32": "<i4", "uint": "<u4", "uint32": "<u4",
 }
 
 
@@ -98,6 +94,7 @@ def write_mesh(path, vertices: np.ndarray, faces: np.ndarray,
         fh.write(frec.tobytes())
 
 
+@np.errstate(invalid="ignore")    # a signalling NaN casts to NaN quietly
 def read_ply(path):
     """Parse a PLY file.
 
@@ -105,14 +102,20 @@ def read_ply(path):
     (empty if absent), and "properties" (V, P) float64 holding RGB
     scaled to [0, 1] or intensity when present (None otherwise). A
     malformed header, an unknown property type, a vertex element
-    without x, y and z, or data that ends inside an element raises
-    IoFailure naming the file.
+    without x, y and z, data that ends inside an element, ascii data
+    that is not ascii or not a number of its property's type, a list
+    count that is not a non-negative integer or a face index outside
+    the vertices raises IoFailure naming the file. A NaN coordinate reads
+    as NaN, a binary float32 signalling NaN included, without a warning.
     """
+    def fail(message):
+        raise IoFailure(f"{path}: {message}")
+
     with open(path, "rb") as fh:
         data = fh.read()
     end = data.find(b"end_header\n")
     if not data.startswith(b"ply") or end < 0:
-        raise IoFailure(f"{path}: not a PLY file")
+        fail("not a PLY file")
     header = data[:end].decode("ascii", errors="replace").splitlines()
     body = data[end + len(b"end_header\n"):]
 
@@ -131,97 +134,80 @@ def read_ply(path):
               and len(tok) == (5 if is_list else 3)):
             types = tok[2:4] if is_list else tok[1:2]
             if not set(types) <= _PROP_TYPES.keys():
-                raise IoFailure(f"{path}: unknown PLY property type in "
-                                f"{line!r}")
-            if is_list:
-                elements[-1][2].append((tok[4], tok[3], True, tok[2]))
-            else:
-                elements[-1][2].append((tok[2], tok[1], False, None))
+                fail(f"unknown PLY property type in {line!r}")
+            elements[-1][2].append((tok[4], tok[3], True, tok[2]) if is_list
+                                   else (tok[2], tok[1], False, None))
         elif tok[0] in ("format", "element", "property"):
-            raise IoFailure(f"{path}: bad PLY header line {line!r}")
-    if fmt == "binary_big_endian":
-        raise IoFailure(f"{path}: big-endian PLY not supported")
+            fail(f"bad PLY header line {line!r}")
     if fmt not in ("ascii", "binary_little_endian"):
-        raise IoFailure(f"{path}: unknown PLY format {fmt!r}")
+        fail("big-endian PLY not supported" if fmt == "binary_big_endian"
+             else f"unknown PLY format {fmt!r}")
     for name, _, props in elements:
         if len(props) > 1 and any(p[2] for p in props):
-            raise IoFailure(f"{path}: PLY element {name} mixes a list "
-                            "with other properties")
+            fail(f"PLY element {name} mixes a list with other properties")
         if name == "vertex" and not {"x", "y", "z"} <= {p[0] for p in props}:
-            raise IoFailure(f"{path}: PLY vertex element lacks x, y or z")
-
-    def ensure(ok: bool, name: str) -> None:
-        if not ok:
-            raise IoFailure(f"{path}: PLY data ends inside element {name}")
-
-    out = {"vertices": np.zeros((0, 3), dtype=np.float32),
-           "faces": np.zeros((0, 3), dtype=np.int32),
-           "properties": None}
+            fail("PLY vertex element lacks x, y or z")
     if fmt == "ascii":
-        rows = body.decode("ascii").split()
-        pos = 0
-        for name, count, props in elements:
-            if any(p[2] for p in props):        # list property (faces)
-                faces = []
-                for _ in range(count):
-                    ensure(pos < len(rows), name)
-                    n = int(rows[pos]); pos += 1
-                    ensure(0 <= n <= len(rows) - pos, name)
-                    idx = [int(rows[pos + i]) for i in range(n)]
-                    pos += n
-                    for i in range(1, n - 1):
-                        faces.append((idx[0], idx[i], idx[i + 1]))
-                if name == "face":
-                    out["faces"] = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
-            else:
-                ensure(count * len(props) <= len(rows) - pos, name)
-                vals = np.asarray(rows[pos:pos + count * len(props)],
-                                  dtype=np.float64).reshape(count, len(props))
-                pos += count * len(props)
-                if name == "vertex":
-                    _extract_vertex(out, vals, [p[0] for p in props])
-        return out
+        try:
+            body = body.decode("ascii").split()
+        except UnicodeDecodeError:
+            fail("PLY ascii data holds a byte that is not ascii")
+    pos = 0
 
-    offset = 0
+    def take(name, dt, n):
+        """(n, k) float64 values of the next n records of dt's k fields."""
+        nonlocal pos
+        k = len(dt.names)
+        size = n * (k if fmt == "ascii" else dt.itemsize)
+        if size > len(body) - pos:
+            fail(f"PLY data ends inside element {name}")
+        vals = np.empty((n, k))
+        try:
+            for j, c in enumerate(dt.names):
+                vals[:, j] = (np.frombuffer(body, dt, n, pos)[c]
+                              if fmt != "ascii" else np.asarray(
+                                  body[pos + j:pos + size:k],
+                                  "f8" if dt[c].kind == "f" else "i8"))
+        except (ValueError, OverflowError) as exc:
+            fail(f"bad value in PLY element {name}: {exc}")
+        pos += size
+        return vals
+
+    n_vertices = {name: count for name, count, _ in elements}.get("vertex", 0)
+    out = {"vertices": np.zeros((0, 3), dtype=np.float32),
+           "faces": np.zeros((0, 3), dtype=np.int32), "properties": None}
     for name, count, props in elements:
-        if any(p[2] for p in props):
-            faces = []
-            count_t = _PROP_TYPES[props[0][3]][0]
-            item_t, item_s = _PROP_TYPES[props[0][1]]
-            csize = _PROP_TYPES[props[0][3]][1]
-            for _ in range(count):
-                ensure(offset + csize <= len(body), name)
-                n = int(np.frombuffer(body, dtype=count_t, count=1,
-                                      offset=offset)[0])
-                offset += csize
-                ensure(0 <= n and offset + n * item_s <= len(body), name)
-                idx = np.frombuffer(body, dtype=item_t, count=n, offset=offset)
-                offset += n * item_s
-                for i in range(1, n - 1):
-                    faces.append((idx[0], idx[i], idx[i + 1]))
-            if name == "face":
-                out["faces"] = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
-        else:
-            dt = np.dtype([(p[0], _PROP_TYPES[p[1]][0]) for p in props])
-            ensure(offset + dt.itemsize * count <= len(body), name)
-            rec = np.frombuffer(body, dtype=dt, count=count, offset=offset)
-            offset += dt.itemsize * count
+        if not any(p[2] for p in props):     # no list property
+            vals = take(name, _record([p[1] for p in props]), count)
             if name == "vertex":
-                vals = np.stack([rec[p[0]].astype(np.float64) for p in props],
-                                axis=1)
-                _extract_vertex(out, vals, [p[0] for p in props], rec)
+                _extract_vertex(out, vals, [p[0] for p in props])
+            continue
+        faces = []
+        count_dt, item_dt = _record([props[0][3]]), _record([props[0][1]])
+        for _ in range(count):
+            n = take(name, count_dt, 1)[0, 0]
+            if not (n >= 0 and n.is_integer()):
+                fail(f"PLY element {name} has a list count {n:g}")
+            idx = take(name, item_dt, int(n))[:, 0].tolist()
+            if name == "face" and not all(0 <= i < n_vertices
+                                          and i.is_integer() for i in idx):
+                fail(f"PLY face index not one of the {n_vertices} vertices")
+            faces += [(idx[0], a, b) for a, b in zip(idx[1:-1], idx[2:])]
+        if name == "face":
+            out["faces"] = np.asarray(faces, dtype=np.int32).reshape(-1, 3)
     return out
 
 
-def _extract_vertex(out, vals, names, rec=None):
-    ix, iy, iz = names.index("x"), names.index("y"), names.index("z")
-    if rec is not None:
-        out["vertices"] = np.stack([rec["x"], rec["y"], rec["z"]],
-                                   axis=1).astype(np.float32)
-    else:
-        out["vertices"] = vals[:, [ix, iy, iz]].astype(np.float32)
-    if all(c in names for c in ("red", "green", "blue")):
-        cols = [names.index(c) for c in ("red", "green", "blue")]
-        out["properties"] = vals[:, cols] / 255.0
+def _record(types):
+    """The binary record of the given PLY property types."""
+    return np.dtype([(f"c{j}", _PROP_TYPES[t]) for j, t in enumerate(types)])
+
+
+def _extract_vertex(out, vals, names):
+    out["vertices"] = vals[:, [names.index(c) for c in "xyz"]].astype(
+        np.float32)
+    if {"red", "green", "blue"} <= set(names):
+        rgb = [names.index(c) for c in ("red", "green", "blue")]
+        out["properties"] = vals[:, rgb] / 255.0
     elif "intensity" in names:
         out["properties"] = vals[:, [names.index("intensity")]]

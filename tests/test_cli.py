@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gpfield import pipeline
+from gpfield import frame_io, pipeline
 from gpfield.cli import main
 from gpfield.pipeline import Pipeline
 from gpfield.ply import read_ply, write_mesh
@@ -221,6 +221,56 @@ def test_frame_without_a_finite_point_is_skipped(tmp_path, capsys, skipped):
 def test_run_of_only_empty_frames_is_one_error_line(tmp_path, capsys):
     code, _, err, _ = run_frames(capsys, tmp_path, {0: "", 1: "nan 0 0\n"})
     assert (code, err) == (1, ["error: no non-empty frames to integrate"])
+
+
+def recorded(root, frames, poses):
+    """(frames dir, trajectory path) holding text frames {name: text}
+    and the trajectory text poses."""
+    (root / "frames").mkdir()
+    for name, text in frames.items():
+        (root / "frames" / name).write_text(text)
+    (root / "poses.txt").write_text(poses)
+    return root / "frames", root / "poses.txt"
+
+
+@pytest.mark.parametrize("pose, message", [
+    ("0 0 0 0 0 0 x 1", "could not convert string to float: 'x'"),
+    ("0 0 0 0 0 0 0 0", "zero-norm quaternion"),
+    ("0 0 0 0 0 0 1", "expected 8 values, got 7")],
+    ids=["not_a_number", "zero_norm_quaternion", "seven_values"])
+def test_bad_trajectory_row_is_one_error_line_naming_file_and_line(
+        tmp_path, capsys, pose, message):
+    frames, traj = recorded(tmp_path, {"000.xyz": PLANE},
+                            f"# t tx ty tz qx qy qz qw\n{pose}\n")
+    assert error_lines(capsys, [
+        "run", "--frames-dir", str(frames), "--trajectory", str(traj),
+        "--snapshot", str(tmp_path / "m.snap")]) == (
+        1, [f"error: {traj}:2: {message}"])
+
+
+def test_bad_text_frame_value_is_one_error_line_naming_the_file(tmp_path,
+                                                                capsys):
+    frames, traj = recorded(tmp_path, {"000.xyz": "0 0 1\n0 abc 1\n"},
+                            "0 0 0 0 0 0 0 1\n")
+    code, err = error_lines(capsys, [
+        "run", "--frames-dir", str(frames), "--trajectory", str(traj),
+        "--snapshot", str(tmp_path / "m.snap")])
+    assert (code, len(err)) == (1, 1)
+    assert err[0].startswith(f"error: {frames / '000.xyz'}: ")
+    assert "'abc'" in err[0]
+
+
+def test_load_frames_reads_each_file_when_its_frame_is_asked_for(tmp_path):
+    frames, traj = recorded(tmp_path, {"000.xyz": PLANE, "001.xyz": "0 x 1\n"},
+                            "0 0 0 0 0 0 0 1\n1 0 0 0 0 0 0 1\n")
+    loaded = frame_io.load_frames(frames, traj)
+    assert len(next(loaded).points) == 21 * 21
+    with pytest.raises(ValueError) as info:
+        next(loaded)
+    assert str(info.value).startswith(f"{frames / '001.xyz'}: ")
+    traj.write_text("0 0 0 0 0 0 0 1\n")
+    with pytest.raises(ValueError, match="2 frame files but only 1"):
+        next(frame_io.load_frames(frames, traj))
 
 
 @pytest.mark.parametrize("item, message", [
@@ -613,3 +663,18 @@ def test_damaged_input_runs_or_is_one_error_line(kind, data):
     code, lines = run_on(kind, data.draw(damaged(FUZZ_INPUTS[kind])))
     errors = [ln for ln in lines if ln.startswith("error:")]
     assert code == 0 and errors == [] or code == 1 and len(errors) == 1
+
+
+def test_signalling_nan_coordinate_is_dropped_without_a_warning(tmp_path):
+    """A float32 signalling NaN reads as a quiet NaN, which voxelize drops
+    as a non-finite point, and no cast on the way warns."""
+    data = bytearray(FUZZ_INPUTS["binary_ply"])
+    at = data.index(b"end_header\n") + len(b"end_header\n")
+    data[at:at + 4] = bytes.fromhex("0ad7a37f")
+    path = tmp_path / "snan.ply"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vertices = read_ply(path)["vertices"]
+        assert run_on("binary_ply", bytes(data)) == (0, [])
+    assert np.isnan(vertices[0, 0]) and np.isfinite(vertices[1:]).all()

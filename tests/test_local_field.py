@@ -166,7 +166,7 @@ def test_build_merges_small_leaves_into_nearest_big_one():
     coords = np.array([[4, 4, 4], [4, 4, 5], [4, 5, 4], [5, 4, 4],
                        [8, 4, 4]])  # last voxel alone in the next leaf
     centers = (coords + 0.5) * h
-    field = build_voxelized(coords, centers, None, h,
+    field = build_voxelized(coords, centers, None,
                             KernelParams(length_scale=0.3),
                             min_leaf_points=4)
     assert len(field.models) == 1
@@ -181,7 +181,7 @@ def test_build_keeps_small_leaves_when_none_are_big():
     h = 0.1
     coords = np.array([[0, 0, 0], [1, 0, 0], [8, 0, 0], [9, 0, 0], [10, 0, 0]])
     centers = (coords + 0.5) * h
-    field = build_voxelized(coords, centers, None, h,
+    field = build_voxelized(coords, centers, None,
                             KernelParams(length_scale=0.3),
                             min_leaf_points=4)
     assert len(field.models) == 2
@@ -193,7 +193,7 @@ def test_nearest_model_tie_breaks_to_first_origin():
     coords = np.array([[4, 0, 0], [4, 1, 0], [4, 0, 1], [4, 1, 1],
                        [11, 0, 0], [11, 1, 0], [11, 0, 1], [11, 1, 1]])
     centers = (coords + 0.5) * h
-    field = build_voxelized(coords, centers, None, h,
+    field = build_voxelized(coords, centers, None,
                             KernelParams(length_scale=3.0),
                             min_leaf_points=4)
     assert len(field.models) == 2
@@ -322,7 +322,7 @@ def test_build_matches_per_leaf_merge_and_per_model_training(n, min_points,
     centers = grid_to_world(coords, h)
     p = rng.random((len(coords), 2)) if props else None
     params = KernelParams(length_scale=3 * h)
-    field = build_voxelized(coords, centers, p, h, params, min_points)
+    field = build_voxelized(coords, centers, p, params, min_points)
     hosts = group_by(reference_hosts(coords, centers, min_points)).rows()
     assert len(field.models) == len(hosts)
     for model, rows in zip(field.models, hosts):

@@ -1,7 +1,10 @@
 """Surface extraction and PLY round trips."""
 
 import re
+import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,11 +26,12 @@ from gpfield.meshing import (
     mesh_leaves,
 )
 from gpfield.pipeline import Pipeline, PipelineConfig
-from gpfield.ply import IoFailure, read_ply, write_mesh
+from gpfield.ply import _PROP_TYPES, IoFailure, read_ply, write_mesh
 from gpfield.scene import (Primitive, SensorModel, SyntheticScene, look_at,
                            orbit_trajectory, render_frame)
 
 import mesh_oracle
+import ply_oracle
 
 H = 0.05
 
@@ -663,6 +667,8 @@ def test_ascii_ply_reads_as_the_binary_file_it_spells_out(tmp_path):
 
 ASCII_VERTICES = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
                   "property float y\nproperty float z\n")
+ASCII_FACE = ASCII_VERTICES + ("element face 1\n"
+                               "property list uchar int vertex_indices\n")
 
 
 @pytest.mark.parametrize("header, body", [
@@ -673,13 +679,113 @@ ASCII_VERTICES = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
     (ASCII_VERTICES, "0 0 0\n1 1\n"),
     ("ply\nformat binary_little_endian 1.0\nelement vertex 1\n"
      "property float16 x\n", "\0\0"),
-    ("ply\nformat binary_little_endiam 1.0\n", "")],
+    ("ply\nformat binary_little_endiam 1.0\n", ""),
+    (ASCII_VERTICES, "0 0 0\n1 abc 1\n"),
+    (ASCII_VERTICES, "0 0 0\n1 \xe9 1\n"),
+    (ASCII_FACE, "0 0 0\n1 1 1\n3.0 0 1 1\n"),
+    (ASCII_FACE, "0 0 0\n1 1 1\n3 0 1 2\n"),
+    (ASCII_FACE, "0 0 0\n1 1 1\n3 0 1 3000000000\n"),
+    ("ply\nformat binary_little_endian 1.0\nelement face 1\n"
+     "property list float int vertex_indices\n",
+     (struct.pack("<f", 2.5) + struct.pack("<2i", 0, 0)).decode("latin-1"))],
     ids=["element_without_count", "property_before_element",
          "short_list_row", "short_vertex_rows", "unknown_binary_type",
-         "unknown_format"])
+         "unknown_format", "ascii_token_not_a_number", "non_ascii_byte",
+         "list_count_not_an_integer", "face_index_at_vertex_count",
+         "face_index_past_int32", "binary_list_count_not_an_integer"])
 def test_malformed_ply_raises_io_failure_naming_the_file(tmp_path, header,
                                                          body):
     path = tmp_path / "bad.ply"
-    path.write_bytes((header + "end_header\n" + body).encode("ascii"))
+    path.write_bytes((header + "end_header\n" + body).encode("latin-1"))
     with pytest.raises(IoFailure, match=re.escape(str(path))):
         read_ply(path)
+
+
+SCALAR_TYPES = sorted(_PROP_TYPES)
+INT_TYPES = [t for t in SCALAR_TYPES
+             if np.dtype(_PROP_TYPES[t]).kind in "iu"]
+
+
+@st.composite
+def scalar_of(draw, type_name):
+    """A value that the PLY type holds exactly, or that a double rounds."""
+    dt = np.dtype(_PROP_TYPES[type_name])
+    if dt.kind in "iu":
+        info = np.iinfo(dt)
+        return draw(st.integers(int(info.min), int(info.max)))
+    if dt.itemsize == 4:
+        return draw(st.floats(width=32, allow_nan=False))
+    return draw(st.floats(-3e38, 3e38) | st.sampled_from([np.inf, -np.inf]))
+
+
+@st.composite
+def valid_ply(draw):
+    """The elements of a valid PLY file, each as (header lines, records
+    of (type, value) pairs): x, y and z of any scalar type, no
+    properties, rgb or intensity, faces of 3 or 4 indices and one
+    element that is neither vertex nor face, in any place."""
+    n_vertices = draw(st.integers(0, 6))
+    xyz = [(c, draw(st.sampled_from(SCALAR_TYPES))) for c in "xyz"]
+    intensity = [("intensity", draw(st.sampled_from(["float", "double"])))]
+    rgb = [(c, "uchar") for c in ("red", "green", "blue")]
+    extra = draw(st.sampled_from([[], rgb, intensity]))
+    props = draw(st.permutations(xyz + extra))
+    vertex = ([f"element vertex {n_vertices}"]
+              + [f"property {t} {name}" for name, t in props],
+              [[(t, draw(scalar_of(t))) for _, t in props]
+               for _ in range(n_vertices)])
+    n_faces = draw(st.integers(0, 4)) if n_vertices else 0
+    count_t, index_t = (draw(st.sampled_from(INT_TYPES)) for _ in "ci")
+    face = ([f"element face {n_faces}",
+             f"property list {count_t} {index_t} vertex_indices"], [])
+    for _ in range(n_faces):
+        n = draw(st.sampled_from([3, 4]))
+        face[1].append([(count_t, n)] + [
+            (index_t, draw(st.integers(0, n_vertices - 1)))
+            for _ in range(n)])
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(SCALAR_TYPES))
+        other = (["element edge 2", f"property {t} weight"],
+                 [[(t, draw(scalar_of(t)))] for _ in range(2)])
+    else:
+        t = draw(st.sampled_from(INT_TYPES))
+        other = (["element edge 2", f"property list uchar {t} ends"],
+                 [[("uchar", 2), (t, 0), (t, 1)] for _ in range(2)])
+    elements = [vertex, face]
+    elements.insert(draw(st.integers(0, 2)), other)
+    return elements
+
+
+def write_ply_file(path, elements, binary):
+    lines = ["ply", "format " + ("binary_little_endian" if binary
+                                 else "ascii") + " 1.0"]
+    body = b""
+    for header, records in elements:
+        lines += header
+        for rec in records:
+            if binary:
+                body += b"".join(np.array(v, _PROP_TYPES[t]).tobytes()
+                                 for t, v in rec)
+            else:
+                body += (" ".join(str(v) for _, v in rec) + "\n").encode()
+    text = "\n".join(lines + ["end_header"]) + "\n"
+    path.write_bytes(text.encode("ascii") + body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements=valid_ply(), binary=st.booleans())
+def test_read_ply_equals_the_two_walk_reader_byte_for_byte(elements, binary):
+    """The one-walk reader returns what the reader with separate ascii and
+    binary walks returned, array for array, dtype and bytes included."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "frame.ply"
+        write_ply_file(path, elements, binary)
+        got, want = read_ply(path), ply_oracle.read_ply(path)
+    assert got.keys() == want.keys()
+    for key in want:
+        if want[key] is None:
+            assert got[key] is None
+            continue
+        assert (got[key].dtype, got[key].shape) == (want[key].dtype,
+                                                    want[key].shape)
+        assert got[key].tobytes() == want[key].tobytes()

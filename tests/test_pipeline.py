@@ -721,7 +721,7 @@ def test_frame_stats_count_local_jitter_escalations():
     config = PipelineConfig(noise2=0.0)
     coords, centers, props, _ = local_field.voxelize(frame, h)
     models = local_field.build_voxelized(
-        coords, centers, props, h, config.kernel_params(),
+        coords, centers, props, config.kernel_params(),
         config.min_leaf_points).models
     want = sum(gp_oracle.train(m.train_points, config.kernel_params()).jitter
                for m in models)
