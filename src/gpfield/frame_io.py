@@ -46,6 +46,8 @@ def load_trajectory(path) -> list[tuple[float, np.ndarray, np.ndarray]]:
                 vals = [float(v) for v in line.split()]
                 if len(vals) != 8:
                     raise ValueError(f"expected 8 values, got {len(vals)}")
+                if not np.isfinite(vals).all():
+                    raise ValueError(f"expected finite values, got {line!r}")
                 rot = quat_to_rotation(vals[4:8])
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from None

@@ -13,15 +13,17 @@ holds one leaf, plus an origin and a stamp column. Slots follow
 allocation order; row 0 stays all-zero and reads for every unallocated
 leaf. The pool grows by doubling, copying only the rows in use. It is
 the only leaf state: a ``LeafNode`` handle (grid, slot, origin) reads its
-row on each access, so growth re-points nothing. Finding one leaf is one
-dict probe on the packed key of its origin; ``SparseGrid.leaf_slots``
-finds many by binary search in a cached sorted array of those keys, so
-``lookup``, fusion, marching cubes and the sign index read and write
-voxels of many leaves with one fancy index into the pool. Every write
-path stamps the leaf it writes from a grid-wide clock, the grid's only
-change record (a writer that goes around the write paths stamps its
-leaves with ``activate``), so a reader that remembers the clock can find
-the leaves touched since by one compare on the stamp column.
+row on each access, so growth re-points nothing. The leaf index is one
+sorted array of the packed keys of leaf origins beside their slots,
+which every allocation updates at once. Finding one leaf is one binary
+search in it; ``SparseGrid.leaf_slots`` finds many with one, so
+``lookup``, ``gather_block``, fusion, marching cubes and the sign index
+read and write voxels of many leaves with one fancy index into the pool.
+Every write path stamps the leaf it writes from a grid-wide clock, the
+grid's only change record (a writer that goes around the write paths
+stamps its leaves with ``activate``), so a reader that remembers the
+clock can find the leaves touched since by one compare on the stamp
+column.
 """
 
 from __future__ import annotations
@@ -305,17 +307,12 @@ class SparseGrid:
         # stays zero. Growth replaces the arrays, so read them from here
         # after any allocation
         self.pool = new_pool(self._INITIAL_CAPACITY, self.prop_channels)
-        # packed leaf-origin key -> slot, in slot order
-        self._slots: dict[int, int] = {}
         # slot -> LeafNode, made on first request
         self._handles: dict[int, LeafNode] = {}
-        # allocated leaf keys in ascending order, then a key above every
-        # leaf key, and their slots (0 for that last key); leaf_slots
-        # merges in the keys allocated since its last call, which wait in
-        # _unsorted and own the last slots
+        # the leaf index: allocated leaf keys in ascending order, then a
+        # key above every leaf key, and their slots (0 for that last key)
         self._sorted = (np.array([np.iinfo(np.int64).max]),
                         np.zeros(1, dtype=np.int64))
-        self._unsorted: list[int] = []
         # slots activated since the last clear_active, in touch order
         self._active: list[np.ndarray] = []
         # advanced by every leaf stamp; a leaf stamped after a reader read
@@ -331,13 +328,19 @@ class SparseGrid:
                 self, slot, tuple(self.pool["origin"][slot].tolist()))
         return leaf
 
+    def _slot(self, key: int) -> int:
+        """Slot of the leaf under one packed leaf key, 0 if unallocated."""
+        keys, slots = self._sorted
+        at = int(keys.searchsorted(key))
+        return slots.item(at) if keys.item(at) == key else 0
+
     def find_leaf(self, coord) -> Optional[LeafNode]:
         """Leaf containing the coordinate, or None if unallocated.
 
         Raises ValueError for a coordinate outside the key range.
         """
-        slot = self._slots.get(_leaf_key(coord))
-        return None if slot is None else self._handle(slot)
+        slot = self._slot(_leaf_key(coord))
+        return self._handle(slot) if slot else None
 
     def get_or_create_leaf(self, coord) -> LeafNode:
         """Leaf containing the coordinate, allocating it if needed.
@@ -349,34 +352,31 @@ class SparseGrid:
     def _touch(self, coord) -> int:
         """Stamp the leaf holding coord, allocated if needed; its slot."""
         key = _leaf_key(coord)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = int(self._allocate(np.array([key]))[0])
+        slot = self._slot(key) or int(self.allocate([key])[0])
         self.clock += 1
         self.pool["stamp"][slot] = self.clock
         return slot
 
     def allocate(self, keys) -> np.ndarray:
         """Slot of the leaf under each packed leaf key, allocating the
-        missing leaves in the order given; keys must be distinct.
+        missing leaves in the order given and adding them to the leaf
+        index; keys must be distinct.
 
         Stamps nothing: a caller that writes stamps through activate.
         """
         keys = np.asarray(keys, dtype=np.int64)
         slots = self.leaf_slots(keys)
-        missing = slots == 0
-        if missing.any():
-            slots[missing] = self._allocate(keys[missing])
-        return slots
-
-    def _allocate(self, keys: np.ndarray) -> np.ndarray:
-        """Allocate leaves under new packed leaf keys; returns their slots."""
-        first = self.n_leaves + 1
-        slots = np.arange(first, first + len(keys))
-        self._reserve(first + len(keys))
-        self.pool["origin"][slots] = unpack_keys(keys)
-        self._slots.update(zip(keys.tolist(), slots.tolist()))
-        self._unsorted += keys.tolist()
+        new = np.flatnonzero(slots == 0)
+        if len(new):
+            first = self.n_leaves + 1
+            slots[new] = np.arange(first, first + len(new))
+            self._reserve(first + len(new))
+            self.pool["origin"][slots[new]] = unpack_keys(keys[new])
+            new = new[np.argsort(keys[new])]
+            sorted_keys, sorted_slots = self._sorted
+            at = np.searchsorted(sorted_keys, keys[new])
+            self._sorted = (np.insert(sorted_keys, at, keys[new]),
+                            np.insert(sorted_slots, at, slots[new]))
         return slots
 
     def _reserve(self, rows: int) -> None:
@@ -410,8 +410,8 @@ class SparseGrid:
         self.pool["value_mask"][at] = True
 
     def get(self, coord) -> Optional[VoxelState]:
-        slot = self._slots.get(_leaf_key(coord))
-        if slot is None:
+        slot = self._slot(_leaf_key(coord))
+        if not slot:
             return None
         at = slot, _local_index(coord)
         pool = self.pool
@@ -427,7 +427,7 @@ class SparseGrid:
 
     @property
     def n_leaves(self) -> int:
-        return len(self._slots)
+        return len(self._sorted[0]) - 1
 
     @property
     def nbytes(self) -> int:
@@ -483,30 +483,13 @@ class SparseGrid:
         gets slot 0, the zero row.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if self._unsorted:
-            self._merge_unsorted()
         sorted_keys, sorted_slots = self._sorted
         at = np.searchsorted(sorted_keys, keys)
         return np.where(sorted_keys[at] == keys, sorted_slots[at], 0)
 
     def sorted_slots(self) -> np.ndarray:
         """Slots of all leaves in ascending origin order."""
-        if self._unsorted:
-            self._merge_unsorted()
         return self._sorted[1][:-1]
-
-    def _merge_unsorted(self) -> None:
-        """Merge the keys allocated since the last merge into _sorted."""
-        new = np.array(self._unsorted, dtype=np.int64)
-        # the waiting keys own the last slots, in allocation order
-        new_slots = np.arange(self.n_leaves + 1 - len(new), self.n_leaves + 1)
-        order = np.argsort(new)
-        new, new_slots = new[order], new_slots[order]
-        sorted_keys, sorted_slots = self._sorted
-        at = np.searchsorted(sorted_keys, new)
-        self._sorted = (np.insert(sorted_keys, at, new),
-                        np.insert(sorted_slots, at, new_slots))
-        self._unsorted.clear()
 
     def lookup(self, coords: np.ndarray):
         """Vectorized voxel lookup.
@@ -536,42 +519,23 @@ class SparseGrid:
             shape: (3,) block extent in voxels.
 
         Returns:
-            (distance, observed, prop) arrays of the block shape; voxels
-            without values are zero / unobserved.
+            (distance, observed, prop) arrays of the block shape, float64,
+            bool and float64; voxels without values, and voxels past the
+            key range, are zero / unobserved.
         """
-        origin = np.asarray(origin, dtype=np.int64)
         shape = tuple(int(s) for s in shape)
-        dist = np.zeros(shape, dtype=np.float64)
-        obs = np.zeros(shape, dtype=bool)
-        prop = np.zeros(shape + (self.prop_channels,), dtype=np.float64)
-        # no leaf exists outside the key range, so the scan stops at its edge
-        lo_leaf = np.maximum(origin >> LEAF_LOG2, -KEY_BIAS >> LEAF_LOG2)
-        hi_leaf = np.minimum((origin + np.asarray(shape) - 1) >> LEAF_LOG2,
-                             (KEY_BIAS >> LEAF_LOG2) - 1)
-        for li in range(int(lo_leaf[0]), int(hi_leaf[0]) + 1):
-            for lj in range(int(lo_leaf[1]), int(hi_leaf[1]) + 1):
-                for lk in range(int(lo_leaf[2]), int(hi_leaf[2]) + 1):
-                    lorg = (li << LEAF_LOG2, lj << LEAF_LOG2, lk << LEAF_LOG2)
-                    leaf = self.find_leaf(lorg)
-                    if leaf is None:
-                        continue
-                    # overlap of this leaf with the requested block
-                    lo = np.maximum(origin, np.asarray(lorg))
-                    hi = np.minimum(origin + shape, np.asarray(lorg) + LEAF_SIZE)
-                    bs = tuple(slice(int(a - o), int(b - o))
-                               for a, b, o in zip(lo, hi, origin))
-                    ll = lo - np.asarray(lorg)
-                    lh = hi - np.asarray(lorg)
-                    d = leaf.distance.reshape(LEAF_SIZE, LEAF_SIZE, LEAF_SIZE)
-                    m = leaf.value_mask.reshape(LEAF_SIZE, LEAF_SIZE, LEAF_SIZE)
-                    o_ = leaf.observed.reshape(LEAF_SIZE, LEAF_SIZE, LEAF_SIZE)
-                    sl = tuple(slice(int(a), int(b)) for a, b in zip(ll, lh))
-                    dist[bs] = np.where(m[sl], d[sl], 0.0)
-                    obs[bs] = o_[sl] & m[sl]
-                    if self.prop_channels:
-                        p = leaf.prop.reshape(LEAF_SIZE, LEAF_SIZE, LEAF_SIZE, -1)
-                        prop[bs] = p[sl]
-        return dist, obs, prop
+        c = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"),
+                     axis=-1).reshape(-1, 3) + np.asarray(origin, np.int64)
+        keyed = ((c >= -KEY_BIAS) & (c < KEY_BIAS)).all(axis=1)
+        keys = np.full(len(c), -1, dtype=np.int64)
+        keys[keyed] = leaf_keys(pack_keys(c[keyed]))
+        at = self.leaf_slots(keys) * LEAF_VOXELS + local_flat_index(c)
+        mask = self.voxels("value_mask")[at]
+        dist = np.where(mask, self.voxels("distance")[at], np.float32(0.0))
+        obs = self.voxels("observed")[at] & mask
+        prop = self.voxels("prop")[at]
+        return (dist.astype(np.float64).reshape(shape), obs.reshape(shape),
+                prop.astype(np.float64).reshape(shape + prop.shape[1:]))
 
     def observed_voxels(self):
         """Coordinates and distances of all observed voxels.

@@ -136,7 +136,6 @@ class TriangleMesh:
     vertices: np.ndarray            # (V, 3) float64
     triangles: np.ndarray           # (T, 3) int64
     properties: np.ndarray          # (V, P) float64
-    vertex_leaf: np.ndarray         # (V, 3) int64 owning leaf origin
 
     @property
     def n_vertices(self) -> int:
@@ -149,8 +148,7 @@ class TriangleMesh:
     @staticmethod
     def empty(prop_channels: int = 0) -> "TriangleMesh":
         return TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64),
-                            np.zeros((0, prop_channels)),
-                            np.zeros((0, 3), dtype=np.int64))
+                            np.zeros((0, prop_channels)))
 
 
 def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
@@ -338,7 +336,7 @@ def first_appearance(groups: Groups):
     return np.sort(groups.first), rank[groups.inverse]
 
 
-def combine(leaf_meshes: Iterable[LeafMesh], voxel_size: float,
+def combine(leaf_meshes: Iterable[LeafMesh],
             prop_channels: int = 0) -> TriangleMesh:
     """Merge per-leaf meshes into one indexed triangle mesh.
 
@@ -359,9 +357,7 @@ def combine(leaf_meshes: Iterable[LeafMesh], voxel_size: float,
                                     v[t[:, 2]] - v[t[:, 0]]), axis=1)
     t = t[area2 > 2.0 * AREA_EPS]
     p = p[first] if prop_channels else np.zeros((len(v), 0))
-    vleaf = leaf_origin_of(world_to_grid(v, voxel_size))
-    return TriangleMesh(vertices=v, triangles=t, properties=p,
-                        vertex_leaf=vleaf)
+    return TriangleMesh(vertices=v, triangles=t, properties=p)
 
 
 def marching_cubes(grid: SparseGrid, origins: Optional[Iterable] = None) -> TriangleMesh:
@@ -370,8 +366,7 @@ def marching_cubes(grid: SparseGrid, origins: Optional[Iterable] = None) -> Tria
         used = grid.pool["observed"][:grid.n_leaves + 1].any(axis=1)
         origins = grid.pool["origin"][:grid.n_leaves + 1][used]
     origins = sorted(tuple(int(v) for v in o) for o in origins)
-    return combine(mesh_leaves(grid, origins), grid.voxel_size,
-                   grid.prop_channels)
+    return combine(mesh_leaves(grid, origins), grid.prop_channels)
 
 
 def crossings_by_leaf(positions: np.ndarray, props: np.ndarray,
@@ -482,7 +477,7 @@ class SurfaceMesh:
     def export(self) -> TriangleMesh:
         """The cached meshes combined in ascending origin order."""
         return combine([self.meshes[k] for k in sorted(self.meshes)],
-                       self.grid.voxel_size, self.grid.prop_channels)
+                       self.grid.prop_channels)
 
     @property
     def nbytes(self) -> int:

@@ -32,11 +32,19 @@ class Primitive:
     active: tuple[float, float] = (-np.inf, np.inf)
 
     def __post_init__(self):
+        """Raises ValueError for a non-finite number (an infinite active
+        bound aside) or a zero normal."""
         self.center = np.asarray(self.center, dtype=np.float64)
         self.half_extents = np.asarray(self.half_extents, dtype=np.float64)
         n = np.asarray(self.normal, dtype=np.float64)
-        self.normal = n / np.linalg.norm(n)
         self.prop = np.asarray(self.prop, dtype=np.float64)
+        numbers = np.concatenate([self.center, self.half_extents, n,
+                                  [self.radius, self.offset], self.prop])
+        if not np.isfinite(numbers).all() or np.isnan(self.active).any():
+            raise ValueError(f"{self.kind} numbers must be finite")
+        if not n.any():
+            raise ValueError(f"{self.kind} normal must not be zero")
+        self.normal = n / np.linalg.norm(n)
 
     def is_active(self, t: float) -> bool:
         return self.active[0] <= t < self.active[1]
@@ -228,8 +236,12 @@ def orbit_trajectory(center, radius: float, n_frames: int,
     """Circle of look-at poses around a point, z-up.
 
     The sensor +z axis points at the center; elevation (radians) lifts
-    the circle above the center's horizontal plane.
+    the circle above the center's horizontal plane. Raises ValueError
+    for a radius that is not finite and nonzero.
     """
+    if not (np.isfinite(radius) and radius != 0):
+        raise ValueError(f"orbit radius must be finite and nonzero, "
+                         f"got {radius}")
     center = np.asarray(center, dtype=np.float64)
     poses = []
     up = np.array([0.0, 0.0, 1.0])
@@ -243,10 +255,21 @@ def orbit_trajectory(center, radius: float, n_frames: int,
 
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
-    """Pose with sensor +z toward the target, x right, y down."""
+    """Pose with sensor +z toward the target, x right, y down.
+
+    Raises ValueError for a non-finite eye or target, or an eye at its
+    target.
+    """
     eye = np.asarray(eye, dtype=np.float64)
-    fwd = np.asarray(target, dtype=np.float64) - eye
-    fwd = fwd / np.linalg.norm(fwd)
+    target = np.asarray(target, dtype=np.float64)
+    if not (np.isfinite(eye).all() and np.isfinite(target).all()):
+        raise ValueError(f"look_at needs a finite eye and target, got eye "
+                         f"{eye.tolist()} and target {target.tolist()}")
+    fwd = target - eye
+    norm = np.linalg.norm(fwd)
+    if norm == 0:
+        raise ValueError(f"look_at eye {eye.tolist()} is at its target")
+    fwd = fwd / norm
     upv = np.asarray(up, dtype=np.float64)
     right = np.cross(fwd, upv)
     nr = np.linalg.norm(right)
@@ -358,16 +381,13 @@ def parse_scene(text: str, prop_channels: int = 0) -> SyntheticScene:
                           if "prop" in parts else [])
         active = (tuple(_numbers(ln, "active", parts["active"], 2))
                   if "active" in parts else (-np.inf, np.inf))
-        if kind == "sphere":
-            prim = Primitive("sphere", center=vals[:3], radius=vals[3],
-                             prop=prop, active=active)
-        elif kind == "box":
-            prim = Primitive("box", center=vals[:3], half_extents=vals[3:6],
-                             prop=prop, active=active)
-        else:
-            prim = Primitive("plane", normal=vals[:3], offset=vals[3],
-                             prop=prop, active=active)
-        prims.append(prim)
+        shape = {"sphere": {"center": vals[:3], "radius": vals[3]},
+                 "box": {"center": vals[:3], "half_extents": vals[3:6]},
+                 "plane": {"normal": vals[:3], "offset": vals[3]}}[kind]
+        try:
+            prims.append(Primitive(kind, prop=prop, active=active, **shape))
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
     return SyntheticScene(prims, prop_channels=prop_channels)
 
 

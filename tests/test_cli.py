@@ -236,8 +236,11 @@ def recorded(root, frames, poses):
 @pytest.mark.parametrize("pose, message", [
     ("0 0 0 0 0 0 x 1", "could not convert string to float: 'x'"),
     ("0 0 0 0 0 0 0 0", "zero-norm quaternion"),
-    ("0 0 0 0 0 0 1", "expected 8 values, got 7")],
-    ids=["not_a_number", "zero_norm_quaternion", "seven_values"])
+    ("0 0 0 0 0 0 1", "expected 8 values, got 7"),
+    ("0 0 0 0 nan 0 0 1", "expected finite values, got '0 0 0 0 nan 0 0 1'"),
+    ("0 inf 0 0 0 0 0 1", "expected finite values, got '0 inf 0 0 0 0 0 1'")],
+    ids=["not_a_number", "zero_norm_quaternion", "seven_values",
+         "nan_quaternion", "inf_translation"])
 def test_bad_trajectory_row_is_one_error_line_naming_file_and_line(
         tmp_path, capsys, pose, message):
     frames, traj = recorded(tmp_path, {"000.xyz": PLANE},
@@ -559,7 +562,11 @@ def test_console_script_roundtrip(tmp_path):
     ("sphere 0 0 0\n", "line 1: sphere takes 4 numbers, got '0 0 0'"),
     ("sphere 0 0 0 1 active 1\n", "line 1: active takes 2 numbers, got '1'"),
     ("plane 0 0 1 -1\nbox 0 0 0 1 1\n",
-     "line 2: box takes 6 numbers, got '0 0 0 1 1'")])
+     "line 2: box takes 6 numbers, got '0 0 0 1 1'"),
+    ("plane 0 0 0 1\n", "line 1: plane normal must not be zero"),
+    ("sphere 0 0 0 nan\n", "line 1: sphere numbers must be finite"),
+    ("plane 0 0 1 -1\nsphere 0 0 0 1 prop inf\n",
+     "line 2: sphere numbers must be finite")])
 def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
                                                 message):
     scene = tmp_path / "s.scene"
@@ -567,6 +574,17 @@ def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
     argv = ["run", "--scene", str(scene), "--snapshot",
             str(tmp_path / "m.snap"), *RUN_ARGS]
     assert error_lines(capsys, argv) == (1, [f"error: {message}"])
+
+
+@pytest.mark.parametrize("radius", ["0", "nan"])
+def test_degenerate_orbit_is_one_error_line(tmp_path, capsys, radius):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), *RUN_ARGS, "--orbit-radius", radius]
+    assert error_lines(capsys, argv) == (
+        1, [f"error: orbit radius must be finite and nonzero, got "
+            f"{float(radius)}"])
 
 
 def test_scene_prop_of_another_width_is_one_error_line(tmp_path, capsys):

@@ -25,6 +25,7 @@ from gpfield.grid import (
     pack_keys,
     world_to_grid,
 )
+import grid_oracle
 from mesh_oracle import gather_blocks
 
 in_range = st.integers(-KEY_BIAS, KEY_BIAS - 1)
@@ -492,14 +493,50 @@ def test_sorted_key_cache_equals_a_fresh_sort(batches, seed):
         probe = np.array([(i % 7 - 3, i // 7 - 3, i % 3 - 1) @ spread
                           for i in rng.integers(0, 41, 10)])
         found, dist, _, _ = grid.lookup(probe)
-        keys, slots = grid._sorted
-        order = sorted(grid._slots)
-        assert keys.tolist() == order + [np.iinfo(np.int64).max]
-        assert slots.tolist() == [grid._slots[k] for k in order] + [0]
+        assert_index_is_a_fresh_sort(grid)
         for c, f, d in zip(probe, found, dist):
             want = grid.get(tuple(c.tolist()))
             assert f == (want is not None)
             assert d == (want.distance if want is not None else 0.0)
+
+
+def assert_index_is_a_fresh_sort(grid):
+    """The leaf index equals a fresh sort of the allocated leaves' keys,
+    each beside its leaf's slot, then the sentinel key and slot 0."""
+    want = {int(pack_keys([leaf.origin])[0]): leaf.slot
+            for leaf in grid.leaves()}
+    keys, slots = grid._sorted
+    order = sorted(want)
+    assert keys.tolist() == order + [np.iinfo(np.int64).max]
+    assert slots.tolist() == [want[k] for k in order] + [0]
+
+
+def test_every_allocation_path_keeps_the_leaf_index_sorted(tmp_path):
+    """set, get_or_create_leaf, an unsorted allocate batch holding an
+    allocated key, and load_snapshot each leave the index equal to a
+    fresh sort, and find_leaf and leaf_slots see every leaf."""
+    from gpfield.pipeline import Pipeline, PipelineConfig
+
+    pipe = Pipeline(PipelineConfig(voxel_size=0.1))
+    grid = pipe.grid
+    grid.set((40, -3, 17), VoxelState(0.25, 1.0))
+    assert_index_is_a_fresh_sort(grid)
+    grid.get_or_create_leaf((-90, 5, 0))
+    assert_index_is_a_fresh_sort(grid)
+    origins = [(800, 8, -16), (KEY_BIAS - LEAF_SIZE,) * 3, (-96, 0, 0),
+               (-KEY_BIAS,) * 3, (0, 0, 0), (-88, 0, 0)]
+    slots = grid.allocate(pack_keys(origins))
+    assert_index_is_a_fresh_sort(grid)
+    assert slots.tolist() == [3, 4, 2, 5, 6, 7]
+    assert [grid.find_leaf(o).slot for o in origins] == slots.tolist()
+
+    path = tmp_path / "map.snap"
+    pipe.save_snapshot(path)
+    back = Pipeline.load_snapshot(path).grid
+    assert_index_is_a_fresh_sort(back)
+    assert [leaf.origin for leaf in back.leaves()] == sorted(
+        leaf.origin for leaf in grid.leaves())
+    assert back.get((40, -3, 17)).distance == 0.25
 
 
 def test_every_write_path_stamps_its_leaf_from_the_clock():
@@ -522,6 +559,49 @@ def test_every_write_path_stamps_its_leaf_from_the_clock():
     grid.set((9, 1, 0), VoxelState(0.5, 1.0))
     assert b.stamp == grid.clock == clock + 4
     assert [leaf for leaf in grid.leaves() if leaf.stamp > clock + 3] == [b]
+
+
+# leaf origins gather_block is tested around: both corners of the key
+# range, a leaf beside each, and neighbours about the origin
+_BLOCK_LEAVES = [(-KEY_BIAS,) * 3,
+                 (-KEY_BIAS + LEAF_SIZE, -KEY_BIAS, -KEY_BIAS),
+                 (KEY_BIAS - LEAF_SIZE,) * 3,
+                 (KEY_BIAS - LEAF_SIZE, KEY_BIAS - 2 * LEAF_SIZE,
+                  KEY_BIAS - LEAF_SIZE),
+                 (0, 0, 0), (-8, 0, 0), (0, 8, -8), (8, 8, 8)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(allocated=st.lists(st.booleans(), min_size=len(_BLOCK_LEAVES),
+                          max_size=len(_BLOCK_LEAVES)),
+       anchor=st.integers(0, len(_BLOCK_LEAVES) - 1),
+       offset=st.tuples(*[st.integers(-12, 12)] * 3),
+       shape=st.tuples(*[st.integers(0, 20)] * 3),
+       channels=st.sampled_from([0, 2]), seed=st.integers(0, 2 ** 32 - 1))
+@example(allocated=[True] * len(_BLOCK_LEAVES), anchor=2, offset=(3, 0, 4),
+         shape=(9, 20, 12), channels=2, seed=0)
+@example(allocated=[True, False] * (len(_BLOCK_LEAVES) // 2), anchor=0,
+         offset=(-12, -5, 0), shape=(20, 9, 17), channels=0, seed=1)
+def test_gather_block_matches_the_per_leaf_loop(allocated, anchor, offset,
+                                                shape, channels, seed):
+    """Bit for bit, dtype and shape, the loop gather_block replaced: blocks
+    past either key-range edge, unallocated leaves, and values set with
+    and without observed, and observed flags without a value."""
+    rng = np.random.default_rng(seed)
+    grid = SparseGrid(voxel_size=0.1, prop_channels=channels)
+    for origin, alloc in zip(_BLOCK_LEAVES, allocated):
+        if alloc:
+            leaf = grid.get_or_create_leaf(origin)
+            for name in LEAF_ARRAYS:
+                a = getattr(leaf, name)
+                a[...] = (rng.random(a.shape) < 0.5 if a.dtype == bool
+                          else rng.normal(size=a.shape))
+    origin = np.add(_BLOCK_LEAVES[anchor], offset)
+    got = grid.gather_block(origin, shape)
+    want = grid_oracle.gather_block(grid, origin, shape)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
 
 
 def test_gather_block_dense_window():

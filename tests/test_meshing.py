@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gpfield import meshing
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           VoxelState, _local_index, grid_to_world,
-                          world_to_grid)
+                          leaf_origin_of, world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from gpfield.meshing import (
     TriangleMesh,
@@ -458,7 +458,8 @@ def test_vertices_are_shared_across_triangles_and_leaves():
     rounded = {tuple(np.round(v, 9)) for v in mesh.vertices}
     assert len(rounded) == mesh.n_vertices
     # Sphere spans many leaves.
-    assert len({tuple(l) for l in mesh.vertex_leaf}) > 8
+    leaves = leaf_origin_of(world_to_grid(mesh.vertices, H))
+    assert len({tuple(l) for l in leaves}) > 8
     used = np.unique(mesh.triangles)
     assert used.size == mesh.n_vertices
 
@@ -468,13 +469,13 @@ def test_marching_cubes_is_deterministic():
     b = marching_cubes(sphere_grid())
     np.testing.assert_array_equal(a.vertices, b.vertices)
     np.testing.assert_array_equal(a.triangles, b.triangles)
-    np.testing.assert_array_equal(a.vertex_leaf, b.vertex_leaf)
 
 
 def test_explicit_leaf_list_restricts_extraction():
     grid = sphere_grid()
     full = marching_cubes(grid)
-    some = sorted({tuple(l) for l in full.vertex_leaf})[:4]
+    some = sorted({tuple(l) for l in
+                   leaf_origin_of(world_to_grid(full.vertices, H))})[:4]
     part = marching_cubes(grid, origins=some)
     assert 0 < part.n_triangles < full.n_triangles
 
@@ -533,9 +534,7 @@ def test_crossings_by_leaf_average_vertices_in_same_voxel():
     ])
     tris = np.array([[0, 1, 2]])
     props = np.array([[1.0], [3.0], [5.0]])
-    leaf = np.zeros((3, 3), dtype=np.int64)
-    mesh = TriangleMesh(vertices=verts, triangles=tris, properties=props,
-                        vertex_leaf=leaf)
+    mesh = TriangleMesh(vertices=verts, triangles=tris, properties=props)
     groups = crossings_by_leaf(mesh.vertices, mesh.properties, H)
     pos, pr = groups[(0, 0, 0)]
     assert len(pos) == 2

@@ -631,7 +631,7 @@ def test_snapshot_round_trip_across_meshing_chunks(tmp_path):
     back = Pipeline.load_snapshot(path)
 
     a, b = pipe.export_mesh(), back.export_mesh()
-    for name in ("vertices", "triangles", "properties", "vertex_leaf"):
+    for name in ("vertices", "triangles", "properties"):
         np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
     assert set(back.field.nodes) == set(pipe.field.nodes)
     for origin, node in pipe.field.nodes.items():
@@ -1010,7 +1010,7 @@ for pose in orbit_trajectory([0, 0, 0], 2.5, 6, elevation=np.pi / 6):
         queries.update(a.tobytes())
 mesh = pipe.export_mesh()
 digest = hashlib.sha256()
-for a in (mesh.vertices, mesh.triangles, mesh.properties, mesh.vertex_leaf):
+for a in (mesh.vertices, mesh.triangles, mesh.properties):
     digest.update(a.tobytes())
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "map.snap")

@@ -161,6 +161,54 @@ def test_look_at_degenerate_up_direction():
     np.testing.assert_allclose(rot[:, 2], [0.0, 0.0, -1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("eye, target, message", [
+    ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+     "look_at eye [1.0, 2.0, 3.0] is at its target"),
+    ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], "look_at needs a finite eye"),
+    ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0], "look_at needs a finite eye"),
+    ([np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0], "look_at needs a finite eye")])
+def test_look_at_refuses_a_non_finite_or_coincident_eye(eye, target, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        look_at(eye, target)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.0, np.nan, np.inf])
+def test_orbit_trajectory_refuses_a_zero_or_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="orbit radius must be finite and "
+                                         "nonzero"):
+        orbit_trajectory([0.0, 0.0, 0.0], radius, 3)
+
+
+@pytest.mark.parametrize("kind, kwargs", [
+    ("sphere", {"radius": np.nan}),
+    ("sphere", {"center": [0.0, np.inf, 0.0]}),
+    ("box", {"half_extents": [1.0, -np.inf, 1.0]}),
+    ("plane", {"offset": np.nan}),
+    ("sphere", {"prop": [0.5, np.nan]}),
+    ("sphere", {"active": (np.nan, 1.0)})])
+def test_primitive_refuses_a_non_finite_number(kind, kwargs):
+    with pytest.raises(ValueError, match=f"{kind} numbers must be finite"):
+        Primitive(kind, **kwargs)
+    # an open time window is not a non-finite number
+    assert Primitive("sphere", active=(-np.inf, np.inf)).is_active(0.0)
+
+
+def test_primitive_refuses_a_zero_plane_normal():
+    with pytest.raises(ValueError, match="plane normal must not be zero"):
+        Primitive("plane", normal=[0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("line, message", [
+    ("plane 0 0 0 1", "line 2: plane normal must not be zero"),
+    ("sphere 0 0 0 nan", "line 2: sphere numbers must be finite"),
+    ("box 0 inf 0 1 1 1", "line 2: box numbers must be finite"),
+    ("sphere 0 0 0 1 active nan 2", "line 2: sphere numbers must be finite")])
+def test_parse_scene_refuses_a_non_finite_number_naming_the_line(line,
+                                                                  message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_scene(f"sphere 0 0 0 1\n{line}\n")
+
+
 def test_orbit_trajectory_geometry():
     center = np.array([1.0, -2.0, 0.5])
     poses = orbit_trajectory(center, radius=3.0, n_frames=12,
