@@ -8,8 +8,7 @@ mesh.
 """
 
 from .fusion import FusionConfig, FusionStats, fuse_frame, fuse_point
-from .global_field import (BatchQueryResult, EmptyField, FieldQueryResult,
-                           GlobalField)
+from .global_field import BatchQueryResult, EmptyField, GlobalField
 from .gp import FactorizationFailure, KernelParams
 from .grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
 from .local_field import EmptyFrame, Frame, LocalField, voxelize
@@ -27,8 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchQueryResult", "EmptyField", "EmptyFrame", "FactorizationFailure",
-    "EmptyInput", "FieldQueryResult", "Frame", "FrameStats", "FusionConfig",
-    "FusionStats",
+    "EmptyInput", "Frame", "FrameStats", "FusionConfig", "FusionStats",
     "GlobalField", "KernelParams", "LocalField", "Pipeline", "PipelineConfig",
     "Primitive", "SensorModel", "SparseGrid", "SyntheticScene", "TestPointSet",
     "TriangleMesh", "VoxelState", "eval_chamfer",

@@ -57,7 +57,8 @@ def _build_sensor(args) -> scene_mod.SensorModel:
 
 
 def _iter_frames(args, config: PipelineConfig):
-    """Yield Frames from either a synthetic scene or recorded files."""
+    """Yield (source, Frame) pairs from either a synthetic scene or
+    recorded files; the source names the frame in an error."""
     if args.scene and not (args.frames_dir or args.trajectory):
         scn = scene_mod.load_scene(args.scene,
                                    prop_channels=config.prop_channels)
@@ -69,9 +70,9 @@ def _iter_frames(args, config: PipelineConfig):
             start_azimuth=args.start_azimuth * np.pi / 180.0)
         for i, pose in enumerate(poses):
             t = i * args.time_step
-            yield scene_mod.render_frame(scn, sensor, pose, t)
+            yield f"frame {i}", scene_mod.render_frame(scn, sensor, pose, t)
     elif args.frames_dir and args.trajectory and not args.scene:
-        yield from frame_io.load_frames(args.frames_dir, args.trajectory)
+        yield from frame_io.recorded_frames(args.frames_dir, args.trajectory)
     else:
         raise ValueError("pass one frame source: --scene, or --frames-dir "
                          "with --trajectory")
@@ -81,12 +82,14 @@ def _integrate(args, quiet: bool) -> Pipeline:
     config = _config_from_args(args)
     pipe = Pipeline(config)
     n_skipped = 0
-    for frame in _iter_frames(args, config):
+    for source, frame in _iter_frames(args, config):
         try:
             st = pipe.integrate_frame(frame)
         except EmptyFrame:      # no finite point; the map is untouched
             n_skipped += 1
             continue
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
         if not quiet:
             print(f"frame {st.frame}: points={st.n_points} "
                   f"test_points={st.n_test_points} "

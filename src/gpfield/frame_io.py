@@ -34,8 +34,8 @@ def quat_to_rotation(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def load_trajectory(path) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Parse (timestamp, rotation, translation) pose rows."""
+def load_trajectory(path) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
+    """Parse (timestamp, rotation, translation, line number) pose rows."""
     poses = []
     with open(path, "r", encoding="utf-8") as f:
         for ln, raw in enumerate(f, start=1):
@@ -51,7 +51,7 @@ def load_trajectory(path) -> list[tuple[float, np.ndarray, np.ndarray]]:
                 rot = quat_to_rotation(vals[4:8])
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from None
-            poses.append((vals[0], rot, np.array(vals[1:4])))
+            poses.append((vals[0], rot, np.array(vals[1:4]), ln))
     return poses
 
 
@@ -80,16 +80,25 @@ def load_points(path):
     return rows[:, :3], props
 
 
-def load_frames(frames_dir, trajectory_path) -> Iterator[Frame]:
-    """Pair sorted frame files with trajectory rows, in order, loading
-    each file only when its frame is asked for."""
+def recorded_frames(frames_dir,
+                    trajectory_path) -> Iterator[tuple[str, Frame]]:
+    """(source, Frame) of sorted frame files paired with trajectory rows,
+    in order, each file loaded only when its frame is asked for; the
+    source, "file (trajectory:line)", names the frame in an error."""
     names = sorted(n for n in os.listdir(frames_dir)
                    if n.lower().endswith((".ply", ".xyz", ".txt")))
     poses = load_trajectory(trajectory_path)
     if len(names) > len(poses):
         raise ValueError(f"{len(names)} frame files but only "
                          f"{len(poses)} trajectory rows")
-    for name, (t, rot, trans) in zip(names, poses):
-        pts, props = load_points(os.path.join(frames_dir, name))
-        yield Frame(points=pts, rotation=rot, translation=trans,
-                    properties=props, timestamp=t)
+    for name, (t, rot, trans, ln) in zip(names, poses):
+        path = os.path.join(frames_dir, name)
+        pts, props = load_points(path)
+        yield f"{path} ({trajectory_path}:{ln})", Frame(
+            points=pts, rotation=rot, translation=trans, properties=props,
+            timestamp=t)
+
+
+def load_frames(frames_dir, trajectory_path) -> Iterator[Frame]:
+    """The frames of recorded_frames, without their sources."""
+    return (frame for _, frame in recorded_frames(frames_dir, trajectory_path))

@@ -43,23 +43,6 @@ class GPNode:
 
 
 @dataclass
-class FieldQueryResult:
-    """One query's outputs.
-
-    distance is signed when a fused voxel determined the side and
-    positive with free_space=True otherwise. properties and
-    property_variance are None for property-less maps.
-    """
-
-    distance: float
-    variance: float
-    gradient: np.ndarray
-    properties: Optional[np.ndarray]
-    property_variance: Optional[float]
-    free_space: bool
-
-
-@dataclass
 class QueryStats:
     """What one query batch did: nodes it routed to, nodes it trained and
     the Cholesky jitter escalations their factors needed, whether it built
@@ -76,31 +59,23 @@ class QueryStats:
     stage_ms: dict = field(default_factory=dict, compare=False)
 
 
+@dataclass(eq=False)
 class BatchQueryResult:
-    """Struct-of-arrays result for vectorized queries."""
+    """One row per query point. A distance, and its unit gradient, is
+    signed where a fused voxel within the sign radius determined the side,
+    and positive with free_space True otherwise. properties (m, P) and
+    prop_variances are None unless every routed node has properties."""
 
-    def __init__(self, distances, variances, gradients, properties,
-                 prop_variances, free_space, stats: QueryStats):
-        self.distances = distances
-        self.variances = variances
-        self.gradients = gradients
-        self.properties = properties
-        self.prop_variances = prop_variances
-        self.free_space = free_space
-        self.stats = stats
+    distances: np.ndarray
+    variances: np.ndarray
+    gradients: np.ndarray
+    properties: Optional[np.ndarray]
+    prop_variances: Optional[np.ndarray]
+    free_space: np.ndarray
+    stats: QueryStats
 
     def __len__(self):
         return len(self.distances)
-
-    def __getitem__(self, i: int) -> FieldQueryResult:
-        return FieldQueryResult(
-            distance=float(self.distances[i]),
-            variance=float(self.variances[i]),
-            gradient=self.gradients[i],
-            properties=None if self.properties is None else self.properties[i],
-            property_variance=(None if self.prop_variances is None
-                               else float(self.prop_variances[i])),
-            free_space=bool(self.free_space[i]))
 
 
 # the main tree absorbs the tail once the tail holds more than a quarter
@@ -351,10 +326,6 @@ class GlobalField:
         self._sign_index.refresh(stats)
         return self._sign_index.lookup(
             points, self.sign_radius * self.grid.voxel_size)
-
-    def query(self, point, q: Optional[int] = None) -> FieldQueryResult:
-        return self.query_batch(np.asarray(point, dtype=np.float64).reshape(1, 3),
-                                q)[0]
 
     def query_batch(self, points: np.ndarray, q: Optional[int] = None) -> BatchQueryResult:
         """Blend the q nearest nodes at each query point.

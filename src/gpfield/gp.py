@@ -104,17 +104,18 @@ def _kernel_rows(points: list, counts: list, q: np.ndarray,
     Rows go in blocks whose (rows, J, 3) differences stay within
     CHUNK_ELEMENTS.
 
-    Several models' rows gather their training points once, as (rows, J,
-    3) differences training point minus query; the squared distances are
-    dx*dx + dy*dy + dz*dz, added in that order: the bits of cdist's
-    sqeuclidean, which a single model calls directly, needing no gather.
-    The gradient contraction reads the same C-ordered differences. A
-    finite row far enough to overflow the squares gets an infinite
-    squared distance and a kernel value of 0, as from cdist.
+    Without a gradient, one model's rows take their squared distances
+    from one cdist sqeuclidean call. Otherwise the rows gather their
+    model's training points, as (rows, J, 3) differences training point
+    minus query, and the squared distances are dx*dx + dy*dy + dz*dz,
+    added in that order: the bits of cdist's sqeuclidean. The gradient
+    contraction reads the same C-ordered differences. A finite row far
+    enough to overflow the squares gets an infinite squared distance and
+    a kernel value of 0, as from cdist.
     """
     n, j = len(q), len(points[0])
-    one = points[0] if len(points) == 1 else None
-    if one is None:
+    solo = points[0] if len(points) == 1 and alpha is None else None
+    if solo is None:
         train = np.asarray(points)
         owner = np.repeat(np.arange(len(points)), counts)
     kq = np.empty((n, j))
@@ -122,16 +123,12 @@ def _kernel_rows(points: list, counts: list, q: np.ndarray,
     step = max(1, CHUNK_ELEMENTS // (3 * j))
     for a in range(0, n, step):
         b = a + step
-        # differences training point minus query, taken axis by axis:
-        # numpy then loops over the J training points of a row, where one
-        # broadcast over (rows, J, 3) loops over the 3 coordinates
-        if one is not None:
-            d2 = cdist(q[a:b], one, "sqeuclidean")
-            if g is not None:
-                diff = np.empty((len(d2), j, 3))
-                for c in range(3):
-                    np.subtract(one[:, c], q[a:b, c, None], out=diff[..., c])
+        if solo is not None:
+            d2 = cdist(q[a:b], solo, "sqeuclidean")
         else:
+            # differences training point minus query, taken axis by axis:
+            # numpy then loops over the J training points of a row, where
+            # one broadcast over (rows, J, 3) loops over the 3 coordinates
             diff = train[owner[a:b]]
             for c in range(3):
                 diff[..., c] -= q[a:b, c, None]
@@ -146,8 +143,7 @@ def _kernel_rows(points: list, counts: list, q: np.ndarray,
         np.exp(d2, out=k)
         k *= params.sigma2
         if g is not None:
-            wk = k * (alpha[0] if one is not None else alpha[owner[a:b]])
-            g[a:b] = np.einsum("ij,ijk->ik", wk, diff)
+            g[a:b] = np.einsum("ij,ijk->ik", k * alpha[owner[a:b]], diff)
     if g is not None:
         g /= params.length_scale ** 2
     return kq, g
@@ -323,18 +319,9 @@ def train_many(point_sets, params: KernelParams,
 
 def train(points: np.ndarray, params: KernelParams,
           properties: Optional[np.ndarray] = None) -> GpLeafModel:
-    """Fit occupancy (and optional property) regressors to a point cluster:
-    a one-model train_many call.
-
-    Args:
-        points: (J, 3) training positions, J >= 1.
-        params: kernel hyperparameters.
-        properties: optional (J, P) per-point property targets.
-
-    Raises:
-        FactorizationFailure: if the Gram matrix cannot be factorized
-            even after escalating diagonal jitter.
-    """
+    """Fit occupancy (and optional property) regressors to (J, 3) points,
+    J >= 1, with optional (J, P) property targets: a one-model train_many
+    call, raising as it does."""
     return train_many([points], params, [properties])[0]
 
 

@@ -487,6 +487,16 @@ class SparseGrid:
         at = np.searchsorted(sorted_keys, keys)
         return np.where(sorted_keys[at] == keys, sorted_slots[at], 0)
 
+    def coord_slots(self, coords) -> np.ndarray:
+        """Pool slot of the leaf holding each voxel of (..., 3) integer
+        coordinates, in their leading shape; 0 for a coordinate past the
+        key range or in an unallocated leaf."""
+        c = np.asarray(coords, dtype=np.int64)
+        keyed = ((c >= -KEY_BIAS) & (c < KEY_BIAS)).all(axis=-1)
+        keys = np.full(keyed.shape, -1, dtype=np.int64)
+        keys[keyed] = leaf_keys(pack_keys(c[keyed]))
+        return self.leaf_slots(keys)
+
     def sorted_slots(self) -> np.ndarray:
         """Slots of all leaves in ascending origin order."""
         return self._sorted[1][:-1]
@@ -526,10 +536,7 @@ class SparseGrid:
         shape = tuple(int(s) for s in shape)
         c = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"),
                      axis=-1).reshape(-1, 3) + np.asarray(origin, np.int64)
-        keyed = ((c >= -KEY_BIAS) & (c < KEY_BIAS)).all(axis=1)
-        keys = np.full(len(c), -1, dtype=np.int64)
-        keys[keyed] = leaf_keys(pack_keys(c[keyed]))
-        at = self.leaf_slots(keys) * LEAF_VOXELS + local_flat_index(c)
+        at = self.coord_slots(c) * LEAF_VOXELS + local_flat_index(c)
         mask = self.voxels("value_mask")[at]
         dist = np.where(mask, self.voxels("distance")[at], np.float32(0.0))
         obs = self.voxels("observed")[at] & mask

@@ -114,14 +114,6 @@ class LocalField:
     def has_properties(self) -> bool:
         return bool(self.models) and self.models[0].alpha_prop is not None
 
-    def query(self, point: np.ndarray):
-        """Distance, distance variance, property mean and property
-        variance inferred by the nearest model at one point."""
-        d, v, c, w = self.query_batch(np.asarray(point).reshape(1, 3))
-        return (float(d[0]), float(v[0]),
-                None if c is None else c[0],
-                None if w is None else float(w[0]))
-
     def query_batch(self, points: np.ndarray,
                     stage_ms: Optional[dict] = None):
         """Vectorized query: one gp.routed_moments call over every routing
@@ -154,25 +146,17 @@ class LocalField:
         return d, v, c, w
 
 
-def build(frame: Frame, voxel_size: float, params: gp.KernelParams,
-          min_leaf_points: int = 4, prop_clip=None) -> LocalField:
-    """Voxelize a frame and train one GP per populated leaf.
-
-    Leaves holding fewer than min_leaf_points voxels are merged into
-    the nearest sufficiently populated leaf (by training centroid); if
-    no leaf is large enough everything trains as-is.
-    """
-    coords, centers, props, _ = voxelize(frame, voxel_size)
-    return build_voxelized(coords, centers, props, params, min_leaf_points,
-                           prop_clip)
-
-
 def build_voxelized(coords: np.ndarray, centers: np.ndarray,
                     props: Optional[np.ndarray], params: gp.KernelParams,
                     min_leaf_points: int = 4, prop_clip=None) -> LocalField:
-    """Train per-leaf models from an already voxelized cloud, in one
-    gp.train_many call; the small leaves find their hosts in one cKDTree
-    query over their centroids."""
+    """Train one GP per populated leaf of a voxelized cloud (see voxelize),
+    in one gp.train_many call.
+
+    Leaves holding fewer than min_leaf_points voxels are merged into
+    the nearest sufficiently populated leaf (by training centroid), found
+    in one cKDTree query over their centroids; if no leaf is large enough
+    everything trains as-is.
+    """
     leaves = group_by(leaf_keys(pack_keys(coords)))
     sizes = np.diff(leaves.starts)
     big = np.flatnonzero(sizes >= min_leaf_points)

@@ -15,7 +15,7 @@ mesh puts a vertex in, with ``crossings_by_leaf``.
 
 A frame's touched leaves are meshed in one batched pass,
 ``mesh_leaves``, whose cost follows the observed cells. One
-``SparseGrid.leaf_slots`` lookup finds the pool slots of every leaf and
+``SparseGrid.coord_slots`` lookup finds the pool slots of every leaf and
 its upper neighbours. A leaf's 9^3 voxel block comes from whole pool
 rows: its own row, as [x][y][z], and one face, edge or corner of each
 neighbour's. The valid cells, those with all eight corners observed,
@@ -195,11 +195,7 @@ def _block_slots(grid: SparseGrid, origins) -> np.ndarray:
     org = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
     if (org & (LEAF_SIZE - 1)).any():
         raise ValueError("leaf origins must be multiples of LEAF_SIZE")
-    nb = org[:, None, :] + UPPER_NEIGHBOURS
-    keyed = ((nb >= -KEY_BIAS) & (nb < KEY_BIAS)).all(axis=2)
-    keys = np.full(keyed.shape, -1, dtype=np.int64)
-    keys[keyed] = pack_keys(nb[keyed])
-    return grid.leaf_slots(keys.ravel()).reshape(keys.shape)
+    return grid.coord_slots(org[:, None, :] + UPPER_NEIGHBOURS)
 
 
 def _block(grid: SparseGrid, name: str, slots: np.ndarray) -> np.ndarray:

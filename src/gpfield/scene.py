@@ -222,10 +222,11 @@ def render_frame(scene: SyntheticScene, sensor: SensorModel,
     if scene.prop_channels:
         world_pts = trans + dirs_world[hit] * ranges[hit, None]
         _, prim_idx = scene.sdf_and_prim(world_pts, t)
-        props = np.zeros((hit.sum(), scene.prop_channels))
-        for i, pi in enumerate(prim_idx):
-            if pi >= 0 and len(scene.primitives[pi].prop):
-                props[i] = scene.primitives[pi].prop
+        # a row per primitive (zero without props); index -1 reads the last
+        table = np.zeros((len(scene.primitives) + 1, scene.prop_channels))
+        for i, prim in enumerate(scene.primitives):
+            table[i, :len(prim.prop)] = prim.prop
+        props = table[prim_idx]
     return Frame(points=points, rotation=rot, translation=trans,
                  properties=props, timestamp=t)
 

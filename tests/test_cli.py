@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gpfield import frame_io, pipeline
 from gpfield.cli import main
+from gpfield.grid import KEY_RANGE_ERROR
 from gpfield.pipeline import Pipeline
 from gpfield.ply import read_ply, write_mesh
 
@@ -276,6 +277,41 @@ def test_load_frames_reads_each_file_when_its_frame_is_asked_for(tmp_path):
         next(frame_io.load_frames(frames, traj))
 
 
+@pytest.mark.parametrize("pose", ["0 0 1e300 0 0 0 0 1",
+                                  "0 1e6 0 0 0 0 0 1"], ids=["1e300", "1e6"])
+def test_frame_past_the_key_range_is_one_error_line_naming_its_source(
+        tmp_path, capsys, pose):
+    """A finite pose that puts a frame outside the voxel key range names
+    the frame file and its trajectory line."""
+    frames, traj = recorded(tmp_path, {"000.xyz": PLANE,
+                                       "001.xyz": "0 0 1\n0.1 0 1\n"},
+                            f"0 0 0 0 0 0 0 1\n# far\n{pose}\n")
+    assert error_lines(capsys, [
+        "run", "--frames-dir", str(frames), "--trajectory", str(traj),
+        "--stats", str(tmp_path / "s.csv")]) == (
+        1, [f"error: {frames / '001.xyz'} ({traj}:3): {KEY_RANGE_ERROR}"])
+
+
+def test_scene_frame_past_the_key_range_is_one_error_line_naming_it(
+        tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text("sphere 1e6 0 0 1\n")
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), *RUN_ARGS, "--orbit-center", "1e6,0,0"]
+    assert error_lines(capsys, argv) == (
+        1, [f"error: frame 0: {KEY_RANGE_ERROR}"])
+
+
+def test_two_column_text_frame_is_one_error_line_naming_the_file(tmp_path,
+                                                                 capsys):
+    frames, traj = recorded(tmp_path, {"000.xyz": "0 1\n0.1 1\n"},
+                            "0 0 0 0 0 0 0 1\n")
+    assert error_lines(capsys, [
+        "run", "--frames-dir", str(frames), "--trajectory", str(traj),
+        "--snapshot", str(tmp_path / "m.snap")]) == (
+        1, [f"error: {frames / '000.xyz'}: expected at least 3 columns"])
+
+
 @pytest.mark.parametrize("item, message", [
     ("voxel_size=none", "voxel_size must be a number, got None"),
     ("sigma2=null", "sigma2 must be a number, got None"),
@@ -393,6 +429,32 @@ def test_query_verb_reads_points_file(workdir, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert code == 0
     assert len(out) == 3
+
+
+def test_query_verb_two_column_points_file_is_one_error_line(workdir,
+                                                              tmp_path,
+                                                              capsys):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("1.5 0\n0 1.5\n")
+    assert error_lines(capsys, ["query", str(workdir / "map.snap"),
+                                "--points-file", str(pts)]) == (
+        1, [f"error: {pts}: expected 3 columns"])
+
+
+def test_query_verb_prints_property_columns_of_an_rgb_map(tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text("sphere 0 0 0 1 prop 0.2 0.5 0.9\n")
+    snap = tmp_path / "m.snap"
+    assert main(["run", "--scene", str(scene), "--snapshot", str(snap),
+                 "--set", "prop_kind=rgb", *RUN_ARGS]) == 0
+    capsys.readouterr()
+    assert main(["query", str(snap), "1.0,0,0", "0,0,2.0"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out[0] == ("x,y,z,distance,variance,gradient_x,gradient_y,"
+                      "gradient_z,free_space,prop_0,prop_1,prop_2")
+    assert [len(row.split(",")) for row in out[1:]] == [12, 12]
+    props = [float(v) for v in out[1].split(",")[9:]]
+    np.testing.assert_allclose(props, [0.2, 0.5, 0.9], atol=0.1)
 
 
 def test_query_verb_input_errors(workdir, capsys):

@@ -11,7 +11,7 @@ from gpfield.fusion import (FusionConfig, FusionStats, _weight, fuse_frame,
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, SparseGrid, VoxelState,
                           _local_index, group_by, grid_to_world, leaf_keys,
                           local_flat_index, pack_keys, world_to_grid)
-from gpfield.local_field import Frame, build
+from gpfield.local_field import Frame, build_voxelized, voxelize
 from gpfield.query_points import generate
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
 
@@ -217,7 +217,7 @@ def test_fuse_frame_ten_frame_wall_sequence():
                         rng.normal(h / 2, 0.01, gx.size)], axis=1)
         frame = Frame(points=pts - origin, rotation=np.eye(3),
                       translation=origin)
-        lf = build(frame, h, params)
+        lf = build_voxelized(*voxelize(frame, h)[:3], params)
         coords = world_to_grid(
             np.vstack([m.train_points for m in lf.models]), h)
         coords = np.unique(coords, axis=0)

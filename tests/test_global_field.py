@@ -33,7 +33,7 @@ def node_distance(node, x, params=PARAMS):
 def test_query_without_nodes_raises():
     field = GlobalField(PARAMS)
     with pytest.raises(EmptyField):
-        field.query([0.0, 0.0, 0.0])
+        field.query_batch([[0.0, 0.0, 0.0]])
 
 
 def test_update_inserts_and_replaces_nodes():
@@ -72,9 +72,9 @@ def test_training_is_lazy_and_runs_once():
     node = field.nodes[(0, 0, 0)]
     assert node.model is None and node.train_count == 0
 
-    field.query([0.0, 0.0, 0.1])
+    field.query_batch([[0.0, 0.0, 0.1]])
     assert node.model is not None and node.train_count == 1
-    field.query([0.1, 0.0, 0.1])
+    field.query_batch([[0.1, 0.0, 0.1]])
     assert node.train_count == 1
 
 
@@ -82,11 +82,11 @@ def test_replacing_points_forces_retrain_on_next_query():
     field = GlobalField(PARAMS)
     pts = disc_points([0, 0, 0])
     field.update({(0, 0, 0): (pts, None)})
-    field.query([0.0, 0.0, 0.1])
+    field.query_batch([[0.0, 0.0, 0.1]])
     field.update({(0, 0, 0): (pts + [0, 0, 0.05], None)})
     node = field.nodes[(0, 0, 0)]
     assert node.model is None
-    field.query([0.0, 0.0, 0.1])
+    field.query_batch([[0.0, 0.0, 0.1]])
     assert node.train_count == 2
 
 
@@ -104,11 +104,11 @@ def test_single_node_matches_direct_inference():
     field = GlobalField(PARAMS)
     field.update({(0, 0, 0): (disc_points([0, 0, 0]), None)})
     x = np.array([0.05, -0.03, 0.12])
-    res = field.query(x)
-    assert res.distance == pytest.approx(node_distance(field.nodes[(0, 0, 0)], x),
-                                         abs=1e-12)
-    assert res.free_space
-    assert res.properties is None and res.property_variance is None
+    res = field.query_batch([x])
+    assert res.distances[0] == pytest.approx(
+        node_distance(field.nodes[(0, 0, 0)], x), abs=1e-12)
+    assert res.free_space[0]
+    assert res.properties is None and res.prop_variances is None
 
 
 def test_two_node_blend_matches_closed_form():
@@ -121,7 +121,7 @@ def test_two_node_blend_matches_closed_form():
                   node_distance(field.nodes[(16, 0, 0)], x)])
     w = np.exp(-field.smooth_lambda * (d - d.min()))
     want = float((w * d).sum() / w.sum())
-    assert field.query(x).distance == pytest.approx(want, rel=1e-9)
+    assert field.query_batch([x]).distances[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_blend_stays_within_softmin_envelope():
@@ -150,12 +150,12 @@ def test_batch_row_equals_scalar_query():
     batch = field.query_batch(pts)
     assert len(batch) == 3
     for i in range(3):
-        one = field.query(pts[i])
-        row = batch[i]
-        assert one.distance == pytest.approx(row.distance, abs=1e-12)
-        assert one.variance == pytest.approx(row.variance, abs=1e-12)
-        np.testing.assert_allclose(one.gradient, row.gradient, atol=1e-12)
-        assert one.free_space == row.free_space
+        one = field.query_batch(pts[i:i + 1])
+        assert one.distances[0] == pytest.approx(batch.distances[i], abs=1e-12)
+        assert one.variances[0] == pytest.approx(batch.variances[i], abs=1e-12)
+        np.testing.assert_allclose(one.gradients[0], batch.gradients[i],
+                                   atol=1e-12)
+        assert one.free_space[0] == batch.free_space[i]
 
 
 def test_batch_is_permutation_invariant():
@@ -181,7 +181,7 @@ def test_gradient_points_away_from_surface_patch():
     for _ in range(20):
         x = np.array([rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1),
                       rng.uniform(0.05, 0.25)])
-        g = field.query(x).gradient
+        g = field.query_batch([x]).gradients[0]
         if g[2] > 0.99:
             ok += 1
     assert ok >= 18
@@ -199,15 +199,15 @@ def test_sign_comes_from_nearest_observed_voxel():
     field = GlobalField(PARAMS, grid=grid)
     field.update({(0, 0, 0): (disc_points([0, 0, 0], n=60, radius=0.3), None)})
 
-    above = field.query([0.0, 0.0, 0.08])
-    below = field.query([0.0, 0.0, -0.08])
-    assert not above.free_space and not below.free_space
-    assert above.distance > 0
-    assert below.distance < 0
+    above = field.query_batch([[0.0, 0.0, 0.08]])
+    below = field.query_batch([[0.0, 0.0, -0.08]])
+    assert not above.free_space[0] and not below.free_space[0]
+    assert above.distances[0] > 0
+    assert below.distances[0] < 0
     # Signed gradient agrees on both sides for a plane.
-    assert above.gradient[2] > 0.9
-    assert below.gradient[2] > 0.9
-    assert abs(abs(below.distance) - above.distance) < 0.02
+    assert above.gradients[0, 2] > 0.9
+    assert below.gradients[0, 2] > 0.9
+    assert abs(abs(below.distances[0]) - above.distances[0]) < 0.02
 
 
 def test_far_queries_are_flagged_free_space():
@@ -216,11 +216,11 @@ def test_far_queries_are_flagged_free_space():
                                    observed=True))
     field = GlobalField(PARAMS, grid=grid, sign_radius=5)
     field.update({(0, 0, 0): (disc_points([0, 0, 0]), None)})
-    near = field.query([0.0, 0.0, 0.1])
-    far = field.query([0.0, 0.0, 5 * H + 0.3])
-    assert not near.free_space
-    assert far.free_space
-    assert far.distance > 0
+    near = field.query_batch([[0.0, 0.0, 0.1]])
+    far = field.query_batch([[0.0, 0.0, 5 * H + 0.3]])
+    assert not near.free_space[0]
+    assert far.free_space[0]
+    assert far.distances[0] > 0
 
 
 def test_sign_cache_tracks_grid_version():
@@ -230,10 +230,10 @@ def test_sign_cache_tracks_grid_version():
     field = GlobalField(PARAMS, grid=grid)
     field.update({(0, 0, 0): (disc_points([0, 0, 0]), None)})
     x = [0.025, 0.025, 0.075]
-    assert field.query(x).distance > 0
+    assert field.query_batch([x]).distances[0] > 0
     grid.set((0, 0, 1), VoxelState(distance=-0.05, dist_weight=1.0,
                                    observed=True))
-    assert field.query(x).distance < 0
+    assert field.query_batch([x]).distances[0] < 0
 
 
 def test_properties_flow_through_queries():
@@ -241,10 +241,10 @@ def test_properties_flow_through_queries():
     props = np.tile([0.25, 0.75], (len(pts), 1))
     field = GlobalField(PARAMS, prop_clip=(0.0, 1.0))
     field.update({(0, 0, 0): (pts, props)})
-    res = field.query(pts[0] + [0, 0, 1e-3])
-    assert res.properties.shape == (2,)
-    np.testing.assert_allclose(res.properties, [0.25, 0.75], atol=0.05)
-    assert res.property_variance is not None and res.property_variance >= 0
+    res = field.query_batch([pts[0] + [0, 0, 1e-3]])
+    assert res.properties[0].shape == (2,)
+    np.testing.assert_allclose(res.properties[0], [0.25, 0.75], atol=0.05)
+    assert res.prop_variances is not None and res.prop_variances[0] >= 0
 
 
 def test_properties_drop_when_any_node_lacks_them():
@@ -253,9 +253,9 @@ def test_properties_drop_when_any_node_lacks_them():
     field = GlobalField(PARAMS)
     field.update({(0, 0, 0): (pts, props),
                   (16, 0, 0): (disc_points([0.5, 0, 0], seed=1), None)})
-    res = field.query([0.25, 0.0, 0.1], q=2)
+    res = field.query_batch([[0.25, 0.0, 0.1]], q=2)
     assert res.properties is None
-    assert res.property_variance is None
+    assert res.prop_variances is None
 
 
 def test_query_nodes_limit_restricts_blend():
@@ -265,8 +265,8 @@ def test_query_nodes_limit_restricts_blend():
     field.update({(0, 0, 0): (a, None), (16, 0, 0): (b, None)})
     # Slightly nearer to node a by centroid; q=1 must ignore node b.
     x = np.array([0.42, 0.0, 0.1])
-    res = field.query(x)
-    assert res.distance == pytest.approx(
+    res = field.query_batch([x])
+    assert res.distances[0] == pytest.approx(
         node_distance(field.nodes[(0, 0, 0)], x), abs=1e-12)
 
 
@@ -279,7 +279,7 @@ def trained_field(props=None):
     field = GlobalField(PARAMS)
     pts = disc_points([0, 0, 0])
     field.update({(0, 0, 0): (pts, props)})
-    field.query([0.0, 0.0, 0.1])
+    field.query_batch([[0.0, 0.0, 0.1]])
     return field, field.nodes[(0, 0, 0)], pts, field._tree
 
 
@@ -325,7 +325,7 @@ def test_update_counts_added_removed_and_changed_nodes():
     field = GlobalField(PARAMS)
     a, b = disc_points([0, 0, 0]), disc_points([0.5, 0, 0], seed=1)
     assert field.update({(0, 0, 0): (a, None), (8, 0, 0): (b, None)}) == 2
-    field.query([0.0, 0.0, 0.1])
+    field.query_batch([[0.0, 0.0, 0.1]])
     # removing an absent node and repeating a present one change nothing
     assert field.update({(16, 0, 0): None, (0, 0, 0): (a, None)}) == 0
     assert not field._tree_stale

@@ -322,6 +322,23 @@ def test_group_mean_sums_each_group_in_row_order(keys, width, seed):
         assert got.tobytes() == loop.tobytes()
 
 
+def test_coord_slots_keep_the_leading_shape_and_give_0_past_the_key_range():
+    grid = SparseGrid(voxel_size=0.1)
+    top, lo = KEY_BIAS - 1, -KEY_BIAS
+    for c in [(top, top, top), (lo, 0, 5), (100, -3000, 77)]:
+        grid.set(c, VoxelState(0.5, 1.0))
+    coords = np.array([[[top, top, top], [top + 1, top, top],
+                        [lo, 0, 5], [lo - 1, 0, 5]],
+                       [[100, -3000, 77], [0, 0, 0],
+                        [0, 0, 1 << 40], [96, -3000, 79]]])
+    want = [[grid.find_leaf(coords[0, 0]).slot, 0,
+             grid.find_leaf(coords[0, 2]).slot, 0],
+            [grid.find_leaf(coords[1, 0]).slot, 0, 0,
+             grid.find_leaf(coords[1, 3]).slot]]
+    assert grid.coord_slots(coords).tolist() == want
+    assert grid.coord_slots(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
+
+
 def test_gather_block_stops_at_key_range_edge():
     grid = SparseGrid(voxel_size=0.1)
     top = KEY_BIAS - 1

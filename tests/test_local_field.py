@@ -15,7 +15,6 @@ from gpfield.local_field import (
     EmptyFrame,
     Frame,
     LocalField,
-    build,
     build_voxelized,
     voxelize,
 )
@@ -125,7 +124,8 @@ def test_build_single_leaf_single_model():
     rng = np.random.default_rng(24)
     pts = rng.uniform(0.05, 0.35, size=(50, 3))  # inside leaf (0,0,0), h=0.05
     frame = world_frame(pts)
-    field = build(frame, 0.05, KernelParams(length_scale=0.15))
+    field = build_voxelized(*voxelize(frame, 0.05)[:3],
+                            KernelParams(length_scale=0.15))
     assert len(field.models) == 1
     _, centers, _, _ = voxelize(frame, 0.05)
     np.testing.assert_array_equal(field.models[0].train_points, centers)
@@ -139,7 +139,8 @@ def test_build_partitions_voxels_across_leaves():
     blob_b = blob_a + np.array([0.8, 0.0, 0.0])
     pts = np.vstack([blob_a, blob_b])
     frame = world_frame(pts)
-    field = build(frame, h, KernelParams(length_scale=0.15))
+    field = build_voxelized(*voxelize(frame, h)[:3],
+                            KernelParams(length_scale=0.15))
     assert len(field.models) == 2
     coords, centers, _, _ = voxelize(frame, h)
     trained = np.vstack([m.train_points for m in field.models])
@@ -153,8 +154,8 @@ def test_build_is_deterministic():
     rng = np.random.default_rng(26)
     pts = rng.uniform(-0.5, 0.5, size=(300, 3))
     p = KernelParams(length_scale=0.15)
-    a = build(world_frame(pts), 0.05, p)
-    b = build(world_frame(pts), 0.05, p)
+    a = build_voxelized(*voxelize(world_frame(pts), 0.05)[:3], p)
+    b = build_voxelized(*voxelize(world_frame(pts), 0.05)[:3], p)
     assert len(a.models) == len(b.models)
     for ma, mb in zip(a.models, b.models):
         np.testing.assert_array_equal(ma.alpha_occ, mb.alpha_occ)
@@ -210,34 +211,37 @@ def test_query_distance_accuracy_above_plane_patch():
     span = np.arange(-8, 9) * h
     gx, gy = np.meshgrid(span, span)
     pts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
-    field = build(world_frame(pts), h, KernelParams(length_scale=length_scale))
+    field = build_voxelized(*voxelize(world_frame(pts), h)[:3],
+                            KernelParams(length_scale=length_scale))
     # on-surface query lands within half a voxel
-    d0, _, c, w = field.query(np.array([0.025, 0.025, 0.025]))
-    assert d0 < h / 2
+    d0, _, c, w = field.query_batch([[0.025, 0.025, 0.025]])
+    assert d0[0] < h / 2
     assert c is None and w is None
     # off-surface error bounded by max(10% of height, half a voxel) up to 2l
     for z in (h, 2 * h, 3 * h, 4 * h, 2 * length_scale):
-        d, v, _, _ = field.query(np.array([0.0, 0.0, z]))
-        assert abs(d - z) <= max(0.1 * z, h / 2)
-        assert v >= 0.0
+        d, v, _, _ = field.query_batch([[0.0, 0.0, z]])
+        assert abs(d[0] - z) <= max(0.1 * z, h / 2)
+        assert v[0] >= 0.0
 
 
 def test_query_batch_matches_scalar_query():
     rng = np.random.default_rng(27)
     pts = rng.uniform(-0.3, 0.3, size=(120, 3))
-    field = build(world_frame(pts), 0.05, KernelParams(length_scale=0.15))
+    field = build_voxelized(*voxelize(world_frame(pts), 0.05)[:3],
+                            KernelParams(length_scale=0.15))
     queries = rng.uniform(-0.5, 0.5, size=(15, 3))
     d, v, _, _ = field.query_batch(queries)
-    for i, q in enumerate(queries):
-        ds, vs, _, _ = field.query(q)
-        assert ds == pytest.approx(d[i], rel=1e-12)
-        assert vs == pytest.approx(v[i], rel=1e-12, abs=1e-300)
+    for i in range(len(queries)):
+        ds, vs, _, _ = field.query_batch(queries[i:i + 1])
+        assert ds[0] == pytest.approx(d[i], rel=1e-12)
+        assert vs[0] == pytest.approx(v[i], rel=1e-12, abs=1e-300)
 
 
 def test_query_is_pure():
     rng = np.random.default_rng(28)
     pts = rng.uniform(-0.2, 0.2, size=(60, 3))
-    field = build(world_frame(pts), 0.05, KernelParams(length_scale=0.15))
+    field = build_voxelized(*voxelize(world_frame(pts), 0.05)[:3],
+                            KernelParams(length_scale=0.15))
     queries = rng.uniform(-0.4, 0.4, size=(10, 3))
     before = [(m.train_points.copy(), m.alpha_occ.copy()) for m in field.models]
     first = field.query_batch(queries)
@@ -253,12 +257,14 @@ def test_query_with_properties_and_clip():
     rng = np.random.default_rng(29)
     pts = rng.uniform(-0.2, 0.2, size=(80, 3))
     props = np.full((80, 1), 0.9)
-    field = build(world_frame(pts, properties=props), 0.05,
-                  KernelParams(length_scale=0.15), prop_clip=(0.0, 0.5))
+    field = build_voxelized(*voxelize(world_frame(pts, properties=props),
+                                      0.05)[:3],
+                            KernelParams(length_scale=0.15),
+                            prop_clip=(0.0, 0.5))
     assert field.has_properties
-    d, v, c, w = field.query(np.array([0.0, 0.0, 0.0]))
-    assert 0.0 <= float(c[0]) <= 0.5
-    assert w >= 0.0
+    d, v, c, w = field.query_batch([[0.0, 0.0, 0.0]])
+    assert 0.0 <= float(c[0, 0]) <= 0.5
+    assert w[0] >= 0.0
 
 
 def test_query_constant_color_recovered_near_surface():
@@ -267,25 +273,27 @@ def test_query_constant_color_recovered_near_surface():
     gx, gy = np.meshgrid(span, span)
     pts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=1)
     props = np.tile([0.8, 0.3], (len(pts), 1))
-    field = build(world_frame(pts, properties=props), h,
-                  KernelParams(length_scale=3 * h))
+    field = build_voxelized(*voxelize(world_frame(pts, properties=props),
+                                      h)[:3],
+                            KernelParams(length_scale=3 * h))
     # measured voxel centers are where fusion consumes properties
     for q in ([0.125, -0.125, 0.025], [0.225, 0.075, 0.025],
               [-0.175, -0.025, 0.025]):
-        _, _, c, _ = field.query(np.array(q))
-        np.testing.assert_allclose(c, [0.8, 0.3], atol=1e-2)
+        _, _, c, _ = field.query_batch([q])
+        np.testing.assert_allclose(c[0], [0.8, 0.3], atol=1e-2)
 
 
 def test_empty_local_field_query_raises():
     field = LocalField([], KernelParams())
     with pytest.raises(EmptyFrame):
-        field.query(np.zeros(3))
+        field.query_batch(np.zeros((1, 3)))
 
 
 def test_models_train_on_exactly_the_voxelized_cells():
     pts = np.array([[0.02, 0.02, 0.02], [0.33, 0.02, 0.02]])
-    field = build(world_frame(pts), 0.05, KernelParams(length_scale=0.15),
-                  min_leaf_points=1)
+    field = build_voxelized(*voxelize(world_frame(pts), 0.05)[:3],
+                            KernelParams(length_scale=0.15),
+                            min_leaf_points=1)
     assert len(field.models) == 1
     want = grid_to_world(np.array([[0, 0, 0], [6, 0, 0]]), 0.05)
     np.testing.assert_array_equal(field.models[0].train_points, want)
@@ -348,10 +356,11 @@ def dense_cube_frame(h=0.05):
 def test_models_count_their_jitter_escalations():
     frame = dense_cube_frame()
     params = KernelParams(length_scale=0.15, noise2=0.0)
-    field = build(frame, 0.05, params)
+    field = build_voxelized(*voxelize(frame, 0.05)[:3], params)
     jitter = [m.jitter for m in field.models]
     assert jitter == [gp_oracle.train(m.train_points, params).jitter
                       for m in field.models]
     assert sum(jitter) > 0
-    noisy = build(frame, 0.05, KernelParams(length_scale=0.15))
+    noisy = build_voxelized(*voxelize(frame, 0.05)[:3],
+                            KernelParams(length_scale=0.15))
     assert [m.jitter for m in noisy.models] == [0] * len(noisy.models)

@@ -103,8 +103,8 @@ def test_integrate_frames_populates_map():
     # The mesh hugs the observed wall face at x = 1.975.
     assert abs(np.median(mesh.vertices[:, 0]) - 1.975) < 0.05
 
-    res = pipe.field.query([1.675, 0.0, 0.0])
-    assert res.distance == pytest.approx(0.3, abs=0.05)
+    res = pipe.field.query_batch([[1.675, 0.0, 0.0]])
+    assert res.distances[0] == pytest.approx(0.3, abs=0.05)
 
 
 def test_frame_stats_track_counts_and_stages():
@@ -149,9 +149,34 @@ def test_properties_reach_mesh_and_field():
     np.testing.assert_allclose(np.median(mesh.properties, axis=0),
                                [0.8, 0.2, 0.4], atol=0.05)
     # On the observed face, where occupancy is full strength.
-    res = pipe.field.query([1.975, 0.0, 0.0])
-    np.testing.assert_allclose(res.properties, [0.8, 0.2, 0.4], atol=0.1)
-    assert res.property_variance is not None
+    res = pipe.field.query_batch([[1.975, 0.0, 0.0]])
+    np.testing.assert_allclose(res.properties[0], [0.8, 0.2, 0.4], atol=0.1)
+    assert res.prop_variances is not None
+
+
+def test_library_run_prints_nothing_and_warns_nothing(tmp_path, capfd):
+    """Two sphere-orbit frames under the default config, a query batch,
+    a snapshot round trip and every file writer write nothing to stdout
+    or stderr and raise no warning."""
+    scene = SyntheticScene([Primitive("sphere", center=[0.0, 0.0, 0.0],
+                                      radius=1.0)])
+    sensor = SensorModel(kind="pinhole", width=24, height=18, focal=25.0,
+                         max_range=8.0, noise_sigma=0.005, seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pipe = Pipeline(PipelineConfig())
+        for i, pose in enumerate(orbit_trajectory([0, 0, 0], 2.5, 24)[:2]):
+            pipe.integrate_frame(render_frame(scene, sensor, pose, float(i)))
+        box = ((-1.5, -1.5, -1.5), (1.5, 1.5, 1.5))
+        assert len(pipe.field.query_batch(lattice_points(box, 0.5))) == 343
+        pipe.save_snapshot(tmp_path / "m.snap")
+        back = Pipeline.load_snapshot(tmp_path / "m.snap")
+        back.write_mesh(tmp_path / "m.ply")
+        export_slice(back.field, "z", 0.0, ((-1.5, 1.5), (-1.5, 1.5)), 0.1,
+                     tmp_path / "s.csv")
+        write_stats_csv(pipe.stats, tmp_path / "stats.csv")
+    assert [str(w.message) for w in caught] == []
+    assert capfd.readouterr() == ("", "")
 
 
 def test_lattice_points_cover_box_inclusively():
@@ -268,6 +293,19 @@ def test_snapshot_rejects_other_files(tmp_path):
     path = tmp_path / "bogus.snap"
     path.write_bytes(b"definitely not a snapshot")
     with pytest.raises(IoFailure):
+        Pipeline.load_snapshot(path)
+
+
+def test_snapshot_of_another_version_is_refused(tmp_path):
+    pipe = Pipeline()
+    pipe.grid.set((0, 0, 0), VoxelState(0.01, 1.0, observed=True))
+    path = tmp_path / "v2.snap"
+    pipe.save_snapshot(path)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<I", data, len(Pipeline._MAGIC), 2)
+    path.write_bytes(bytes(data))
+    with pytest.raises(IoFailure, match=re.escape(
+            f"{path}: unsupported snapshot version 2")):
         Pipeline.load_snapshot(path)
 
 
