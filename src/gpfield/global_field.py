@@ -18,6 +18,7 @@ last look.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -55,7 +56,9 @@ class QueryStats:
     n_jitter_escalations: int = 0   # of the nodes this batch trained
     sign_rebuilt: int = 0           # 1 if this batch built the main sign tree
     n_observed_indexed: int = 0     # observed voxels this batch indexed
-    # milliseconds of route, train, moments, signs and blend
+    # milliseconds of route, train, moments, signs (the index refresh and
+    # the lookup, timed on the worker), sign_wait (the caller blocked on
+    # the lookup) and blend
     stage_ms: dict = field(default_factory=dict, compare=False)
 
 
@@ -229,6 +232,7 @@ class GlobalField:
         self._tree_nodes: list[GPNode] = []
         self._tree_stale = True
         self._sign_index = None if grid is None else SignIndex(grid)
+        self._sign_worker = None
 
     @property
     def n_nodes(self) -> int:
@@ -318,14 +322,25 @@ class GlobalField:
         """Train every node still lacking a model; returns the count."""
         return self._train_nodes(self.nodes.values())[0]
 
-    def _signs(self, points: np.ndarray, stats: QueryStats):
-        """(sign, known) from the nearest observed fused voxel."""
+    def _signs(self, points: np.ndarray):
+        """(sign, known, ms): each row's sign and whether the nearest
+        observed fused voxel within the sign radius gave it, and the
+        lookup's milliseconds.
+
+        Runs on the sign worker, beside the caller's route, train and
+        moments. It reads the sign index and grid.voxels, which nothing
+        writes during a query batch, and it must call no function that
+        perfbench/tracing.py wraps: the tracer's span stack is not
+        thread-safe.
+        """
+        t0 = time.perf_counter()
         if self._sign_index is None:
             n = len(points)
-            return np.ones(n), np.zeros(n, dtype=bool)
-        self._sign_index.refresh(stats)
-        return self._sign_index.lookup(
-            points, self.sign_radius * self.grid.voxel_size)
+            sign, known = np.ones(n), np.zeros(n, dtype=bool)
+        else:
+            sign, known = self._sign_index.lookup(
+                points, self.sign_radius * self.grid.voxel_size)
+        return sign, known, (time.perf_counter() - t0) * 1e3
 
     def query_batch(self, points: np.ndarray, q: Optional[int] = None) -> BatchQueryResult:
         """Blend the q nearest nodes at each query point.
@@ -339,39 +354,58 @@ class GlobalField:
         call, and all of them infer in one gp.routed_moments call, which
         batches the models by training-set size; the elementwise rest
         (clips, reverting, variance propagation, gradient normalization)
-        runs once over the whole batch.
+        runs once over the whole batch. The sign lookup runs on a worker
+        thread meanwhile, made on first use, and scipy's OpenBLAS keeps
+        to one thread on the calling thread for the batch (see
+        gp.one_blas_thread); neither changes an output.
         Raises ValueError if q < 1, or naming the first row that is not
         finite or, on a field with a grid, lies outside the voxel key range.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        m = len(pts)
         q = self.query_nodes if q is None else int(q)
         if q < 1:
             raise ValueError(f"q must be at least 1, got {q}")
         self._check_rows(pts)
         if not self.nodes:
             raise EmptyField("global field has no nodes")
-        if m == 0:
+        if len(pts) == 0:
             return self._empty_result()
+        with gp.one_blas_thread():
+            return self._query(pts, q)
+
+    def _query(self, pts: np.ndarray, q: int) -> BatchQueryResult:
+        m = len(pts)
         stats = QueryStats()
         t0 = time.perf_counter()
-        self._ensure_tree()
-        sel = gp.route(self._tree, pts, q)
-        routed = np.flatnonzero(np.bincount(sel.ravel())).tolist()
-        nodes = [self._tree_nodes[i] for i in routed]
+        if self._sign_index is not None:
+            self._sign_index.refresh(stats)
+        if self._sign_worker is None:
+            self._sign_worker = ThreadPoolExecutor(
+                1, thread_name_prefix="gpfield-signs")
+        lookup = self._sign_worker.submit(self._signs, pts)
         t1 = time.perf_counter()
-        stats.n_nodes_trained, stats.n_jitter_escalations = \
-            self._train_nodes(nodes)
-        models = {i: node.model for i, node in zip(routed, nodes)}
-        stats.n_nodes_routed = len(models)
-        has_props = all(node.props is not None for node in nodes)
-        t2 = time.perf_counter()
-        mo, at = gp.routed_moments(models, pts, sel, gradient=True,
-                                   properties=has_props)
-        o, u, g, c, w = mo
-        t3 = time.perf_counter()
-        sign, known = self._signs(pts, stats)
-        t4 = time.perf_counter()
+        try:
+            self._ensure_tree()
+            sel = gp.route(self._tree, pts, q)
+            routed = np.flatnonzero(np.bincount(sel.ravel())).tolist()
+            nodes = [self._tree_nodes[i] for i in routed]
+            t2 = time.perf_counter()
+            stats.n_nodes_trained, stats.n_jitter_escalations = \
+                self._train_nodes(nodes)
+            models = {i: node.model for i, node in zip(routed, nodes)}
+            stats.n_nodes_routed = len(models)
+            has_props = all(node.props is not None for node in nodes)
+            t3 = time.perf_counter()
+            mo, at = gp.routed_moments(models, pts, sel, gradient=True,
+                                       properties=has_props)
+            o, u, g, c, w = mo
+            t4 = time.perf_counter()
+        finally:
+            # the caller leaves, returning or raising, only once the
+            # worker is done with this batch
+            wait([lookup])
+        t5 = time.perf_counter()
+        sign, known, lookup_ms = lookup.result()
         rows = np.arange(m)
 
         p = self.params
@@ -394,10 +428,12 @@ class GlobalField:
         if has_props:
             props = gp.clip_properties(c[win], self.prop_clip)
             pvar = gp.clip_variance(w[win], p)
-        t5 = time.perf_counter()
-        stats.stage_ms.update(route=(t1 - t0) * 1e3, train=(t2 - t1) * 1e3,
-                              moments=(t3 - t2) * 1e3, signs=(t4 - t3) * 1e3,
-                              blend=(t5 - t4) * 1e3)
+        t6 = time.perf_counter()
+        stats.stage_ms.update(route=(t2 - t1) * 1e3, train=(t3 - t2) * 1e3,
+                              moments=(t4 - t3) * 1e3,
+                              signs=(t1 - t0) * 1e3 + lookup_ms,
+                              sign_wait=(t5 - t4) * 1e3,
+                              blend=(t6 - t5) * 1e3)
         return BatchQueryResult(distances=distance, variances=variance,
                                 gradients=grad, properties=props,
                                 prop_variances=pvar, free_space=~known,

@@ -16,7 +16,10 @@ moments are one-model calls of the same code.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 from typing import NamedTuple, Optional
 
@@ -184,6 +187,42 @@ def _trtrs(chol: np.ndarray, b: np.ndarray, overwrite: bool = False):
     if overwrite and x is not b:
         b[...] = x          # trtrs solved a copy: b was not F-ordered
     return x
+
+
+@cache
+def _blas_thread_setter():
+    """OpenBLAS's openblas_set_num_threads_local, looked up through the
+    LAPACK module dtrtrs comes from, so that it lands in scipy's OpenBLAS
+    and not in numpy's; None for another BLAS or an OpenBLAS without it
+    (before 0.3.27). It sets the BLAS thread count of the calling thread
+    only and returns the previous count."""
+    try:
+        from scipy.linalg import _flapack
+        setter = ctypes.CDLL(_flapack.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold scipy's OpenBLAS, the library of the dtrtrs solves, to one
+    thread on the calling thread, and restore the previous count on the
+    way out. A query batch's solves are small: at two threads OpenBLAS
+    keeps its second thread spinning on the other core for a while after
+    each one, where it slows whatever else runs there. The count changes
+    no bits of a solve. Does nothing where the setter is missing."""
+    setter = _blas_thread_setter()
+    if setter is None:
+        yield
+        return
+    previous = setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -510,11 +549,9 @@ def unit_distance_gradient(g, params: KernelParams):
     the negated, normalized occupancy gradient. Where the raw gradient
     magnitude falls below params.grad_eps the result is a zero vector.
     """
-    norm = np.linalg.norm(g, axis=-1)
-    out = np.zeros_like(g)
-    ok = norm > params.grad_eps
-    out[ok] = -g[ok] / norm[ok, None]
-    return out
+    norm = np.linalg.norm(g, axis=-1)[..., None]
+    return np.divide(np.negative(g), norm, out=np.zeros_like(g),
+                     where=norm > params.grad_eps)
 
 
 def infer_occupancy(model: GpLeafModel, x: np.ndarray):

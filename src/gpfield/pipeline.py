@@ -67,7 +67,8 @@ class PipelineConfig:
     scalars only np.float64 passes), a non-finite float or an int past
     the float range in a float field, normal_k or query_nodes below 1,
     or a negative band_width or sign_radius raises ValueError naming
-    it; values are never converted.
+    it, as does a derived length_scale, d_max or v_max past the float
+    range; values are never converted.
     """
 
     voxel_size: float = 0.05
@@ -111,14 +112,24 @@ class PipelineConfig:
             raise ValueError("voxel_size must be positive")
         if self.length_scale is None:
             self.length_scale = 3.0 * self.voxel_size
+        if self.prop_kind not in _PROP_CHANNELS:
+            raise ValueError(f"unknown prop_kind {self.prop_kind!r}")
+        # derived values past the float range would be refused when a
+        # snapshot of this config loads
+        try:
+            kp = self.kernel_params()
+        except OverflowError:       # v_max squares length_scale and noise2
+            raise ValueError("v_max must be finite, got an overflow from "
+                             "length_scale and noise2") from None
+        for key in ("length_scale", "d_max", "v_max"):
+            if not _finite(getattr(kp, key)):
+                raise ValueError(f"{key} must be finite, got "
+                                 f"{getattr(kp, key)}")
         ratio = self.length_scale / self.voxel_size
         if not 2.0 <= ratio <= 4.0:
             warnings.warn(
                 f"length_scale is {ratio:.2f} voxels; two to four voxels "
                 "is the supported regime", stacklevel=2)
-        if self.prop_kind not in _PROP_CHANNELS:
-            raise ValueError(f"unknown prop_kind {self.prop_kind!r}")
-        kp = self.kernel_params()
         self.d_max = kp.d_max
         self.v_max = kp.v_max
 
@@ -438,7 +449,10 @@ class Pipeline:
                 f"records where {n_leaves} leaves take "
                 f"{n_leaves * rec.itemsize}")
         recs = np.frombuffer(data, dtype=rec, count=n_leaves, offset=off)
-        keys = pack_keys(recs["origin"])
+        try:
+            keys = pack_keys(recs["origin"])
+        except ValueError as exc:
+            raise ply.IoFailure(f"{path}: leaf origins: {exc}") from None
         if (leaf_keys(keys) != keys).any() or (np.diff(keys) <= 0).any():
             raise ply.IoFailure(f"{path}: leaf records are not distinct leaf "
                                 "origins in ascending order")

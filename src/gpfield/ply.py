@@ -11,7 +11,6 @@ writes, so that a failed write keeps the previous file.
 from __future__ import annotations
 
 import os
-import struct
 from contextlib import contextmanager, suppress
 from typing import Optional
 

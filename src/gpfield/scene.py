@@ -10,12 +10,15 @@ ground-truth oracle for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 HIT_TOLERANCE = 1e-5
 MAX_TRACE_STEPS = 256
+# bound on the magnitude of a primitive's shape numbers (centre, extents,
+# normal, radius, offset): the squared distances an sdf takes between
+# points within it stay finite, where float64 squares overflow near 1.3e154
+MAX_MAGNITUDE = 1e150
 
 
 @dataclass
@@ -33,15 +36,19 @@ class Primitive:
 
     def __post_init__(self):
         """Raises ValueError for a non-finite number (an infinite active
-        bound aside) or a zero normal."""
+        bound aside), a shape number past MAX_MAGNITUDE or a zero normal."""
         self.center = np.asarray(self.center, dtype=np.float64)
         self.half_extents = np.asarray(self.half_extents, dtype=np.float64)
         n = np.asarray(self.normal, dtype=np.float64)
         self.prop = np.asarray(self.prop, dtype=np.float64)
-        numbers = np.concatenate([self.center, self.half_extents, n,
-                                  [self.radius, self.offset], self.prop])
-        if not np.isfinite(numbers).all() or np.isnan(self.active).any():
+        shape = np.concatenate([self.center, self.half_extents, n,
+                                [self.radius, self.offset]])
+        if (not np.isfinite(shape).all() or not np.isfinite(self.prop).all()
+                or np.isnan(self.active).any()):
             raise ValueError(f"{self.kind} numbers must be finite")
+        if (np.abs(shape) > MAX_MAGNITUDE).any():
+            raise ValueError(f"{self.kind} numbers must not exceed "
+                             f"{MAX_MAGNITUDE:g} in magnitude")
         if not n.any():
             raise ValueError(f"{self.kind} normal must not be zero")
         self.normal = n / np.linalg.norm(n)

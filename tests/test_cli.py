@@ -628,7 +628,11 @@ def test_console_script_roundtrip(tmp_path):
     ("plane 0 0 0 1\n", "line 1: plane normal must not be zero"),
     ("sphere 0 0 0 nan\n", "line 1: sphere numbers must be finite"),
     ("plane 0 0 1 -1\nsphere 0 0 0 1 prop inf\n",
-     "line 2: sphere numbers must be finite")])
+     "line 2: sphere numbers must be finite"),
+    ("sphere 1e300 0 0 1\n",
+     "line 1: sphere numbers must not exceed 1e+150 in magnitude"),
+    ("box 0 0 0 1 1 1\nplane 0 0 -1e200 1\n",
+     "line 2: plane numbers must not exceed 1e+150 in magnitude")])
 def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
                                                 message):
     scene = tmp_path / "s.scene"

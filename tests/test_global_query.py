@@ -111,7 +111,7 @@ def reference_query_batch(field, points, q=None):
     grad = np.zeros_like(gmean)
     okg = gnorm > field.params.grad_eps
     grad[okg] = gmean[okg] / gnorm[okg, None]
-    sign, known = field._signs(pts, QueryStats())
+    sign, known, _ = field._signs(pts)
     distance = blended * np.where(known, sign, 1.0)
     grad = grad * np.where(known, sign, 1.0)[:, None]
     props = cq[rows[:, 0], win] if has_props else None
@@ -492,7 +492,7 @@ def test_query_stats_match_spies(monkeypatch, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-QUERY_STAGES = {"route", "train", "moments", "signs", "blend"}
+QUERY_STAGES = {"route", "train", "moments", "signs", "sign_wait", "blend"}
 
 
 @pytest.mark.parametrize("with_grid", [True, False])

@@ -29,8 +29,8 @@ from gpfield.pipeline import (
     lattice_points,
     write_stats_csv,
 )
-from gpfield.grid import (KEY_BIAS, LEAF_ARRAYS, LEAF_SIZE, LEAF_VOXELS,
-                          VoxelState)
+from gpfield.grid import (KEY_BIAS, KEY_RANGE_ERROR, LEAF_ARRAYS, LEAF_SIZE,
+                          LEAF_VOXELS, VoxelState)
 from gpfield.local_field import EmptyFrame, Frame
 from gpfield.meshing import crossings_by_leaf
 from gpfield.ply import IoFailure
@@ -309,6 +309,22 @@ def test_snapshot_of_another_version_is_refused(tmp_path):
         Pipeline.load_snapshot(path)
 
 
+def test_snapshot_leaf_origin_past_the_key_range_is_refused_naming_it(
+        tmp_path):
+    pipe = Pipeline()
+    pipe.grid.set((0, 0, 0), VoxelState(0.01, 1.0, observed=True))
+    path = tmp_path / "far.snap"
+    pipe.save_snapshot(path)
+    data = bytearray(path.read_bytes())
+    records = len(Pipeline._MAGIC) + 8 + struct.unpack_from(
+        "<II", data, len(Pipeline._MAGIC))[1] + 16
+    struct.pack_into("<q", data, records, 8 * 10 ** 7)   # first origin's x
+    path.write_bytes(bytes(data))
+    with pytest.raises(IoFailure, match=re.escape(
+            f"{path}: leaf origins: {KEY_RANGE_ERROR}")):
+        Pipeline.load_snapshot(path)
+
+
 def test_config_defaults_and_derived_values():
     cfg = PipelineConfig()
     assert cfg.length_scale == pytest.approx(3 * cfg.voxel_size)
@@ -493,6 +509,11 @@ _INT_VALUES = st.one_of(st.integers(-3, 2 ** 40), st.just(np.int64(2)),
     f.name: _INT_VALUES if f.type == "int" else _FLOAT_VALUES
     for f in dataclasses.fields(PipelineConfig) if f.type != "str"}),
     prop_kind=st.sampled_from(["none", "rgb", "intensity"]))
+# derived values past the float range: three voxels, and the squares of
+# length_scale and noise2 in v_max
+@example(values={"voxel_size": 2 ** 1023}, prop_kind="none")
+@example(values={"length_scale": 2 ** 1023}, prop_kind="none")
+@example(values={"noise2": 2 ** 1023}, prop_kind="rgb")
 def test_every_accepted_config_survives_a_snapshot(values, prop_kind):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -1075,3 +1096,38 @@ def test_outputs_equal_across_processes_with_other_hash_seeds():
         digests.append(run.stdout.split())
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
+
+
+# runs tests/test_golden.py, then prints the BLAS thread count scipy's
+# OpenBLAS started with (-1 where the count cannot be read)
+GOLDEN_RUN = """
+import sys
+import pytest
+from gpfield import gp
+code = pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]])
+setter = gp._blas_thread_setter()
+threads = -1 if setter is None else setter(1)
+print("blas threads", threads)
+sys.exit(code)
+"""
+
+
+def test_golden_outputs_do_not_depend_on_the_blas_thread_count():
+    """The golden digests come out the same in an interpreter whose BLAS
+    runs one thread and in one that runs two: tests/test_golden.py passes
+    in both."""
+    root = Path(__file__).resolve().parents[1]
+    src = str(root / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    counts = []
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c", GOLDEN_RUN, str(root / "tests/test_golden.py")],
+            capture_output=True, text=True, cwd=root, env={
+                **os.environ, "PYTHONPATH": path,
+                "OPENBLAS_NUM_THREADS": threads})
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert re.search(r"\b3 passed\b", run.stdout), run.stdout
+        counts.append(int(run.stdout.split()[-1]))
+    if counts[0] != -1:
+        assert counts == [1, min(2, len(os.sched_getaffinity(0)))]
