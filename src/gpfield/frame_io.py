@@ -97,8 +97,3 @@ def recorded_frames(frames_dir,
         yield f"{path} ({trajectory_path}:{ln})", Frame(
             points=pts, rotation=rot, translation=trans, properties=props,
             timestamp=t)
-
-
-def load_frames(frames_dir, trajectory_path) -> Iterator[Frame]:
-    """The frames of recorded_frames, without their sources."""
-    return (frame for _, frame in recorded_frames(frames_dir, trajectory_path))

@@ -134,9 +134,7 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
             prop[lat] = (old_pw[:, None] * old_p
                          + wcs[:, None] * props[sel]) / safe[:, None]
             prop_weight[lat] = np.minimum(pt, cfg.weight_cap)
-    # each leaf stamped as get_or_create_leaf and then mark_active would,
-    # leaf after leaf in key order
-    grid.activate(slots, touches=2)
+    grid.activate(slots)
     stats.leaves_touched = len(slots)
     stats.new_leaves = grid.n_leaves - before
     return stats

@@ -47,8 +47,9 @@ class GPNode:
 class QueryStats:
     """What one query batch did: nodes it routed to, nodes it trained and
     the Cholesky jitter escalations their factors needed, whether it built
-    the sign index's main tree and how many observed voxels it added to
-    the index; and what each stage cost. ``stage_ms`` takes no part in
+    the sign index's main tree, how many observed voxels it added to the
+    index and how many of its points no indexed voxel signed; and what
+    each stage cost. ``stage_ms`` takes no part in
     comparisons, so two batches that did the same work compare equal."""
 
     n_nodes_routed: int = 0
@@ -56,6 +57,7 @@ class QueryStats:
     n_jitter_escalations: int = 0   # of the nodes this batch trained
     sign_rebuilt: int = 0           # 1 if this batch built the main sign tree
     n_observed_indexed: int = 0     # observed voxels this batch indexed
+    n_free_space: int = 0           # points left unsigned, free_space True
     # milliseconds of route, train, moments, signs (the index refresh and
     # the lookup, timed on the worker), sign_wait (the caller blocked on
     # the lookup) and blend
@@ -406,6 +408,7 @@ class GlobalField:
             wait([lookup])
         t5 = time.perf_counter()
         sign, known, lookup_ms = lookup.result()
+        stats.n_free_space = m - int(np.count_nonzero(known))
         rows = np.arange(m)
 
         p = self.params

@@ -19,11 +19,11 @@ which every allocation updates at once. Finding one leaf is one binary
 search in it; ``SparseGrid.leaf_slots`` finds many with one, so
 ``lookup``, ``gather_block``, fusion, marching cubes and the sign index
 read and write voxels of many leaves with one fancy index into the pool.
-Every write path stamps the leaf it writes from a grid-wide clock, the
-grid's only change record (a writer that goes around the write paths
+``set`` and ``activate`` stamp the leaves they write from a grid-wide
+clock, the grid's only change record (a writer that goes around ``set``
 stamps its leaves with ``activate``), so a reader that remembers the
 clock can find the leaves touched since by one compare on the stamp
-column.
+column. The pool's active column is the only record of the active set.
 """
 
 from __future__ import annotations
@@ -239,18 +239,12 @@ class LeafNode:
     Each LEAF_ARRAYS attribute reads the leaf's row of the grid's pool
     on every access, so a handle stays valid across pool growth and
     writes through it, augmented assignment included, land in the pool.
-    ``stamp`` is the grid clock at the leaf's last touch through
-    ``get_or_create_leaf``, ``set`` or ``activate``; ``active`` is set by
-    ``activate`` until ``clear_active``.
+    ``active`` is set by ``activate`` until ``clear_active``.
     """
 
     grid: "SparseGrid"
     slot: int
     origin: tuple[int, int, int]
-
-    @property
-    def stamp(self) -> int:
-        return int(self.grid.pool["stamp"][self.slot])
 
     @property
     def active(self) -> bool:
@@ -313,8 +307,6 @@ class SparseGrid:
         # key above every leaf key, and their slots (0 for that last key)
         self._sorted = (np.array([np.iinfo(np.int64).max]),
                         np.zeros(1, dtype=np.int64))
-        # slots activated since the last clear_active, in touch order
-        self._active: list[np.ndarray] = []
         # advanced by every leaf stamp; a leaf stamped after a reader read
         # the clock was written since
         self.clock = 0
@@ -333,29 +325,6 @@ class SparseGrid:
         keys, slots = self._sorted
         at = int(keys.searchsorted(key))
         return slots.item(at) if keys.item(at) == key else 0
-
-    def find_leaf(self, coord) -> Optional[LeafNode]:
-        """Leaf containing the coordinate, or None if unallocated.
-
-        Raises ValueError for a coordinate outside the key range.
-        """
-        slot = self._slot(_leaf_key(coord))
-        return self._handle(slot) if slot else None
-
-    def get_or_create_leaf(self, coord) -> LeafNode:
-        """Leaf containing the coordinate, allocating it if needed.
-
-        Stamps the leaf: callers get it to write into it.
-        """
-        return self._handle(self._touch(coord))
-
-    def _touch(self, coord) -> int:
-        """Stamp the leaf holding coord, allocated if needed; its slot."""
-        key = _leaf_key(coord)
-        slot = self._slot(key) or int(self.allocate([key])[0])
-        self.clock += 1
-        self.pool["stamp"][slot] = self.clock
-        return slot
 
     def allocate(self, keys) -> np.ndarray:
         """Slot of the leaf under each packed leaf key, allocating the
@@ -402,7 +371,12 @@ class SparseGrid:
     # -- single voxel API ----------------------------------------------------
 
     def set(self, coord, state: VoxelState) -> None:
-        at = self._touch(coord), _local_index(coord)
+        """Write one voxel; allocates its leaf if needed and stamps it."""
+        key = _leaf_key(coord)
+        slot = self._slot(key) or int(self.allocate([key])[0])
+        self.clock += 1
+        self.pool["stamp"][slot] = self.clock
+        at = slot, _local_index(coord)
         for name in ("distance", "dist_weight", "prop_weight", "observed"):
             self.pool[name][at] = getattr(state, name)
         if self.prop_channels:
@@ -439,34 +413,27 @@ class SparseGrid:
         return map(self._handle, range(1, self.n_leaves + 1))
 
     def active_slots(self) -> np.ndarray:
-        """Slots of the leaves activated since the last clear_active(),
-        in touch order."""
-        if len(self._active) > 1:
-            self._active = [np.concatenate(self._active)]
-        return self._active[0] if self._active else np.zeros(0, np.int64)
+        """Slots, ascending, of the leaves activated since the last
+        clear_active()."""
+        return np.flatnonzero(self.pool["active"][1:self.n_leaves + 1]) + 1
 
     def active_leaves(self) -> Iterator[LeafNode]:
-        """Leaves activated since the last clear_active(), in touch order."""
+        """Leaves activated since the last clear_active(), in slot order."""
         return map(self._handle, self.active_slots().tolist())
 
     def mark_active(self, leaf: LeafNode) -> None:
         self.activate([leaf.slot])
 
-    def activate(self, slots, touches: int = 1) -> None:
-        """Stamp the distinct leaves in slots one after another, each
-        touches times in a row, and mark them active in that order."""
+    def activate(self, slots) -> None:
+        """Stamp the distinct leaves in slots one after another and mark
+        them active."""
         slots = np.asarray(slots, dtype=np.int64)
-        self.pool["stamp"][slots] = self.clock + touches * np.arange(
-            1, len(slots) + 1)
-        self.clock += touches * len(slots)
-        active = self.pool["active"]
-        new = slots[~active[slots]]
-        active[new] = True
-        self._active.append(new)
+        self.pool["stamp"][slots] = self.clock + np.arange(1, len(slots) + 1)
+        self.clock += len(slots)
+        self.pool["active"][slots] = True
 
     def clear_active(self) -> None:
         self.pool["active"][self.active_slots()] = False
-        self._active = []
 
     def stamped_since(self, clock: int) -> np.ndarray:
         """Slots, ascending, of the leaves stamped after the clock read

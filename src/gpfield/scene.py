@@ -245,12 +245,18 @@ def orbit_trajectory(center, radius: float, n_frames: int,
 
     The sensor +z axis points at the center; elevation (radians) lifts
     the circle above the center's horizontal plane. Raises ValueError
-    for a radius that is not finite and nonzero.
+    for a radius that is not finite and nonzero, and for a radius or a
+    center coordinate past MAX_MAGNITUDE.
     """
     if not (np.isfinite(radius) and radius != 0):
         raise ValueError(f"orbit radius must be finite and nonzero, "
                          f"got {radius}")
     center = np.asarray(center, dtype=np.float64)
+    for name, v in (("radius", radius), ("center", center)):
+        if (np.abs(v) > MAX_MAGNITUDE).any():
+            raise ValueError(f"orbit {name} must not exceed "
+                             f"{MAX_MAGNITUDE:g} in magnitude, got "
+                             f"{np.asarray(v).tolist()}")
     poses = []
     up = np.array([0.0, 0.0, 1.0])
     for i in range(n_frames):
@@ -265,14 +271,18 @@ def orbit_trajectory(center, radius: float, n_frames: int,
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     """Pose with sensor +z toward the target, x right, y down.
 
-    Raises ValueError for a non-finite eye or target, or an eye at its
-    target.
+    Raises ValueError for a non-finite eye or target, one past
+    MAX_MAGNITUDE, or an eye at its target.
     """
     eye = np.asarray(eye, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if not (np.isfinite(eye).all() and np.isfinite(target).all()):
         raise ValueError(f"look_at needs a finite eye and target, got eye "
                          f"{eye.tolist()} and target {target.tolist()}")
+    for name, v in (("eye", eye), ("target", target)):
+        if (np.abs(v) > MAX_MAGNITUDE).any():
+            raise ValueError(f"look_at {name} {v.tolist()} must not exceed "
+                             f"{MAX_MAGNITUDE:g} in magnitude")
     fwd = target - eye
     norm = np.linalg.norm(fwd)
     if norm == 0:

@@ -1,13 +1,26 @@
-"""The per-leaf loop that ``SparseGrid.gather_block`` replaced.
+"""The per-leaf loop that ``SparseGrid.gather_block`` replaced, and a
+scalar leaf finder over the grid's slot API.
 
 ``SparseGrid.gather_block`` must equal ``gather_block`` here bit for bit:
-the block's leaves visited one ``find_leaf`` at a time, each leaf's
+the block's leaves visited one ``leaf_at`` at a time, each leaf's
 overlap with the block copied by slices.
 """
 
+from itertools import islice
+
 import numpy as np
 
-from gpfield.grid import KEY_BIAS, LEAF_LOG2, LEAF_SIZE
+from gpfield.grid import KEY_BIAS, LEAF_LOG2, LEAF_SIZE, leaf_keys, pack_keys
+
+
+def leaf_at(grid, coord, allocate=False):
+    """The grid's handle on the leaf holding one voxel coordinate, found
+    by leaf_slots, or by allocate when allocate is set (which stamps
+    nothing); None for an unallocated leaf. Raises ValueError for a
+    coordinate outside the key range."""
+    key = leaf_keys(pack_keys([coord]))
+    slot = int((grid.allocate if allocate else grid.leaf_slots)(key)[0])
+    return next(islice(grid.leaves(), slot - 1, None)) if slot else None
 
 
 def gather_block(grid, origin, shape):
@@ -34,7 +47,7 @@ def gather_block(grid, origin, shape):
         for lj in range(int(lo_leaf[1]), int(hi_leaf[1]) + 1):
             for lk in range(int(lo_leaf[2]), int(hi_leaf[2]) + 1):
                 lorg = (li << LEAF_LOG2, lj << LEAF_LOG2, lk << LEAF_LOG2)
-                leaf = grid.find_leaf(lorg)
+                leaf = leaf_at(grid, lorg)
                 if leaf is None:
                     continue
                 # overlap of this leaf with the requested block

@@ -267,14 +267,14 @@ def test_bad_text_frame_value_is_one_error_line_naming_the_file(tmp_path,
 def test_load_frames_reads_each_file_when_its_frame_is_asked_for(tmp_path):
     frames, traj = recorded(tmp_path, {"000.xyz": PLANE, "001.xyz": "0 x 1\n"},
                             "0 0 0 0 0 0 0 1\n1 0 0 0 0 0 0 1\n")
-    loaded = frame_io.load_frames(frames, traj)
-    assert len(next(loaded).points) == 21 * 21
+    loaded = frame_io.recorded_frames(frames, traj)
+    assert len(next(loaded)[1].points) == 21 * 21
     with pytest.raises(ValueError) as info:
         next(loaded)
     assert str(info.value).startswith(f"{frames / '001.xyz'}: ")
     traj.write_text("0 0 0 0 0 0 0 1\n")
     with pytest.raises(ValueError, match="2 frame files but only 1"):
-        next(frame_io.load_frames(frames, traj))
+        next(frame_io.recorded_frames(frames, traj))
 
 
 @pytest.mark.parametrize("pose", ["0 0 1e300 0 0 0 0 1",
@@ -642,15 +642,22 @@ def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
     assert error_lines(capsys, argv) == (1, [f"error: {message}"])
 
 
-@pytest.mark.parametrize("radius", ["0", "nan"])
-def test_degenerate_orbit_is_one_error_line(tmp_path, capsys, radius):
+@pytest.mark.parametrize("orbit, message", [
+    (["--orbit-radius", "0"], "radius must be finite and nonzero, got 0.0"),
+    (["--orbit-radius", "nan"], "radius must be finite and nonzero, got nan"),
+    (["--orbit-radius", "1e200"],
+     "radius must not exceed 1e+150 in magnitude, got 1e+200"),
+    (["--orbit-center", "1e200,0,0"],
+     "center must not exceed 1e+150 in magnitude, got [1e+200, 0.0, 0.0]")],
+    ids=["0", "nan", "1e200", "center_1e200"])
+def test_degenerate_orbit_is_one_error_line(tmp_path, capsys, orbit,
+                                            message):
+    """Without a numpy warning: tier-1 fails on any RuntimeWarning."""
     scene = tmp_path / "s.scene"
     scene.write_text(SPHERE_SCENE)
     argv = ["run", "--scene", str(scene), "--snapshot",
-            str(tmp_path / "m.snap"), *RUN_ARGS, "--orbit-radius", radius]
-    assert error_lines(capsys, argv) == (
-        1, [f"error: orbit radius must be finite and nonzero, got "
-            f"{float(radius)}"])
+            str(tmp_path / "m.snap"), *RUN_ARGS, *orbit]
+    assert error_lines(capsys, argv) == (1, [f"error: orbit {message}"])
 
 
 def test_scene_prop_of_another_width_is_one_error_line(tmp_path, capsys):

@@ -14,6 +14,7 @@ from gpfield.grid import (KEY_BIAS, LEAF_SIZE, SparseGrid, VoxelState,
 from gpfield.local_field import Frame, build_voxelized, voxelize
 from gpfield.query_points import generate
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
+from grid_oracle import leaf_at
 
 
 def simple_cfg(**kw):
@@ -257,7 +258,7 @@ def reference_fuse_frame(grid, points, distances, variances, cfg, props=None,
     flat = local_flat_index(points.coords)
     for rows in leaves:
         idx = flat[rows]
-        leaf = grid.get_or_create_leaf(points.coords[rows[0]])
+        leaf = leaf_at(grid, points.coords[rows[0]], allocate=True)
         old_d = leaf.distance[idx].astype(np.float64)
         old_w = leaf.dist_weight[idx].astype(np.float64)
         total = old_w + w[rows]
@@ -363,7 +364,7 @@ def test_each_fused_voxel_is_fuse_point_of_its_prior_state(frames, channels,
         points, d, v, props, pv = random_frame(rng, leaves, n, channels)
         prior = []
         for c in points.coords:
-            leaf = grid.find_leaf(c)
+            leaf = leaf_at(grid, c)
             if leaf is None:
                 prior.append(None)
                 continue

@@ -423,7 +423,8 @@ def test_query_stats_match_spies(monkeypatch, capsys):
     sign_rebuilt is 1 when the batch built the sign index's main tree, and
     a full build is an append to an empty index over every allocated leaf;
     n_observed_indexed is the number of observed voxels the batch added to
-    the index."""
+    the index; n_free_space counts the rows of free_space, on batches that
+    hold signed and unsigned points."""
     trained = []
     full_builds = []
     real_train_many = gp.train_many
@@ -461,8 +462,10 @@ def test_query_stats_match_spies(monkeypatch, capsys):
     def query_and_count(pts, full):
         trained.clear()
         full_builds.clear()
-        stats = field.query_batch(pts).stats
+        res = field.query_batch(pts)
+        stats = res.stats
         assert stats.n_nodes_trained == len(trained)
+        assert 0 < stats.n_free_space == res.free_space.sum() < len(pts)
         assert len(full_builds) == full
         if full:
             assert stats.sign_rebuilt == 1
@@ -471,24 +474,27 @@ def test_query_stats_match_spies(monkeypatch, capsys):
 
     first = query_and_count(near_first_two, full=1)
     assert first == QueryStats(n_nodes_routed=2, n_nodes_trained=2,
-                               sign_rebuilt=1, n_observed_indexed=3)
+                               sign_rebuilt=1, n_observed_indexed=3,
+                               n_free_space=1)
     again = query_and_count(near_first_two, full=0)
-    assert again == QueryStats(n_nodes_routed=2)
+    assert again == QueryStats(n_nodes_routed=2, n_free_space=1)
 
     # one new voxel is more than a quarter of the three in the main tree
     grid.set((0, 1, 0), VoxelState(0.01, 1.0, observed=True))
     third = query_and_count(everywhere, full=0)
     assert third == QueryStats(n_nodes_routed=4, n_nodes_trained=2,
-                               sign_rebuilt=1, n_observed_indexed=1)
+                               sign_rebuilt=1, n_observed_indexed=1,
+                               n_free_space=3)
     # one more is not more than a quarter of four: it goes to the tail
     grid.set((0, 2, 0), VoxelState(0.01, 1.0, observed=True))
     fourth = query_and_count(everywhere, full=0)
-    assert fourth == QueryStats(n_nodes_routed=4, n_observed_indexed=1)
+    assert fourth == QueryStats(n_nodes_routed=4, n_observed_indexed=1,
+                                n_free_space=3)
     # un-observing an indexed voxel falls back to a full build
     grid.set((0, 0, 0), VoxelState(0.01, 1.0, observed=False))
     fifth = query_and_count(everywhere, full=1)
     assert fifth == QueryStats(n_nodes_routed=4, sign_rebuilt=1,
-                               n_observed_indexed=4)
+                               n_observed_indexed=4, n_free_space=3)
     assert capsys.readouterr() == ("", "")
 
 

@@ -26,6 +26,7 @@ from gpfield.grid import (
     world_to_grid,
 )
 import grid_oracle
+from grid_oracle import leaf_at
 from mesh_oracle import gather_blocks
 
 in_range = st.integers(-KEY_BIAS, KEY_BIAS - 1)
@@ -159,26 +160,25 @@ def test_find_leaf_returns_owner_of_every_coord_up_to_key_range_edges():
     lo, hi = -KEY_BIAS, KEY_BIAS - LEAF_SIZE
     for origin in [(100 & ~7, -3000, 72), (lo, lo, lo), (hi, hi, hi),
                    (lo, hi, 0)]:
-        leaf = grid.get_or_create_leaf(origin)
+        leaf = leaf_at(grid, origin, allocate=True)
         assert leaf.origin == origin
         for off in [(0, 0, 0), (7, 7, 7), (3, 0, 5), (0, 6, 1)]:
             c = tuple(o + d for o, d in zip(origin, off))
-            assert grid.find_leaf(c) is leaf
-            assert grid.find_leaf(np.array(c)) is leaf
+            assert leaf_at(grid, c) is leaf
+            assert leaf_at(grid, np.array(c)) is leaf
     assert grid.n_leaves == 4
 
 
 def test_find_leaf_none_when_unallocated_and_rejects_out_of_range():
     grid = SparseGrid(voxel_size=0.1)
     grid.set((100, -3000, 77), VoxelState(1.0, 1.0))
-    assert grid.find_leaf((0, 0, 0)) is None
-    assert grid.find_leaf((100, -3000, 80)) is None
-    assert grid.find_leaf((-KEY_BIAS, KEY_BIAS - 1, 0)) is None
+    assert leaf_at(grid, (0, 0, 0)) is None
+    assert leaf_at(grid, (100, -3000, 80)) is None
+    assert leaf_at(grid, (-KEY_BIAS, KEY_BIAS - 1, 0)) is None
     for bad in [(KEY_BIAS, 0, 0), (0, -KEY_BIAS - 1, 0), (0, 0, 1 << 40)]:
+        assert grid.coord_slots([bad]).tolist() == [0]
         with pytest.raises(ValueError):
-            grid.find_leaf(bad)
-        with pytest.raises(ValueError):
-            grid.get_or_create_leaf(bad)
+            grid.set(bad, VoxelState(1.0, 1.0))
         with pytest.raises(ValueError):
             grid.lookup(np.array([[0, 0, 0], bad]))
         with pytest.raises(ValueError):
@@ -331,10 +331,10 @@ def test_coord_slots_keep_the_leading_shape_and_give_0_past_the_key_range():
                         [lo, 0, 5], [lo - 1, 0, 5]],
                        [[100, -3000, 77], [0, 0, 0],
                         [0, 0, 1 << 40], [96, -3000, 79]]])
-    want = [[grid.find_leaf(coords[0, 0]).slot, 0,
-             grid.find_leaf(coords[0, 2]).slot, 0],
-            [grid.find_leaf(coords[1, 0]).slot, 0, 0,
-             grid.find_leaf(coords[1, 3]).slot]]
+    want = [[leaf_at(grid, coords[0, 0]).slot, 0,
+             leaf_at(grid, coords[0, 2]).slot, 0],
+            [leaf_at(grid, coords[1, 0]).slot, 0, 0,
+             leaf_at(grid, coords[1, 3]).slot]]
     assert grid.coord_slots(coords).tolist() == want
     assert grid.coord_slots(np.zeros((0, 3), dtype=np.int64)).shape == (0,)
 
@@ -386,7 +386,7 @@ def test_active_leaves_matches_marking_and_clears():
     assert list(grid.active_leaves()) == []
     leaves = []
     for i in range(5):
-        leaf = grid.get_or_create_leaf((i * 8, 0, 0))
+        leaf = leaf_at(grid, (i * 8, 0, 0), allocate=True)
         leaves.append(leaf)
     for leaf in leaves[:3]:
         grid.mark_active(leaf)
@@ -462,7 +462,7 @@ def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
     grid = SparseGrid(voxel_size=0.1, prop_channels=channels)
     for origin, alloc in zip(_STACK_ORIGINS, allocated):
         if alloc:
-            leaf = grid.get_or_create_leaf(origin)
+            leaf = leaf_at(grid, origin, allocate=True)
             for name in LEAF_ARRAYS:
                 a = getattr(leaf, name)
                 a[...] = (rng.random(a.shape) < 0.5 if a.dtype == bool
@@ -472,7 +472,7 @@ def test_stack_leaves_matches_per_key_find_leaf(allocated, picks, channels,
                      for o in origins], dtype=np.int64)
     slot = grid.leaf_slots(keys)
 
-    leaves = [None if o is None else grid.find_leaf(o) for o in origins]
+    leaves = [None if o is None else leaf_at(grid, o) for o in origins]
     zero = new_pool(1, channels)
     assert slot.shape == keys.shape
     for i, leaf in enumerate(leaves):
@@ -529,23 +529,23 @@ def assert_index_is_a_fresh_sort(grid):
 
 
 def test_every_allocation_path_keeps_the_leaf_index_sorted(tmp_path):
-    """set, get_or_create_leaf, an unsorted allocate batch holding an
+    """set, a one-key allocate, an unsorted allocate batch holding an
     allocated key, and load_snapshot each leave the index equal to a
-    fresh sort, and find_leaf and leaf_slots see every leaf."""
+    fresh sort, and leaf_slots sees every leaf."""
     from gpfield.pipeline import Pipeline, PipelineConfig
 
     pipe = Pipeline(PipelineConfig(voxel_size=0.1))
     grid = pipe.grid
     grid.set((40, -3, 17), VoxelState(0.25, 1.0))
     assert_index_is_a_fresh_sort(grid)
-    grid.get_or_create_leaf((-90, 5, 0))
+    grid.allocate(leaf_keys(pack_keys([(-90, 5, 0)])))
     assert_index_is_a_fresh_sort(grid)
     origins = [(800, 8, -16), (KEY_BIAS - LEAF_SIZE,) * 3, (-96, 0, 0),
                (-KEY_BIAS,) * 3, (0, 0, 0), (-88, 0, 0)]
     slots = grid.allocate(pack_keys(origins))
     assert_index_is_a_fresh_sort(grid)
     assert slots.tolist() == [3, 4, 2, 5, 6, 7]
-    assert [grid.find_leaf(o).slot for o in origins] == slots.tolist()
+    assert [leaf_at(grid, o).slot for o in origins] == slots.tolist()
 
     path = tmp_path / "map.snap"
     pipe.save_snapshot(path)
@@ -556,26 +556,72 @@ def test_every_allocation_path_keeps_the_leaf_index_sorted(tmp_path):
     assert back.get((40, -3, 17)).distance == 0.25
 
 
-def test_every_write_path_stamps_its_leaf_from_the_clock():
+# leaf origins the change-record test draws from: both ends of the key
+# range and neighbours about the origin
+_RECORD_LEAVES = [(0, 0, 0), (8, 0, 0), (-8, 8, 0), (0, 0, -16),
+                  (-KEY_BIAS,) * 3, (KEY_BIAS - LEAF_SIZE,) * 3]
+_leaf_index = st.integers(0, len(_RECORD_LEAVES) - 1)
+_leaf_indices = st.lists(_leaf_index, max_size=4, unique=True)
+grid_ops = st.lists(st.one_of(
+    st.tuples(st.just("allocate"), _leaf_indices),
+    st.tuples(st.just("set"), _leaf_index),
+    st.tuples(st.just("get"), _leaf_index),
+    st.tuples(st.just("activate"), _leaf_indices),
+    st.tuples(st.just("mark_active"), _leaf_index),
+    st.tuples(st.just("clear_active"), st.none())), max_size=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_ops)
+@example([("set", 1), ("activate", [1]), ("mark_active", 1),
+          ("clear_active", None), ("set", 1), ("get", 0),
+          ("allocate", [3, 0, 2]), ("activate", [2, 0])])
+def test_change_records_match_a_dict_model(ops):
+    """Random allocate, set, get, activate, mark_active and clear_active
+    against a dict model: active_slots is ascending and holds the leaves
+    activated since the last clear, set marks nothing active, and
+    stamped_since(c) for every clock c read so far holds the leaves set
+    or activated since."""
     grid = SparseGrid(voxel_size=0.1)
-    a = grid.get_or_create_leaf((0, 0, 0))
-    assert a.stamp == grid.clock > 0
-    grid.set((9, 0, 0), VoxelState(0.0, 1.0))
-    b = grid.find_leaf((9, 0, 0))
-    assert b.stamp == grid.clock > a.stamp
-    clock = grid.clock
-    assert grid.find_leaf((0, 0, 0)) is a and grid.lookup([(0, 0, 0)])
-    grid.get((9, 0, 0))
-    assert grid.clock == clock              # reads stamp nothing
-    grid.mark_active(a)
-    assert a.stamp == grid.clock > b.stamp
-    grid.mark_active(a)                     # already active: stamped again
-    assert a.stamp == grid.clock == clock + 2
-    grid.get_or_create_leaf((1, 1, 1))      # an existing leaf
-    assert a.stamp == grid.clock == clock + 3
-    grid.set((9, 1, 0), VoxelState(0.5, 1.0))
-    assert b.stamp == grid.clock == clock + 4
-    assert [leaf for leaf in grid.leaves() if leaf.stamp > clock + 3] == [b]
+    slot_of = {}            # leaf index -> slot, in allocation order
+    active = set()          # slots activated since the last clear
+    written = [(grid.clock, set())]   # clocks read, slots written since
+    for op, arg in ops:
+        wrote = set()
+        if op == "allocate":
+            keys = pack_keys([_RECORD_LEAVES[i] for i in arg])
+            for i, slot in zip(arg, grid.allocate(keys).tolist()):
+                assert slot_of.setdefault(i, slot) == slot
+        elif op == "set":
+            c = np.add(_RECORD_LEAVES[arg], 3).tolist()
+            grid.set(c, VoxelState(float(arg), 1.0))
+            wrote = {slot_of.setdefault(arg, grid.n_leaves)}
+        elif op == "get":
+            grid.get(_RECORD_LEAVES[arg])
+        elif op == "activate":
+            slots = [slot_of[i] for i in arg if i in slot_of]
+            grid.activate(slots)
+            wrote = set(slots)
+        elif op == "mark_active" and arg in slot_of:
+            wrote = {slot_of[arg]}
+            grid.mark_active(leaf_at(grid, _RECORD_LEAVES[arg]))
+        elif op == "clear_active":
+            grid.clear_active()
+            active.clear()
+        if op in ("activate", "mark_active"):
+            active |= wrote
+        for _, since in written:
+            since |= wrote
+        written.append((grid.clock, set()))
+
+        assert grid.active_slots().tolist() == sorted(active)
+        assert [leaf.slot for leaf in grid.active_leaves()] == sorted(active)
+        assert {leaf.slot for leaf in grid.leaves() if leaf.active} == active
+        for clock, since in written:
+            assert grid.stamped_since(clock).tolist() == sorted(since)
+    assert grid.n_leaves == len(slot_of)
+    assert [leaf.origin for leaf in grid.leaves()] == [
+        _RECORD_LEAVES[i] for i in sorted(slot_of, key=slot_of.get)]
 
 
 # leaf origins gather_block is tested around: both corners of the key
@@ -608,7 +654,7 @@ def test_gather_block_matches_the_per_leaf_loop(allocated, anchor, offset,
     grid = SparseGrid(voxel_size=0.1, prop_channels=channels)
     for origin, alloc in zip(_BLOCK_LEAVES, allocated):
         if alloc:
-            leaf = grid.get_or_create_leaf(origin)
+            leaf = leaf_at(grid, origin, allocate=True)
             for name in LEAF_ARRAYS:
                 a = getattr(leaf, name)
                 a[...] = (rng.random(a.shape) < 0.5 if a.dtype == bool
@@ -707,7 +753,7 @@ def test_observed_voxels_matches_per_leaf_reference(leaves, seed):
         origin = (i * LEAF_SIZE, j * LEAF_SIZE, k * LEAF_SIZE)
         if fill == 3:
             origin = (edge, -KEY_BIAS, edge) if i % 2 else (-KEY_BIAS,) * 3
-        leaf = grid.get_or_create_leaf(origin)
+        leaf = leaf_at(grid, origin, allocate=True)
         if fill == 0:
             continue     # allocated, nothing set
         leaf.value_mask |= rng.random(LEAF_VOXELS) < 0.3
@@ -719,19 +765,6 @@ def test_observed_voxels_matches_per_leaf_reference(leaves, seed):
     got = grid.observed_voxels()
     assert_same_arrays(got, reference_observed_voxels(grid))
     assert got[0].dtype == np.int64 and got[1].dtype == np.float64
-
-
-def test_clock_advances_on_mutation():
-    grid = SparseGrid(voxel_size=0.1)
-    c0 = grid.clock
-    grid.set((0, 0, 0), VoxelState(0.0, 1.0))
-    c1 = grid.clock
-    assert c1 > c0
-    leaf = grid.find_leaf((0, 0, 0))
-    assert leaf.stamp == c1
-    grid.set((0, 0, 0), VoxelState(0.5, 2.0))
-    assert grid.clock > c1 and leaf.stamp == grid.clock
-    assert grid.stamped_since(c1).tolist() == [leaf.slot]
 
 
 def test_negative_coordinates_round_trip():
@@ -762,12 +795,12 @@ def test_pool_growth_keeps_every_write_visible():
     want = {}
     for i in range(150):
         origin = (LEAF_SIZE * (i % 7), LEAF_SIZE * (i // 7), -LEAF_SIZE * (i % 3))
-        handles.append(grid.get_or_create_leaf(origin))
+        handles.append(leaf_at(grid, origin, allocate=True))
         capacities.append(len(grid.pool["stamp"]))
         # one handle fetched now, one fetched at some earlier allocation
         # (before a growth, for most), one fetched again by lookup
         old = handles[rng.integers(len(handles))]
-        for leaf in (handles[-1], old, grid.find_leaf(old.origin)):
+        for leaf in (handles[-1], old, leaf_at(grid, old.origin)):
             n = int(rng.integers(LEAF_VOXELS))
             leaf.distance[n] = rng.normal()
             leaf.value_mask[n] = leaf.observed[n] = True

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from gpfield import meshing
 from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           VoxelState, _local_index, grid_to_world,
-                          leaf_origin_of, world_to_grid)
+                          leaf_origin_of, pack_keys, world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from gpfield.meshing import (
     TriangleMesh,
@@ -31,6 +31,7 @@ from gpfield.scene import (Primitive, SensorModel, SyntheticScene, look_at,
                            orbit_trajectory, render_frame)
 
 import mesh_oracle
+from grid_oracle import leaf_at
 import ply_oracle
 
 H = 0.05
@@ -170,7 +171,7 @@ def random_leaf_grid(seed, channels, corner, density, observed=0.9,
     for off in meshing.UPPER_NEIGHBOURS:
         if rng.uniform() > 0.7:
             continue
-        leaf = grid.get_or_create_leaf(tuple(int(v) for v in corner + off))
+        leaf = leaf_at(grid, corner + off, allocate=True)
         leaf.distance[:] = rng.normal(0.0, H, LEAF_VOXELS)
         leaf.value_mask[:] = rng.uniform(size=LEAF_VOXELS) < density
         leaf.observed[:] = rng.uniform(size=LEAF_VOXELS) < observed
@@ -183,7 +184,7 @@ def random_leaf_grid(seed, channels, corner, density, observed=0.9,
         for c in cell + np.asarray(CORNER_OFFSETS):
             if ((c < -KEY_BIAS) | (c >= KEY_BIAS)).any():
                 continue
-            leaf = grid.find_leaf(tuple(int(v) for v in c))
+            leaf = leaf_at(grid, c)
             if leaf is not None:
                 n = _local_index(c)
                 leaf.value_mask[n] = leaf.observed[n] = True
@@ -307,14 +308,14 @@ def plane_leaf_grid(side):
     """side x side leaves in one layer, fully observed, each cut by a
     wavy surface."""
     grid = SparseGrid(voxel_size=H)
-    for i in range(side):
-        for j in range(side):
-            leaf = grid.get_or_create_leaf((LEAF_SIZE * i, LEAF_SIZE * j, 0))
-            c = _LOCAL + np.asarray(leaf.origin)
-            leaf.distance[:] = (c[:, 2] - 3.5 - 1.5 * np.sin(0.3 * c[:, 0])
-                                * np.cos(0.2 * c[:, 1])) * H
-            leaf.value_mask[:] = True
-            leaf.observed[:] = True
+    grid.allocate(pack_keys([(LEAF_SIZE * i, LEAF_SIZE * j, 0)
+                             for i in range(side) for j in range(side)]))
+    for leaf in grid.leaves():
+        c = _LOCAL + np.asarray(leaf.origin)
+        leaf.distance[:] = (c[:, 2] - 3.5 - 1.5 * np.sin(0.3 * c[:, 0])
+                            * np.cos(0.2 * c[:, 1])) * H
+        leaf.value_mask[:] = True
+        leaf.observed[:] = True
     return grid
 
 
@@ -354,7 +355,7 @@ def test_empty_leaf_meshes_share_read_only_arrays():
     """Targets without a valid cell and targets with valid but uncrossed
     cells get empty meshes of their own origin over one set of arrays."""
     grid = plane_leaf_grid(2)
-    flat = grid.get_or_create_leaf((0, 0, 4 * LEAF_SIZE))
+    flat = leaf_at(grid, (0, 0, 4 * LEAF_SIZE), allocate=True)
     flat.distance[:] = H
     flat.value_mask[:] = flat.observed[:] = True
     origins = [(0, 0, 4 * LEAF_SIZE), (0, 0, 8 * LEAF_SIZE),

@@ -44,6 +44,7 @@ from gpfield.scene import (
 )
 
 import gp_oracle
+from grid_oracle import leaf_at
 
 STAGES = ("voxelize", "local_gp", "test_points", "local_infer", "fusion",
           "meshing", "global_update")
@@ -799,7 +800,7 @@ def test_snapshot_loads_leaf_on_low_edge_of_key_range(tmp_path):
     pipe.save_snapshot(path)
     back = Pipeline.load_snapshot(path)
     assert back.grid.n_leaves == 1
-    assert back.grid.find_leaf((lo, lo, lo)) is not None
+    assert leaf_at(back.grid, (lo, lo, lo)) is not None
 
 
 @pytest.mark.parametrize("cut", ["header", "config", "leaf count",
@@ -986,7 +987,7 @@ def random_snapshot_pipe(picks, prop_kind, seed):
     rng = np.random.default_rng(seed)
     pipe = Pipeline(PipelineConfig(prop_kind=prop_kind))
     for i in picks:
-        leaf = pipe.grid.get_or_create_leaf(_SNAP_ORIGINS[i])
+        leaf = leaf_at(pipe.grid, _SNAP_ORIGINS[i], allocate=True)
         leaf.value_mask[:] = rng.random(LEAF_VOXELS) < 0.7
         leaf.observed[:] = rng.random(LEAF_VOXELS) < 0.5
         leaf.distance[:] = rng.normal(0.0, 0.05, LEAF_VOXELS)
@@ -1023,7 +1024,7 @@ def test_snapshot_save_load_save_is_byte_identical(picks, prop_kind, seed):
     origins = sorted(_SNAP_ORIGINS[i] for i in picks)
     assert [leaf.origin for leaf in back.grid.leaves()] == origins
     for leaf in pipe.grid.leaves():
-        loaded = back.grid.find_leaf(leaf.origin)
+        loaded = leaf_at(back.grid, leaf.origin)
         for name in LEAF_ARRAYS:
             np.testing.assert_array_equal(getattr(loaded, name),
                                           getattr(leaf, name))

@@ -166,7 +166,11 @@ def test_look_at_degenerate_up_direction():
      "look_at eye [1.0, 2.0, 3.0] is at its target"),
     ([np.nan, 0.0, 0.0], [0.0, 0.0, 0.0], "look_at needs a finite eye"),
     ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0], "look_at needs a finite eye"),
-    ([np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0], "look_at needs a finite eye")])
+    ([np.inf, 0.0, 0.0], [np.inf, 0.0, 0.0], "look_at needs a finite eye"),
+    ([1e200, 0.0, 0.0], [0.0, 0.0, 0.0],
+     "look_at eye [1e+200, 0.0, 0.0] must not exceed 1e+150 in magnitude"),
+    ([0.0, 0.0, 0.0], [0.0, -1e151, 0.0],
+     "look_at target [0.0, -1e+151, 0.0] must not exceed 1e+150")])
 def test_look_at_refuses_a_non_finite_or_coincident_eye(eye, target, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         look_at(eye, target)

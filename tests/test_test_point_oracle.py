@@ -25,6 +25,7 @@ from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           leaf_keys, local_flat_index, pack_keys)
 from gpfield.query_points import (SOURCE_BAND, SOURCE_RAY, _start, _traverse,
                                   dedup_first)
+from grid_oracle import leaf_at
 
 # -- reference: the lockstep DDA, generator and lookup as they were ----------
 
@@ -84,7 +85,7 @@ def reference_lookup(grid, coords):
     groups = group_by(leaf_keys(pack_keys(coords)))
     flat = local_flat_index(coords)
     for rows in groups.rows():
-        leaf = grid.find_leaf(coords[rows[0]])
+        leaf = leaf_at(grid, coords[rows[0]])
         if leaf is None:
             continue
         idx = flat[rows]
@@ -235,7 +236,7 @@ def fill_grid(grid, rng, leaf_range, n_leaves):
     h = grid.voxel_size
     for _ in range(n_leaves):
         lc = rng.integers(-leaf_range, leaf_range + 1, size=3) * LEAF_SIZE
-        leaf = grid.get_or_create_leaf(tuple(int(v) for v in lc))
+        leaf = leaf_at(grid, tuple(int(v) for v in lc), allocate=True)
         leaf.value_mask |= rng.random(LEAF_VOXELS) < 0.6
         leaf.observed |= rng.random(LEAF_VOXELS) < 0.6
         leaf.distance[:] = (rng.uniform(-6.0, 6.0, LEAF_VOXELS) * h
@@ -417,7 +418,7 @@ def test_ray_rows_matches_full_lockstep(data, h, band_width, n_leaves,
     grid = SparseGrid(voxel_size=h)
     fill_grid(grid, np.random.default_rng(seed), 5, n_leaves)
     if sensor_leaf:
-        grid.get_or_create_leaf(np.floor(origin / h).astype(np.int64))
+        leaf_at(grid, np.floor(origin / h).astype(np.int64), allocate=True)
     assert_matches_full_lockstep(origin, centers, grid, band_width)
 
 
@@ -435,7 +436,7 @@ def test_ray_rows_cases_start_rays_late_and_early():
     empty = SparseGrid(voxel_size=h)
     stats = assert_matches_full_lockstep(origin, centers, empty, 3)
     assert stats.n_ray_steps_skipped > 4 * stats.n_ray_steps
-    grid.get_or_create_leaf((0, 0, 0))
+    leaf_at(grid, (0, 0, 0), allocate=True)
     stats = assert_matches_full_lockstep(origin, centers, grid, 3)
     assert stats.n_ray_steps_skipped == 0
 
@@ -486,7 +487,7 @@ def test_lookup_matches_per_leaf_reference(leaves, n_queries, seed):
         origin = (i * LEAF_SIZE, j * LEAF_SIZE, k * LEAF_SIZE)
         if at_edge:
             origin = (edge, -KEY_BIAS, edge) if i % 2 else (-KEY_BIAS,) * 3
-        leaf = grid.get_or_create_leaf(origin)
+        leaf = leaf_at(grid, origin, allocate=True)
         leaf.value_mask |= rng.random(LEAF_VOXELS) < 0.5
         leaf.observed |= rng.random(LEAF_VOXELS) < 0.5
         leaf.distance[:] = rng.normal(size=LEAF_VOXELS).astype(np.float32)
@@ -509,10 +510,10 @@ def test_lookup_sees_leaves_created_after_an_earlier_call():
     grid.set((1, 2, 3), VoxelState(distance=0.5, dist_weight=1.0,
                                    observed=True))
     assert_same_arrays(grid.lookup(queries), reference_lookup(grid, queries))
-    # allocation through set() and through get_or_create_leaf()
+    # allocation through set() and through allocate()
     grid.set((-9, 0, 4), VoxelState(distance=-0.25, dist_weight=2.0,
                                     observed=True))
-    leaf = grid.get_or_create_leaf((40, -17, 8))
+    leaf = leaf_at(grid, (40, -17, 8), allocate=True)
     n = _local_index((40, -17, 8))
     leaf.value_mask[n] = True
     leaf.distance[n] = 0.125

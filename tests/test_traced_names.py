@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import gpfield
-from gpfield.grid import LEAF_ARRAYS, LEAF_SIZE, SparseGrid
+from gpfield.grid import LEAF_ARRAYS, LEAF_SIZE, SparseGrid, pack_keys
 from gpfield.pipeline import Pipeline, PipelineConfig
 from gpfield.scene import (Primitive, SensorModel, SyntheticScene,
                            orbit_trajectory, render_frame)
@@ -52,7 +52,7 @@ def test_grid_bytes_reads_every_leaf_array_after_pool_growth():
     grid = SparseGrid(voxel_size=0.1, prop_channels=3)
     first = len(grid.pool["stamp"])
     for i in range(2 * first):
-        grid.get_or_create_leaf((LEAF_SIZE * i, 0, 0))
+        grid.allocate(pack_keys([(LEAF_SIZE * i, 0, 0)]))
     assert len(grid.pool["stamp"]) > first       # the pool grew
     row = sum(grid.pool[name][0].nbytes for name in LEAF_ARRAYS)
     assert load("run").grid_bytes(grid) == grid.n_leaves * row
