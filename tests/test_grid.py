@@ -624,6 +624,49 @@ def test_change_records_match_a_dict_model(ops):
         _RECORD_LEAVES[i] for i in sorted(slot_of, key=slot_of.get)]
 
 
+def test_every_write_path_stamps_its_leaf_from_the_clock():
+    """set and activate stamp their leaves from the clock, mark_active
+    stamps again a leaf already active, and allocate, get and lookup
+    stamp nothing."""
+    grid = SparseGrid(voxel_size=0.1)
+    a = leaf_at(grid, (0, 0, 0), allocate=True)
+    assert grid.clock == 0 and grid.stamped_since(0).tolist() == []
+    grid.activate([a.slot])
+    stamp = grid.pool["stamp"]              # refetched after each growth
+    assert stamp[a.slot] == grid.clock > 0
+    grid.set((9, 0, 0), VoxelState(0.0, 1.0))
+    b = leaf_at(grid, (9, 0, 0))
+    stamp = grid.pool["stamp"]
+    assert stamp[b.slot] == grid.clock > stamp[a.slot]
+    clock = grid.clock
+    assert leaf_at(grid, (0, 0, 0)).slot == a.slot
+    grid.lookup(np.array([(0, 0, 0)]))
+    grid.get((9, 0, 0))
+    assert grid.clock == clock              # reads stamp nothing
+    grid.mark_active(a)
+    assert stamp[a.slot] == grid.clock > stamp[b.slot]
+    grid.mark_active(a)                     # already active: stamped again
+    assert stamp[a.slot] == grid.clock == clock + 2
+    leaf_at(grid, (1, 1, 1), allocate=True)  # an existing leaf
+    assert grid.clock == clock + 2           # allocate stamps nothing
+    grid.set((9, 1, 0), VoxelState(0.5, 1.0))
+    assert stamp[b.slot] == grid.clock == clock + 3
+    assert grid.stamped_since(clock + 2).tolist() == [b.slot]
+
+
+def test_clock_advances_on_mutation():
+    grid = SparseGrid(voxel_size=0.1)
+    c0 = grid.clock
+    grid.set((0, 0, 0), VoxelState(0.0, 1.0))
+    c1 = grid.clock
+    assert c1 > c0
+    leaf = leaf_at(grid, (0, 0, 0))
+    assert grid.pool["stamp"][leaf.slot] == c1
+    grid.set((0, 0, 0), VoxelState(0.5, 2.0))
+    assert grid.clock > c1 and grid.pool["stamp"][leaf.slot] == grid.clock
+    assert grid.stamped_since(c1).tolist() == [leaf.slot]
+
+
 # leaf origins gather_block is tested around: both corners of the key
 # range, a leaf beside each, and neighbours about the origin
 _BLOCK_LEAVES = [(-KEY_BIAS,) * 3,
