@@ -8,7 +8,7 @@ mesh.
 """
 
 from .fusion import FusionConfig, FusionStats, fuse_frame, fuse_point
-from .global_field import BatchQueryResult, EmptyField, GlobalField
+from .global_field import BatchQueryResult, EmptyField, GlobalField, QueryStats
 from .gp import FactorizationFailure, KernelParams
 from .grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
 from .local_field import EmptyFrame, Frame, LocalField, voxelize
@@ -28,8 +28,8 @@ __all__ = [
     "BatchQueryResult", "EmptyField", "EmptyFrame", "FactorizationFailure",
     "EmptyInput", "Frame", "FrameStats", "FusionConfig", "FusionStats",
     "GlobalField", "KernelParams", "LocalField", "Pipeline", "PipelineConfig",
-    "Primitive", "SensorModel", "SparseGrid", "SyntheticScene", "TestPointSet",
-    "TriangleMesh", "VoxelState", "eval_chamfer",
+    "Primitive", "QueryStats", "SensorModel", "SparseGrid", "SyntheticScene",
+    "TestPointSet", "TriangleMesh", "VoxelState", "eval_chamfer",
     "eval_distance_rmse", "export_slice", "fuse_frame", "fuse_point",
     "grid_to_world", "lattice_points", "load_scene", "look_at",
     "marching_cubes", "orbit_trajectory", "parse_scene", "render_frame",

@@ -40,7 +40,6 @@ class GPNode:
     props: Optional[np.ndarray]
     centroid: np.ndarray
     model: Optional[gp.GpLeafModel] = None
-    train_count: int = 0
 
 
 @dataclass
@@ -265,13 +264,13 @@ class GlobalField:
         Maps leaf origin to (points, props) or to None/empty to remove
         the node. A replacement whose points and props equal the node's
         in shape and bytes (props both None or both arrays) leaves the
-        node as it is, model and train_count included: a model depends
-        only on its node's points, props and the kernel params, so a
-        retrain would rebuild it bit for bit. Bytes, not values: -0.0 and
-        0.0 differ, and a NaN equals itself. Any other replacement drops
-        the node's model, and training is deferred to the next query that
-        needs the node. The centroid tree is marked for rebuilding only
-        when the count is nonzero.
+        node as it is, model included: a model depends only on its node's
+        points, props and the kernel params, so a retrain would rebuild it
+        bit for bit. Bytes, not values: -0.0 and 0.0 differ, and a NaN
+        equals itself. Any other replacement drops the node's model, and
+        training is deferred to the next query that needs the node. The
+        centroid tree is marked for rebuilding only when the count is
+        nonzero.
         """
         n_changed = 0
         for origin, payload in replacements.items():
@@ -317,7 +316,6 @@ class GlobalField:
                                [node.props for node in pending])
         for node, model in zip(pending, models):
             node.model = model
-            node.train_count += 1
         return len(pending), sum(model.jitter for model in models)
 
     def train_pending(self) -> int:

@@ -364,12 +364,6 @@ def train(points: np.ndarray, params: KernelParams,
     return train_many([points], params, [properties])[0]
 
 
-def _as_queries(x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 1
-    return x.reshape(-1, 3), scalar
-
-
 class Moments(NamedTuple):
     """Raw posterior moments at n query points, before any clipping.
 
@@ -448,8 +442,8 @@ def _grouped_moments(models, xs: np.ndarray, starts, variance: bool,
 
 def moments(model: GpLeafModel, q: np.ndarray, variance: bool = True,
             gradient: bool = False, properties: bool = False) -> Moments:
-    """Posterior moments at (n, 3) queries from one kernel matrix: a
-    one-model call of the grouped path routed_moments runs.
+    """Posterior moments at query rows, read as (n, 3), from one kernel
+    matrix: a one-model call of the grouped path routed_moments runs.
 
     Everything here needs the model's training set. What follows it
     (latent-variance clip, reverting, variance propagation, gradient
@@ -457,15 +451,19 @@ def moments(model: GpLeafModel, q: np.ndarray, variance: bool = True,
     per model or once over the stacked outputs of many models and get the
     same bits.
     """
-    q = np.asarray(q, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64).reshape(-1, 3)
     return _grouped_moments([model], q, [0, len(q)], variance, gradient,
                             properties)
 
 
 def check_rows(pts: np.ndarray, inside: Optional[np.ndarray] = None,
                why: str = "") -> None:
-    """Raise one ValueError naming the first query row that is not finite
-    or, where an inside mask is given, is False in it (for reason why)."""
+    """Raise one ValueError for query points that are not an (m, 3) array,
+    or naming the first row that is not finite or, where an inside mask
+    is given, is False in it (for reason why)."""
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError("query points must be an (m, 3) array, got shape "
+                         f"{pts.shape}")
     finite = np.isfinite(pts).all(axis=1)
     ok = finite if inside is None else finite & inside
     if not ok.all():
@@ -555,16 +553,10 @@ def unit_distance_gradient(g, params: KernelParams):
 
 
 def infer_occupancy(model: GpLeafModel, x: np.ndarray):
-    """Posterior latent occupancy mean and variance at query points.
-
-    Returns (o_hat, u_hat); scalars for a single (3,) query.
-    """
-    q, scalar = _as_queries(x)
-    mo = moments(model, q)
-    u = clip_variance(mo.occ_variance, model.params)
-    if scalar:
-        return float(mo.occupancy[0]), float(u[0])
-    return mo.occupancy, u
+    """Posterior latent occupancy mean and variance (o_hat, u_hat), each
+    (n,), at query rows (see moments)."""
+    mo = moments(model, x)
+    return mo.occupancy, clip_variance(mo.occ_variance, model.params)
 
 
 def revert_distance(o_hat, params: KernelParams):
@@ -577,8 +569,7 @@ def revert_distance(o_hat, params: KernelParams):
     o = np.asarray(o_hat, dtype=np.float64)
     ratio = np.clip(o / params.sigma2, RATIO_EPS, 1.0)
     d = params.length_scale * np.sqrt(-2.0 * np.log(ratio))
-    d = np.minimum(d, params.d_max)
-    return float(d) if np.ndim(o_hat) == 0 else d
+    return np.minimum(d, params.d_max)
 
 
 def propagate_variance(u_hat, o_hat, params: KernelParams):
@@ -598,35 +589,21 @@ def propagate_variance(u_hat, o_hat, params: KernelParams):
            / (safe * params.sigma2 * np.sqrt(-2.0 * np.log(safe))))
     v = lam * lam * np.maximum(u, 0.0)
     v = np.where(singular, params.v_floor, v)
-    v = np.clip(v, 0.0, params.v_max)
-    return float(v) if np.ndim(u_hat) == 0 and np.ndim(o_hat) == 0 else v
+    return np.clip(v, 0.0, params.v_max)
 
 
 def infer_distance_gradient(model: GpLeafModel, x: np.ndarray):
-    """Unit gradient of the inferred distance at query points (see
+    """(n, 3) unit gradients of the inferred distance at query rows (see
     unit_distance_gradient)."""
-    q, scalar = _as_queries(x)
-    g = unit_distance_gradient(
-        moments(model, q, variance=False, gradient=True).gradient,
-        model.params)
-    return g[0] if scalar else g
+    mo = moments(model, x, variance=False, gradient=True)
+    return unit_distance_gradient(mo.gradient, model.params)
 
 
 def infer_property(model: GpLeafModel, x: np.ndarray, clip_range=None):
-    """Posterior property mean and shared latent variance at query points.
-
-    Args:
-        clip_range: optional (low, high) bounds applied per channel.
-
-    Returns:
-        (c_hat, w_hat) with c_hat of shape (n, P); scalars collapse for
-        a single (3,) query. Raises ValueError if the model was trained
-        without properties.
-    """
-    q, scalar = _as_queries(x)
-    mo = moments(model, q, variance=False, properties=True)
-    c = clip_properties(mo.properties, clip_range)
-    w = clip_variance(mo.prop_variance, model.params)
-    if scalar:
-        return c[0], float(w[0])
-    return c, w
+    """Posterior property mean (n, P) and shared latent variance (n,) at
+    query rows, the means clipped per channel to clip_range, an optional
+    (low, high). Raises ValueError if the model was trained without
+    properties."""
+    mo = moments(model, x, variance=False, properties=True)
+    return (clip_properties(mo.properties, clip_range),
+            clip_variance(mo.prop_variance, model.params))

@@ -474,11 +474,15 @@ class Pipeline:
 # -- evaluation -----------------------------------------------------------------
 
 
+# lattice points per query batch of eval_distance_rmse
+EVAL_BATCH = 8192
+
+
 def eval_distance_rmse(field: GlobalField, oracle: Callable[[np.ndarray], np.ndarray],
                        bounds, resolution: float,
-                       band: tuple[float, float] = (0.0, np.inf),
-                       batch: int = 8192):
-    """RMSE of |field distance| against |oracle distance| on a lattice.
+                       band: tuple[float, float] = (0.0, np.inf)):
+    """RMSE of |field distance| against |oracle distance| on a lattice,
+    queried EVAL_BATCH points at a time.
 
     Only lattice points whose oracle distance magnitude lies inside
     `band` participate. Returns (rmse, n_points).
@@ -491,19 +495,19 @@ def eval_distance_rmse(field: GlobalField, oracle: Callable[[np.ndarray], np.nda
     if len(pts) == 0:
         return 0.0, 0
     err2 = 0.0
-    for i in range(0, len(pts), batch):
-        res = field.query_batch(pts[i:i + batch])
-        err2 += np.sum((np.abs(res.distances) - truth[i:i + batch]) ** 2)
+    for i in range(0, len(pts), EVAL_BATCH):
+        res = field.query_batch(pts[i:i + EVAL_BATCH])
+        err2 += np.sum((np.abs(res.distances) - truth[i:i + EVAL_BATCH]) ** 2)
     return float(np.sqrt(err2 / len(pts))), int(len(pts))
 
 
 def eval_chamfer(points_a: np.ndarray, points_b: np.ndarray,
-                 completeness_threshold: Optional[float] = None):
+                 completeness_threshold: float):
     """Symmetric mean nearest-neighbor distance between two point sets.
 
     Returns (chamfer, completeness) where completeness is the fraction
-    of points_b with a neighbor in points_a closer than the threshold
-    (None -> completeness reported as 1.0 when both sets are nonempty).
+    of points_b with a neighbor in points_a closer than the threshold;
+    (inf, 0.0) when either set is empty.
     """
     a = np.asarray(points_a, dtype=np.float64).reshape(-1, 3)
     b = np.asarray(points_b, dtype=np.float64).reshape(-1, 3)
@@ -512,11 +516,7 @@ def eval_chamfer(points_a: np.ndarray, points_b: np.ndarray,
     d_ab, _ = cKDTree(b).query(a)
     d_ba, _ = cKDTree(a).query(b)
     chamfer = 0.5 * (d_ab.mean() + d_ba.mean())
-    if completeness_threshold is None:
-        comp = 1.0
-    else:
-        comp = float(np.mean(d_ba < completeness_threshold))
-    return float(chamfer), comp
+    return float(chamfer), float(np.mean(d_ba < completeness_threshold))
 
 
 _SLICE_AXES = {"x": (1, 2, 0), "y": (0, 2, 1), "z": (0, 1, 2)}

@@ -61,31 +61,24 @@ def write_mesh(path, vertices: np.ndarray, faces: np.ndarray,
     header = ["ply", "format binary_little_endian 1.0",
               f"element vertex {len(v)}",
               "property float x", "property float y", "property float z"]
+    fields = [("xyz", "<f4", 3, v)]
     if prop_kind == "rgb":
         header += ["property uchar red", "property uchar green",
                    "property uchar blue"]
-        rgb = np.clip(np.asarray(properties)[:, :3] * 255.0 + 0.5,
-                      0, 255).astype("<u1")
+        fields.append(("rgb", "<u1", 3, np.clip(
+            np.asarray(properties)[:, :3] * 255.0 + 0.5, 0, 255).astype("<u1")))
     elif prop_kind == "intensity":
         header += ["property float intensity"]
-        inten = np.asarray(properties)[:, :1].astype("<f4")
+        fields.append(("i", "<f4", 1, np.asarray(properties)[:, :1]))
     elif prop_kind != "none":
         raise ValueError(f"unknown prop_kind {prop_kind!r}")
     header += [f"element face {len(f)}",
                "property list uchar int vertex_indices", "end_header"]
+    rec = np.zeros(len(v), dtype=[spec[:3] for spec in fields])
+    for name, _, _, values in fields:
+        rec[name] = values
     with replacing(path) as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if prop_kind == "rgb":
-            rec = np.zeros(len(v), dtype=[("xyz", "<f4", 3), ("rgb", "<u1", 3)])
-            rec["xyz"] = v
-            rec["rgb"] = rgb
-        elif prop_kind == "intensity":
-            rec = np.zeros(len(v), dtype=[("xyz", "<f4", 3), ("i", "<f4", 1)])
-            rec["xyz"] = v
-            rec["i"] = inten
-        else:
-            rec = np.zeros(len(v), dtype=[("xyz", "<f4", 3)])
-            rec["xyz"] = v
         fh.write(rec.tobytes())
         frec = np.zeros(len(f), dtype=[("n", "<u1"), ("idx", "<i4", 3)])
         frec["n"] = 3

@@ -89,13 +89,14 @@ class SyntheticScene:
                     f"values where the scene takes 0 or {self.prop_channels}")
 
     def sdf(self, points: np.ndarray, t: float = 0.0) -> np.ndarray:
-        """Scene signed distance; +inf where no primitive is active."""
+        """(n,) scene signed distances at query rows; +inf where no
+        primitive is active."""
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
         d = np.full(len(p), np.inf)
         for prim in self.primitives:
             if prim.is_active(t):
                 d = np.minimum(d, prim.sdf(p))
-        return d if np.ndim(points) > 1 else d[0]
+        return d
 
     def sdf_and_prim(self, points: np.ndarray, t: float = 0.0):
         """Signed distance and the index of the nearest primitive."""
@@ -245,8 +246,9 @@ def orbit_trajectory(center, radius: float, n_frames: int,
 
     The sensor +z axis points at the center; elevation (radians) lifts
     the circle above the center's horizontal plane. Raises ValueError
-    for a radius that is not finite and nonzero, and for a radius or a
-    center coordinate past MAX_MAGNITUDE.
+    for a radius that is not finite and nonzero, for a radius or a
+    center coordinate past MAX_MAGNITUDE, and for a center and radius
+    that put an eye past it.
     """
     if not (np.isfinite(radius) and radius != 0):
         raise ValueError(f"orbit radius must be finite and nonzero, "
@@ -257,15 +259,17 @@ def orbit_trajectory(center, radius: float, n_frames: int,
             raise ValueError(f"orbit {name} must not exceed "
                              f"{MAX_MAGNITUDE:g} in magnitude, got "
                              f"{np.asarray(v).tolist()}")
-    poses = []
-    up = np.array([0.0, 0.0, 1.0])
+    eyes = []
     for i in range(n_frames):
         a = start_azimuth + 2.0 * np.pi * i / n_frames
-        eye = center + radius * np.array([np.cos(elevation) * np.cos(a),
-                                          np.cos(elevation) * np.sin(a),
-                                          np.sin(elevation)])
-        poses.append(look_at(eye, center, up))
-    return poses
+        eyes.append(center + radius * np.array([np.cos(elevation) * np.cos(a),
+                                                np.cos(elevation) * np.sin(a),
+                                                np.sin(elevation)]))
+    if any((np.abs(eye) > MAX_MAGNITUDE).any() for eye in eyes):
+        raise ValueError(f"orbit center {center.tolist()} and radius "
+                         f"{radius} put an eye past {MAX_MAGNITUDE:g} in "
+                         "magnitude")
+    return [look_at(eye, center) for eye in eyes]
 
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
@@ -319,14 +323,18 @@ def lattice_points(bounds, resolution: float) -> np.ndarray:
     return np.stack([a.ravel() for a in g], axis=1)
 
 
+# |sdf| a surface sample must reach to be kept
+SURFACE_TOL = 1e-4
+
+
 def surface_samples(scene: SyntheticScene, bounds, resolution: float,
-                    t: float = 0.0, tol: float = 1e-4) -> np.ndarray:
+                    t: float = 0.0) -> np.ndarray:
     """Near-uniform samples of the scene surface inside a box.
 
     Lattice points within one cell of the surface are projected along
     the numerical SDF gradient; the composed SDF has unit slope away
     from seams so a few Newton steps converge. Points that fail to
-    reach |sdf| < tol (seams, inactive scenes) are dropped. Raises
+    reach |sdf| < SURFACE_TOL (seams, inactive scenes) are dropped. Raises
     ValueError for a resolution that is not finite and positive.
     """
     lo = np.asarray(bounds[0], dtype=np.float64)
@@ -344,7 +352,7 @@ def surface_samples(scene: SyntheticScene, bounds, resolution: float,
                          for e in basis], axis=1) / (2.0 * eps)
         norm2 = np.maximum(np.sum(grad * grad, axis=1), 1e-12)
         pts = pts - (d / norm2)[:, None] * grad
-    keep = np.abs(scene.sdf(pts, t)) < tol
+    keep = np.abs(scene.sdf(pts, t)) < SURFACE_TOL
     keep &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
     return pts[keep]
 

@@ -648,8 +648,15 @@ def test_malformed_scene_line_is_one_error_line(tmp_path, capsys, text,
     (["--orbit-radius", "1e200"],
      "radius must not exceed 1e+150 in magnitude, got 1e+200"),
     (["--orbit-center", "1e200,0,0"],
-     "center must not exceed 1e+150 in magnitude, got [1e+200, 0.0, 0.0]")],
-    ids=["0", "nan", "1e200", "center_1e200"])
+     "center must not exceed 1e+150 in magnitude, got [1e+200, 0.0, 0.0]"),
+    (["--orbit-center", "1e150,0,0", "--orbit-radius", "1e150"],
+     "center [1e+150, 0.0, 0.0] and radius 1e+150 put an eye past 1e+150 "
+     "in magnitude"),
+    (["--orbit-center", "0,0,1e150", "--orbit-radius", "1e150",
+      "--elevation", "90"],
+     "center [0.0, 0.0, 1e+150] and radius 1e+150 put an eye past 1e+150 "
+     "in magnitude")],
+    ids=["0", "nan", "1e200", "center_1e200", "far_eye", "far_eye_above"])
 def test_degenerate_orbit_is_one_error_line(tmp_path, capsys, orbit,
                                             message):
     """Without a numpy warning: tier-1 fails on any RuntimeWarning."""

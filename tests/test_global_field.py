@@ -70,12 +70,13 @@ def test_training_is_lazy_and_runs_once():
     field = GlobalField(PARAMS)
     field.update({(0, 0, 0): (disc_points([0, 0, 0]), None)})
     node = field.nodes[(0, 0, 0)]
-    assert node.model is None and node.train_count == 0
+    assert node.model is None
 
-    field.query_batch([[0.0, 0.0, 0.1]])
-    assert node.model is not None and node.train_count == 1
-    field.query_batch([[0.1, 0.0, 0.1]])
-    assert node.train_count == 1
+    assert field.query_batch([[0.0, 0.0, 0.1]]).stats.n_nodes_trained == 1
+    model = node.model
+    assert model is not None
+    assert field.query_batch([[0.1, 0.0, 0.1]]).stats.n_nodes_trained == 0
+    assert node.model is model
 
 
 def test_replacing_points_forces_retrain_on_next_query():
@@ -86,8 +87,8 @@ def test_replacing_points_forces_retrain_on_next_query():
     field.update({(0, 0, 0): (pts + [0, 0, 0.05], None)})
     node = field.nodes[(0, 0, 0)]
     assert node.model is None
-    field.query_batch([[0.0, 0.0, 0.1]])
-    assert node.train_count == 2
+    assert field.query_batch([[0.0, 0.0, 0.1]]).stats.n_nodes_trained == 1
+    assert node.model is not None
 
 
 def test_train_pending_counts_untrained_nodes():
@@ -290,11 +291,11 @@ def test_byte_equal_replacement_keeps_model_and_tree():
     # equal copies, not the held arrays: the rule compares bytes
     assert field.update({(0, 0, 0): (pts.copy(), props.copy())}) == 0
     assert field.nodes[(0, 0, 0)] is node
-    assert node.model is model and node.train_count == 1
+    assert node.model is model
     assert not field._tree_stale
     stats = field.query_batch([[0.0, 0.0, 0.1]]).stats
     assert stats.n_nodes_trained == 0
-    assert field._tree is tree and node.train_count == 1
+    assert field._tree is tree and node.model is model
 
 
 def _negative_zero(pts, props):
@@ -317,7 +318,7 @@ def test_replacement_differing_in_bytes_drops_model(props, replace):
     assert field.update({(0, 0, 0): replace(pts, props)}) == 1
     assert node.model is None and field._tree_stale
     stats = field.query_batch([[0.0, 0.0, 0.1]]).stats
-    assert stats.n_nodes_trained == 1 and node.train_count == 2
+    assert stats.n_nodes_trained == 1 and node.model is not None
     assert field._tree is not tree
 
 

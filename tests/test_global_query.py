@@ -11,6 +11,7 @@ query stats.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -399,6 +400,35 @@ def test_local_bad_query_rows_raise_one_value_error_naming_the_row(bad,
     with pytest.raises(ValueError, match=r"^query row 2 \("):
         field.query_batch(pts)
     assert field.query_batch(pts[:2])[0].shape == (2,)
+
+
+# query arrays that are not (m, 3), and their shape after np.atleast_2d
+MISSHAPEN = [pytest.param(np.zeros(shape), shape2d, id=name)
+             for name, shape, shape2d in [("4x2", (4, 2), (4, 2)),
+                                          ("4x4", (4, 4), (4, 4)),
+                                          ("2x3x3", (2, 3, 3), (2, 3, 3)),
+                                          ("flat4", (4,), (1, 4))]]
+
+
+@pytest.mark.parametrize("pts, shape", MISSHAPEN)
+@pytest.mark.parametrize("with_grid", [False, True])
+def test_misshapen_query_array_is_one_value_error(pts, shape, with_grid):
+    grid = SparseGrid(voxel_size=0.05) if with_grid else None
+    field = two_node_field(False, grid)
+    message = f"query points must be an (m, 3) array, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        field.query_batch(pts)
+
+
+@pytest.mark.parametrize("pts, shape", MISSHAPEN)
+def test_local_misshapen_query_array_is_one_value_error(pts, shape):
+    rng = np.random.default_rng(0)
+    clusters = random_clusters(rng, 2, 0, dup=False)
+    field = LocalField([gp.train(p, PARAM_SETS[0]) for p, _ in
+                        clusters.values()], PARAM_SETS[0])
+    message = f"query points must be an (m, 3) array, got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        field.query_batch(pts)
 
 
 def test_query_rows_at_the_voxel_key_range_edges():

@@ -240,18 +240,6 @@ def test_infer_occupancy_matches_dense_solve_oracle():
     np.testing.assert_allclose(var, np.clip(want_var, 0.0, p.sigma2), atol=1e-8)
 
 
-def test_infer_occupancy_scalar_and_batch_agree():
-    rng = np.random.default_rng(14)
-    p = KernelParams(length_scale=0.2)
-    model = train(rng.uniform(-0.3, 0.3, size=(12, 3)), p)
-    q = np.array([0.1, 0.2, -0.1])
-    o_s, u_s = infer_occupancy(model, q)
-    o_b, u_b = infer_occupancy(model, q[None, :])
-    assert isinstance(o_s, float)
-    assert o_b[0] == pytest.approx(o_s, rel=1e-14)
-    assert u_b[0] == pytest.approx(u_s, rel=1e-12, abs=1e-15)
-
-
 def test_variance_stays_within_prior_bounds():
     rng = np.random.default_rng(15)
     p = KernelParams(sigma2=0.9, length_scale=0.15, noise2=1e-4)
@@ -342,7 +330,7 @@ def test_propagated_variance_grows_with_query_distance():
 def test_gradient_radial_for_single_point_model():
     p = KernelParams(length_scale=0.15, noise2=1e-4)
     model = train(np.zeros((1, 3)), p)
-    g = infer_distance_gradient(model, np.array([0.5 * p.length_scale, 0.0, 0.0]))
+    g = infer_distance_gradient(model, np.array([0.5 * p.length_scale, 0.0, 0.0]))[0]
     np.testing.assert_allclose(g, [1.0, 0.0, 0.0], atol=1e-12)
     assert np.linalg.norm(g) == pytest.approx(1.0)
 
@@ -364,12 +352,12 @@ def test_gradient_matches_finite_differences():
         for axis in range(3):
             step = np.zeros(3)
             step[axis] = h
-            d_hi = revert_distance(infer_occupancy(model, q + step)[0], p)
-            d_lo = revert_distance(infer_occupancy(model, q - step)[0], p)
+            d_hi = revert_distance(infer_occupancy(model, q + step)[0], p)[0]
+            d_lo = revert_distance(infer_occupancy(model, q - step)[0], p)[0]
             fd[axis] = (d_hi - d_lo) / (2 * h)
         if np.linalg.norm(fd) < 1e-3:
             continue  # capped or flat region, direction undefined
-        g = infer_distance_gradient(model, q)
+        g = infer_distance_gradient(model, q)[0]
         cos = fd @ g / np.linalg.norm(fd)
         assert cos > 0.999
         checked += 1
@@ -389,12 +377,12 @@ def test_unit_gradient_matches_normalised_finite_differences():
         for axis in range(3):
             step = np.zeros(3)
             step[axis] = h
-            d_hi = revert_distance(infer_occupancy(model, q + step)[0], p)
-            d_lo = revert_distance(infer_occupancy(model, q - step)[0], p)
+            d_hi = revert_distance(infer_occupancy(model, q + step)[0], p)[0]
+            d_lo = revert_distance(infer_occupancy(model, q - step)[0], p)[0]
             fd[axis] = (d_hi - d_lo) / (2 * h)
         if np.linalg.norm(fd) < 1e-3:
             continue
-        np.testing.assert_allclose(infer_distance_gradient(model, q),
+        np.testing.assert_allclose(infer_distance_gradient(model, q)[0],
                                    fd / np.linalg.norm(fd), rtol=1e-3,
                                    atol=1e-6)
         checked += 1
@@ -430,8 +418,8 @@ def test_property_exact_at_training_point_zero_noise():
     props = np.array([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]])
     model = train(pts, p, properties=props)
     c, w = infer_property(model, pts[1])
-    np.testing.assert_allclose(c, props[1], atol=1e-8)
-    assert w == pytest.approx(0.0, abs=1e-8)
+    np.testing.assert_allclose(c[0], props[1], atol=1e-8)
+    assert w[0] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_property_constant_target_recovered_inside_hull():
@@ -452,7 +440,7 @@ def test_property_midpoint_symmetric_and_matches_closed_form():
     pts = np.array([[0.1, 0.0, 0.0], [-0.1, 0.0, 0.0]])
     props = np.array([[1.0, 0.0], [0.0, 1.0]])
     model = train(pts, p, properties=props)
-    c, _ = infer_property(model, np.array([0.0, 0.0, 0.0]))
+    c = infer_property(model, np.array([0.0, 0.0, 0.0]))[0][0]
     # equal channels by symmetry; value is the direct regression solution
     assert c[0] == pytest.approx(c[1], rel=1e-12)
     k = kernel_matrix(np.zeros((1, 3)), pts, p)[0]
@@ -467,7 +455,7 @@ def test_property_clip_range_applied():
     props = np.array([[1.0], [0.0]])
     model = train(pts, p, properties=props)
     c, _ = infer_property(model, pts[0], clip_range=(0.2, 0.8))
-    assert 0.2 <= float(c[0]) <= 0.8
+    assert 0.2 <= float(c[0, 0]) <= 0.8
 
 
 def test_property_requires_trained_channels():
@@ -487,8 +475,8 @@ def test_distance_invariant_under_rigid_transform():
     shift = np.array([3.0, -7.0, 11.0])
     moved = train(pts @ rot.T + shift, p)
     o2, u2 = infer_occupancy(moved, rot @ q + shift)
-    assert abs(revert_distance(o, p) - revert_distance(o2, p)) < 1e-9
+    assert abs(revert_distance(o, p) - revert_distance(o2, p))[0] < 1e-9
     assert u2 == pytest.approx(u, abs=1e-9)
-    g = infer_distance_gradient(model, q)
-    g2 = infer_distance_gradient(moved, rot @ q + shift)
+    g = infer_distance_gradient(model, q)[0]
+    g2 = infer_distance_gradient(moved, rot @ q + shift)[0]
     np.testing.assert_allclose(g2, rot @ g, atol=1e-7)

@@ -8,6 +8,11 @@ or in the acceptance checks; a top-level name may instead be exported
 through ``gpfield.__all__``. A name only the other tests read is code
 the pipeline never runs. Equal names in different places count as one,
 so the check errs on the lenient side.
+
+The same holds for state: each dataclass field of a class that is
+neither a NamedTuple nor exported, and each attribute its methods assign
+through self, must be loaded as an attribute in those places. A counter
+the library only increments fails.
 """
 
 import ast
@@ -65,4 +70,78 @@ def test_every_library_name_has_a_reader_outside_the_tests():
     unread = [f"{where} {name}" for where, name, top in definitions()
               if name.rpartition(".")[2] not in readers
               and not (top and name in exported)]
+    assert not unread, "read only by tests: " + ", ".join(unread)
+
+
+def named(node):
+    """The name a base class or decorator expression names, if any."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def self_assigned(method) -> set:
+    """Attributes a method assigns through its first parameter, by =, an
+    augmented or an annotated assignment, tuple targets included."""
+    if not method.args.args:
+        return set()
+    me = method.args.args[0].arg
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for t in ast.walk(target):
+                if (isinstance(t, ast.Attribute)
+                        and isinstance(t.value, ast.Name)
+                        and t.value.id == me):
+                    names.add(t.attr)
+    return names
+
+
+def fields():
+    """(where, Class.attribute) of every dataclass field and every
+    attribute assigned through self in a top-level class of the library
+    that is neither a NamedTuple nor exported."""
+    exported = set(gpfield.__all__)
+    for path in sorted(SRC.glob("*.py")):
+        for cls in parse(path).body:
+            if (not isinstance(cls, ast.ClassDef) or cls.name in exported
+                    or "NamedTuple" in map(named, cls.bases)):
+                continue
+            dataclass = "dataclass" in map(named, cls.decorator_list)
+            names = {}
+            for member in cls.body:
+                if (dataclass and isinstance(member, ast.AnnAssign)
+                        and isinstance(member.target, ast.Name)):
+                    names.setdefault(member.target.id, member.lineno)
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for name in self_assigned(member):
+                        names.setdefault(name, member.lineno)
+            for name, line in names.items():
+                yield f"{path.name}:{line}", f"{cls.name}.{name}"
+
+
+def loaded_attributes(tree) -> set:
+    """Attribute names tree reads (ast.Attribute in a load context)."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_library_field_has_a_reader_outside_the_tests():
+    """A field of an unexported class that only the tests read, or that
+    the library only writes, is state the pipeline keeps for nobody. A
+    read is an attribute load in the library, in perfbench or in the
+    acceptance checks; equal names in different classes count as one."""
+    readers = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        readers |= loaded_attributes(parse(path))
+    unread = [f"{where} {name}" for where, name in fields()
+              if name.rpartition(".")[2] not in readers]
     assert not unread, "read only by tests: " + ", ".join(unread)

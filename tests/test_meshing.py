@@ -1,5 +1,6 @@
 """Surface extraction and PLY round trips."""
 
+import hashlib
 import re
 import struct
 import tempfile
@@ -580,6 +581,23 @@ def test_ply_intensity_round_trip(tmp_path):
     np.testing.assert_array_equal(back["vertices"], verts)
     np.testing.assert_allclose(back["properties"], props, atol=1e-6)
     assert back["faces"].shape == (0, 3)
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("none", "535d406998623324c927d3c8ae6847862eebdc12ffc45ed95605df2e95f3a8ee"),
+    ("rgb", "4e9e0bc87606589175102d539b2ac1f1484e2c190745a99f8601a2a72fccb5ad"),
+    ("intensity",
+     "bcd071ec0ed4aa9884bbc4f8eb7cbcfb56ea399326a2c5e166734036ab1620b6")])
+def test_write_mesh_bytes_are_pinned(tmp_path, kind, digest):
+    """Float64 positions that float32 rounds, and rgb values that clip
+    on both sides and round at the half: the file's sha256 is fixed."""
+    verts = np.array([[0.1, 0.2, 0.3], [1.0, -2.5, 3.25], [1e-3, 4.0, -0.7]])
+    props = np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 1.2],
+                      [-0.1, 0.333, 0.999]])
+    path = tmp_path / f"{kind}.ply"
+    write_mesh(path, verts, np.array([[0, 1, 2]]),
+               None if kind == "none" else props, kind)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_ply_header_counts(tmp_path):

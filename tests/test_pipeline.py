@@ -225,7 +225,7 @@ def test_eval_chamfer_known_displacement():
     assert comp_tight == 0.0
     same, comp_same = eval_chamfer(g, g, completeness_threshold=1e-9)
     assert same == 0.0 and comp_same == 1.0
-    inf, zero = eval_chamfer(np.zeros((0, 3)), g)
+    inf, zero = eval_chamfer(np.zeros((0, 3)), g, completeness_threshold=0.2)
     assert np.isinf(inf) and zero == 0.0
 
 
@@ -955,6 +955,40 @@ def test_field_nodes_follow_the_mesh_as_an_object_comes_and_goes():
     # carving the ball away removed nodes, not only added them
     assert seen - set(pipe.field.nodes)
     assert pipe.field.n_nodes > 0
+
+
+def assert_mesh_bytes_equal(got, want):
+    for name in ("vertices", "triangles", "properties"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_incremental_mesh_equals_a_fresh_one(tmp_path):
+    """SurfaceMesh's per-leaf cache stays current: after every frame, as
+    an object appears and then vanishes, and after a snapshot round
+    trip, the exported mesh is byte-equal to marching cubes over the
+    whole grid."""
+    wall = Primitive("box", center=[-0.05, 0.0, 0.0],
+                     half_extents=[0.05, 0.8, 0.8], prop=[0.2, 0.5, 0.9])
+    ball = Primitive("sphere", center=[0.7, 0.0, 0.0], radius=0.15,
+                     prop=[0.9, 0.1, 0.1], active=(3.0, 6.0))
+    scene = SyntheticScene([wall, ball], prop_channels=3)
+    sensor = SensorModel(width=32, height=24, focal=25.0, max_range=6.0)
+    pipe = Pipeline(PipelineConfig(prop_kind="rgb"))
+    for i in range(10):
+        eye = [1.5, 0.1 * (i % 3 - 1), 0.05 * (i % 2)]
+        pipe.integrate_frame(render_frame(scene, sensor,
+                                          look_at(eye, [0.0, 0.0, 0.0]),
+                                          t=float(i)))
+        assert_mesh_bytes_equal(pipe.export_mesh(),
+                                meshing.marching_cubes(pipe.grid))
+    assert pipe.export_mesh().n_triangles > 0
+    path = tmp_path / "map.snap"
+    pipe.save_snapshot(path)
+    back = Pipeline.load_snapshot(path)
+    assert_mesh_bytes_equal(back.export_mesh(),
+                            meshing.marching_cubes(back.grid))
 
 
 def test_surface_in_top_leaf_of_key_range_meshes_and_trains(tmp_path):

@@ -183,6 +183,19 @@ def test_orbit_trajectory_refuses_a_zero_or_non_finite_radius(radius):
         orbit_trajectory([0.0, 0.0, 0.0], radius, 3)
 
 
+@pytest.mark.parametrize("center, elevation", [
+    ([1e150, 0.0, 0.0], 0.0), ([0.0, 0.0, 1e150], np.pi / 2)],
+    ids=["beside", "above"])
+def test_orbit_trajectory_refuses_an_eye_past_max_magnitude(center,
+                                                            elevation):
+    """Centre and radius each within the bound, their sum past it: the
+    error names the orbit, not the look_at call it would reach."""
+    message = (f"orbit center {center} and radius 1e+150 put an eye past "
+               "1e+150 in magnitude")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orbit_trajectory(center, 1e150, 4, elevation=elevation)
+
+
 @pytest.mark.parametrize("kind, kwargs", [
     ("sphere", {"radius": np.nan}),
     ("sphere", {"center": [0.0, np.inf, 0.0]}),
