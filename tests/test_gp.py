@@ -323,7 +323,7 @@ def test_propagated_variance_grows_with_query_distance():
     values = []
     for r in radii:
         o, u = infer_occupancy(model, np.array([r, 0.0, 0.0]))
-        values.append(propagate_variance(u, o, p))
+        values.append(propagate_variance(u, o, p)[0])
     assert np.all(np.diff(values) > 0.0)
 
 
