@@ -205,7 +205,7 @@ def _cmd_bench(args) -> int:
     print(f"frames={pipe.frame_index} leaves={pipe.grid.n_leaves} "
           f"nodes={pipe.field.n_nodes} invalidated={invalidated} "
           f"trained={n_trained} train_ms={train_ms:.1f} "
-          f"field_bytes={pipe.field.nbytes} mesh_bytes={pipe.mesh_bytes} "
+          f"field_bytes={pipe.field.nbytes} mesh_bytes={pipe.surface.nbytes} "
           f"ray_steps={ray_steps} skipped={skipped}", file=sys.stderr)
     return 0
 

@@ -134,7 +134,7 @@ class SignIndex:
         self._clear()
 
     def _clear(self) -> None:
-        self.n = self.n_main = 0    # slots in all, slots in the main tree
+        self.n_main = 0             # slots in the main tree
         self.main = self.tail = None
         self.voxel_rows = np.zeros(0, dtype=np.int64)   # pool row by slot
         # (leaf slots, 512) bool, grown with the pool
@@ -169,18 +169,18 @@ class SignIndex:
             return True
         self.voxel_rows = np.concatenate([self.voxel_rows,
                                           touched[li] * LEAF_VOXELS + flat])
-        self.n += k
+        n = len(self.voxel_rows)
         # the trees hold the only copy of the slot centres, in slot order
         centers = grid_to_world(pool["origin"][touched[li]]
                                 + flat_local_coords(flat),
                                 self.grid.voxel_size)
         if self.tail is not None:
             centers = np.concatenate([self.tail.data, centers])
-        if _TAIL_SHARE * (self.n - self.n_main) > self.n_main:
+        if _TAIL_SHARE * (n - self.n_main) > self.n_main:
             if self.main is not None:
                 centers = np.concatenate([self.main.data, centers])
             self.main, self.tail = cKDTree(centers, **_MAIN_TREE), None
-            self.n_main = self.n
+            self.n_main = n
             stats.sign_rebuilt = 1
         else:
             self.tail = cKDTree(centers, **_TAIL_TREE)
@@ -194,7 +194,7 @@ class SignIndex:
         """
         m = len(points)
         sign = np.ones(m)
-        if self.n == 0:
+        if not len(self.voxel_rows):
             return sign, np.zeros(m, dtype=bool)
         dist, idx = self.main.query(points, k=1, distance_upper_bound=radius)
         if self.tail is not None:
@@ -226,6 +226,9 @@ class GlobalField:
         self.grid = grid
         self.smooth_lambda = float(smooth_lambda)
         self.query_nodes = int(query_nodes)
+        if self.query_nodes < 1:
+            raise ValueError("query_nodes must be at least 1, got "
+                             f"{query_nodes}")
         self.sign_radius = int(sign_radius)
         self.prop_clip = prop_clip
         self.nodes: dict[tuple[int, int, int], GPNode] = {}
@@ -342,8 +345,8 @@ class GlobalField:
                 points, self.sign_radius * self.grid.voxel_size)
         return sign, known, (time.perf_counter() - t0) * 1e3
 
-    def query_batch(self, points: np.ndarray, q: Optional[int] = None) -> BatchQueryResult:
-        """Blend the q nearest nodes at each query point.
+    def query_batch(self, points: np.ndarray) -> BatchQueryResult:
+        """Blend the query_nodes nearest nodes at each query point.
 
         Per-node distances combine through a smooth minimum with weights
         exp(-lambda * distance); unit gradients average unweighted and
@@ -358,22 +361,20 @@ class GlobalField:
         thread meanwhile, made on first use, and scipy's OpenBLAS keeps
         to one thread on the calling thread for the batch (see
         gp.one_blas_thread); neither changes an output.
-        Raises ValueError if q < 1, or naming the first row that is not
-        finite or, on a field with a grid, lies outside the voxel key range.
+        Points are read as rows (see gp.as_rows). Raises ValueError naming
+        the first row that is not finite or, on a field with a grid, lies
+        outside the voxel key range.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        q = self.query_nodes if q is None else int(q)
-        if q < 1:
-            raise ValueError(f"q must be at least 1, got {q}")
+        pts = gp.as_rows(points)
         self._check_rows(pts)
         if not self.nodes:
             raise EmptyField("global field has no nodes")
         if len(pts) == 0:
             return self._empty_result()
         with gp.one_blas_thread():
-            return self._query(pts, q)
+            return self._query(pts)
 
-    def _query(self, pts: np.ndarray, q: int) -> BatchQueryResult:
+    def _query(self, pts: np.ndarray) -> BatchQueryResult:
         m = len(pts)
         stats = QueryStats()
         t0 = time.perf_counter()
@@ -386,7 +387,7 @@ class GlobalField:
         t1 = time.perf_counter()
         try:
             self._ensure_tree()
-            sel = gp.route(self._tree, pts, q)
+            sel = gp.route(self._tree, pts, self.query_nodes)
             routed = np.flatnonzero(np.bincount(sel.ravel())).tolist()
             nodes = [self._tree_nodes[i] for i in routed]
             t2 = time.perf_counter()
@@ -398,7 +399,6 @@ class GlobalField:
             t3 = time.perf_counter()
             mo, at = gp.routed_moments(models, pts, sel, gradient=True,
                                        properties=has_props)
-            o, u, g, c, w = mo
             t4 = time.perf_counter()
         finally:
             # the caller leaves, returning or raising, only once the
@@ -407,28 +407,19 @@ class GlobalField:
         t5 = time.perf_counter()
         sign, known, lookup_ms = lookup.result()
         stats.n_free_space = m - int(np.count_nonzero(known))
-        rows = np.arange(m)
 
         p = self.params
-        dq = gp.revert_distance(o[at], p)
+        dq, variance, props, pvar = gp.nearest_slot(mo, at, p, self.prop_clip)
         lam = self.smooth_lambda
         dmin = dq.min(axis=1)
         weights = np.exp(-lam * (dq - dmin[:, None]))
         blended = (weights * dq).sum(axis=1) / weights.sum(axis=1)
 
-        win = at[rows, np.argmin(dq, axis=1)]
-        variance = gp.propagate_variance(gp.clip_variance(u[win], p), o[win], p)
-
-        gmean = gp.unit_distance_gradient(g[at], p).mean(axis=1)
+        gmean = gp.unit_distance_gradient(mo.gradient[at], p).mean(axis=1)
         grad = gp.unit_distance_gradient(-gmean, p)
 
         distance = blended * np.where(known, sign, 1.0)
         grad = grad * np.where(known, sign, 1.0)[:, None]
-
-        props = pvar = None
-        if has_props:
-            props = gp.clip_properties(c[win], self.prop_clip)
-            pvar = gp.clip_variance(w[win], p)
         t6 = time.perf_counter()
         stats.stage_ms.update(route=(t2 - t1) * 1e3, train=(t3 - t2) * 1e3,
                               moments=(t4 - t3) * 1e3,

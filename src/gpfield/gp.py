@@ -225,21 +225,15 @@ def one_blas_thread():
         setter(previous)
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """solve_triangular(chol, b, lower=True) at a fraction of its call
-    overhead: _trtrs, after the ValueError solve_triangular raises for a
-    non-finite right-hand side."""
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return _trtrs(chol, b)
-
-
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(chol chol^T)^-1 b as two triangular solves, with the bits of
     solve_triangular(chol.T, solve_triangular(chol, b, lower=True),
     lower=False) for a C-ordered factor, whose transpose is F-ordered and
-    goes to trtrs as an upper factor without a copy."""
-    x, info = dtrtrs(chol.T, _solve_lower(chol, b), lower=0)
+    goes to trtrs as an upper factor without a copy; first the ValueError
+    solve_triangular raises for a non-finite right-hand side."""
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dtrtrs(chol.T, _trtrs(chol, b), lower=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
     return x
@@ -456,6 +450,16 @@ def moments(model: GpLeafModel, q: np.ndarray, variance: bool = True,
                             properties)
 
 
+def as_rows(points) -> np.ndarray:
+    """Query points as a float64 array of at least two dimensions (see
+    check_rows); a size-0 input of at most one dimension, such as [], is
+    a (0, 3) batch."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0 and pts.ndim < 2:
+        return pts.reshape(0, 3)
+    return np.atleast_2d(pts)
+
+
 def check_rows(pts: np.ndarray, inside: Optional[np.ndarray] = None,
                why: str = "") -> None:
     """Raise one ValueError for query points that are not an (m, 3) array,
@@ -525,6 +529,24 @@ def routed_moments(models, pts: np.ndarray, sel: np.ndarray,
     at = np.empty(m * k, dtype=np.int64)
     at[groups.order] = np.arange(m * k)
     return mo, at.reshape(m, k)
+
+
+def nearest_slot(mo: Moments, at: np.ndarray, params: KernelParams,
+                 prop_clip):
+    """(distances, variance, properties, prop_variances) from routed
+    moments (see routed_moments): the (m, k) reverted distance of every
+    slot of at, and of each row's nearest slot, the first of equal ones,
+    the propagated clipped variance and the properties clipped to
+    prop_clip with their clipped variance, both None without
+    properties."""
+    dq = revert_distance(mo.occupancy[at], params)
+    win = at[np.arange(len(at)), np.argmin(dq, axis=1)]
+    v = propagate_variance(clip_variance(mo.occ_variance[win], params),
+                           mo.occupancy[win], params)
+    if mo.properties is None:
+        return dq, v, None, None
+    return (dq, v, clip_properties(mo.properties[win], prop_clip),
+            clip_variance(mo.prop_variance[win], params))
 
 
 def clip_variance(u, params: KernelParams):

@@ -120,9 +120,10 @@ class LocalField:
         model (grouped by training-set size), then reverting, variance
         propagation and clips once over all points. stage_ms, when given,
         receives the milliseconds of the route and of the moments.
-        Raises ValueError naming the first row that is not finite or is
-        too far from every model to route."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        Points are read as rows (see gp.as_rows). Raises ValueError naming
+        the first row that is not finite or is too far from every model to
+        route."""
+        pts = gp.as_rows(points)
         if not self.models:
             raise EmptyFrame("local field has no models")
         t0 = time.perf_counter()
@@ -134,16 +135,8 @@ class LocalField:
         if stage_ms is not None:
             stage_ms.update(route=(t1 - t0) * 1e3,
                             moments=(time.perf_counter() - t1) * 1e3)
-        at = at[:, 0]
-        p = self.params
-        o = mo.occupancy[at]
-        d = gp.revert_distance(o, p)
-        v = gp.propagate_variance(gp.clip_variance(mo.occ_variance[at], p), o, p)
-        c = w = None
-        if has_prop:
-            c = gp.clip_properties(mo.properties[at], self.prop_clip)
-            w = gp.clip_variance(mo.prop_variance[at], p)
-        return d, v, c, w
+        d, v, c, w = gp.nearest_slot(mo, at, self.params, self.prop_clip)
+        return d[:, 0], v, c, w
 
 
 def build_voxelized(coords: np.ndarray, centers: np.ndarray,

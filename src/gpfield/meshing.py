@@ -35,7 +35,7 @@ import functools
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -98,17 +98,22 @@ class LeafMesh:
     so identical vertices emitted by neighboring leaves merge exactly.
     """
 
-    origin: tuple[int, int, int]
     edges: np.ndarray               # (V, 4) int64
     positions: np.ndarray           # (V, 3) float64
     props: np.ndarray               # (V, P) float64
     triangles: np.ndarray           # (T, 3) int64 local vertex indices
 
     @staticmethod
-    def empty(origin, prop_channels: int = 0) -> "LeafMesh":
-        """Mesh of a leaf without a surface; its arrays are read-only and
-        shared by every empty mesh with as many property channels."""
-        return LeafMesh(origin, *_empty_arrays(prop_channels))
+    @functools.cache
+    def empty(prop_channels: int) -> "LeafMesh":
+        """Mesh of a leaf without a surface: one per channel count, shared
+        by every such leaf, its arrays read-only."""
+        mesh = LeafMesh(np.zeros((0, 4), dtype=np.int64), np.zeros((0, 3)),
+                        np.zeros((0, prop_channels)),
+                        np.zeros((0, 3), dtype=np.int64))
+        for a in vars(mesh).values():
+            a.flags.writeable = False
+        return mesh
 
     @property
     def verts(self) -> np.ndarray:
@@ -119,16 +124,6 @@ class LeafMesh:
     def tris(self) -> list:
         """Triangle rows as a list, empty when the leaf has no surface."""
         return self.triangles.tolist()
-
-
-@functools.cache
-def _empty_arrays(prop_channels: int) -> tuple:
-    """Read-only zero-length edges, positions, props and triangles."""
-    arrays = (np.zeros((0, 4), dtype=np.int64), np.zeros((0, 3)),
-              np.zeros((0, prop_channels)), np.zeros((0, 3), dtype=np.int64))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @dataclass
@@ -153,31 +148,31 @@ class TriangleMesh:
 
 def mesh_leaf(grid: SparseGrid, origin) -> LeafMesh:
     """Run marching cubes over the cells owned by one leaf."""
-    return mesh_leaves(grid, [origin])[0]
+    return mesh_leaves(grid, origin)[0]
 
 
 def mesh_leaves(grid: SparseGrid, origins) -> list:
     """Run marching cubes over the cells owned by each of the leaves.
 
-    origins are leaf origins (multiples of LEAF_SIZE). The targets'
-    valid cells are found _CHUNK targets at a time; the targets holding
-    one are meshed _CHUNK at a time, each chunk in one vectorized pass,
-    so scratch memory does not grow with their number. Returns one
-    LeafMesh per origin, in order; each array of a mesh with a vertex
-    owns its memory, and every empty mesh shares LeafMesh.empty's.
+    origins are leaf origins (multiples of LEAF_SIZE), read as (n, 3)
+    int64 rows. The targets' valid cells are found _CHUNK targets at a
+    time; the targets holding one are meshed _CHUNK at a time, each chunk
+    in one vectorized pass, so scratch memory does not grow with their
+    number. Returns one LeafMesh per origin, in order; each array of a
+    mesh with a vertex owns its memory, and every empty mesh is
+    LeafMesh.empty's.
     """
-    origins = [tuple(int(v) for v in o) for o in origins]
+    origins = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
     slots = _block_slots(grid, origins)
-    out = [None] * len(origins)
+    out = [LeafMesh.empty(grid.prop_channels)] * len(origins)
     found = _with_valid_cells(grid, slots)
     while chunk := list(islice(found, _CHUNK)):
         rows = [r for r, _ in chunk]
-        meshes = _mesh_chunk(grid, [origins[r] for r in rows], slots[rows],
+        meshes = _mesh_chunk(grid, origins[rows], slots[rows],
                              np.array([v for _, v in chunk]))
         for r, lm in zip(rows, meshes):
             out[r] = lm
-    return [LeafMesh.empty(o, grid.prop_channels) if lm is None else lm
-            for o, lm in zip(origins, out)]
+    return out
 
 
 def _with_valid_cells(grid: SparseGrid, slots: np.ndarray):
@@ -189,13 +184,13 @@ def _with_valid_cells(grid: SparseGrid, slots: np.ndarray):
             yield a + i, valid[i]
 
 
-def _block_slots(grid: SparseGrid, origins) -> np.ndarray:
-    """(T, 8) pool slots of each leaf and its 7 upper neighbours, in
-    UPPER_NEIGHBOURS order; 0 where unallocated or past the key range."""
-    org = np.asarray(origins, dtype=np.int64).reshape(-1, 3)
-    if (org & (LEAF_SIZE - 1)).any():
+def _block_slots(grid: SparseGrid, origins: np.ndarray) -> np.ndarray:
+    """(T, 8) pool slots of each of the (T, 3) leaf origins and its 7
+    upper neighbours, in UPPER_NEIGHBOURS order; 0 where unallocated or
+    past the key range."""
+    if (origins & (LEAF_SIZE - 1)).any():
         raise ValueError("leaf origins must be multiples of LEAF_SIZE")
-    return grid.coord_slots(org[:, None, :] + UPPER_NEIGHBOURS)
+    return grid.coord_slots(origins[:, None, :] + UPPER_NEIGHBOURS)
 
 
 def _block(grid: SparseGrid, name: str, slots: np.ndarray) -> np.ndarray:
@@ -229,10 +224,10 @@ def _valid_cells(observed: np.ndarray) -> np.ndarray:
     return v[:, :, :, 1:] & v[:, :, :, :-1]
 
 
-def _mesh_chunk(grid: SparseGrid, origins: list, slots: np.ndarray,
+def _mesh_chunk(grid: SparseGrid, origins: np.ndarray, slots: np.ndarray,
                 valid: np.ndarray) -> list:
-    """mesh_leaves over one chunk of targets, given their block slots
-    and valid cells: the cells of all of them at once."""
+    """mesh_leaves over one chunk of targets, given their (T, 3) origins,
+    block slots and valid cells: the cells of all of them at once."""
     h = grid.voxel_size
     channels = grid.prop_channels
     distance = _distance_block(grid, slots)
@@ -245,7 +240,7 @@ def _mesh_chunk(grid: SparseGrid, origins: list, slots: np.ndarray,
     # crossed cells, leaf by leaf and in (x, y, z) order within a leaf
     c = np.flatnonzero(valid & _CROSSED[case])
     if len(c) == 0:
-        return [LeafMesh.empty(o, channels) for o in origins]
+        return [LeafMesh.empty(channels)] * len(origins)
     cases = case.ravel()[c]
     cell_target, c = np.divmod(c, LEAF_VOXELS)
     cell_at = cell_target * _BLOCK ** 3 + _CELL_AT[c]
@@ -272,7 +267,7 @@ def _mesh_chunk(grid: SparseGrid, origins: list, slots: np.ndarray,
     d0 = dist[lo]
     t = d0 / (d0 - dist[hi])
     target, local = np.divmod(lo, _BLOCK ** 3)
-    voxel = np.asarray(origins, dtype=np.int64)[target] + _BLOCK_COORDS[local]
+    voxel = origins[target] + _BLOCK_COORDS[local]
     n = np.arange(len(first))
     pos = (voxel + 0.5) * h
     pos[n, axis] += t * h
@@ -297,15 +292,9 @@ def _mesh_chunk(grid: SparseGrid, origins: list, slots: np.ndarray,
     ts = np.searchsorted(tri_target, bounds).tolist()
     tris -= np.asarray(vs)[tri_target][:, None]
     edges = np.column_stack([voxel, axis])
-    out = []
-    for i, origin in enumerate(origins):
-        a, b = vs[i], vs[i + 1]
-        if a == b:
-            out.append(LeafMesh.empty(origin, channels))
-            continue
-        out.append(LeafMesh(origin, edges[a:b].copy(), pos[a:b].copy(),
-                            pv[a:b].copy(), tris[ts[i]:ts[i + 1]].copy()))
-    return out
+    return [LeafMesh(edges[a:b].copy(), pos[a:b].copy(), pv[a:b].copy(),
+                     tris[s:e].copy()) if a < b else LeafMesh.empty(channels)
+            for a, b, s, e in zip(vs, vs[1:], ts, ts[1:])]
 
 
 def group_edges(edges: np.ndarray) -> Groups:
@@ -356,13 +345,12 @@ def combine(leaf_meshes: Iterable[LeafMesh],
     return TriangleMesh(vertices=v, triangles=t, properties=p)
 
 
-def marching_cubes(grid: SparseGrid, origins: Optional[Iterable] = None) -> TriangleMesh:
-    """Mesh the given leaves (default: every leaf with observed voxels)."""
-    if origins is None:
-        used = grid.pool["observed"][:grid.n_leaves + 1].any(axis=1)
-        origins = grid.pool["origin"][:grid.n_leaves + 1][used]
-    origins = sorted(tuple(int(v) for v in o) for o in origins)
-    return combine(mesh_leaves(grid, origins), grid.prop_channels)
+def marching_cubes(grid: SparseGrid) -> TriangleMesh:
+    """Mesh every leaf with an observed voxel, in ascending origin order."""
+    slots = grid.sorted_slots()
+    slots = slots[grid.pool["observed"][slots].any(axis=1)]
+    return combine(mesh_leaves(grid, grid.pool["origin"][slots]),
+                   grid.prop_channels)
 
 
 def crossings_by_leaf(positions: np.ndarray, props: np.ndarray,
@@ -425,12 +413,12 @@ class SurfaceMesh:
         grid = self.grid
         origins, keys = _with_lower_neighbours(
             grid.pool["origin"][grid.active_slots()])
-        targets = list(map(tuple, origins[grid.leaf_slots(keys) > 0].tolist()))
+        targets = origins[grid.leaf_slots(keys) > 0]
         t0 = time.perf_counter()
         meshes = mesh_leaves(grid, targets)
         t1 = time.perf_counter()
         touched = []
-        for origin, lm in zip(targets, meshes):
+        for origin, lm in zip(map(tuple, targets.tolist()), meshes):
             old = self.meshes.pop(origin, None)
             if len(lm.triangles):
                 self.meshes[origin] = lm

@@ -66,9 +66,10 @@ class PipelineConfig:
     takes an int, a float field an int or a float, so of the numpy
     scalars only np.float64 passes), a non-finite float or an int past
     the float range in a float field, normal_k or query_nodes below 1,
-    or a negative band_width or sign_radius raises ValueError naming
-    it, as does a derived length_scale, d_max or v_max past the float
-    range; values are never converted.
+    a negative band_width or sign_radius, or a voxel_size, weight_cap or
+    given d_max that is not positive raises ValueError naming it, as does
+    a derived length_scale, d_max or v_max past the float range; values
+    are never converted.
     """
 
     voxel_size: float = 0.05
@@ -108,8 +109,10 @@ class PipelineConfig:
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, "
                                  f"got {getattr(self, key)}")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        for key in ("voxel_size", "weight_cap", "d_max"):
+            x = getattr(self, key)
+            if x is not None and x <= 0:
+                raise ValueError(f"{key} must be positive, got {x}")
         if self.length_scale is None:
             self.length_scale = 3.0 * self.voxel_size
         if self.prop_kind not in _PROP_CHANNELS:
@@ -381,10 +384,6 @@ class Pipeline:
         return stats
 
     # -- outputs ---------------------------------------------------------------
-
-    @property
-    def mesh_bytes(self) -> int:
-        return self.surface.nbytes
 
     def export_mesh(self) -> TriangleMesh:
         return self.surface.export()

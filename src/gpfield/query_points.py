@@ -53,22 +53,15 @@ class TestPointSet:
                             np.zeros(0), np.zeros(0))
 
 
-def dedup_first(coords, positions, signs, sources) -> TestPointSet:
-    """Keep the first entry per voxel coordinate (input order wins)."""
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    if len(coords) == 0:
-        return TestPointSet.empty()
-    first = np.sort(group_by(pack_keys(coords)).first)
-    return TestPointSet(coords[first], np.asarray(positions)[first],
-                        np.asarray(signs)[first], np.asarray(sources)[first])
-
-
 def merge(*sets: TestPointSet) -> TestPointSet:
-    """Concatenate sets, deduplicating; earlier sets take precedence."""
-    return dedup_first(np.concatenate([s.coords for s in sets]),
-                       np.concatenate([s.positions for s in sets]),
-                       np.concatenate([s.signs for s in sets]),
-                       np.concatenate([s.sources for s in sets]))
+    """Concatenate sets, keeping the first row per voxel coordinate:
+    input order wins, so earlier sets take precedence."""
+    cols = [np.concatenate([getattr(s, name) for s in sets])
+            for name in ("coords", "positions", "signs", "sources")]
+    if len(cols[0]) == 0:
+        return TestPointSet.empty()
+    first = np.sort(group_by(pack_keys(cols[0])).first)
+    return TestPointSet(*(c[first] for c in cols))
 
 
 class _Rays(NamedTuple):
@@ -79,8 +72,6 @@ class _Rays(NamedTuple):
     t_max: np.ndarray     # (m, 3) t of the ray's next crossing on each axis
     t_delta: np.ndarray   # (m, 3) t between its crossings on each axis
     step: np.ndarray      # (m, 3) +1 or -1, the direction of those crossings
-    n: np.ndarray         # (m,) crossings made: cur's L1 distance from
-                          # the origin voxel, the step index of its row
     stop: np.ndarray      # (m,) last t at which the ray enters a voxel
 
     def take(self, rows) -> "_Rays":
@@ -107,8 +98,7 @@ def _start(origin, ends: np.ndarray, voxel_size: float, extra: float) -> _Rays:
         lo = np.floor(o / h) * h
         t_max = np.where(dirn > 0, (lo + h - o) / dirn,
                          np.where(dirn < 0, (lo - o) / dirn, np.inf))
-    return _Rays(live, cur, t_max, t_delta, step, np.zeros(m, np.int64),
-                 rng[live] + extra)
+    return _Rays(live, cur, t_max, t_delta, step, rng[live] + extra)
 
 
 def _traverse(rays: _Rays, first=None):
@@ -235,12 +225,11 @@ def _skip(rays: _Rays, grid: SparseGrid, t_stop: np.ndarray):
         k = k + before
         t = t + r.t_delta
         t_k = np.where(before, t, t_k)
-    cur, t_max, n = rays.cur.copy(), rays.t_max.copy(), rays.n.copy()
+    cur, t_max = rays.cur.copy(), rays.t_max.copy()
     cur[walk] = cur0 + r.step * k
     t_max[walk] = t_k
-    n[walk] = k.sum(axis=1)
     pack_keys(cur[walk])
-    return rays._replace(cur=cur, t_max=t_max, n=n), skipped
+    return rays._replace(cur=cur, t_max=t_max), skipped
 
 
 def generate(origin, coords: np.ndarray, centers: np.ndarray,
@@ -292,10 +281,14 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
 
     rays, skipped = _skip(rays, grid, rng[rays.ray] - (band_width + 2) * h)
     vox, t_enter, ray = _traverse(rays, ~skipped)
+    # a voxel's crossings from the sensor's voxel are its L1 distance
+    # from it, the step of the full walk that enters it
+    o_vox = world_to_grid(origin, h)
     if stats is not None:
         stats.n_ray_steps = len(vox)
-        stats.n_ray_steps_skipped = int(rays.n[skipped].sum()
-                                        + np.count_nonzero(skipped))
+        stats.n_ray_steps_skipped = int(
+            np.abs(rays.cur[skipped] - o_vox).sum()
+            + np.count_nonzero(skipped))
     r = rng[ray]
 
     # The ray enters a voxel at t_enter on the voxel's boundary, and no
@@ -328,9 +321,8 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
 
     keep = np.flatnonzero(emit)
     out = vox.take(keep, axis=0)
-    # rays resumed at different steps: restore (step, ray) order, a
-    # voxel's step being its L1 distance from the origin voxel
-    step = np.abs(out - world_to_grid(origin, h)).sum(axis=1)
+    # rays resumed at different steps: restore (step, ray) order
+    step = np.abs(out - o_vox).sum(axis=1)
     order = np.argsort(step * len(centers) + ray.take(keep))
     keep, out = keep.take(order), out.take(order, axis=0)
     signs = np.where(behind[keep], -1, 1)

@@ -7,6 +7,7 @@ solves per model at inference.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from gpfield import gp
@@ -69,7 +70,7 @@ def moments(model, q, variance=True, gradient=False, properties=False):
     o = kq @ model.alpha_occ
     u = g = c = w = None
     if variance:
-        v = gp._solve_lower(model.chol, kq.T)
+        v = solve_triangular(model.chol, kq.T, lower=True)
         u = params.sigma2 - np.einsum("ij,ij->j", v, v)
     if gradient:
         wk = kq * model.alpha_occ[None, :]
@@ -77,7 +78,7 @@ def moments(model, q, variance=True, gradient=False, properties=False):
         g = np.einsum("ij,ijk->ik", wk, diff) / params.length_scale ** 2
     if properties:
         c = kq @ model.alpha_prop
-        v = gp._solve_lower(model.chol_prop, kq.T)
+        v = solve_triangular(model.chol_prop, kq.T, lower=True)
         w = params.sigma2 - np.einsum("ij,ij->j", v, v)
     return gp.Moments(o, u, g, c, w)
 

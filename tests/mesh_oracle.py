@@ -74,7 +74,7 @@ def mesh_chunk(grid, origins: list) -> list:
         valid &= blocks.observed[sl]
     c = np.flatnonzero(valid & _CROSSED[case])
     if len(c) == 0:
-        return [LeafMesh.empty(o, channels) for o in origins]
+        return [LeafMesh.empty(channels) for o in origins]
     cases = case.ravel()[c]
     cell_target, c = np.divmod(c, LEAF_VOXELS)
     cell_at = cell_target * _BLOCK ** 3 + _CELL_AT[c]
@@ -123,8 +123,8 @@ def mesh_chunk(grid, origins: list) -> list:
     for i, origin in enumerate(origins):
         a, b = vs[i], vs[i + 1]
         if a == b:
-            out.append(LeafMesh.empty(origin, channels))
+            out.append(LeafMesh.empty(channels))
             continue
-        out.append(LeafMesh(origin, edges[a:b].copy(), pos[a:b].copy(),
+        out.append(LeafMesh(edges[a:b].copy(), pos[a:b].copy(),
                             pv[a:b].copy(), tris[ts[i]:ts[i + 1]].copy()))
     return out

@@ -325,6 +325,15 @@ def test_none_for_a_required_key_is_one_error_line(tmp_path, capsys, item,
     assert error_lines(capsys, argv) == (1, [f"error: {message}"])
 
 
+def test_non_positive_weight_cap_is_one_error_line(tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), "--set", "weight_cap=-1", *RUN_ARGS]
+    assert error_lines(capsys, argv) == (
+        1, ["error: weight_cap must be positive, got -1.0"])
+
+
 def with_config(snap, path, config):
     """Copy of snapshot snap at path with its config JSON replaced: by
     config if bytes, else by the old keys updated from config."""

@@ -133,7 +133,8 @@ def test_blend_stays_within_softmin_envelope():
                                       None)})
     field.train_pending()
     queries = rng.uniform([-0.2, -0.2, 0.0], [2.0, 0.2, 0.3], size=(50, 3))
-    res = field.query_batch(queries, q=field.n_nodes)
+    field.query_nodes = field.n_nodes
+    res = field.query_batch(queries)
     bound = (field.n_nodes - 1) / (np.e * field.smooth_lambda)
     for x, blended in zip(queries, res.distances):
         d = np.array([node_distance(n, x) for n in field.nodes.values()])
@@ -251,10 +252,10 @@ def test_properties_flow_through_queries():
 def test_properties_drop_when_any_node_lacks_them():
     pts = disc_points([0, 0, 0])
     props = np.full((len(pts), 1), 0.5)
-    field = GlobalField(PARAMS)
+    field = GlobalField(PARAMS, query_nodes=2)
     field.update({(0, 0, 0): (pts, props),
                   (16, 0, 0): (disc_points([0.5, 0, 0], seed=1), None)})
-    res = field.query_batch([[0.25, 0.0, 0.1]], q=2)
+    res = field.query_batch([[0.25, 0.0, 0.1]])
     assert res.properties is None
     assert res.prop_variances is None
 
@@ -264,7 +265,8 @@ def test_query_nodes_limit_restricts_blend():
     a = disc_points([0, 0, 0])
     b = disc_points([0.9, 0, 0], seed=1)
     field.update({(0, 0, 0): (a, None), (16, 0, 0): (b, None)})
-    # Slightly nearer to node a by centroid; q=1 must ignore node b.
+    # Slightly nearer to node a by centroid; query_nodes=1 must ignore
+    # node b.
     x = np.array([0.42, 0.0, 0.1])
     res = field.query_batch([x])
     assert res.distances[0] == pytest.approx(

@@ -6,8 +6,8 @@ reverting, variance propagation, gradient normalization) once per batch.
 The reference functions below are the loops they replaced, including
 their own copies of the per-model GP inference calls that built the
 kernel matrix once per quantity; every output must equal theirs bit for
-bit. Also here: the empty batch, bad ``q``, bad rows and the per-batch
-query stats.
+bit. Also here: the empty batch, bad ``query_nodes``, bad rows and the
+per-batch query stats.
 """
 
 import dataclasses
@@ -61,12 +61,12 @@ def ref_infer_property(model, q, clip_range):
     return c, w
 
 
-def reference_query_batch(field, points, q=None):
+def reference_query_batch(field, points):
     """GlobalField.query_batch as a loop of per-node inference calls."""
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m = len(pts)
     field._ensure_tree()
-    q = field.query_nodes if q is None else int(q)
+    q = field.query_nodes
     n_nodes = len(field._tree_nodes)
     k = min(q, n_nodes)
     kq = min(q + 1, n_nodes)
@@ -264,13 +264,13 @@ def test_query_batch_matches_per_node_loop(seed, n_nodes, pdim, q, n_rows,
     params = PARAM_SETS[pset]
     clusters = random_clusters(rng, n_nodes, pdim, dup)
     grid = sign_grid(rng, clusters) if with_grid else None
-    field = GlobalField(params, grid=grid,
+    field = GlobalField(params, grid=grid, query_nodes=q,
                         prop_clip=(0.0, 1.0) if clip else None)
     field.update(clusters)
     pts = random_queries(rng, clusters, n_rows)
 
-    got = field.query_batch(pts, q=q)
-    want = reference_query_batch(field, pts, q=q)
+    got = field.query_batch(pts)
+    want = reference_query_batch(field, pts)
     assert_bitwise(result_arrays(got), want)
 
 
@@ -321,7 +321,7 @@ def test_local_query_batch_matches_per_model_loop(seed, n_models, pdim, n_rows,
                    reference_local_query_batch(field, pts))
 
 
-# -- empty batch and bad q ----------------------------------------------------
+# -- empty batch and bad query_nodes -----------------------------------------
 
 
 def two_node_field(props: bool, grid=None):
@@ -366,13 +366,31 @@ def test_local_empty_batch_returns_zero_length_arrays(pdim):
         assert c is None and w is None
 
 
+# size-0 inputs of at most one dimension, each an empty batch
+EMPTY_ROWS = [pytest.param(x, id=name) for name, x in
+              [("list", []), ("tuple", ()), ("flat0", np.zeros(0))]]
+
+
+@pytest.mark.parametrize("empty", EMPTY_ROWS)
+def test_empty_list_is_an_empty_batch(empty):
+    res = two_node_field(False).query_batch(empty)
+    assert len(res) == 0 and res.gradients.shape == (0, 3)
+
+
+@pytest.mark.parametrize("empty", EMPTY_ROWS)
+def test_local_empty_list_is_an_empty_batch(empty):
+    rng = np.random.default_rng(1)
+    clusters = random_clusters(rng, 3, 0, dup=False)
+    field = LocalField([gp.train(p, PARAM_SETS[0]) for p, _ in
+                        clusters.values()], PARAM_SETS[0])
+    d, v, c, w = field.query_batch(empty)
+    assert d.shape == v.shape == (0,) and c is None and w is None
+
+
 @pytest.mark.parametrize("q", [0, -1])
 def test_query_nodes_below_one_is_rejected(q):
-    field = two_node_field(False)
-    with pytest.raises(ValueError, match=r"\bq\b"):
-        field.query_batch(np.zeros((2, 3)), q=q)
-    with pytest.raises(ValueError, match=r"\bq\b"):
-        GlobalField(PARAM_SETS[0], query_nodes=q).query_batch(np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=r"\bquery_nodes\b"):
+        GlobalField(PARAM_SETS[0], query_nodes=q)
 
 
 @pytest.mark.parametrize("bad", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0),
@@ -407,7 +425,10 @@ MISSHAPEN = [pytest.param(np.zeros(shape), shape2d, id=name)
              for name, shape, shape2d in [("4x2", (4, 2), (4, 2)),
                                           ("4x4", (4, 4), (4, 4)),
                                           ("2x3x3", (2, 3, 3), (2, 3, 3)),
-                                          ("flat4", (4,), (1, 4))]]
+                                          ("flat4", (4,), (1, 4)),
+                                          ("0x2", (0, 2), (0, 2)),
+                                          ("1x0", (1, 0), (1, 0)),
+                                          ("0x3x1", (0, 3, 1), (0, 3, 1))]]
 
 
 @pytest.mark.parametrize("pts, shape", MISSHAPEN)
@@ -465,10 +486,10 @@ def test_query_stats_match_spies(monkeypatch, capsys):
         return real_train_many(*args, **kwargs)
 
     def spy_append(self, touched, stats):
-        full = self.n == 0 and len(touched) == self.grid.n_leaves
+        full = len(self.voxel_rows) == 0 and len(touched) == self.grid.n_leaves
         out = real_append(self, touched, stats)
         if full:
-            full_builds.append(self.n)
+            full_builds.append(len(self.voxel_rows))
         return out
 
     monkeypatch.setattr(gp, "train_many", spy_train_many)

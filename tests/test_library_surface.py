@@ -145,3 +145,83 @@ def test_every_library_field_has_a_reader_outside_the_tests():
     unread = [f"{where} {name}" for where, name in fields()
               if name.rpartition(".")[2] not in readers]
     assert not unread, "read only by tests: " + ", ".join(unread)
+
+
+# Parameters with a default that no call in the library, perfbench or the
+# acceptance checks passes, each kept on purpose.
+UNPASSED_ALLOWED = {
+    # public or reference API
+    "fuse_point.prop": "the reference one-voxel fusion takes a property",
+    "fuse_point.prop_variance": "its property variance goes with it",
+    "train.properties": "gp.train is the public one-model call of train_many",
+    "look_at.up": "a camera's up vector is the caller's choice",
+    "main.argv": "cli.main reads sys.argv unless a caller passes a list",
+    # names perfbench's tracer wraps, whose signatures it keeps
+    "infer_property.clip_range": "tracer target gp.infer_property",
+    "generate.band_width": "tracer target query_points.generate",
+    "normal_augment.reach": "tracer target query_points.normal_augment",
+}
+
+
+def defaulted_parameters():
+    """(where, function name, parameter, position) of every parameter
+    with a default of a function or method in the library, position None
+    for a keyword-only one. A method's position counts from the first
+    argument after self or cls, as a call through an instance passes
+    it; an __init__ goes by its class's name."""
+    for path in sorted(SRC.glob("*.py")):
+        tree = parse(path)
+        methods = {id(member): cls for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) for member in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = methods.get(id(fn))
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            bound = (cls is not None
+                     and "staticmethod" not in map(named, fn.decorator_list))
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            for i, arg in enumerate(args[first:], first):
+                yield f"{path.name}:{fn.lineno}", name, arg.arg, i - bound
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield f"{path.name}:{fn.lineno}", name, arg.arg, None
+
+
+def passed_arguments() -> set:
+    """(callee name, parameter name or position) of what each call in the
+    library, perfbench and the acceptance checks passes; "*" stands for a
+    starred argument, which may pass any position, and "**" for a double
+    starred one, which may pass any keyword."""
+    passed = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        for call in ast.walk(parse(path)):
+            if not isinstance(call, ast.Call) or named(call) is None:
+                continue
+            for i, arg in enumerate(call.args):
+                passed.add((named(call),
+                            "*" if isinstance(arg, ast.Starred) else i))
+            for kw in call.keywords:
+                passed.add((named(call), kw.arg or "**"))
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A parameter with a default that no call outside the unit tests
+    passes, by keyword or by position, is an option the pipeline never
+    takes. Calls are matched by the callee's name alone, so functions and
+    methods of one name count together: the two query_batch methods are
+    one name here, and the pipeline passes the local field's stage_ms by
+    position. So the scan alone cannot see a second parameter of the
+    global field's query_batch, such as a per-batch node count q, that
+    only tests pass."""
+    passed = passed_arguments()
+    unpassed = [
+        f"{where} {name}({param})"
+        for where, name, param, pos in defaulted_parameters()
+        if not {(name, param), (name, "**")} & passed
+        and (pos is None or not {(name, pos), (name, "*")} & passed)
+        and f"{name}.{param}" not in UNPASSED_ALLOWED]
+    assert not unpassed, "defaults no call overrides: " + ", ".join(unpassed)

@@ -19,7 +19,9 @@ from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           leaf_origin_of, pack_keys, world_to_grid)
 from gpfield.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from gpfield.meshing import (
+    LeafMesh,
     TriangleMesh,
+    combine,
     crossings_by_leaf,
     group_edges,
     marching_cubes,
@@ -225,7 +227,6 @@ def test_mesh_leaves_matches_reference_and_gather_block(seed, channels, corner,
         np.testing.assert_array_equal(blocks.observed[i], obs)
         if origin not in want:
             want[origin] = reference_mesh_leaf(grid, origin)
-        assert got[i].origin == origin
         assert_leaf_mesh_equals(got[i], want[origin])
 
 
@@ -283,7 +284,6 @@ def test_mesh_leaves_matches_dense_oracle_on_pipeline_targets(run, tmp_path,
         want = mesh_oracle.mesh_leaves(grid, origins)
         assert len(got) == len(want) == len(origins)
         for g, w in zip(got, want):
-            assert g.origin == w.origin
             assert_leaf_mesh_equals(g, (w.edges, w.positions, w.props,
                                         w.triangles))
         calls.append((len(origins), sum(len(w.triangles) > 0 for w in want)))
@@ -354,7 +354,7 @@ def test_leaf_mesh_arrays_own_their_memory():
 
 def test_empty_leaf_meshes_share_read_only_arrays():
     """Targets without a valid cell and targets with valid but uncrossed
-    cells get empty meshes of their own origin over one set of arrays."""
+    cells all get the one empty mesh, whose arrays are read-only."""
     grid = plane_leaf_grid(2)
     flat = leaf_at(grid, (0, 0, 4 * LEAF_SIZE), allocate=True)
     flat.distance[:] = H
@@ -362,12 +362,10 @@ def test_empty_leaf_meshes_share_read_only_arrays():
     origins = [(0, 0, 4 * LEAF_SIZE), (0, 0, 8 * LEAF_SIZE),
                (LEAF_SIZE, LEAF_SIZE, 0), (-LEAF_SIZE, 0, 0)]
     meshes = mesh_leaves(grid, origins)
-    empty = [lm for lm in meshes if len(lm.positions) == 0]
-    assert [lm.origin for lm in empty] == [origins[0], origins[1], origins[3]]
+    empty = LeafMesh.empty(grid.prop_channels)
+    assert [lm is empty for lm in meshes] == [True, True, False, True]
     for name in ("edges", "positions", "props", "triangles"):
-        arrays = [getattr(lm, name) for lm in empty]
-        assert all(a is arrays[0] for a in arrays)
-        assert not arrays[0].flags.writeable
+        assert not getattr(empty, name).flags.writeable
     assert len(meshes[2].triangles) > 0
 
 
@@ -478,15 +476,8 @@ def test_explicit_leaf_list_restricts_extraction():
     full = marching_cubes(grid)
     some = sorted({tuple(l) for l in
                    leaf_origin_of(world_to_grid(full.vertices, H))})[:4]
-    part = marching_cubes(grid, origins=some)
+    part = combine(mesh_leaves(grid, some), grid.prop_channels)
     assert 0 < part.n_triangles < full.n_triangles
-
-
-def test_mesh_leaf_reports_leaf_origin():
-    grid = sphere_grid()
-    origin = sorted(tuple(leaf.origin) for leaf in grid.leaves())[0]
-    lm = mesh_leaf(grid, origin)
-    assert tuple(lm.origin) == tuple(origin)
 
 
 def test_mesh_properties_interpolated_along_edges():

@@ -455,7 +455,9 @@ def test_config_rejects_unknown_keys_and_bad_lines(tmp_path):
     ("voxel_size", None), ("voxel_size", True), ("voxel_size", [0.05]),
     ("voxel_size", "0.05"), ("sigma2", None), ("normal_k", None),
     ("normal_k", 2.5), ("normal_k", False), ("prop_kind", 3),
-    ("prop_kind", None)])
+    ("prop_kind", None),
+    # values that must be positive
+    ("weight_cap", -1.0), ("weight_cap", 0.0), ("d_max", -0.1), ("d_max", 0.0)])
 def test_config_rejects_bad_values_naming_the_key(key, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -636,7 +638,7 @@ def test_frame_stats_count_invalidated_nodes(monkeypatch):
 def test_mesh_bytes_sums_cached_leaf_meshes():
     pipe = run_pipeline(2)
     meshes = pipe.surface.meshes.values()
-    assert pipe.mesh_bytes == sum(
+    assert pipe.surface.nbytes == sum(
         lm.edges.nbytes + lm.positions.nbytes + lm.props.nbytes
         + lm.triangles.nbytes for lm in meshes) > 0
 
@@ -964,11 +966,28 @@ def assert_mesh_bytes_equal(got, want):
         assert a.tobytes() == b.tobytes(), name
 
 
+def assert_cached_meshes_are_their_leaves(pipe):
+    """Each cached mesh is filed under an allocated leaf's origin, its
+    vertices lie on edges of that leaf's 9^3 block, and it equals the
+    leaf meshed afresh in every array's bytes."""
+    for key, lm in pipe.surface.meshes.items():
+        origin = np.asarray(key)
+        assert not (origin % LEAF_SIZE).any(), key
+        assert pipe.grid.coord_slots(origin) > 0, key
+        lows = lm.edges[:, :3]
+        assert ((lows >= origin) & (lows <= origin + LEAF_SIZE)).all(), key
+        fresh = meshing.mesh_leaves(pipe.grid, [key])[0]
+        for name in ("edges", "positions", "props", "triangles"):
+            a, b = getattr(lm, name), getattr(fresh, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, (key, name)
+            assert a.tobytes() == b.tobytes(), (key, name)
+
+
 def test_incremental_mesh_equals_a_fresh_one(tmp_path):
     """SurfaceMesh's per-leaf cache stays current: after every frame, as
     an object appears and then vanishes, and after a snapshot round
     trip, the exported mesh is byte-equal to marching cubes over the
-    whole grid."""
+    whole grid, and each cached mesh is its own leaf's."""
     wall = Primitive("box", center=[-0.05, 0.0, 0.0],
                      half_extents=[0.05, 0.8, 0.8], prop=[0.2, 0.5, 0.9])
     ball = Primitive("sphere", center=[0.7, 0.0, 0.0], radius=0.15,
@@ -983,12 +1002,14 @@ def test_incremental_mesh_equals_a_fresh_one(tmp_path):
                                           t=float(i)))
         assert_mesh_bytes_equal(pipe.export_mesh(),
                                 meshing.marching_cubes(pipe.grid))
+        assert_cached_meshes_are_their_leaves(pipe)
     assert pipe.export_mesh().n_triangles > 0
     path = tmp_path / "map.snap"
     pipe.save_snapshot(path)
     back = Pipeline.load_snapshot(path)
     assert_mesh_bytes_equal(back.export_mesh(),
                             meshing.marching_cubes(back.grid))
+    assert_cached_meshes_are_their_leaves(back)
 
 
 def test_surface_in_top_leaf_of_key_range_meshes_and_trains(tmp_path):

@@ -9,7 +9,6 @@ from gpfield.grid import SparseGrid, VoxelState, grid_to_world, world_to_grid
 from gpfield.query_points import (
     _start,
     _traverse,
-    dedup_first,
     estimate_normals,
     generate,
     merge,
@@ -224,8 +223,8 @@ def test_normal_augment_zero_reach_or_no_valid():
 def test_dedup_first_keeps_input_order_winner():
     coords = np.array([[0, 0, 0], [1, 0, 0], [0, 0, 0]])
     pos = grid_to_world(coords, 0.1)
-    out = dedup_first(coords, pos, np.array([1, -1, -1]),
-                      np.array([0, 1, 2], dtype=np.uint8))
+    out = merge(PointSet(coords, pos, np.array([1, -1, -1]),
+                         np.array([0, 1, 2], dtype=np.uint8)))
     assert len(out) == 2
     got = {tuple(int(v) for v in c): (int(s), int(src))
            for c, s, src in zip(out.coords, out.signs, out.sources)}

@@ -181,7 +181,7 @@ def test_lookup_matches_single_tree_reference(seed, ops):
                 assert may_build
                 assert stats.sign_rebuilt == 1
                 assert stats.n_observed_indexed == now
-            assert index.n == now
+            assert len(index.voxel_rows) == now
             assert_matches_reference(index, np.concatenate([
                 query_points(rng, a, lo, span), lattice_rows(rng, grid, a)]))
             assert_matches_reference(index, np.concatenate([
@@ -203,7 +203,7 @@ def test_sequence_reaches_every_branch():
 
     def refresh(near=np.zeros((0, 3))):
         stats = QueryStats()
-        before = index.n
+        before = len(index.voxel_rows)
         index.refresh(stats)
         nonlocal ties
         pts = np.concatenate([query_points(rng, 400, lo, span), near,
@@ -217,7 +217,8 @@ def test_sequence_reaches_every_branch():
     assert stats == QueryStats(sign_rebuilt=1)
     fuse_box(grid, rng, -8, 16, 600, 0.02)
     stats, _ = refresh()                    # first build
-    assert stats.sign_rebuilt == 1 and stats.n_observed_indexed == index.n > 0
+    assert (stats.sign_rebuilt == 1
+            and stats.n_observed_indexed == len(index.voxel_rows) > 0)
     stats, _ = refresh()                    # unchanged grid: no work
     assert stats == QueryStats()
 
@@ -239,7 +240,7 @@ def test_sequence_reaches_every_branch():
     fuse_box(grid, rng, 8, 16, 900, 0.02)   # new leaves past a quarter
     stats, _ = refresh()
     assert stats.sign_rebuilt == 1 and index.tail is None
-    assert index.n_main == index.n == observed_count(grid)
+    assert index.n_main == len(index.voxel_rows) == observed_count(grid)
 
     # a set that un-observes an indexed voxel falls back to a full build
     coords, _ = grid.observed_voxels()

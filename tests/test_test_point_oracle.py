@@ -24,7 +24,7 @@ from gpfield.grid import (KEY_BIAS, LEAF_SIZE, LEAF_VOXELS, SparseGrid,
                           VoxelState, _local_index, grid_to_world, group_by,
                           leaf_keys, local_flat_index, pack_keys)
 from gpfield.query_points import (SOURCE_BAND, SOURCE_RAY, _start, _traverse,
-                                  dedup_first)
+                                  merge)
 from grid_oracle import leaf_at
 
 # -- reference: the lockstep DDA, generator and lookup as they were ----------
@@ -127,7 +127,8 @@ def reference_generate(origin, coords, centers, grid, band_width=3):
     keep = np.flatnonzero(emit)
     signs = np.where(t_center[keep] < rng[ray[keep]], 1, -1)
     sources = np.where(in_band[keep], SOURCE_BAND, SOURCE_RAY).astype(np.uint8)
-    return dedup_first(vox[keep], vox_centers[keep], signs, sources)
+    return merge(query_points.TestPointSet(vox[keep], vox_centers[keep],
+                                           signs, sources))
 
 
 def full_lockstep_ray_rows(origin, coords, centers, grid, band_width=3):
