@@ -95,10 +95,7 @@ def fuse_frame(grid: SparseGrid, points: TestPointSet, distances: np.ndarray,
     coordinates in `points` are assumed deduplicated, which
     generate()/merge() guarantee.
     """
-    n = len(points)
-    stats = FusionStats(voxels_fused=n)
-    if n == 0:
-        return stats
+    stats = FusionStats(voxels_fused=len(points))
     d = np.asarray(distances, dtype=np.float64)
     w = _weight(variances, cfg.v_max)
     near = np.abs(d) <= cfg.surface_band

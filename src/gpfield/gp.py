@@ -174,14 +174,11 @@ def _chunks(rows: list, j: int, gradient: bool = False):
 
 def _trtrs(chol: np.ndarray, b: np.ndarray, overwrite: bool = False):
     """chol^-1 b by the one LAPACK trtrs call solve_triangular(chol, b,
-    lower=True) makes for float64 operands (a C-ordered factor is passed
-    transposed, as an upper factor solved with trans=1), so the result has
-    its bits. The (J, n) result keeps each column contiguous; with
-    overwrite, it is written into b."""
-    if chol.flags.f_contiguous:
-        x, info = dtrtrs(chol, b, lower=1, overwrite_b=overwrite)
-    else:
-        x, info = dtrtrs(chol.T, b, lower=0, trans=1, overwrite_b=overwrite)
+    lower=True) makes for a C-ordered float64 factor (passed transposed,
+    as an upper factor solved with trans=1), so the result has its bits.
+    The (J, n) result keeps each column contiguous; with overwrite, it is
+    written into b."""
+    x, info = dtrtrs(chol.T, b, lower=0, trans=1, overwrite_b=overwrite)
     if info != 0:
         raise np.linalg.LinAlgError(f"triangular solve failed (info {info})")
     if overwrite and x is not b:

@@ -66,10 +66,11 @@ class PipelineConfig:
     takes an int, a float field an int or a float, so of the numpy
     scalars only np.float64 passes), a non-finite float or an int past
     the float range in a float field, normal_k or query_nodes below 1,
-    a negative band_width or sign_radius, or a voxel_size, weight_cap or
-    given d_max that is not positive raises ValueError naming it, as does
-    a derived length_scale, d_max or v_max past the float range; values
-    are never converted.
+    a negative band_width, sign_radius or surface_band, or a voxel_size,
+    weight_cap or given d_max that is not positive raises ValueError
+    naming it, as does a derived length_scale, d_max or v_max past the
+    float range and a negative v_max, given or derived; values are never
+    converted.
     """
 
     voxel_size: float = 0.05
@@ -104,8 +105,8 @@ class PipelineConfig:
             if kind == "float" and not _finite(x):
                 got = x if isinstance(x, float) else "an int past float range"
                 raise ValueError(f"{f.name} must be finite, got {got}")
-        for key, low in (("normal_k", 1), ("query_nodes", 1),
-                         ("band_width", 0), ("sign_radius", 0)):
+        for key, low in (("normal_k", 1), ("query_nodes", 1), ("band_width", 0),
+                         ("sign_radius", 0), ("surface_band", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, "
                                  f"got {getattr(self, key)}")
@@ -128,6 +129,8 @@ class PipelineConfig:
             if not _finite(getattr(kp, key)):
                 raise ValueError(f"{key} must be finite, got "
                                  f"{getattr(kp, key)}")
+        if kp.v_max < 0:
+            raise ValueError(f"v_max must be at least 0, got {kp.v_max}")
         ratio = self.length_scale / self.voxel_size
         if not 2.0 <= ratio <= 4.0:
             warnings.warn(
@@ -334,12 +337,12 @@ class Pipeline:
 
         t0 = time.perf_counter()
         origin = frame.origin
-        tp_ray = query_points.ray_rows(origin, coords, centers, self.grid,
+        tp_ray = query_points.ray_rows(origin, centers, self.grid,
                                        c.band_width, stats=stats)
         t1 = time.perf_counter()
         normals, valid = query_points.estimate_normals(centers, origin,
                                                        c.normal_k)
-        tp_norm = query_points.normal_rows(coords, centers, normals, valid,
+        tp_norm = query_points.normal_rows(centers, normals, valid,
                                            c.voxel_size, c.normal_reach)
         t2 = time.perf_counter()
         # the one deduplication of the frame's test points

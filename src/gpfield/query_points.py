@@ -47,19 +47,12 @@ class TestPointSet:
     def __len__(self) -> int:
         return len(self.coords)
 
-    @staticmethod
-    def empty() -> "TestPointSet":
-        return TestPointSet(np.zeros((0, 3)), np.zeros((0, 3)),
-                            np.zeros(0), np.zeros(0))
-
 
 def merge(*sets: TestPointSet) -> TestPointSet:
     """Concatenate sets, keeping the first row per voxel coordinate:
     input order wins, so earlier sets take precedence."""
     cols = [np.concatenate([getattr(s, name) for s in sets])
             for name in ("coords", "positions", "signs", "sources")]
-    if len(cols[0]) == 0:
-        return TestPointSet.empty()
     first = np.sort(group_by(pack_keys(cols[0])).first)
     return TestPointSet(*(c[first] for c in cols))
 
@@ -135,8 +128,6 @@ def _traverse(rays: _Rays, first=None):
                                          (cur, t_max, t_delta, step))
             stop, live, t_enter = (a.take(keep) for a in (stop, live, t_enter))
             m = len(live)
-            if not m:
-                break
         coords_parts.append(cur.copy())
         t_parts.append(t_enter)
         ray_parts.append(live)
@@ -232,22 +223,21 @@ def _skip(rays: _Rays, grid: SparseGrid, t_stop: np.ndarray):
     return rays._replace(cur=cur, t_max=t_max), skipped
 
 
-def generate(origin, coords: np.ndarray, centers: np.ndarray,
-             grid: SparseGrid, band_width: int = 3) -> TestPointSet:
+def generate(origin, centers: np.ndarray, grid: SparseGrid,
+             band_width: int = 3) -> TestPointSet:
     """Ray-carving and endpoint-band test points for one frame: the
     rows of ray_rows, deduplicated."""
-    return merge(ray_rows(origin, coords, centers, grid, band_width))
+    return merge(ray_rows(origin, centers, grid, band_width))
 
 
-def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
-             grid: SparseGrid, band_width: int = 3,
-             stats=None) -> TestPointSet:
+def ray_rows(origin, centers: np.ndarray, grid: SparseGrid,
+             band_width: int = 3, stats=None) -> TestPointSet:
     """Ray-carving and endpoint-band test points for one frame, a voxel
     possibly more than once (see generate).
 
     Args:
         origin: sensor position in world coordinates.
-        coords/centers: voxelized measured cloud (see local_field.voxelize).
+        centers: measured voxel centres, the ray ends (local_field.voxelize).
         grid: fused global grid; read-only here.
         band_width: half-width of the always-emitted endpoint band, in
             voxels, measured along the ray.
@@ -269,8 +259,6 @@ def ray_rows(origin, coords: np.ndarray, centers: np.ndarray,
     """
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    if len(centers) == 0:
-        return TestPointSet.empty()
     h = grid.voxel_size
     band = band_width * h
     rays = _start(origin, centers, h, extra=(band_width + 2) * h)
@@ -366,17 +354,15 @@ def estimate_normals(centers: np.ndarray, origin, k: int = 10):
     return normals, valid
 
 
-def normal_augment(coords: np.ndarray, centers: np.ndarray,
-                   normals: np.ndarray, valid: np.ndarray,
-                   voxel_size: float, reach: int = 3) -> TestPointSet:
+def normal_augment(centers: np.ndarray, normals: np.ndarray,
+                   valid: np.ndarray, voxel_size: float,
+                   reach: int = 3) -> TestPointSet:
     """Test points stepped along each valid normal: the rows of
     normal_rows, deduplicated."""
-    return merge(normal_rows(coords, centers, normals, valid, voxel_size,
-                             reach))
+    return merge(normal_rows(centers, normals, valid, voxel_size, reach))
 
 
-def normal_rows(coords: np.ndarray, centers: np.ndarray,
-                normals: np.ndarray, valid: np.ndarray,
+def normal_rows(centers: np.ndarray, normals: np.ndarray, valid: np.ndarray,
                 voxel_size: float, reach: int = 3) -> TestPointSet:
     """Test points stepped along each valid normal, a voxel possibly more
     than once.
@@ -384,11 +370,8 @@ def normal_rows(coords: np.ndarray, centers: np.ndarray,
     Emits positions at offsets {-reach..-1, +1..+reach} * voxel_size
     along the normal; positive offsets (sensor side) carry sign +1.
     """
-    coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     rows = np.flatnonzero(valid)
-    if len(rows) == 0 or reach < 1:
-        return TestPointSet.empty()
     offsets = np.concatenate([np.arange(1, reach + 1),
                               -np.arange(1, reach + 1)]) * voxel_size
     pos = (centers[rows, None, :]

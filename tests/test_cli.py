@@ -334,6 +334,17 @@ def test_non_positive_weight_cap_is_one_error_line(tmp_path, capsys):
         1, ["error: weight_cap must be positive, got -1.0"])
 
 
+@pytest.mark.parametrize("key", ["v_max", "surface_band"])
+def test_negative_v_max_or_surface_band_is_one_error_line(tmp_path, capsys,
+                                                          key):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), "--set", f"{key}=-1", *RUN_ARGS]
+    assert error_lines(capsys, argv) == (
+        1, [f"error: {key} must be at least 0, got -1.0"])
+
+
 def with_config(snap, path, config):
     """Copy of snapshot snap at path with its config JSON replaced: by
     config if bytes, else by the old keys updated from config."""

@@ -15,6 +15,7 @@ from gpfield.local_field import Frame, build_voxelized, voxelize
 from gpfield.query_points import generate
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
 from grid_oracle import leaf_at
+from test_query_points import assert_empty_set
 
 
 def simple_cfg(**kw):
@@ -144,8 +145,9 @@ def test_fuse_point_leaves_input_untouched():
 
 def test_fuse_frame_empty_set():
     grid = SparseGrid(voxel_size=0.05)
-    stats = fuse_frame(grid, PointSet.empty(), np.zeros(0), np.zeros(0),
-                       simple_cfg())
+    tps = generate(np.zeros(3), np.zeros((0, 3)), grid)
+    assert_empty_set(tps)
+    stats = fuse_frame(grid, tps, np.zeros(0), np.zeros(0), simple_cfg())
     assert stats == FusionStats(0, 0, 0)
     assert grid.n_leaves == 0
     assert list(grid.active_leaves()) == []
@@ -222,8 +224,7 @@ def test_fuse_frame_ten_frame_wall_sequence():
         coords = world_to_grid(
             np.vstack([m.train_points for m in lf.models]), h)
         coords = np.unique(coords, axis=0)
-        tps = generate(origin, coords, grid_to_world(coords, h), grid,
-                       band_width=3)
+        tps = generate(origin, grid_to_world(coords, h), grid, band_width=3)
         d, v, _, _ = lf.query_batch(tps.positions)
         fuse_frame(grid, tps, d * tps.signs, v, cfg)
     wall = 0

@@ -12,7 +12,8 @@ so the check errs on the lenient side.
 The same holds for state: each dataclass field of a class that is
 neither a NamedTuple nor exported, and each attribute its methods assign
 through self, must be loaded as an attribute in those places. A counter
-the library only increments fails.
+the library only increments fails. So does a parameter that its own
+function never reads.
 """
 
 import ast
@@ -225,3 +226,41 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
         and (pos is None or not {(name, pos), (name, "*")} & passed)
         and f"{name}.{param}" not in UNPASSED_ALLOWED]
     assert not unpassed, "defaults no call overrides: " + ", ".join(unpassed)
+
+
+def unread_parameters(path):
+    """(where, Function.parameter) of each parameter of a function or
+    method in the module at path that its body never loads, self or cls
+    aside. A load inside the value of an assignment to the parameter
+    itself, as in x = np.asarray(x), is no read: it only feeds the
+    parameter's own reassignment."""
+    tree = parse(path)
+    methods = {id(member) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for member in cls.body}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        if (id(fn) in methods
+                and "staticmethod" not in map(named, fn.decorator_list)):
+            params = params[1:]
+        reassigning = {id(node): {t.id for t in stmt.targets
+                                  if isinstance(t, ast.Name)}
+                       for stmt in ast.walk(fn) if isinstance(stmt, ast.Assign)
+                       for node in ast.walk(stmt.value)}
+        loaded = {node.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)
+                  and node.id not in reassigning.get(id(node), ())}
+        for p in params:
+            if p is not None and p.arg not in loaded:
+                yield f"{path.name}:{fn.lineno}", f"{fn.name}.{p.arg}"
+
+
+def test_every_library_parameter_is_read():
+    """A parameter the body never reads is an input the caller must find
+    and pass for nothing."""
+    unread = [f"{where} {name}" for path in sorted(SRC.glob("*.py"))
+              for where, name in unread_parameters(path)]
+    assert not unread, "parameters never read: " + ", ".join(unread)

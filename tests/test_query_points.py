@@ -17,6 +17,14 @@ from gpfield.query_points import (
 from gpfield.query_points import TestPointSet as PointSet  # collection-safe alias
 
 
+def assert_empty_set(out):
+    """out has no rows, each column in its own shape and dtype."""
+    got = [(c.shape, c.dtype)
+           for c in (out.coords, out.positions, out.signs, out.sources)]
+    assert got == [((0, 3), np.int64), ((0, 3), np.float64), ((0,), np.int8),
+                   ((0,), np.uint8)]
+
+
 def test_traverse_axis_aligned_ray():
     h = 0.5
     origin = np.array([0.25, 0.25, 0.25])
@@ -83,7 +91,7 @@ def test_generate_band_only_on_empty_grid():
     origin = np.array([0.25, 0.25, 0.25])
     coords = np.array([[20, 0, 0]])
     centers = grid_to_world(coords, h)
-    out = generate(origin, coords, centers, grid, band_width=3)
+    out = generate(origin, centers, grid, band_width=3)
     got = sorted(tuple(int(v) for v in c) for c in out.coords)
     assert got == [(k, 0, 0) for k in range(17, 24)]
     by_coord = {tuple(int(v) for v in c): int(s)
@@ -110,8 +118,7 @@ def test_generate_emits_stale_voxel_with_positive_sign():
                                    observed=False))
     origin = np.array([0.25, 0.25, 0.25])
     coords = np.array([[20, 0, 0]])
-    out = generate(origin, coords, grid_to_world(coords, h), grid,
-                   band_width=3)
+    out = generate(origin, grid_to_world(coords, h), grid, band_width=3)
     by_coord = {tuple(int(v) for v in c): i for i, c in enumerate(out.coords)}
     assert (10, 0, 0) in by_coord
     row = by_coord[(10, 0, 0)]
@@ -126,8 +133,7 @@ def test_generate_dedups_shared_endpoint():
     grid = SparseGrid(voxel_size=h)
     origin = np.array([0.25, 0.25, 0.25])
     coords = np.array([[20, 0, 0], [20, 0, 0]])
-    out = generate(origin, coords, grid_to_world(coords, h), grid,
-                   band_width=2)
+    out = generate(origin, grid_to_world(coords, h), grid, band_width=2)
     keys = [tuple(int(v) for v in c) for c in out.coords]
     assert len(keys) == len(set(keys))
     assert keys.count((20, 0, 0)) == 1
@@ -140,8 +146,7 @@ def test_generate_covers_every_measured_voxel():
     origin = np.array([0.0, 0.0, 1.0])
     pts = rng.uniform(-0.5, 0.5, size=(200, 3))
     coords = np.unique(world_to_grid(pts, h), axis=0)
-    out = generate(origin, coords, grid_to_world(coords, h), grid,
-                   band_width=3)
+    out = generate(origin, grid_to_world(coords, h), grid, band_width=3)
     emitted = {tuple(int(v) for v in c) for c in out.coords}
     for c in coords:
         assert tuple(int(v) for v in c) in emitted
@@ -152,9 +157,7 @@ def test_generate_covers_every_measured_voxel():
 
 def test_generate_empty_input():
     grid = SparseGrid(voxel_size=0.1)
-    out = generate(np.zeros(3), np.zeros((0, 3), dtype=np.int64),
-                   np.zeros((0, 3)), grid)
-    assert len(out) == 0
+    assert_empty_set(generate(np.zeros(3), np.zeros((0, 3)), grid))
 
 
 def test_estimate_normals_on_plane():
@@ -202,7 +205,7 @@ def test_normal_augment_axis_aligned_offsets():
     centers = grid_to_world(coords, h)
     normals = np.array([[0.0, 0.0, 1.0]])
     valid = np.array([True])
-    out = normal_augment(coords, centers, normals, valid, h, reach=2)
+    out = normal_augment(centers, normals, valid, h, reach=2)
     got = {tuple(int(v) for v in c): int(s)
            for c, s in zip(out.coords, out.signs)}
     assert got == {(0, 0, 1): 1, (0, 0, 2): 1, (0, 0, -1): -1, (0, 0, -2): -1}
@@ -214,10 +217,10 @@ def test_normal_augment_zero_reach_or_no_valid():
     coords = np.array([[0, 0, 0]])
     centers = grid_to_world(coords, 0.1)
     n = np.array([[0.0, 0.0, 1.0]])
-    assert len(normal_augment(coords, centers, n, np.array([True]),
-                              0.1, reach=0)) == 0
-    assert len(normal_augment(coords, centers, n, np.array([False]),
-                              0.1, reach=3)) == 0
+    assert_empty_set(normal_augment(centers, n, np.array([True]), 0.1,
+                                    reach=0))
+    assert_empty_set(normal_augment(centers, n, np.array([False]), 0.1,
+                                    reach=3))
 
 
 def test_dedup_first_keeps_input_order_winner():
@@ -247,6 +250,11 @@ def test_merge_earlier_sets_take_precedence():
     assert got[(2, 0, 0)] == -1
 
 
+def test_merge_of_two_empty_sets_is_empty():
+    empty = PointSet(np.zeros((0, 3)), np.zeros((0, 3)), [], [])
+    assert_empty_set(merge(empty, empty))
+
+
 def test_grazing_wall_gains_two_sided_coverage():
     h = 0.05
     grid = SparseGrid(voxel_size=h)
@@ -257,9 +265,9 @@ def test_grazing_wall_gains_two_sided_coverage():
                       axis=1)
     centers = grid_to_world(coords, h)
     origin = np.array([-0.5, 0.5, 0.12])  # grazing incidence along the wall
-    rays = generate(origin, coords, centers, grid, band_width=3)
+    rays = generate(origin, centers, grid, band_width=3)
     normals, valid = estimate_normals(centers, origin, k=10)
-    aug = normal_augment(coords, centers, normals, valid, h, reach=3)
+    aug = normal_augment(centers, normals, valid, h, reach=3)
     both = merge(rays, aug)
     keys = {tuple(int(v) for v in c): int(s)
             for c, s in zip(both.coords, both.signs)}

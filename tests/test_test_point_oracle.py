@@ -99,11 +99,12 @@ def reference_lookup(grid, coords):
     return found, dist, weight, obs
 
 
-def reference_generate(origin, coords, centers, grid, band_width=3):
+def reference_generate(origin, centers, grid, band_width=3):
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     if len(centers) == 0:
-        return query_points.TestPointSet.empty()
+        return query_points.TestPointSet(np.zeros((0, 3)), np.zeros((0, 3)),
+                                         [], [])
     h = grid.voxel_size
     band = band_width * h
     vox, t_enter, ray = reference_traverse(origin, centers, h,
@@ -131,13 +132,14 @@ def reference_generate(origin, coords, centers, grid, band_width=3):
                                            signs, sources))
 
 
-def full_lockstep_ray_rows(origin, coords, centers, grid, band_width=3):
+def full_lockstep_ray_rows(origin, centers, grid, band_width=3):
     """ray_rows as it was: the lockstep from every ray's state at t = 0,
     each voxel classified and every carving candidate looked up."""
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
     if len(centers) == 0:
-        return query_points.TestPointSet.empty()
+        return query_points.TestPointSet(np.zeros((0, 3)), np.zeros((0, 3)),
+                                         [], [])
     h = grid.voxel_size
     band = band_width * h
     vox, t_enter, ray = _traverse(_start(origin, centers, h,
@@ -280,9 +282,8 @@ def test_generate_matches_classify_every_voxel_reference(data, h, band_width,
     fill_grid(grid, np.random.default_rng(seed), 3, n_leaves)
     origin = data.draw(origins(h))
     centers = data.draw(ray_ends(origin, h))
-    coords = np.floor(centers / h).astype(np.int64)
-    got = query_points.generate(origin, coords, centers, grid, band_width)
-    want = reference_generate(origin, coords, centers, grid, band_width)
+    got = query_points.generate(origin, centers, grid, band_width)
+    want = reference_generate(origin, centers, grid, band_width)
     assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
 
 
@@ -295,9 +296,8 @@ def test_generate_reference_cases_reach_every_branch():
     fill_grid(grid, rng, 2, 40)
     origin = np.array([0.0, 0.0, 0.0])
     centers = rng.uniform(-1.5, 1.5, size=(200, 3))
-    coords = np.floor(centers / h).astype(np.int64)
-    got = query_points.generate(origin, coords, centers, grid, 2)
-    want = reference_generate(origin, coords, centers, grid, 2)
+    got = query_points.generate(origin, centers, grid, 2)
+    want = reference_generate(origin, centers, grid, 2)
     assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
     ray = got.sources == SOURCE_RAY
     assert ray.sum() > 50 and (got.signs[ray] == 1).all()
@@ -318,11 +318,10 @@ def test_generate_matches_reference_on_rendered_frames(monkeypatch):
 
     # the pipeline builds the ray rows and deduplicates them with the
     # normal rows; generate gives those rows deduplicated
-    def spy(origin, coords, centers, grid, band_width=3, stats=None):
-        want = reference_generate(origin, coords, centers, grid, band_width)
-        full = full_lockstep_ray_rows(origin, coords, centers, grid,
-                                      band_width)
-        rows = real(origin, coords, centers, grid, band_width, stats=stats)
+    def spy(origin, centers, grid, band_width=3, stats=None):
+        want = reference_generate(origin, centers, grid, band_width)
+        full = full_lockstep_ray_rows(origin, centers, grid, band_width)
+        rows = real(origin, centers, grid, band_width, stats=stats)
         assert_same_arrays(point_set_arrays(rows), point_set_arrays(full))
         got = query_points.merge(rows)
         seen.append(len(got))
@@ -347,19 +346,17 @@ def assert_matches_full_lockstep(origin, centers, grid, band_width):
     """ray_rows equals the full walk bit for bit, or both raise the same
     ValueError; its step counts add up to the full walk's rows."""
     h = grid.voxel_size
-    coords = np.floor(centers / h).astype(np.int64)
     try:
-        want = full_lockstep_ray_rows(origin, coords, centers, grid,
-                                      band_width)
+        want = full_lockstep_ray_rows(origin, centers, grid, band_width)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            query_points.ray_rows(origin, coords, centers, grid, band_width)
+            query_points.ray_rows(origin, centers, grid, band_width)
         return None
     stats = SimpleNamespace()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = query_points.ray_rows(origin, coords, centers, grid,
-                                    band_width, stats=stats)
+        got = query_points.ray_rows(origin, centers, grid, band_width,
+                                    stats=stats)
     assert_same_arrays(point_set_arrays(got), point_set_arrays(want))
     full = _traverse(_start(origin, centers, h, (band_width + 2) * h))
     assert stats.n_ray_steps + stats.n_ray_steps_skipped == len(full[0])
@@ -457,10 +454,9 @@ def test_ray_rows_outside_the_key_range_raises_as_the_full_walk():
             (outside, outside + [[4.0, 1.0, 0.0], [-30.0, 2.0, 1.0]]),
             (np.array([edge, 0.2, 0.1]), np.array([[edge + 20.0, 0.7, 0.6]])),
             (np.array([-edge, 0.2, 0.1]), np.array([[-edge - 20.0, 0.2, 0.1]]))):
-        coords = np.floor(centers / h).astype(np.int64)
         for rows in (full_lockstep_ray_rows, query_points.ray_rows):
             with pytest.raises(ValueError, match=message):
-                rows(origin, coords, centers, grid, 3)
+                rows(origin, centers, grid, 3)
     short = outside + [[0.6, 0.0, 0.0]]
     got = assert_matches_full_lockstep(outside, short, grid, 3)
     assert got.n_ray_steps_skipped == 0
