@@ -32,7 +32,7 @@ from .meshing import SurfaceMesh, TriangleMesh
 # it by this module path, although the pipeline meshes through SurfaceMesh
 from .meshing import mesh_leaf  # noqa: F401
 from . import ply
-from .scene import lattice_points
+from .scene import lattice_blocks, lattice_points
 
 _PROP_CHANNELS = {"none": 0, "rgb": 3, "intensity": 1}
 _PROP_CLIP = {"none": None, "rgb": (0.0, 1.0), "intensity": (0.0, np.inf)}
@@ -66,8 +66,8 @@ class PipelineConfig:
     takes an int, a float field an int or a float, so of the numpy
     scalars only np.float64 passes), a non-finite float or an int past
     the float range in a float field, normal_k or query_nodes below 1,
-    a negative band_width, sign_radius or surface_band, or a voxel_size,
-    weight_cap or given d_max that is not positive raises ValueError
+    a negative band_width or sign_radius, or a voxel_size, weight_cap,
+    surface_band or given d_max that is not positive raises ValueError
     naming it, as does a derived length_scale, d_max or v_max past the
     float range and a negative v_max, given or derived; values are never
     converted.
@@ -106,11 +106,11 @@ class PipelineConfig:
                 got = x if isinstance(x, float) else "an int past float range"
                 raise ValueError(f"{f.name} must be finite, got {got}")
         for key, low in (("normal_k", 1), ("query_nodes", 1), ("band_width", 0),
-                         ("sign_radius", 0), ("surface_band", 0)):
+                         ("sign_radius", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be at least {low}, "
                                  f"got {getattr(self, key)}")
-        for key in ("voxel_size", "weight_cap", "d_max"):
+        for key in ("voxel_size", "weight_cap", "d_max", "surface_band"):
             x = getattr(self, key)
             if x is not None and x <= 0:
                 raise ValueError(f"{key} must be positive, got {x}")
@@ -480,27 +480,44 @@ class Pipeline:
 EVAL_BATCH = 8192
 
 
+def _in_band_batches(oracle, bounds, resolution, band):
+    """(points, |oracle distance|) of the lattice points whose distance
+    magnitude lies inside band, in lattice order, EVAL_BATCH at a time,
+    the last batch short."""
+    pts, truth = np.zeros((0, 3)), np.zeros(0)
+    for block in lattice_blocks(bounds, resolution):
+        d = np.abs(np.asarray(oracle(block), dtype=np.float64))
+        keep = (d >= band[0]) & (d <= band[1])
+        pts = np.concatenate([pts, block[keep]])
+        truth = np.concatenate([truth, d[keep]])
+        while len(pts) >= EVAL_BATCH:
+            yield pts[:EVAL_BATCH], truth[:EVAL_BATCH]
+            pts, truth = pts[EVAL_BATCH:], truth[EVAL_BATCH:]
+    if len(pts):
+        yield pts, truth
+
+
 def eval_distance_rmse(field: GlobalField, oracle: Callable[[np.ndarray], np.ndarray],
                        bounds, resolution: float,
                        band: tuple[float, float] = (0.0, np.inf)):
-    """RMSE of |field distance| against |oracle distance| on a lattice,
-    queried EVAL_BATCH points at a time.
+    """RMSE of |field distance| against |oracle distance| on a lattice.
 
     Only lattice points whose oracle distance magnitude lies inside
-    `band` participate. Returns (rmse, n_points).
+    `band` participate, queried EVAL_BATCH consecutive ones at a time.
+    The lattice is read one scene.lattice_blocks block at a time, so
+    memory holds one block and one query batch however many points the
+    lattice has. Returns (rmse, n_points). Raises ValueError for a
+    resolution that is not finite and positive, and MemoryError for a
+    lattice axis too long to allocate.
     """
-    pts = lattice_points(bounds, resolution)
-    truth = np.abs(np.asarray(oracle(pts), dtype=np.float64))
-    mask = (truth >= band[0]) & (truth <= band[1])
-    pts = pts[mask]
-    truth = truth[mask]
-    if len(pts) == 0:
+    err2, n = 0.0, 0
+    for pts, truth in _in_band_batches(oracle, bounds, resolution, band):
+        res = field.query_batch(pts)
+        err2 += np.sum((np.abs(res.distances) - truth) ** 2)
+        n += len(pts)
+    if n == 0:
         return 0.0, 0
-    err2 = 0.0
-    for i in range(0, len(pts), EVAL_BATCH):
-        res = field.query_batch(pts[i:i + EVAL_BATCH])
-        err2 += np.sum((np.abs(res.distances) - truth[i:i + EVAL_BATCH]) ** 2)
-    return float(np.sqrt(err2 / len(pts))), int(len(pts))
+    return float(np.sqrt(err2 / n)), n
 
 
 def eval_chamfer(points_a: np.ndarray, points_b: np.ndarray,

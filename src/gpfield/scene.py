@@ -9,6 +9,7 @@ ground-truth oracle for evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,6 +306,22 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> tuple[np.ndarray, np.ndarray]:
     return rot, eye
 
 
+# lattice rows per block of lattice_blocks
+LATTICE_BLOCK = 16384
+
+
+def _lattice_axes(bounds, resolution: float) -> list[np.ndarray]:
+    """The coordinates along each axis of the lattice over bounds; raises
+    ValueError for a resolution that is not finite and positive."""
+    resolution = float(resolution)
+    if not (np.isfinite(resolution) and resolution > 0):
+        raise ValueError("resolution must be finite and positive, "
+                         f"got {resolution!r}")
+    return [np.arange(l, h + resolution * 0.5, resolution)
+            for l, h in zip(np.asarray(bounds[0], dtype=np.float64),
+                            np.asarray(bounds[1], dtype=np.float64))]
+
+
 def lattice_points(bounds, resolution: float) -> np.ndarray:
     """Regular lattice covering an axis-aligned box, inclusive of both ends.
 
@@ -312,15 +329,25 @@ def lattice_points(bounds, resolution: float) -> np.ndarray:
     over the axes. Raises ValueError for a resolution that is not finite
     and positive.
     """
-    resolution = float(resolution)
-    if not (np.isfinite(resolution) and resolution > 0):
-        raise ValueError("resolution must be finite and positive, "
-                         f"got {resolution!r}")
-    axes = [np.arange(l, h + resolution * 0.5, resolution)
-            for l, h in zip(np.asarray(bounds[0], dtype=np.float64),
-                            np.asarray(bounds[1], dtype=np.float64))]
-    g = np.meshgrid(*axes, indexing="ij")
+    g = np.meshgrid(*_lattice_axes(bounds, resolution), indexing="ij")
     return np.stack([a.ravel() for a in g], axis=1)
+
+
+def lattice_blocks(bounds, resolution: float):
+    """The rows of lattice_points(bounds, resolution) in the same order,
+    LATTICE_BLOCK rows at a time; an empty lattice is one empty block.
+
+    Only the per-axis coordinates are held whole, so the lattice may hold
+    more points than memory. Raises ValueError for a resolution that is
+    not finite and positive.
+    """
+    axes = _lattice_axes(bounds, resolution)
+    shape = tuple(len(a) for a in axes)
+    n = math.prod(shape)
+    for start in range(0, max(n, 1), LATTICE_BLOCK):
+        idx = np.unravel_index(np.arange(start, min(start + LATTICE_BLOCK, n)),
+                               shape)
+        yield np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
 
 
 # |sdf| a surface sample must reach to be kept
@@ -334,27 +361,31 @@ def surface_samples(scene: SyntheticScene, bounds, resolution: float,
     Lattice points within one cell of the surface are projected along
     the numerical SDF gradient; the composed SDF has unit slope away
     from seams so a few Newton steps converge. Points that fail to
-    reach |sdf| < SURFACE_TOL (seams, inactive scenes) are dropped. Raises
-    ValueError for a resolution that is not finite and positive.
+    reach |sdf| < SURFACE_TOL (seams, inactive scenes) are dropped.
+    The lattice is read one lattice_blocks block at a time, so memory
+    holds one block beside the samples. Raises ValueError for a
+    resolution that is not finite and positive, and MemoryError for a
+    lattice axis too long to allocate.
     """
     lo = np.asarray(bounds[0], dtype=np.float64)
     hi = np.asarray(bounds[1], dtype=np.float64)
-    pts = lattice_points((lo, hi), resolution)
-    d = scene.sdf(pts, t)
-    pts = pts[np.abs(d) <= resolution]
     eps = 1e-5
     basis = np.eye(3) * eps
-    for _ in range(4):
-        if not len(pts):
-            break
-        d = scene.sdf(pts, t)
-        grad = np.stack([scene.sdf(pts + e, t) - scene.sdf(pts - e, t)
-                         for e in basis], axis=1) / (2.0 * eps)
-        norm2 = np.maximum(np.sum(grad * grad, axis=1), 1e-12)
-        pts = pts - (d / norm2)[:, None] * grad
-    keep = np.abs(scene.sdf(pts, t)) < SURFACE_TOL
-    keep &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
-    return pts[keep]
+    samples = []
+    for pts in lattice_blocks((lo, hi), resolution):
+        pts = pts[np.abs(scene.sdf(pts, t)) <= resolution]
+        for _ in range(4):
+            if not len(pts):
+                break
+            d = scene.sdf(pts, t)
+            grad = np.stack([scene.sdf(pts + e, t) - scene.sdf(pts - e, t)
+                             for e in basis], axis=1) / (2.0 * eps)
+            norm2 = np.maximum(np.sum(grad * grad, axis=1), 1e-12)
+            pts = pts - (d / norm2)[:, None] * grad
+        keep = np.abs(scene.sdf(pts, t)) < SURFACE_TOL
+        keep &= np.all(pts >= lo, axis=1) & np.all(pts <= hi, axis=1)
+        samples.append(pts[keep])
+    return np.concatenate(samples)
 
 
 # -- scene description files --------------------------------------------------

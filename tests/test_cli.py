@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gpfield import frame_io, pipeline
+from gpfield import frame_io
+from gpfield import scene as scene_mod
 from gpfield.cli import main
 from gpfield.grid import KEY_RANGE_ERROR
 from gpfield.pipeline import Pipeline
@@ -341,8 +342,18 @@ def test_negative_v_max_or_surface_band_is_one_error_line(tmp_path, capsys,
     scene.write_text(SPHERE_SCENE)
     argv = ["run", "--scene", str(scene), "--snapshot",
             str(tmp_path / "m.snap"), "--set", f"{key}=-1", *RUN_ARGS]
+    need = {"v_max": "be at least 0", "surface_band": "be positive"}[key]
     assert error_lines(capsys, argv) == (
-        1, [f"error: {key} must be at least 0, got -1.0"])
+        1, [f"error: {key} must {need}, got -1.0"])
+
+
+def test_zero_surface_band_is_one_error_line(tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text(SPHERE_SCENE)
+    argv = ["run", "--scene", str(scene), "--snapshot",
+            str(tmp_path / "m.snap"), "--set", "surface_band=0", *RUN_ARGS]
+    assert error_lines(capsys, argv) == (
+        1, ["error: surface_band must be positive, got 0.0"])
 
 
 def with_config(snap, path, config):
@@ -565,7 +576,7 @@ def test_memory_error_is_one_error_line(workdir, capsys, monkeypatch):
     def too_big(bounds, resolution):
         raise MemoryError("Unable to allocate 7.3 TiB for an array")
 
-    monkeypatch.setattr(pipeline, "lattice_points", too_big)
+    monkeypatch.setattr(scene_mod, "_lattice_axes", too_big)
     assert main(["eval", str(workdir / "map.snap"),
                  "--scene", str(workdir / "sphere.scene"),
                  "--bounds=-1,1,-1,1,-1,1", "--resolution", "1e-9"]) == 1

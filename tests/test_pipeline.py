@@ -458,8 +458,9 @@ def test_config_rejects_unknown_keys_and_bad_lines(tmp_path):
     ("prop_kind", None),
     # values that must be positive
     ("weight_cap", -1.0), ("weight_cap", 0.0), ("d_max", -0.1), ("d_max", 0.0),
+    ("surface_band", -1.0), ("surface_band", 0.0),
     # values that must be at least 0
-    ("v_max", -1.0), ("surface_band", -1.0)])
+    ("v_max", -1.0)])
 def test_config_rejects_bad_values_naming_the_key(key, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -467,9 +468,8 @@ def test_config_rejects_bad_values_naming_the_key(key, value):
             PipelineConfig(**{key: value})
 
 
-def test_config_accepts_zero_v_max_and_surface_band():
-    cfg = PipelineConfig(v_max=0.0, surface_band=0.0)
-    assert (cfg.v_max, cfg.fusion_config().surface_band) == (0.0, 0.0)
+def test_config_accepts_zero_v_max():
+    assert PipelineConfig(v_max=0.0).v_max == 0.0
 
 
 @pytest.mark.parametrize("key, raw, kind", [
